@@ -43,11 +43,19 @@ def _load_config(path: str | None) -> dict:
         return config
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     caps = doc.get("caps", {})
     if not isinstance(caps, dict):
         raise ValueError("config key 'caps' must be an object")
+    budget = doc.get("budget", DEFAULT_BUDGET)
+    numbers = {f"caps.{name}": value for name, value in caps.items()}
+    numbers["budget"] = budget
+    for key, value in numbers.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
     config["caps"].update(caps)
-    config["budget"] = doc.get("budget", DEFAULT_BUDGET)
+    config["budget"] = budget
     return config
 
 

@@ -82,8 +82,27 @@ def enumerate_dyck(n: int) -> list[str]:
     return sorted(out)
 
 
-def _positions(word: str, letter: str) -> list[int]:
-    return [p for p, c in enumerate(word) if c == letter]
+def positions(word: str) -> tuple[list[int], list[int]]:
+    """The positions of the U's and of the D's in ``word``, in one pass.
+
+    The (i+1)-st U and the (i+1)-st D sit at ``ups[i] < downs[i]`` in a
+    Dyck word; faces and degeneracies act on exactly these two letters.
+    """
+    ups: list[int] = []
+    downs: list[int] = []
+    for p, c in enumerate(word):
+        (ups if c == "U" else downs).append(p)
+    return ups, downs
+
+
+def face_at(word: str, u: int, d: int) -> str:
+    """Delete the letters at positions u < d."""
+    return word[:u] + word[u + 1 : d] + word[d + 1 :]
+
+
+def degeneracy_at(word: str, u: int, d: int) -> str:
+    """Double the letters at positions u < d."""
+    return word[: u + 1] + word[u : d + 1] + word[d:]
 
 
 def face(word: str, i: int) -> str:
@@ -93,8 +112,8 @@ def face(word: str, i: int) -> str:
         raise ValueError("the 0-simplex has no faces")
     if not 0 <= i <= n:
         raise IndexError(f"face index {i} out of range for dimension {n}")
-    drop = {_positions(word, "U")[i], _positions(word, "D")[i]}
-    return "".join(c for p, c in enumerate(word) if p not in drop)
+    ups, downs = positions(word)
+    return face_at(word, ups[i], downs[i])
 
 
 def degeneracy(word: str, i: int) -> str:
@@ -102,8 +121,8 @@ def degeneracy(word: str, i: int) -> str:
     n = dimension(word)
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range for dimension {n}")
-    double = {_positions(word, "U")[i], _positions(word, "D")[i]}
-    return "".join(c + c if p in double else c for p, c in enumerate(word))
+    ups, downs = positions(word)
+    return degeneracy_at(word, ups[i], downs[i])
 
 
 def degeneracy_witness(word: str) -> int | None:
@@ -113,8 +132,7 @@ def degeneracy_witness(word: str) -> int | None:
     are adjacent and so are its (i+1)-st and (i+2)-nd D's.
     """
     n = dimension(word)
-    ups = _positions(word, "U")
-    downs = _positions(word, "D")
+    ups, downs = positions(word)
     for i in range(n):
         if ups[i + 1] == ups[i] + 1 and downs[i + 1] == downs[i] + 1:
             return i

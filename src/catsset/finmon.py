@@ -17,6 +17,31 @@ from .errors import SchemaError, StructuralError
 SCHEMA_VERSION = 1
 
 
+def check_header(doc: object, kind: str) -> None:
+    """Raise SchemaError unless ``doc`` is a JSON object of this kind and version."""
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"expected a JSON object of kind {kind!r}, got {type(doc).__name__}")
+    if doc.get("kind") != kind:
+        raise SchemaError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
+
+
+def table_rows(doc: Mapping, key: str, shape: str) -> list[list]:
+    """The rows of the table ``doc[key]``, each an array as long as ``shape``.
+
+    ``shape`` spells the row for error messages, e.g. ``"[a, b, ab]"``.
+    """
+    rows = doc[key]
+    if not isinstance(rows, list):
+        raise SchemaError(f"{key} must be an array of {shape} rows")
+    width = shape.count(",") + 1
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise SchemaError(f"{key}[{k}] must be an {shape} array")
+    return rows
+
+
 @dataclass(frozen=True)
 class LawViolation:
     law: str
@@ -122,15 +147,13 @@ class FinCategory:
                 raise SchemaError(f"category block missing key {key!r}")
         morphisms = []
         for k, entry in enumerate(doc["morphisms"]):
+            if not isinstance(entry, Mapping):
+                raise SchemaError(f"morphisms[{k}] must be an object")
             for fld in ("label", "src", "tgt"):
                 if fld not in entry:
                     raise SchemaError(f"morphisms[{k}] missing field {fld!r}")
             morphisms.append((entry["label"], entry["src"], entry["tgt"]))
-        compose = {}
-        for k, entry in enumerate(doc["compose"]):
-            if len(entry) != 3:
-                raise SchemaError(f"compose[{k}] must be a [g, f, gof] triple")
-            compose[(entry[0], entry[1])] = entry[2]
+        compose = {(g, f): h for g, f, h in table_rows(doc, "compose", "[g, f, gof]")}
         try:
             return cls(doc["objects"], morphisms, doc["identities"], compose)
         except StructuralError as exc:
@@ -232,24 +255,13 @@ class FinMonoidalStructure:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "FinMonoidalStructure":
-        if doc.get("kind") != "strict_monoidal":
-            raise SchemaError(f"expected kind 'strict_monoidal', got {doc.get('kind')!r}")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        check_header(doc, "strict_monoidal")
         category = FinCategory.from_json_dict(doc)
         for key in ("obj_tensor", "mor_tensor", "unit"):
             if key not in doc:
                 raise SchemaError(f"missing key {key!r}")
-        obj_tensor = {}
-        for k, entry in enumerate(doc["obj_tensor"]):
-            if len(entry) != 3:
-                raise SchemaError(f"obj_tensor[{k}] must be an [a, b, ab] triple")
-            obj_tensor[(entry[0], entry[1])] = entry[2]
-        mor_tensor = {}
-        for k, entry in enumerate(doc["mor_tensor"]):
-            if len(entry) != 3:
-                raise SchemaError(f"mor_tensor[{k}] must be an [f, g, fg] triple")
-            mor_tensor[(entry[0], entry[1])] = entry[2]
+        obj_tensor = {(a, b): v for a, b, v in table_rows(doc, "obj_tensor", "[a, b, ab]")}
+        mor_tensor = {(f, g): v for f, g, v in table_rows(doc, "mor_tensor", "[f, g, fg]")}
         try:
             return cls(category, obj_tensor, mor_tensor, doc["unit"])
         except StructuralError as exc:

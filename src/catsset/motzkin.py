@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .dyck import dimension, is_degenerate, _positions
+from .dyck import dimension, is_degenerate, positions
 from .errors import DegenerateWordError, InvalidWordError
 
 MOTZKIN_ALPHABET = frozenset("UCD")
@@ -88,8 +88,7 @@ def dyck_to_motzkin(word: str) -> str:
     n = dimension(word)
     if is_degenerate(word):
         raise DegenerateWordError(f"degenerate word has no Motzkin form: {word!r}")
-    ups = _positions(word, "U")
-    downs = _positions(word, "D")
+    ups, downs = positions(word)
     letters = []
     for i in range(n):
         if ups[i + 1] == ups[i] + 1:

@@ -13,7 +13,7 @@ import json
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _boundaries_naive, coskeletal_extension
+from .sset import TruncatedSSet, boundaries, coskeletal_extension
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -94,7 +94,7 @@ def monoidal_nerve(
             right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
             return left == right
 
-        bts = sorted(bt for bt in _boundaries_naive(stub, 3) if commutes(bt))
+        bts = sorted(bt for bt in boundaries(stub, 3) if commutes(bt))
         if len(bts) > max_simplices:
             raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
         labels3 = [f"s3:{k}" for k in range(len(bts))]

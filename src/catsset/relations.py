@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dyck import _positions, dimension
+from .dyck import dimension, positions
 from .errors import BoundaryError, RelationConditionError
 
 Pair = tuple[int, int]
@@ -57,8 +57,7 @@ class EdgeRelation:
 def to_relation(word: str) -> EdgeRelation:
     """Relation of a Dyck word: (i, j) is in when the (j+1)-st U precedes the (i+1)-st D."""
     n = dimension(word)
-    ups = _positions(word, "U")
-    downs = _positions(word, "D")
+    ups, downs = positions(word)
     pairs = frozenset(
         (i, j)
         for i in range(n + 1)

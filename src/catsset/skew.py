@@ -25,8 +25,10 @@ from .finmon import (
     FinMonoidalStructure,
     LawViolation,
     Poset,
+    check_header,
     leq_label,
     poset_category,
+    table_rows,
 )
 
 
@@ -158,19 +160,16 @@ class SkewData:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SkewData":
-        if doc.get("kind") != "skew_data":
-            raise SchemaError(f"expected kind 'skew_data', got {doc.get('kind')!r}")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        check_header(doc, "skew_data")
         category = FinCategory.from_json_dict(doc)
         for key in ("obj_tensor", "mor_tensor", "unit", "alpha", "lambda", "rho"):
             if key not in doc:
                 raise SchemaError(f"missing key {key!r}")
-        obj_tensor = {(a, b): v for a, b, v in doc["obj_tensor"]}
-        mor_tensor = {(f, g): v for f, g, v in doc["mor_tensor"]}
-        alpha = {(a, b, c): v for a, b, c, v in doc["alpha"]}
-        lam = {a: v for a, v in doc["lambda"]}
-        rho = {a: v for a, v in doc["rho"]}
+        obj_tensor = {(a, b): v for a, b, v in table_rows(doc, "obj_tensor", "[a, b, ab]")}
+        mor_tensor = {(f, g): v for f, g, v in table_rows(doc, "mor_tensor", "[f, g, fg]")}
+        alpha = {(a, b, c): v for a, b, c, v in table_rows(doc, "alpha", "[a, b, c, component]")}
+        lam = {a: v for a, v in table_rows(doc, "lambda", "[a, component]")}
+        rho = {a: v for a, v in table_rows(doc, "rho", "[a, component]")}
         try:
             return cls(
                 category,

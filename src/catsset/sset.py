@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import dyck
@@ -199,19 +199,27 @@ class TruncatedSSet:
 
 
 def catalan_sset(N: int) -> TruncatedSSet:
-    """The Dyck-word simplicial set truncated at dimension N."""
+    """The Dyck-word simplicial set truncated at dimension N.
+
+    Each word is scanned once for its U/D positions, and that scan fills
+    its column of every face and degeneracy table.
+    """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
     levels = [dyck.enumerate_dyck(n) for n in range(N + 1)]
-    faces: list[list[dict[str, str]]] = [[]]
-    for n in range(1, N + 1):
-        faces.append([{w: dyck.face(w, i) for w in levels[n]} for i in range(n + 1)])
+    faces: list[list[dict[str, str]]] = []
     degens: list[list[dict[str, str]]] = []
-    for n in range(N):
-        degens.append(
-            [{w: dyck.degeneracy(w, i) for w in levels[n]} for i in range(n + 1)]
-        )
-    degens.append([])
+    for n, words in enumerate(levels):
+        face_maps: list[dict[str, str]] = [{} for _ in range(n + 1)] if n >= 1 else []
+        degen_maps: list[dict[str, str]] = [{} for _ in range(n + 1)] if n < N else []
+        for w in words:
+            ups, downs = dyck.positions(w)
+            for table, u, d in zip(face_maps, ups, downs):
+                table[w] = dyck.face_at(w, u, d)
+            for table, u, d in zip(degen_maps, ups, downs):
+                table[w] = dyck.degeneracy_at(w, u, d)
+        faces.append(face_maps)
+        degens.append(degen_maps)
     return TruncatedSSet(levels, faces, degens)
 
 
@@ -281,17 +289,20 @@ def check_simplicial_identities(S: TruncatedSSet) -> list[SimplicialViolation]:
 # -- boundaries and fillers ----------------------------------------------
 
 
-def _boundaries_naive(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
-    """Compatible facet tuples by direct filtered search.
+def boundaries(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
+    """All compatible facet tuples (x_0 .. x_n) in dimension n.
 
-    Valid for any ``n`` with level n-1 inside the truncation, including
-    ``n == S.N + 1``.
+    The search is a join over the face relations of level n-1, one facet
+    at a time: facet x_m must satisfy d_i(x_m) = d_{m-1}(x_i) for all
+    i < m, so its first m faces are pinned once x_0 .. x_{m-1} are
+    chosen and an index on those faces yields its candidates.  It needs
+    no filling property of S, and ``n`` may be S.N + 1.
     """
+    if not 1 <= n <= S.N + 1:
+        raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
     lower = S.level(n - 1)
     if n == 1:
         return [(a, b) for a in lower for b in lower]
-    # facet x_m must satisfy d_i(x_m) = d_{m-1}(x_i) for all i < m, so its
-    # first m faces are pinned once x_0 .. x_{m-1} are chosen
     prefix: list[dict[BoundaryTuple, list[str]]] = [dict() for _ in range(n + 1)]
     for m in range(1, n + 1):
         index: dict[BoundaryTuple, list[str]] = defaultdict(list)
@@ -319,82 +330,6 @@ def _boundaries_naive(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
     return out
 
 
-def _boundaries_skeleton(S: TruncatedSSet, n: int, depth: int) -> list[BoundaryTuple]:
-    """Boundaries reconstructed from labelings of the depth-skeleton.
-
-    Exact whenever every compatible boundary in dimensions depth+1 .. n-1
-    fills uniquely; the assembly raises if that assumption breaks.
-    """
-    if n < depth + 1:
-        raise ValueError("target dimension below skeleton depth")
-    verts = tuple(range(n + 1))
-    # assign in stages by largest vertex so every simplex is placed as soon
-    # as its faces exist; failures then prune whole subtrees early
-    order = sorted(
-        (subset for d in range(depth + 1) for subset in combinations(verts, d + 1)),
-        key=lambda subset: (subset[-1], len(subset), subset),
-    )
-    label: dict[tuple[int, ...], str] = {}
-    out: list[BoundaryTuple] = []
-
-    def candidates(subset: tuple[int, ...]) -> Iterable[str]:
-        d = len(subset) - 1
-        if d == 0:
-            return S.level(0)
-        req = tuple(
-            label[subset[:q] + subset[q + 1 :]] for q in range(d + 1)
-        )
-        return S.filler_index(d).get(req, ())
-
-    def realize() -> BoundaryTuple:
-        full = dict(label)
-        for size in range(depth + 2, n + 1):
-            for subset in combinations(verts, size):
-                req = tuple(full[subset[:q] + subset[q + 1 :]] for q in range(size))
-                hits = S.filler_index(size - 1).get(req, ())
-                if len(hits) != 1:
-                    raise StructuralError(
-                        "skeleton encoding of boundaries needs unique fillers "
-                        f"below the target dimension (dimension {size - 1} broke)"
-                    )
-                full[subset] = hits[0]
-        return tuple(
-            full[tuple(v for v in verts if v != m)] for m in range(n + 1)
-        )
-
-    def extend(k: int) -> None:
-        if k == len(order):
-            out.append(realize())
-            return
-        subset = order[k]
-        for y in candidates(subset):
-            label[subset] = y
-            extend(k + 1)
-            del label[subset]
-
-    extend(0)
-    return out
-
-
-def boundaries(S: TruncatedSSet, n: int, method: str = "auto") -> list[BoundaryTuple]:
-    """All compatible facet tuples (x_0 .. x_n) in dimension n.
-
-    ``naive`` filters facet tuples directly; ``skeleton`` reconstructs
-    boundaries from 2-skeleton labelings and is exact exactly when unique
-    fillers exist in dimensions 3 .. n-1.  ``auto`` switches to the
-    skeleton method above dimension 4.
-    """
-    if not 1 <= n <= S.N + 1:
-        raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
-    if method == "auto":
-        method = "naive" if n <= 4 else "skeleton"
-    if method == "naive":
-        return _boundaries_naive(S, n)
-    if method == "skeleton":
-        return _boundaries_skeleton(S, n, depth=2)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
     """All n-simplices whose face vector equals the given facet tuple."""
     n = len(boundary) - 1
@@ -407,20 +342,12 @@ def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
 
 
 def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
-    """True iff every boundary in dimensions r+1 .. maxdim has exactly one filler.
-
-    Works upward, so the skeleton encoding used above dimension 4 is
-    justified by the dimensions already verified.
-    """
+    """True iff every boundary in dimensions r+1 .. maxdim has exactly one filler."""
     if not 0 <= r < maxdim <= S.N:
         raise ValueError("need 0 <= r < maxdim <= truncation")
     for n in range(r + 1, maxdim + 1):
-        if n <= 4 or n < r + 2:
-            bts = _boundaries_naive(S, n)
-        else:
-            bts = _boundaries_skeleton(S, n, depth=r)
         index = S.filler_index(n)
-        for b in bts:
+        for b in boundaries(S, n):
             if len(index.get(b, ())) != 1:
                 return False
     return True
@@ -449,7 +376,7 @@ def coskeletal_extension(
     current = S
     total = current.size()
     for n in range(S.N + 1, N + 1):
-        bts = sorted(_boundaries_naive(current, n))
+        bts = sorted(boundaries(current, n))
         total += len(bts)
         if total > max_simplices:
             raise BudgetExceededError(
@@ -509,11 +436,15 @@ class SimplicialMap:
     def depth(self) -> int:
         return len(self.components) - 1
 
+    @cached_property
+    def _lookup(self) -> tuple[dict[str, str], ...]:
+        return tuple(dict(c) for c in self.components)
+
     def level_map(self, n: int) -> dict[str, str]:
         return dict(self.components[n])
 
     def __call__(self, n: int, label: str) -> str:
-        return dict(self.components[n])[label]
+        return self._lookup[n][label]
 
 
 def make_map(
@@ -533,11 +464,10 @@ def is_simplicial_map(
         return False
     for n in range(upto + 1):
         comp = comps[n]
-        if set(comp) != set(S.level(n)):
+        if set(comp) != S._level_sets[n]:
             return False
-        for x, y in comp.items():
-            if y not in set(T.level(n)):
-                return False
+        if not T._level_sets[n].issuperset(comp.values()):
+            return False
     for n in range(1, upto + 1):
         for x, y in comps[n].items():
             for i in range(n + 1):

@@ -21,6 +21,11 @@ def catalan6():
 
 
 @pytest.fixture(scope="session")
+def catalan7():
+    return catalan_sset(7)
+
+
+@pytest.fixture(scope="session")
 def catalan8():
     return catalan_sset(8)
 

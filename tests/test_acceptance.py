@@ -101,17 +101,19 @@ def test_criterion_3_simplicial_identities(catalan8, nerve_two5):
         assert check_simplicial_identities(nerve_two5) == []
 
 
-def test_criterion_4_two_coskeletal(catalan6):
+def test_criterion_4_two_coskeletal(catalan7):
     with criterion(4, "2-coskeletality"):
-        for n in range(3, 7):
-            skeleton = boundaries(catalan6, n, "skeleton")
-            for b in skeleton:
-                assert len(fillers(catalan6, b)) == 1
-            if n <= 4:
-                assert sorted(skeleton) == sorted(boundaries(catalan6, n, "naive"))
-        assert is_r_coskeletal_up_to(catalan6, 2, 6)
+        for n in range(3, 8):
+            found = boundaries(catalan7, n)
+            for b in found:
+                assert len(fillers(catalan7, b)) == 1
+            # the boundaries are exactly the face vectors of the n-simplices
+            assert sorted(found) == sorted(
+                catalan7.face_vector(n, x) for x in catalan7.level(n)
+            )
+        assert is_r_coskeletal_up_to(catalan7, 2, 7)
         # negative control: one 2-boundary has no filler
-        assert fillers(catalan6, ("UDUD", "UUDD", "UDUD")) == []
+        assert fillers(catalan7, ("UDUD", "UUDD", "UDUD")) == []
         assert not is_r_coskeletal_up_to(catalan_sset(4), 1, 4)
 
 

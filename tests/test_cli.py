@@ -105,6 +105,12 @@ def test_verify_false_claim_exits_one(capsys):
     assert "FAIL" in out
 
 
+def test_verify_coskeletal_dimension_eight(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "coskeletal", "--max-dim", "8", "--json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_relation_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--dim", "8", "--as", "relation")
     assert code == 3
@@ -151,6 +157,32 @@ def test_classify_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 2
     assert "objects" in err
+
+
+def test_classify_rejects_top_level_array(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps([boolean_or().to_json_dict()]))
+    code, _, err = run(capsys, "classify", str(bad))
+    assert code == 2
+    assert "JSON object" in err
+
+
+def test_skew_check_rejects_short_tensor_row(tmp_path, capsys):
+    doc = skew_from_strict(boolean_or()).to_json_dict()
+    doc["obj_tensor"] = [1]
+    bad = tmp_path / "short-row.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "skew", "check", str(bad))
+    assert code == 2
+    assert "obj_tensor[0]" in err
+
+
+def test_config_rejects_non_integer_cap(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {"dyck": "ten"}}))
+    code, _, err = run(capsys, "enumerate", "--dim", "3", "--config", str(config))
+    assert code == 2
+    assert "caps.dyck" in err
 
 
 def test_skew_check_pass(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import math
 from itertools import product
 
 import pytest
 
+from catsset.dyck import enumerate_dyck
 from catsset.errors import BudgetExceededError, SchemaError, StructuralError
-from catsset.library import zmonoid
+from catsset.library import boolean_or, zmonoid
 from catsset.nerve import monoidal_nerve
 from catsset.sset import (
     TruncatedSSet,
@@ -74,26 +76,78 @@ def test_boundaries_dimension_two_oracle(catalan4):
     assert set(boundaries(catalan4, 2)) == brute
 
 
-@pytest.mark.parametrize("n", (3, 4))
-def test_boundary_methods_agree(catalan6, n):
-    naive = sorted(boundaries(catalan6, n, "naive"))
-    skeleton = sorted(boundaries(catalan6, n, "skeleton"))
-    assert naive == skeleton
+def _brute_force_boundaries(S, n):
+    # every facet tuple over level n-1, kept when d_i x_j = d_{j-1} x_i for i < j
+    return {
+        xs
+        for xs in product(S.level(n - 1), repeat=n + 1)
+        if all(
+            S.face(n - 1, i, xs[j]) == S.face(n - 1, j - 1, xs[i])
+            for j in range(n + 1)
+            for i in range(j)
+        )
+    }
 
 
-def test_boundary_methods_agree_above_four(catalan6, nerve_two5):
-    for S in (catalan6, nerve_two5):
-        naive = sorted(boundaries(S, 5, "naive"))
-        skeleton = sorted(boundaries(S, 5, "skeleton"))
-        assert naive == skeleton
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        pytest.param(catalan_sset, 3, id="catalan-3"),
+        pytest.param(lambda N: monoidal_nerve(boolean_or(), N), 3, id="two-or-3"),
+        pytest.param(lambda N: monoidal_nerve(boolean_or(), N), 4, id="two-or-4"),
+        pytest.param(lambda N: monoidal_nerve(zmonoid(), N), 3, id="zmonoid-3"),
+        pytest.param(lambda N: monoidal_nerve(zmonoid(), N), 4, id="zmonoid-4"),
+    ],
+)
+def test_boundaries_match_brute_force(build, n):
+    S = build(n)
+    found = boundaries(S, n)
+    assert len(found) == len(set(found))
+    assert set(found) == _brute_force_boundaries(S, n)
 
 
-def test_skeleton_method_rejects_unfillable_objects():
-    # the zmonoid nerve has 3-boundaries without fillers, so boundaries
-    # above dimension 4 cannot be reconstructed from the 2-skeleton
+def test_catalan_boundary_counts_are_catalan_numbers(catalan7):
+    for n in range(3, 8):
+        assert len(boundaries(catalan7, n)) == math.comb(2 * n + 2, n + 1) // (n + 2)
+
+
+def test_join_needs_no_unique_fillers():
+    # the zmonoid nerve has 3-boundaries without fillers, yet its
+    # 5-boundaries are still enumerated and each fills uniquely
     nerve = monoidal_nerve(zmonoid(), 5)
-    with pytest.raises(StructuralError):
-        boundaries(nerve, 5, "skeleton")
+    assert any(not fillers(nerve, b) for b in boundaries(nerve, 3))
+    assert not is_r_coskeletal_up_to(nerve, 2, 5)
+    assert is_r_coskeletal_up_to(nerve, 3, 5)
+    assert all(len(fillers(nerve, b)) == 1 for b in boundaries(nerve, 5))
+
+
+def _nth(word, letter, i):
+    p = -1
+    for _ in range(i + 1):
+        p = word.index(letter, p + 1)
+    return p
+
+
+def test_catalan_tables_match_string_edits():
+    # cell by cell: the (i+1)-st U and D deleted for d_i, doubled for s_i
+    for N in range(7):
+        S = catalan_sset(N)
+        for n in range(N + 1):
+            assert S.level(n) == tuple(enumerate_dyck(n))
+            for i in range(n + 1):
+                cells = [(w, _nth(w, "U", i), _nth(w, "D", i)) for w in S.level(n)]
+                if n >= 1:
+                    assert S.faces[n][i] == {
+                        w: "".join(c for p, c in enumerate(w) if p not in (u, d))
+                        for w, u, d in cells
+                    }
+                if n < N:
+                    assert S.degens[n][i] == {
+                        w: "".join(c * 2 if p in (u, d) else c for p, c in enumerate(w))
+                        for w, u, d in cells
+                    }
+            if n == N:
+                assert S.degens[n] == ()
 
 
 def test_fillers(catalan4):
