@@ -27,8 +27,15 @@ def check_header(doc: object, kind: str) -> None:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
 
 
-def table_rows(doc: Mapping, key: str, shape: str) -> list[list]:
-    """The rows of the table ``doc[key]``, each an array as long as ``shape``.
+def check_label(value: object, where: str) -> str:
+    """``value`` itself if it is a string label; SchemaError naming ``where`` otherwise."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string label, got {value!r}")
+    return value
+
+
+def table_rows(doc: Mapping, key: str, shape: str) -> list[list[str]]:
+    """The rows of the table ``doc[key]``, each an array of labels as long as ``shape``.
 
     ``shape`` spells the row for error messages, e.g. ``"[a, b, ab]"``.
     """
@@ -39,6 +46,8 @@ def table_rows(doc: Mapping, key: str, shape: str) -> list[list]:
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{key}[{k}] must be an {shape} array")
+        for j, value in enumerate(row):
+            check_label(value, f"{key}[{k}][{j}]")
     return rows
 
 
@@ -145,6 +154,13 @@ class FinCategory:
         for key in ("objects", "morphisms", "identities", "compose"):
             if key not in doc:
                 raise SchemaError(f"category block missing key {key!r}")
+        objects = doc["objects"]
+        if not isinstance(objects, list):
+            raise SchemaError("objects must be an array of labels")
+        for k, a in enumerate(objects):
+            check_label(a, f"objects[{k}]")
+        if not isinstance(doc["morphisms"], list):
+            raise SchemaError("morphisms must be an array of objects")
         morphisms = []
         for k, entry in enumerate(doc["morphisms"]):
             if not isinstance(entry, Mapping):
@@ -152,10 +168,16 @@ class FinCategory:
             for fld in ("label", "src", "tgt"):
                 if fld not in entry:
                     raise SchemaError(f"morphisms[{k}] missing field {fld!r}")
+                check_label(entry[fld], f"morphisms[{k}].{fld}")
             morphisms.append((entry["label"], entry["src"], entry["tgt"]))
+        identities = doc["identities"]
+        if not isinstance(identities, Mapping):
+            raise SchemaError("identities must be an object mapping objects to morphisms")
+        for a, f in identities.items():
+            check_label(f, f"identities[{a!r}]")
         compose = {(g, f): h for g, f, h in table_rows(doc, "compose", "[g, f, gof]")}
         try:
-            return cls(doc["objects"], morphisms, doc["identities"], compose)
+            return cls(objects, morphisms, identities, compose)
         except StructuralError as exc:
             raise SchemaError(f"category block invalid: {exc}") from exc
 
@@ -262,8 +284,9 @@ class FinMonoidalStructure:
                 raise SchemaError(f"missing key {key!r}")
         obj_tensor = {(a, b): v for a, b, v in table_rows(doc, "obj_tensor", "[a, b, ab]")}
         mor_tensor = {(f, g): v for f, g, v in table_rows(doc, "mor_tensor", "[f, g, fg]")}
+        unit = check_label(doc["unit"], "unit")
         try:
-            return cls(category, obj_tensor, mor_tensor, doc["unit"])
+            return cls(category, obj_tensor, mor_tensor, unit)
         except StructuralError as exc:
             raise SchemaError(str(exc)) from exc
 

@@ -26,10 +26,55 @@ from .finmon import (
     LawViolation,
     Poset,
     check_header,
+    check_label,
     leq_label,
     poset_category,
     table_rows,
 )
+
+
+def _bifunctor_problem(
+    cat: FinCategory,
+    obj_tensor: Mapping[tuple[str, str], str],
+    mor_tensor: Mapping[tuple[str, str], str],
+) -> str | None:
+    """The first way the tensor tables fail to be a bifunctor, or None.
+
+    Checked in order: totality and dangling entries of the object table,
+    then of the morphism table together with the typing of each entry,
+    then tensors of identities, then interchange.
+    """
+    objs = cat.objects
+    objset = set(objs)
+    mors = cat.morphism_labels()
+    for a in objs:
+        for b in objs:
+            if (a, b) not in obj_tensor:
+                return f"object tensor undefined on ({a!r}, {b!r})"
+            if obj_tensor[(a, b)] not in objset:
+                return f"object tensor dangles on ({a!r}, {b!r})"
+    ends = {f: (cat.src(f), cat.tgt(f)) for f in mors}
+    for f in mors:
+        sf, tf = ends[f]
+        for g in mors:
+            sg, tg = ends[g]
+            if (f, g) not in mor_tensor:
+                return f"morphism tensor undefined on ({f!r}, {g!r})"
+            v = mor_tensor[(f, g)]
+            if v not in ends:
+                return f"morphism tensor dangles on ({f!r}, {g!r})"
+            if ends[v] != (obj_tensor[(sf, sg)], obj_tensor[(tf, tg)]):
+                return f"morphism tensor ill-typed on ({f!r}, {g!r})"
+    for a in objs:
+        for b in objs:
+            if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
+                return f"tensor of identities at ({a!r}, {b!r}) is not an identity"
+    composites = [(g, f, cat.compose(g, f)) for g in mors for f in mors if cat.is_composable(g, f)]
+    for g, f, gf in composites:
+        for g2, f2, g2f2 in composites:
+            if mor_tensor[(gf, g2f2)] != cat.compose(mor_tensor[(g, g2)], mor_tensor[(f, f2)]):
+                return f"interchange fails on ({g!r}, {f!r}) x ({g2!r}, {f2!r})"
+    return None
 
 
 class SkewData:
@@ -53,6 +98,27 @@ class SkewData:
         rho: Mapping[str, str],
         kappa: str | None = None,
     ) -> None:
+        self._assign(category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa)
+        problem = _bifunctor_problem(category, self.obj_tensor, self.mor_tensor)
+        if problem is not None:
+            raise StructuralError(problem)
+        self._validate_components()
+
+    @classmethod
+    def _over_bifunctor(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa):
+        """Skew data over a tensor that already passed :func:`_bifunctor_problem`.
+
+        Sweeps validate each tensor once and build every component pick
+        through here, so only the components are checked per pick.
+        """
+        d = cls.__new__(cls)
+        d._assign(category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa)
+        d._validate_components()
+        return d
+
+    def _assign(self, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa) -> None:
+        if unit not in category.objects:
+            raise StructuralError(f"unit {unit!r} is not an object")
         self.category = category
         self.obj_tensor = dict(obj_tensor)
         self.mor_tensor = dict(mor_tensor)
@@ -61,7 +127,6 @@ class SkewData:
         self.lam = dict(lam)
         self.rho = dict(rho)
         self.kappa = kappa if kappa is not None else category.id_of(unit)
-        self._validate()
 
     # -- structure -----------------------------------------------------
 
@@ -77,47 +142,10 @@ class SkewData:
         except KeyError:
             raise StructuralError(f"morphism tensor undefined on ({f!r}, {g!r})") from None
 
-    def _validate(self) -> None:
+    def _validate_components(self) -> None:
         c = self.category
         objs = c.objects
-        mors = c.morphism_labels()
-        morset = set(mors)
-        if self.unit not in set(objs):
-            raise StructuralError(f"unit {self.unit!r} is not an object")
-        for a in objs:
-            for b in objs:
-                if (a, b) not in self.obj_tensor:
-                    raise StructuralError(f"object tensor undefined on ({a!r}, {b!r})")
-                if self.obj_tensor[(a, b)] not in set(objs):
-                    raise StructuralError(f"object tensor dangles on ({a!r}, {b!r})")
-        for f in mors:
-            for g in mors:
-                if (f, g) not in self.mor_tensor:
-                    raise StructuralError(f"morphism tensor undefined on ({f!r}, {g!r})")
-                v = self.mor_tensor[(f, g)]
-                if v not in morset:
-                    raise StructuralError(f"morphism tensor dangles on ({f!r}, {g!r})")
-                if c.src(v) != self.obj(c.src(f), c.src(g)) or c.tgt(v) != self.obj(
-                    c.tgt(f), c.tgt(g)
-                ):
-                    raise StructuralError(
-                        f"morphism tensor ill-typed on ({f!r}, {g!r})"
-                    )
-        for a in objs:
-            for b in objs:
-                if self.mor(c.id_of(a), c.id_of(b)) != c.id_of(self.obj(a, b)):
-                    raise StructuralError(
-                        f"tensor of identities at ({a!r}, {b!r}) is not an identity"
-                    )
-        composable = [(g, f) for g in mors for f in mors if c.is_composable(g, f)]
-        for g, f in composable:
-            for g2, f2 in composable:
-                left = self.mor(c.compose(g, f), c.compose(g2, f2))
-                right = c.compose(self.mor(g, g2), self.mor(f, f2))
-                if left != right:
-                    raise StructuralError(
-                        f"interchange fails on ({g!r}, {f!r}) x ({g2!r}, {f2!r})"
-                    )
+        morset = set(c.morphism_labels())
         for a in objs:
             for b in objs:
                 for d in objs:
@@ -137,11 +165,7 @@ class SkewData:
             f = self.rho.get(a)
             if f is None or f not in morset or c.src(f) != a or c.tgt(f) != self.obj(a, self.unit):
                 raise StructuralError(f"rho component at {a!r} is missing or ill-typed")
-        if (
-            self.kappa not in morset
-            or self.category.src(self.kappa) != self.unit
-            or self.category.tgt(self.kappa) != self.unit
-        ):
+        if self.kappa not in morset or c.src(self.kappa) != self.unit or c.tgt(self.kappa) != self.unit:
             raise StructuralError("kappa must be an endomorphism of the unit")
 
     # -- serialization ---------------------------------------------------
@@ -170,17 +194,12 @@ class SkewData:
         alpha = {(a, b, c): v for a, b, c, v in table_rows(doc, "alpha", "[a, b, c, component]")}
         lam = {a: v for a, v in table_rows(doc, "lambda", "[a, component]")}
         rho = {a: v for a, v in table_rows(doc, "rho", "[a, component]")}
+        unit = check_label(doc["unit"], "unit")
+        kappa = doc.get("kappa")
+        if kappa is not None:
+            check_label(kappa, "kappa")
         try:
-            return cls(
-                category,
-                obj_tensor,
-                mor_tensor,
-                doc["unit"],
-                alpha,
-                lam,
-                rho,
-                doc.get("kappa"),
-            )
+            return cls(category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa)
         except StructuralError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -233,33 +252,35 @@ class ConditionReport:
 
 def check_naturality(d: SkewData) -> list[LawViolation]:
     """Naturality of alpha in three arguments and of lambda/rho in one."""
-    bad: list[LawViolation] = []
+    return list(_naturality_violations(d))
+
+
+def _naturality_violations(d: SkewData) -> Iterator[LawViolation]:
+    """The naturality violations in report order, lazily, so sweeps stop at the first."""
     c = d.category
     mors = c.morphism_labels()
+    ends = {f: (c.src(f), c.tgt(f)) for f in mors}
     for f in mors:
+        sf, tf = ends[f]
         for g in mors:
+            sg, tg = ends[g]
+            fg = d.mor(f, g)
             for h in mors:
-                left = c.compose(
-                    d.alpha[(c.tgt(f), c.tgt(g), c.tgt(h))],
-                    d.mor(d.mor(f, g), h),
-                )
-                right = c.compose(
-                    d.mor(f, d.mor(g, h)),
-                    d.alpha[(c.src(f), c.src(g), c.src(h))],
-                )
+                sh, th = ends[h]
+                left = c.compose(d.alpha[(tf, tg, th)], d.mor(fg, h))
+                right = c.compose(d.mor(f, d.mor(g, h)), d.alpha[(sf, sg, sh)])
                 if left != right:
-                    bad.append(LawViolation("alpha naturality", (f, g, h), f"{left} != {right}"))
+                    yield LawViolation("alpha naturality", (f, g, h), f"{left} != {right}")
     idu = c.id_of(d.unit)
     for f in mors:
         left = c.compose(d.lam[c.tgt(f)], d.mor(idu, f))
         right = c.compose(f, d.lam[c.src(f)])
         if left != right:
-            bad.append(LawViolation("lambda naturality", (f,), f"{left} != {right}"))
+            yield LawViolation("lambda naturality", (f,), f"{left} != {right}")
         left = c.compose(d.mor(f, idu), d.rho[c.src(f)])
         right = c.compose(d.rho[c.tgt(f)], f)
         if left != right:
-            bad.append(LawViolation("rho naturality", (f,), f"{left} != {right}"))
-    return bad
+            yield LawViolation("rho naturality", (f,), f"{left} != {right}")
 
 
 def _chain(cat: FinCategory, path: Sequence[str]) -> str:
@@ -448,125 +469,118 @@ def is_monoidal(d: SkewData) -> bool:
 def _monotone_tensors(p: Poset) -> Iterator[dict[tuple[str, str], str]]:
     elems = sorted(p.elements)
     pairs = [(a, b) for a in elems for b in elems]
+    cell = {pair: k for k, pair in enumerate(pairs)}
+    # cell pairs that monotonicity orders; a <= a always holds, so only
+    # the strict relations a < b need checking
+    strict = [(a, b) for a, b in p.leq if a != b]
+    ordered = [(cell[(a, c)], cell[(b, c)]) for a, b in strict for c in elems]
+    ordered += [(cell[(c, a)], cell[(c, b)]) for a, b in strict for c in elems]
     for values in product(elems, repeat=len(pairs)):
-        table = dict(zip(pairs, values))
-        if all(
-            p.le(table[(a, c)], table[(b, c)]) and p.le(table[(c, a)], table[(c, b)])
-            for a, b in p.leq
-            for c in elems
-        ):
-            yield table
+        if all((values[i], values[j]) in p.leq for i, j in ordered):
+            yield dict(zip(pairs, values))
 
 
-def _poset_candidates(p: Poset) -> Iterator[SkewData]:
+def _check_budget(raw: int, budget: int) -> None:
+    if raw > budget:
+        raise BudgetExceededError(
+            f"{raw} raw tensor tables exceed the sweep budget {budget}"
+        )
+
+
+def _poset_candidates(p: Poset, budget: int) -> Iterator[SkewData]:
     """All skew data over a poset: monotone tensor, unit, forced components.
 
     Components are the unique order witnesses; a candidate is skipped
     when some required relation fails, because no component exists then.
     Every endomorphism in a poset is an identity, so kappa is forced.
+    The raw table count, n^(n*n) for n elements, is capped.
     """
-    cat = poset_category(p)
     elems = sorted(p.elements)
+    _check_budget(len(elems) ** (len(elems) ** 2), budget)
+    cat = poset_category(p)
     for table in _monotone_tensors(p):
+        units = [
+            unit
+            for unit in elems
+            if all(p.le(table[(unit, a)], a) and p.le(a, table[(a, unit)]) for a in elems)
+        ]
+        if not units or not all(
+            p.le(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
+            for a in elems
+            for b in elems
+            for c in elems
+        ):
+            continue
         mor_tensor = {}
         for a, b in p.leq:
             for c, e in p.leq:
                 mor_tensor[(leq_label(a, b), leq_label(c, e))] = leq_label(
                     table[(a, c)], table[(b, e)]
                 )
-        for unit in elems:
-            if not all(p.le(table[(unit, a)], a) and p.le(a, table[(a, unit)]) for a in elems):
-                continue
-            if not all(
-                p.le(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
-                for a in elems
-                for b in elems
-                for c in elems
-            ):
-                continue
-            alpha = {
-                (a, b, c): leq_label(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
-                for a in elems
-                for b in elems
-                for c in elems
-            }
+        problem = _bifunctor_problem(cat, table, mor_tensor)
+        if problem is not None:
+            raise StructuralError(problem)
+        alpha = {
+            (a, b, c): leq_label(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
+            for a in elems
+            for b in elems
+            for c in elems
+        }
+        for unit in units:
             lam = {a: leq_label(table[(unit, a)], a) for a in elems}
             rho = {a: leq_label(a, table[(a, unit)]) for a in elems}
-            yield SkewData(cat, dict(table), mor_tensor, unit, alpha, lam, rho)
-
-
-def _is_bifunctor(
-    cat: FinCategory,
-    obj_tensor: Mapping[tuple[str, str], str],
-    mor_tensor: Mapping[tuple[str, str], str],
-) -> bool:
-    mors = cat.morphism_labels()
-    for f in mors:
-        for g in mors:
-            v = mor_tensor[(f, g)]
-            if cat.src(v) != obj_tensor[(cat.src(f), cat.src(g))]:
-                return False
-            if cat.tgt(v) != obj_tensor[(cat.tgt(f), cat.tgt(g))]:
-                return False
-    for a in cat.objects:
-        for b in cat.objects:
-            if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
-                return False
-    composable = [(g, f) for g in mors for f in mors if cat.is_composable(g, f)]
-    for g, f in composable:
-        for g2, f2 in composable:
-            left = mor_tensor[(cat.compose(g, f), cat.compose(g2, f2))]
-            right = cat.compose(mor_tensor[(g, g2)], mor_tensor[(f, f2)])
-            if left != right:
-                return False
-    return True
+            yield SkewData._over_bifunctor(cat, table, mor_tensor, unit, alpha, lam, rho, None)
 
 
 def _category_candidates(cat: FinCategory, budget: int) -> Iterator[SkewData]:
-    """All skew data over a small category by brute-force table search.
+    """All skew data over a small category by table search.
 
     Object tensors, bifunctorial morphism tensors, units, components and
     every kappa choice are enumerated; the raw table count is capped.
+    Each morphism-tensor cell only ranges over the morphisms of the type
+    the object tensor forces on it, and a pair of identities only over
+    the identity of its tensor, so the tables tried are exactly those of
+    the raw product that can be bifunctors, in the same order.  An object
+    tensor with no alpha component for some triple yields nothing and is
+    skipped before its morphism tables.
     """
     objs = sorted(cat.objects)
     mors = sorted(cat.morphism_labels())
     obj_pairs = [(a, b) for a in objs for b in objs]
     mor_pairs = [(f, g) for f in mors for g in mors]
-    raw = len(objs) ** len(obj_pairs) * len(mors) ** len(mor_pairs)
-    if raw > budget:
-        raise BudgetExceededError(
-            f"{raw} raw tensor tables exceed the sweep budget {budget}"
-        )
+    _check_budget(len(objs) ** len(obj_pairs) * len(mors) ** len(mor_pairs), budget)
+    triples = [(a, b, c) for a in objs for b in objs for c in objs]
+    typed = {(s, t): tuple(sorted(cat.hom(s, t))) for s in objs for t in objs}
+    object_of = {cat.id_of(a): a for a in objs}
     for obj_values in product(objs, repeat=len(obj_pairs)):
         obj_tensor = dict(zip(obj_pairs, obj_values))
-        for mor_values in product(mors, repeat=len(mor_pairs)):
+        alpha_choices = [
+            cat.hom(obj_tensor[(obj_tensor[(a, b)], c)], obj_tensor[(a, obj_tensor[(b, c)])])
+            for a, b, c in triples
+        ]
+        if not all(alpha_choices):
+            continue
+        cells = [
+            (cat.id_of(obj_tensor[(object_of[f], object_of[g])]),)
+            if f in object_of and g in object_of
+            else typed[(obj_tensor[(cat.src(f), cat.src(g))], obj_tensor[(cat.tgt(f), cat.tgt(g))])]
+            for f, g in mor_pairs
+        ]
+        for mor_values in product(*cells):
             mor_tensor = dict(zip(mor_pairs, mor_values))
-            if not _is_bifunctor(cat, obj_tensor, mor_tensor):
+            if _bifunctor_problem(cat, obj_tensor, mor_tensor) is not None:
                 continue
             for unit in objs:
-                alpha_slots = [
-                    (a, b, c,
-                     obj_tensor[(obj_tensor[(a, b)], c)],
-                     obj_tensor[(a, obj_tensor[(b, c)])])
-                    for a in objs for b in objs for c in objs
-                ]
-                alpha_choices = [cat.hom(s, t) for (_, _, _, s, t) in alpha_slots]
                 lam_choices = [cat.hom(obj_tensor[(unit, a)], a) for a in objs]
                 rho_choices = [cat.hom(a, obj_tensor[(a, unit)]) for a in objs]
-                kappa_choices = cat.hom(unit, unit)
-                if not all(alpha_choices) or not all(lam_choices) or not all(rho_choices):
-                    continue
                 for alpha_pick in product(*alpha_choices):
-                    alpha = {
-                        (a, b, c): f
-                        for (a, b, c, _, _), f in zip(alpha_slots, alpha_pick)
-                    }
+                    alpha = dict(zip(triples, alpha_pick))
                     for lam_pick in product(*lam_choices):
                         lam = dict(zip(objs, lam_pick))
                         for rho_pick in product(*rho_choices):
                             rho = dict(zip(objs, rho_pick))
-                            for kappa in kappa_choices:
-                                yield SkewData(
+                            for kappa in cat.hom(unit, unit):
+                                yield SkewData._over_bifunctor(
                                     cat, obj_tensor, mor_tensor, unit,
                                     alpha, lam, rho, kappa,
                                 )
@@ -575,11 +589,14 @@ def _category_candidates(cat: FinCategory, budget: int) -> Iterator[SkewData]:
 def skew_candidates(
     carrier: "Poset | FinCategory", budget: int = 1_000_000
 ) -> Iterator[SkewData]:
-    """Structurally valid skew data over a small carrier, every kappa included."""
+    """Structurally valid skew data over a small carrier, every kappa included.
+
+    ``budget`` caps the raw tensor tables, counted before typing prunes them.
+    """
     if isinstance(carrier, Poset):
         if len(carrier.elements) > 3:
             raise BudgetExceededError("poset sweeps are capped at 3 elements")
-        yield from _poset_candidates(carrier)
+        yield from _poset_candidates(carrier, budget)
         return
     if isinstance(carrier, FinCategory):
         if len(carrier.objects) > 2 or len(carrier.morphisms) > 6:
@@ -599,7 +616,7 @@ def enumerate_skew_structures(
     for d in skew_candidates(carrier, budget):
         if d.kappa != d.category.id_of(d.unit):
             continue
-        if check_naturality(d):
+        if next(_naturality_violations(d), None) is not None:
             continue
         if check_axioms(d).all_hold:
             out.append(d)
@@ -628,7 +645,7 @@ def sweep_equivalence(
     structures = 0
     for d in skew_candidates(carrier, budget):
         candidates += 1
-        if check_naturality(d):
+        if next(_naturality_violations(d), None) is not None:
             continue
         natural += 1
         identity_kappa = d.kappa == d.category.id_of(d.unit)

@@ -163,30 +163,12 @@ class TruncatedSSet:
         levels = doc["levels"]
         if not isinstance(levels, list) or not all(isinstance(lv, list) for lv in levels):
             raise SchemaError("levels must be a list of label arrays")
-        N = len(levels) - 1
-        if len(doc["faces"]) != N or len(doc["degens"]) != N:
-            raise SchemaError("faces/degens arrays must have one entry per positive level")
-        faces: list[list[dict[str, str]]] = [[]]
-        for n in range(1, N + 1):
-            maps = []
-            for idx_list in doc["faces"][n - 1]:
-                if len(idx_list) != len(levels[n]):
-                    raise SchemaError(f"face table length mismatch at level {n}")
-                maps.append(
-                    {levels[n][k]: levels[n - 1][v] for k, v in enumerate(idx_list)}
-                )
-            faces.append(maps)
-        degens: list[list[dict[str, str]]] = []
-        for n in range(N):
-            maps = []
-            for idx_list in doc["degens"][n]:
-                if len(idx_list) != len(levels[n]):
-                    raise SchemaError(f"degeneracy table length mismatch at level {n}")
-                maps.append(
-                    {levels[n][k]: levels[n + 1][v] for k, v in enumerate(idx_list)}
-                )
-            degens.append(maps)
-        degens.append([])
+        for n, lv in enumerate(levels):
+            for k, label in enumerate(lv):
+                if not isinstance(label, str):
+                    raise SchemaError(f"levels[{n}][{k}] must be a string label, got {label!r}")
+        faces = [[]] + _label_maps(doc, "faces", "face", levels, -1)
+        degens = _label_maps(doc, "degens", "degeneracy", levels, 1) + [[]]
         return cls(levels, faces, degens)
 
     @classmethod
@@ -196,6 +178,38 @@ class TruncatedSSet:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
+
+
+def _label_maps(
+    doc: Mapping, key: str, name: str, levels: list[list[str]], step: int
+) -> list[list[dict[str, str]]]:
+    """Label maps from the index tables ``doc[key]``, one entry per positive level.
+
+    Entry k holds the tables of level n = k + 1 (faces, ``step`` -1) or
+    n = k (degeneracies, ``step`` +1); each lists, per label of level n,
+    an index into level n + step.
+    """
+    per_level = doc[key]
+    if not isinstance(per_level, list) or not all(isinstance(t, list) for t in per_level):
+        raise SchemaError(f"{key} must be an array of per-level table arrays")
+    if len(per_level) != len(levels) - 1:
+        raise SchemaError("faces/degens arrays must have one entry per positive level")
+    out = []
+    for k, tables in enumerate(per_level):
+        n = k + 1 if step < 0 else k
+        target = levels[n + step]
+        maps = []
+        for i, idx_list in enumerate(tables):
+            if not isinstance(idx_list, list) or len(idx_list) != len(levels[n]):
+                raise SchemaError(f"{name} table length mismatch at level {n}")
+            for v in idx_list:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(target):
+                    raise SchemaError(
+                        f"{name} table {i} at level {n} has index {v!r} outside level {n + step}"
+                    )
+            maps.append({levels[n][j]: target[v] for j, v in enumerate(idx_list)})
+        out.append(maps)
+    return out
 
 
 def catalan_sset(N: int) -> TruncatedSSet:

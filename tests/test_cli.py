@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from catsset.cli import main
 from catsset.library import boolean_or, zmonoid
 from catsset.skew import skew_from_strict
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def run(capsys, *argv):
@@ -177,6 +182,44 @@ def test_skew_check_rejects_short_tensor_row(tmp_path, capsys):
     assert "obj_tensor[0]" in err
 
 
+def _wrap_cell(key):
+    def edit(doc):
+        doc[key][0][2] = [doc[key][0][2]]
+
+    return edit
+
+
+# edits of docs/examples/two-or.json and the message each exits 2 with
+LABEL_ERRORS = {
+    "objects": (lambda doc: doc.__setitem__("objects", 5), "objects must be an array"),
+    "unit": (lambda doc: doc.__setitem__("unit", ["bot"]), "unit must be a string label"),
+    "compose": (_wrap_cell("compose"), "compose[0][2] must be a string label"),
+    "obj_tensor": (_wrap_cell("obj_tensor"), "obj_tensor[0][2] must be a string label"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_ERRORS))
+def test_classify_rejects_non_string_labels(tmp_path, capsys, case):
+    edit, message = LABEL_ERRORS[case]
+    doc = json.loads((EXAMPLES / "two-or.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad-labels.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(bad))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_skew_check_rejects_non_string_labels(tmp_path, capsys):
+    doc = skew_from_strict(boolean_or()).to_json_dict()
+    doc["mor_tensor"][0][2] = ["bot<=bot"]
+    bad = tmp_path / "bad-labels.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "skew", "check", str(bad))
+    assert (code, out) == (2, "")
+    assert "mor_tensor[0][2] must be a string label" in err
+
+
 def test_config_rejects_non_integer_cap(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"caps": {"dyck": "ten"}}))
@@ -215,6 +258,14 @@ def test_skew_sweep(capsys):
 def test_skew_sweep_budget(capsys):
     code, _, err = run(capsys, "skew", "sweep", "--carrier", "chain4")
     assert code == 3
+
+
+def test_skew_sweep_poset_budget(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget": 19682}))
+    code, out, err = run(capsys, "skew", "sweep", "--carrier", "chain3", "--config", str(config))
+    assert (code, out) == (3, "")
+    assert "19683 raw tensor tables exceed the sweep budget 19682" in err
 
 
 def test_skew_unknown_carrier(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from catsset.errors import BudgetExceededError, SchemaError, StructuralError
@@ -6,10 +8,12 @@ from catsset.finmon import (
     MonoidalPoset,
     chain_poset,
     poset_as_category,
+    poset_category,
 )
 from catsset.library import boolean_or, chain3_max, zmonoid, zmonoid_category
 from catsset.skew import (
     SkewData,
+    SweepSummary,
     check_axioms,
     check_naturality,
     check_pentagons,
@@ -222,3 +226,199 @@ def test_json_roundtrip():
     doc.pop("alpha")
     with pytest.raises(SchemaError):
         SkewData.from_json_dict(doc)
+
+
+def test_poset_sweep_honours_the_budget():
+    # chain3 has 3 ** 9 = 19683 raw tensor tables
+    with pytest.raises(BudgetExceededError, match="19683 raw tensor tables exceed the sweep budget 19682"):
+        list(skew_candidates(chain_poset(["0", "1", "2"]), budget=19682))
+    assert len(list(skew_candidates(chain_poset(["0", "1", "2"]), budget=19683))) == 29
+
+
+# -- the typed category sweep against a brute-force filter ----------------
+
+
+MONOID_1AB = {
+    ("1", "1"): "1", ("1", "a"): "a", ("1", "b"): "b",
+    ("a", "1"): "a", ("a", "a"): "a", ("a", "b"): "b",
+    ("b", "1"): "b", ("b", "a"): "b", ("b", "b"): "b",
+}
+
+
+def monoid_1ab() -> FinCategory:
+    """One object; endomorphisms {1, a, b} with a idempotent and b absorbing."""
+    return FinCategory(["*"], [(e, "*", "*") for e in ("1", "a", "b")], {"*": "1"}, MONOID_1AB)
+
+
+def discrete_two() -> FinCategory:
+    return FinCategory(
+        ["x", "y"],
+        [("1x", "x", "x"), ("1y", "y", "y")],
+        {"x": "1x", "y": "1y"},
+        {("1x", "1x"): "1x", ("1y", "1y"): "1y"},
+    )
+
+
+SWEEP_CARRIERS = {
+    "zmonoid": zmonoid_category,
+    "discrete2": discrete_two,
+    "monoid-1ab": monoid_1ab,
+    "chain2-category": lambda: poset_category(chain_poset(["0", "1"])),
+}
+
+
+def _preserves_composition(cat, obj_tensor, mor_tensor) -> bool:
+    """Typing, identities and interchange, read off the composition table."""
+    for (f, g), h in mor_tensor.items():
+        ends = (obj_tensor[(cat.src(f), cat.src(g))], obj_tensor[(cat.tgt(f), cat.tgt(g))])
+        if (cat.src(h), cat.tgt(h)) != ends:
+            return False
+    for (a, b), ab in obj_tensor.items():
+        if mor_tensor[(cat.identities[a], cat.identities[b])] != cat.identities[ab]:
+            return False
+    for (g, f), gf in cat.composition.items():
+        for (g2, f2), g2f2 in cat.composition.items():
+            if cat.composition[(mor_tensor[(g, g2)], mor_tensor[(f, f2)])] != mor_tensor[(gf, g2f2)]:
+                return False
+    return True
+
+
+def _brute_force_candidates(cat):
+    """Every label table, filtered; components in the category's declaration order."""
+    objs = sorted(cat.objects)
+    mors = sorted(cat.morphism_labels())
+    obj_pairs = list(product(objs, objs))
+    mor_pairs = list(product(mors, mors))
+
+    def hom(a, b):
+        return [h for h, s, t in cat.morphisms if (s, t) == (a, b)]
+
+    for obj_values in product(objs, repeat=len(obj_pairs)):
+        ot = dict(zip(obj_pairs, obj_values))
+        for mor_values in product(mors, repeat=len(mor_pairs)):
+            mt = dict(zip(mor_pairs, mor_values))
+            if not _preserves_composition(cat, ot, mt):
+                continue
+            triples = list(product(objs, repeat=3))
+            for unit in objs:
+                alpha_choices = [hom(ot[(ot[(a, b)], c)], ot[(a, ot[(b, c)])]) for a, b, c in triples]
+                for alpha_pick in product(*alpha_choices):
+                    for lam_pick in product(*[hom(ot[(unit, a)], a) for a in objs]):
+                        for rho_pick in product(*[hom(a, ot[(a, unit)]) for a in objs]):
+                            for kappa in hom(unit, unit):
+                                yield (
+                                    ot, mt, unit, dict(zip(triples, alpha_pick)),
+                                    dict(zip(objs, lam_pick)), dict(zip(objs, rho_pick)), kappa,
+                                )
+
+
+@pytest.mark.parametrize("carrier_name", ("zmonoid", "discrete2", "monoid-1ab"))
+def test_category_candidates_match_brute_force(carrier_name):
+    cat = SWEEP_CARRIERS[carrier_name]()
+    got = [
+        (d.obj_tensor, d.mor_tensor, d.unit, d.alpha, d.lam, d.rho, d.kappa)
+        for d in skew_candidates(cat)
+    ]
+    assert got == list(_brute_force_candidates(cat))
+
+
+@pytest.mark.parametrize(
+    "carrier_name, expected",
+    (
+        ("chain2-category", SweepSummary(4, 4, True, True, True, 4)),
+        ("monoid-1ab", SweepSummary(2916, 624, True, True, True, 1)),
+    ),
+)
+def test_category_sweep_summaries(carrier_name, expected):
+    assert sweep_equivalence(SWEEP_CARRIERS[carrier_name]()) == expected
+
+
+def test_category_sweep_budget_counts_raw_tables():
+    # chain2 as a category: 2 ** 4 object tables times 3 ** 9 morphism tables,
+    # counted before typing leaves at most one table per object table
+    with pytest.raises(BudgetExceededError, match="314928 raw tensor tables"):
+        list(skew_candidates(SWEEP_CARRIERS["chain2-category"](), budget=314927))
+
+
+# -- structural error messages -------------------------------------------
+
+
+def _fields(d: SkewData) -> dict:
+    return {
+        "category": d.category,
+        "obj_tensor": dict(d.obj_tensor),
+        "mor_tensor": dict(d.mor_tensor),
+        "unit": d.unit,
+        "alpha": dict(d.alpha),
+        "lam": dict(d.lam),
+        "rho": dict(d.rho),
+        "kappa": d.kappa,
+    }
+
+
+STRUCTURAL_FAILURES = {
+    "unit": (
+        "two", lambda k: k.update(unit="nope", kappa=None),
+        "unit 'nope' is not an object",
+    ),
+    "object tensor undefined": (
+        "two", lambda k: k["obj_tensor"].pop(("bot", "top")),
+        "object tensor undefined on ('bot', 'top')",
+    ),
+    "object tensor dangles": (
+        "two", lambda k: k["obj_tensor"].update({("top", "bot"): "mid"}),
+        "object tensor dangles on ('top', 'bot')",
+    ),
+    "morphism tensor undefined": (
+        "two", lambda k: k["mor_tensor"].pop(("bot<=top", "bot<=bot")),
+        "morphism tensor undefined on ('bot<=top', 'bot<=bot')",
+    ),
+    "morphism tensor dangles": (
+        "two", lambda k: k["mor_tensor"].update({("bot<=top", "top<=top"): "nope"}),
+        "morphism tensor dangles on ('bot<=top', 'top<=top')",
+    ),
+    "ill-typed": (
+        "two", lambda k: k["mor_tensor"].update({("bot<=bot", "bot<=top"): "bot<=bot"}),
+        "morphism tensor ill-typed on ('bot<=bot', 'bot<=top')",
+    ),
+    "non-identity": (
+        "z", lambda k: k["mor_tensor"].update({("1", "1"): "z"}),
+        "tensor of identities at ('*', '*') is not an identity",
+    ),
+    "interchange": (
+        "z", lambda k: k["mor_tensor"].update({("z", "z"): "1"}),
+        "interchange fails on ('1', 'z') x ('z', '1')",
+    ),
+    "alpha undefined": (
+        "two", lambda k: k["alpha"].pop(("bot", "top", "bot")),
+        "alpha undefined at ('bot', 'top', 'bot')",
+    ),
+    "alpha ill-typed": (
+        "two", lambda k: k["alpha"].update({("top", "bot", "top"): "bot<=top"}),
+        "alpha component at ('top', 'bot', 'top') is ill-typed",
+    ),
+    "lambda": (
+        "two", lambda k: k["lam"].update({"top": "bot<=top"}),
+        "lambda component at 'top' is missing or ill-typed",
+    ),
+    "rho": (
+        "two", lambda k: k["rho"].pop("bot"),
+        "rho component at 'bot' is missing or ill-typed",
+    ),
+    "kappa": (
+        "two", lambda k: k.update(kappa="bot<=top"),
+        "kappa must be an endomorphism of the unit",
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(STRUCTURAL_FAILURES))
+def test_structural_error_messages(failure):
+    base, edit, message = STRUCTURAL_FAILURES[failure]
+    d = skew_from_strict(boolean_or() if base == "two" else zmonoid())
+    fields = _fields(d)
+    SkewData(**fields)  # the unedited fields are valid
+    edit(fields)
+    with pytest.raises(StructuralError) as exc:
+        SkewData(**fields)
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import pytest
@@ -266,4 +267,42 @@ def test_json_schema_errors():
     doc = catalan_sset(1).to_json_dict()
     doc["kind"] = "something"
     with pytest.raises(SchemaError):
+        TruncatedSSet.from_json_dict(doc)
+
+
+def _set_key(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_cell(key, n, i, k, value):
+    return lambda doc: doc[key][n][i].__setitem__(k, value)
+
+
+# edits of the catalan_sset(3) document and the SchemaError each raises
+TABLE_ERRORS = {
+    "faces-not-array": (_set_key("faces", 5), "faces must be an array"),
+    "degens-not-array": (_set_key("degens", 5), "degens must be an array"),
+    "face-table-not-array": (
+        lambda doc: doc["faces"][1].__setitem__(0, 5), "face table length mismatch at level 2"
+    ),
+    "degen-table-not-array": (
+        lambda doc: doc["degens"][1].__setitem__(0, 5), "degeneracy table length mismatch at level 1"
+    ),
+    "face-index-too-large": (_set_cell("faces", 1, 0, 0, 2), "index 2 outside level 1"),
+    "face-index-negative": (_set_cell("faces", 1, 0, 0, -1), "index -1 outside level 1"),
+    "face-index-string": (_set_cell("faces", 0, 0, 0, "0"), "index '0' outside level 0"),
+    "degen-index-too-large": (_set_cell("degens", 0, 0, 0, 9), "index 9 outside level 1"),
+    "degen-index-bool": (_set_cell("degens", 1, 1, 0, True), "index True outside level 2"),
+    "label-not-string": (
+        lambda doc: doc["levels"][0].__setitem__(0, ["x"]), "levels[0][0] must be a string label"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_ERRORS))
+def test_json_table_errors_are_schema_errors(case):
+    edit, message = TABLE_ERRORS[case]
+    doc = catalan_sset(3).to_json_dict()
+    edit(doc)
+    with pytest.raises(SchemaError, match=re.escape(message)):
         TruncatedSSet.from_json_dict(doc)
