@@ -38,6 +38,7 @@ from .finmon import (
     Poset,
     enumerate_monoids,
     poset_as_category,
+    tensor_violations,
     validate_category,
     validate_strict_monoidal,
 )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from . import dyck, motzkin
 from .classify import classify_maps, verify_classification
 from .errors import BudgetExceededError, CatssetError
-from .finmon import FinMonoidalStructure, chain_poset, validate_category, validate_strict_monoidal
+from .finmon import SCHEMA_VERSION, FinMonoidalStructure, chain_poset, validate_category, validate_strict_monoidal
 from .library import boolean_or, chain3_poset, zmonoid_category
 from .nerve import monoidal_nerve
 from .relations import to_relation
@@ -28,8 +28,6 @@ from .sset import (
     is_r_coskeletal_up_to,
     isomorphisms,
 )
-
-SCHEMA_VERSION = 1
 
 DEFAULT_CAPS = {"dyck": 10, "relation": 7, "motzkin": 12}
 DEFAULT_BUDGET = 1_000_000
@@ -360,7 +358,7 @@ def cmd_skew(args: argparse.Namespace) -> int:
         if not args.file:
             raise ValueError("skew check needs a data file")
         with open(args.file, "r", encoding="utf-8") as handle:
-            d = SkewData.from_json_dict(json.load(handle))
+            d = SkewData.from_json_text(handle.read())
         naturality = check_naturality(d)
         axioms = check_axioms(d)
         pentagons = check_pentagons(d)

@@ -1,4 +1,4 @@
-"""Finite categories by tables, strict monoidal structure, and monoids.
+"""Finite categories by tables, tensor data over them, and monoids.
 
 Everything is label-driven: objects and morphisms are strings, and
 composition/tensor are explicit dicts.  Structural problems (unknown
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import SchemaError, StructuralError
 
@@ -25,6 +25,14 @@ def check_header(doc: object, kind: str) -> None:
         raise SchemaError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
+
+
+def parse_json_text(text: str) -> object:
+    """The JSON value in ``text``; SchemaError when it does not parse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
 def check_label(value: object, where: str) -> str:
@@ -227,8 +235,72 @@ def validate_category(c: FinCategory) -> list[LawViolation]:
     return bad
 
 
+def tensor_violations(
+    cat: FinCategory,
+    obj_tensor: Mapping[tuple[str, str], str],
+    mor_tensor: Mapping[tuple[str, str], str],
+) -> Iterator[LawViolation]:
+    """The ways the tensor tables fail to be a bifunctor, lazily, in check order.
+
+    Checked in order: totality and dangling entries of the object table,
+    then of the morphism table together with the typing of each entry,
+    then tensors of identities, then interchange.  The morphism table is
+    read only once the object table is total, and identities and
+    interchange only once the morphism table is total and typed.
+    """
+    objs = cat.objects
+    objset = set(objs)
+    mors = cat.morphism_labels()
+    clean = True
+    for a in objs:
+        for b in objs:
+            v = obj_tensor.get((a, b))
+            if v is None or v not in objset:
+                clean = False
+                what = "undefined" if v is None else "dangles"
+                yield LawViolation("tensor totality", (a, b), f"object tensor {what} on {(a, b)!r}")
+    if not clean:
+        return
+    ends = {f: (cat.src(f), cat.tgt(f)) for f in mors}
+    for f in mors:
+        sf, tf = ends[f]
+        for g in mors:
+            sg, tg = ends[g]
+            v = mor_tensor.get((f, g))
+            if v is None or v not in ends:
+                law, what = "tensor totality", "undefined" if v is None else "dangles"
+            elif ends[v] != (obj_tensor[(sf, sg)], obj_tensor[(tf, tg)]):
+                law, what = "tensor typing", "ill-typed"
+            else:
+                continue
+            clean = False
+            yield LawViolation(law, (f, g), f"morphism tensor {what} on {(f, g)!r}")
+    if not clean:
+        return
+    for a in objs:
+        for b in objs:
+            if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
+                detail = f"tensor of identities at {(a, b)!r} is not an identity"
+                yield LawViolation("identity tensor", (a, b), detail)
+    composites = [(g, f, cat.compose(g, f)) for g in mors for f in mors if cat.is_composable(g, f)]
+    for g, f, gf in composites:
+        for g2, f2, g2f2 in composites:
+            if mor_tensor[(gf, g2f2)] != cat.compose(mor_tensor[(g, g2)], mor_tensor[(f, f2)]):
+                detail = f"interchange fails on {(g, f)!r} x {(g2, f2)!r}"
+                yield LawViolation("interchange", (g, f, g2, f2), detail)
+
+
 class FinMonoidalStructure:
-    """A finite category with a strict tensor and unit, all by tables."""
+    """A finite category with a tensor and unit, all by tables.
+
+    The constraints ``alpha``, ``lam``, ``rho`` and ``kappa`` are
+    identities here, as strictness has it; skew data replaces them with
+    tables of its own.  Construction rejects labels outside the category;
+    whether the tensor is a strict monoidal one is answered by
+    :func:`validate_strict_monoidal`.
+    """
+
+    KIND = "strict_monoidal"
 
     def __init__(
         self,
@@ -247,10 +319,25 @@ class FinMonoidalStructure:
             raise StructuralError(f"unit {unit!r} is not an object")
         for (a, b), v in self.obj_tensor.items():
             if a not in objset or b not in objset or v not in objset:
-                raise StructuralError(f"object tensor entry ({a!r}, {b!r}) -> {v!r} dangles")
+                raise StructuralError(f"object tensor dangles on ({a!r}, {b!r})")
         for (f, g), v in self.mor_tensor.items():
             if f not in morset or g not in morset or v not in morset:
-                raise StructuralError(f"morphism tensor entry ({f!r}, {g!r}) -> {v!r} dangles")
+                raise StructuralError(f"morphism tensor dangles on ({f!r}, {g!r})")
+        # identity constraints wherever the object tensor defines them; plain
+        # attributes, not lazy descriptors, since skew data overwrites them and
+        # a class-level descriptor under its table names slows every read
+        t = self.obj_tensor
+        objs = category.objects
+        self.alpha = {
+            (a, b, d): category.id_of(t[(t[(a, b)], d)])
+            for a in objs
+            for b in objs
+            for d in objs
+            if (t.get((a, b)), d) in t
+        }
+        self.lam = dict(category.identities)
+        self.rho = dict(category.identities)
+        self.kappa = category.id_of(unit)
 
     def tensor_obj(self, a: str, b: str) -> str:
         try:
@@ -265,7 +352,7 @@ class FinMonoidalStructure:
             raise StructuralError(f"morphism tensor undefined on ({f!r}, {g!r})") from None
 
     def to_json_dict(self) -> dict:
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "strict_monoidal"}
+        doc = {"schema_version": SCHEMA_VERSION, "kind": self.KIND}
         doc.update(self.category.to_json_dict())
         doc["obj_tensor"] = [[a, b, v] for (a, b), v in sorted(self.obj_tensor.items())]
         doc["mor_tensor"] = [[f, g, v] for (f, g), v in sorted(self.mor_tensor.items())]
@@ -276,45 +363,41 @@ class FinMonoidalStructure:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "FinMonoidalStructure":
-        check_header(doc, "strict_monoidal")
+    def _fields_from_json(cls, doc: Mapping) -> tuple:
+        """The constructor arguments in ``doc``, checked for shape only."""
         category = FinCategory.from_json_dict(doc)
         for key in ("obj_tensor", "mor_tensor", "unit"):
             if key not in doc:
                 raise SchemaError(f"missing key {key!r}")
         obj_tensor = {(a, b): v for a, b, v in table_rows(doc, "obj_tensor", "[a, b, ab]")}
         mor_tensor = {(f, g): v for f, g, v in table_rows(doc, "mor_tensor", "[f, g, fg]")}
-        unit = check_label(doc["unit"], "unit")
+        return category, obj_tensor, mor_tensor, check_label(doc["unit"], "unit")
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "FinMonoidalStructure":
+        check_header(doc, cls.KIND)
         try:
-            return cls(category, obj_tensor, mor_tensor, unit)
+            return cls(*cls._fields_from_json(doc))
         except StructuralError as exc:
             raise SchemaError(str(exc)) from exc
 
     @classmethod
     def from_json_text(cls, text: str) -> "FinMonoidalStructure":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(parse_json_text(text))
 
 
 def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
-    """Strict associativity/unitality on objects and morphisms, plus bifunctoriality."""
-    bad: list[LawViolation] = []
+    """Bifunctoriality, strict associativity/unitality and identity constraints.
+
+    Every bifunctor violation is listed; the strict laws are read off the
+    tables only once the tensor is a bifunctor.
+    """
     c = m.category
-    objs = c.objects
-    mors = c.morphism_labels()
-    for a in objs:
-        for b in objs:
-            if (a, b) not in m.obj_tensor:
-                bad.append(LawViolation("tensor totality", (a, b), "object pair missing"))
-    for f in mors:
-        for g in mors:
-            if (f, g) not in m.mor_tensor:
-                bad.append(LawViolation("tensor totality", (f, g), "morphism pair missing"))
+    bad = list(tensor_violations(c, m.obj_tensor, m.mor_tensor))
     if bad:
         return bad
+    objs = c.objects
+    mors = c.morphism_labels()
     for a in objs:
         if m.tensor_obj(m.unit, a) != a or m.tensor_obj(a, m.unit) != a:
             bad.append(LawViolation("strict unit", (a,), "unit does not act trivially"))
@@ -324,17 +407,6 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
                     bad.append(
                         LawViolation("strict associativity", (a, b, cc), "object tensor")
                     )
-    for f in mors:
-        fg_src = c.src(f)
-        fg_tgt = c.tgt(f)
-        for g in mors:
-            v = m.tensor_mor(f, g)
-            if c.src(v) != m.tensor_obj(fg_src, c.src(g)) or c.tgt(v) != m.tensor_obj(
-                fg_tgt, c.tgt(g)
-            ):
-                bad.append(LawViolation("tensor typing", (f, g), f"{v!r} has wrong ends"))
-    if bad:
-        return bad
     unit_id = c.id_of(m.unit)
     for f in mors:
         if m.tensor_mor(unit_id, f) != f or m.tensor_mor(f, unit_id) != f:
@@ -346,20 +418,14 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
                     bad.append(
                         LawViolation("strict associativity", (f, g, h), "morphism tensor")
                     )
-    for a in objs:
-        for b in objs:
-            if m.tensor_mor(c.id_of(a), c.id_of(b)) != c.id_of(m.tensor_obj(a, b)):
-                bad.append(LawViolation("identity tensor", (a, b), "id (x) id is not id"))
-    composable = [(g, f) for g in mors for f in mors if c.is_composable(g, f)]
-    for g, f in composable:
-        gf = c.compose(g, f)
-        for g2, f2 in composable:
-            left = m.tensor_mor(gf, c.compose(g2, f2))
-            right = c.compose(m.tensor_mor(g, g2), m.tensor_mor(f, f2))
-            if left != right:
-                bad.append(
-                    LawViolation("interchange", (g, f, g2, f2), f"{left!r} != {right!r}")
-                )
+    components = [("alpha", key, f) for key, f in m.alpha.items()]
+    components += [("lambda", (a,), f) for a, f in m.lam.items()]
+    components += [("rho", (a,), f) for a, f in m.rho.items()]
+    components.append(("kappa", (m.unit,), m.kappa))
+    for name, subject, f in components:
+        if f != c.id_of(c.src(f)):
+            detail = f"{name} component {f!r} is not an identity"
+            bad.append(LawViolation("strict constraints", subject, detail))
     return bad
 
 
@@ -455,17 +521,20 @@ def poset_category(p: Poset) -> FinCategory:
     return FinCategory(sorted(p.elements), morphisms, identities, compose)
 
 
+def poset_mor_tensor(p: Poset, tensor: Mapping[tuple[str, str], str]) -> dict[tuple[str, str], str]:
+    """The tensor on order witnesses: (a <= b) (x) (c <= d) is ac <= bd."""
+    return {
+        (leq_label(a, b), leq_label(c, d)): leq_label(tensor[(a, c)], tensor[(b, d)])
+        for a, b in p.leq
+        for c, d in p.leq
+    }
+
+
 def poset_as_category(mp: MonoidalPoset) -> FinMonoidalStructure:
     """A monoidal poset as a strict monoidal category by tables."""
-    cat = poset_category(mp.poset)
-    obj_tensor = dict(mp.tensor)
-    mor_tensor = {}
-    for a, b in mp.poset.leq:
-        for c, d in mp.poset.leq:
-            mor_tensor[(leq_label(a, b), leq_label(c, d))] = leq_label(
-                mp.tensor[(a, c)], mp.tensor[(b, d)]
-            )
-    return FinMonoidalStructure(cat, obj_tensor, mor_tensor, mp.unit)
+    return FinMonoidalStructure(
+        poset_category(mp.poset), mp.tensor, poset_mor_tensor(mp.poset, mp.tensor), mp.unit
+    )
 
 
 @dataclass(frozen=True)

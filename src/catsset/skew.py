@@ -20,72 +20,31 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, SchemaError, StructuralError
 from .finmon import (
-    SCHEMA_VERSION,
     FinCategory,
     FinMonoidalStructure,
     LawViolation,
     Poset,
-    check_header,
     check_label,
     leq_label,
     poset_category,
+    poset_mor_tensor,
     table_rows,
+    tensor_violations,
 )
 
 
-def _bifunctor_problem(
-    cat: FinCategory,
-    obj_tensor: Mapping[tuple[str, str], str],
-    mor_tensor: Mapping[tuple[str, str], str],
-) -> str | None:
-    """The first way the tensor tables fail to be a bifunctor, or None.
-
-    Checked in order: totality and dangling entries of the object table,
-    then of the morphism table together with the typing of each entry,
-    then tensors of identities, then interchange.
-    """
-    objs = cat.objects
-    objset = set(objs)
-    mors = cat.morphism_labels()
-    for a in objs:
-        for b in objs:
-            if (a, b) not in obj_tensor:
-                return f"object tensor undefined on ({a!r}, {b!r})"
-            if obj_tensor[(a, b)] not in objset:
-                return f"object tensor dangles on ({a!r}, {b!r})"
-    ends = {f: (cat.src(f), cat.tgt(f)) for f in mors}
-    for f in mors:
-        sf, tf = ends[f]
-        for g in mors:
-            sg, tg = ends[g]
-            if (f, g) not in mor_tensor:
-                return f"morphism tensor undefined on ({f!r}, {g!r})"
-            v = mor_tensor[(f, g)]
-            if v not in ends:
-                return f"morphism tensor dangles on ({f!r}, {g!r})"
-            if ends[v] != (obj_tensor[(sf, sg)], obj_tensor[(tf, tg)]):
-                return f"morphism tensor ill-typed on ({f!r}, {g!r})"
-    for a in objs:
-        for b in objs:
-            if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
-                return f"tensor of identities at ({a!r}, {b!r}) is not an identity"
-    composites = [(g, f, cat.compose(g, f)) for g in mors for f in mors if cat.is_composable(g, f)]
-    for g, f, gf in composites:
-        for g2, f2, g2f2 in composites:
-            if mor_tensor[(gf, g2f2)] != cat.compose(mor_tensor[(g, g2)], mor_tensor[(f, f2)]):
-                return f"interchange fails on ({g!r}, {f!r}) x ({g2!r}, {f2!r})"
-    return None
-
-
-class SkewData:
+class SkewData(FinMonoidalStructure):
     """Tensor data with explicit, possibly non-invertible constraints.
 
-    Construction validates the structural invariants: tables are total
+    The constraint tables take the place of the identity constraints of
+    :class:`FinMonoidalStructure`.  Construction validates the structural invariants: tables are total
     and well-typed, the tensor is a bifunctor (identities and
     interchange), and every constraint component has the stated
     endpoints.  Whether the axioms hold is a separate question answered
     by the checkers.
     """
+
+    KIND = "skew_data"
 
     def __init__(
         self,
@@ -98,84 +57,67 @@ class SkewData:
         rho: Mapping[str, str],
         kappa: str | None = None,
     ) -> None:
-        self._assign(category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa)
-        problem = _bifunctor_problem(category, self.obj_tensor, self.mor_tensor)
-        if problem is not None:
-            raise StructuralError(problem)
-        self._validate_components()
+        super().__init__(category, obj_tensor, mor_tensor, unit)
+        violation = next(tensor_violations(category, self.obj_tensor, self.mor_tensor), None)
+        if violation is not None:
+            raise StructuralError(violation.detail)
+        self._set_components(alpha, lam, rho, kappa)
 
     @classmethod
     def _over_bifunctor(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa):
-        """Skew data over a tensor that already passed :func:`_bifunctor_problem`.
+        """Skew data over a tensor that already passed :func:`tensor_violations`.
 
         Sweeps validate each tensor once and build every component pick
         through here, so only the components are checked per pick.
         """
         d = cls.__new__(cls)
-        d._assign(category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa)
-        d._validate_components()
+        FinMonoidalStructure.__init__(d, category, obj_tensor, mor_tensor, unit)
+        d._set_components(alpha, lam, rho, kappa)
         return d
 
-    def _assign(self, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa) -> None:
-        if unit not in category.objects:
-            raise StructuralError(f"unit {unit!r} is not an object")
-        self.category = category
-        self.obj_tensor = dict(obj_tensor)
-        self.mor_tensor = dict(mor_tensor)
-        self.unit = unit
+    def _set_components(self, alpha, lam, rho, kappa) -> None:
         self.alpha = dict(alpha)
         self.lam = dict(lam)
         self.rho = dict(rho)
-        self.kappa = kappa if kappa is not None else category.id_of(unit)
-
-    # -- structure -----------------------------------------------------
-
-    def obj(self, a: str, b: str) -> str:
-        try:
-            return self.obj_tensor[(a, b)]
-        except KeyError:
-            raise StructuralError(f"object tensor undefined on ({a!r}, {b!r})") from None
-
-    def mor(self, f: str, g: str) -> str:
-        try:
-            return self.mor_tensor[(f, g)]
-        except KeyError:
-            raise StructuralError(f"morphism tensor undefined on ({f!r}, {g!r})") from None
-
-    def _validate_components(self) -> None:
+        self.kappa = kappa if kappa is not None else self.category.id_of(self.unit)
         c = self.category
         objs = c.objects
         morset = set(c.morphism_labels())
+        t = self.obj_tensor
         for a in objs:
             for b in objs:
                 for d in objs:
                     f = self.alpha.get((a, b, d))
                     if f is None:
                         raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
-                    src = self.obj(self.obj(a, b), d)
-                    tgt = self.obj(a, self.obj(b, d))
-                    if f not in morset or c.src(f) != src or c.tgt(f) != tgt:
+                    ends = (t[(t[(a, b)], d)], t[(a, t[(b, d)])])
+                    if f not in morset or (c.src(f), c.tgt(f)) != ends:
                         raise StructuralError(
                             f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed"
                         )
         for a in objs:
             f = self.lam.get(a)
-            if f is None or f not in morset or c.src(f) != self.obj(self.unit, a) or c.tgt(f) != a:
+            if f is None or f not in morset or c.src(f) != t[(self.unit, a)] or c.tgt(f) != a:
                 raise StructuralError(f"lambda component at {a!r} is missing or ill-typed")
             f = self.rho.get(a)
-            if f is None or f not in morset or c.src(f) != a or c.tgt(f) != self.obj(a, self.unit):
+            if f is None or f not in morset or c.src(f) != a or c.tgt(f) != t[(a, self.unit)]:
                 raise StructuralError(f"rho component at {a!r} is missing or ill-typed")
         if self.kappa not in morset or c.src(self.kappa) != self.unit or c.tgt(self.kappa) != self.unit:
             raise StructuralError("kappa must be an endomorphism of the unit")
+        # every key at objects is present by now, so a longer table has a stray key
+        for name, table, keys in (
+            ("alpha", self.alpha, set(product(objs, repeat=3))),
+            ("lambda", self.lam, set(objs)),
+            ("rho", self.rho, set(objs)),
+        ):
+            if len(table) != len(keys):
+                key = min(set(table) - keys, key=repr)
+                raise StructuralError(f"{name} entry at {key!r} is not at objects")
 
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "skew_data"}
-        doc.update(self.category.to_json_dict())
-        doc["obj_tensor"] = [[a, b, v] for (a, b), v in sorted(self.obj_tensor.items())]
-        doc["mor_tensor"] = [[f, g, v] for (f, g), v in sorted(self.mor_tensor.items())]
-        doc["unit"] = self.unit
+        doc = super().to_json_dict()
         doc["alpha"] = [[a, b, c, v] for (a, b, c), v in sorted(self.alpha.items())]
         doc["lambda"] = [[a, v] for a, v in sorted(self.lam.items())]
         doc["rho"] = [[a, v] for a, v in sorted(self.rho.items())]
@@ -183,38 +125,23 @@ class SkewData:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "SkewData":
-        check_header(doc, "skew_data")
-        category = FinCategory.from_json_dict(doc)
-        for key in ("obj_tensor", "mor_tensor", "unit", "alpha", "lambda", "rho"):
+    def _fields_from_json(cls, doc: Mapping) -> tuple:
+        fields = super()._fields_from_json(doc)
+        for key in ("alpha", "lambda", "rho"):
             if key not in doc:
                 raise SchemaError(f"missing key {key!r}")
-        obj_tensor = {(a, b): v for a, b, v in table_rows(doc, "obj_tensor", "[a, b, ab]")}
-        mor_tensor = {(f, g): v for f, g, v in table_rows(doc, "mor_tensor", "[f, g, fg]")}
         alpha = {(a, b, c): v for a, b, c, v in table_rows(doc, "alpha", "[a, b, c, component]")}
         lam = {a: v for a, v in table_rows(doc, "lambda", "[a, component]")}
         rho = {a: v for a, v in table_rows(doc, "rho", "[a, component]")}
-        unit = check_label(doc["unit"], "unit")
         kappa = doc.get("kappa")
         if kappa is not None:
             check_label(kappa, "kappa")
-        try:
-            return cls(category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa)
-        except StructuralError as exc:
-            raise SchemaError(str(exc)) from exc
+        return (*fields, alpha, lam, rho, kappa)
 
 
 def skew_from_strict(m: FinMonoidalStructure, kappa: str | None = None) -> SkewData:
     """A strict structure viewed as skew data with identity constraints."""
-    c = m.category
-    alpha = {}
-    for a in c.objects:
-        for b in c.objects:
-            for d in c.objects:
-                alpha[(a, b, d)] = c.id_of(m.tensor_obj(m.tensor_obj(a, b), d))
-    lam = {a: c.id_of(a) for a in c.objects}
-    rho = {a: c.id_of(a) for a in c.objects}
-    return SkewData(c, m.obj_tensor, m.mor_tensor, m.unit, alpha, lam, rho, kappa)
+    return SkewData(m.category, m.obj_tensor, m.mor_tensor, m.unit, m.alpha, m.lam, m.rho, kappa)
 
 
 # -- reports -----------------------------------------------------------
@@ -264,20 +191,20 @@ def _naturality_violations(d: SkewData) -> Iterator[LawViolation]:
         sf, tf = ends[f]
         for g in mors:
             sg, tg = ends[g]
-            fg = d.mor(f, g)
+            fg = d.tensor_mor(f, g)
             for h in mors:
                 sh, th = ends[h]
-                left = c.compose(d.alpha[(tf, tg, th)], d.mor(fg, h))
-                right = c.compose(d.mor(f, d.mor(g, h)), d.alpha[(sf, sg, sh)])
+                left = c.compose(d.alpha[(tf, tg, th)], d.tensor_mor(fg, h))
+                right = c.compose(d.tensor_mor(f, d.tensor_mor(g, h)), d.alpha[(sf, sg, sh)])
                 if left != right:
                     yield LawViolation("alpha naturality", (f, g, h), f"{left} != {right}")
     idu = c.id_of(d.unit)
     for f in mors:
-        left = c.compose(d.lam[c.tgt(f)], d.mor(idu, f))
+        left = c.compose(d.lam[c.tgt(f)], d.tensor_mor(idu, f))
         right = c.compose(f, d.lam[c.src(f)])
         if left != right:
             yield LawViolation("lambda naturality", (f,), f"{left} != {right}")
-        left = c.compose(d.mor(f, idu), d.rho[c.src(f)])
+        left = c.compose(d.tensor_mor(f, idu), d.rho[c.src(f)])
         right = c.compose(d.rho[c.tgt(f)], f)
         if left != right:
             yield LawViolation("rho naturality", (f,), f"{left} != {right}")
@@ -297,38 +224,38 @@ def _chain(cat: FinCategory, path: Sequence[str]) -> str:
 
 def _pentagon_alpha(d: SkewData, A: str, B: str, C: str, D: str):
     c = d.category
-    top = [d.alpha[(d.obj(A, B), C, D)], d.alpha[(A, B, d.obj(C, D))]]
+    top = [d.alpha[(d.tensor_obj(A, B), C, D)], d.alpha[(A, B, d.tensor_obj(C, D))]]
     bottom = [
-        d.mor(d.alpha[(A, B, C)], c.id_of(D)),
-        d.alpha[(A, d.obj(B, C), D)],
-        d.mor(c.id_of(A), d.alpha[(B, C, D)]),
+        d.tensor_mor(d.alpha[(A, B, C)], c.id_of(D)),
+        d.alpha[(A, d.tensor_obj(B, C), D)],
+        d.tensor_mor(c.id_of(A), d.alpha[(B, C, D)]),
     ]
     return top, bottom
 
 
 def _triangle_middle(d: SkewData, A: str, B: str):
     c = d.category
-    ab = d.obj(A, B)
+    ab = d.tensor_obj(A, B)
     top = [c.id_of(ab)]
     bottom = [
-        d.mor(d.rho[A], c.id_of(B)),
+        d.tensor_mor(d.rho[A], c.id_of(B)),
         d.alpha[(A, d.unit, B)],
-        d.mor(c.id_of(A), d.lam[B]),
+        d.tensor_mor(c.id_of(A), d.lam[B]),
     ]
     return top, bottom
 
 
 def _triangle_left(d: SkewData, A: str, B: str):
     c = d.category
-    top = [d.alpha[(d.unit, A, B)], d.lam[d.obj(A, B)]]
-    bottom = [d.mor(d.lam[A], c.id_of(B))]
+    top = [d.alpha[(d.unit, A, B)], d.lam[d.tensor_obj(A, B)]]
+    bottom = [d.tensor_mor(d.lam[A], c.id_of(B))]
     return top, bottom
 
 
 def _triangle_right(d: SkewData, A: str, B: str):
     c = d.category
-    top = [d.rho[d.obj(A, B)], d.alpha[(A, B, d.unit)]]
-    bottom = [d.mor(c.id_of(A), d.rho[B])]
+    top = [d.rho[d.tensor_obj(A, B)], d.alpha[(A, B, d.unit)]]
+    bottom = [d.tensor_mor(c.id_of(A), d.rho[B])]
     return top, bottom
 
 
@@ -339,31 +266,18 @@ def _unit_loop(d: SkewData):
 
 
 def _pent_a2(d: SkewData, A: str, B: str):
-    c = d.category
-    ab = d.obj(A, B)
-    top = [c.id_of(ab), c.id_of(ab)]
-    bottom = [
-        d.mor(d.rho[A], c.id_of(B)),
-        d.alpha[(A, d.unit, B)],
-        d.mor(c.id_of(A), d.lam[B]),
-    ]
-    return top, bottom
+    top, bottom = _triangle_middle(d, A, B)
+    return top * 2, bottom
 
 
 def _pent_a3(d: SkewData, A: str, B: str):
-    c = d.category
-    ab = d.obj(A, B)
-    top = [d.alpha[(d.unit, A, B)], d.lam[ab]]
-    bottom = [d.mor(d.lam[A], c.id_of(B)), c.id_of(ab), c.id_of(ab)]
-    return top, bottom
+    top, bottom = _triangle_left(d, A, B)
+    return top, bottom + [d.category.id_of(d.tensor_obj(A, B))] * 2
 
 
 def _pent_a4(d: SkewData, A: str, B: str):
-    c = d.category
-    ab = d.obj(A, B)
-    top = [d.rho[ab], d.alpha[(A, B, d.unit)]]
-    bottom = [c.id_of(ab), c.id_of(ab), d.mor(c.id_of(A), d.rho[B])]
-    return top, bottom
+    top, bottom = _triangle_right(d, A, B)
+    return top, [d.category.id_of(d.tensor_obj(A, B))] * 2 + bottom
 
 
 def _pent_a5(d: SkewData):
@@ -383,17 +297,17 @@ def _pent_a7(d: SkewData):
 
 def _pent_a8(d: SkewData, A: str):
     c = d.category
-    ai = d.obj(A, d.unit)
+    ai = d.tensor_obj(A, d.unit)
     top = [d.rho[A], c.id_of(ai)]
-    bottom = [d.rho[A], c.id_of(ai), d.mor(c.id_of(A), d.kappa)]
+    bottom = [d.rho[A], c.id_of(ai), d.tensor_mor(c.id_of(A), d.kappa)]
     return top, bottom
 
 
 def _pent_a9(d: SkewData, A: str):
     c = d.category
-    ia = d.obj(d.unit, A)
+    ia = d.tensor_obj(d.unit, A)
     top = [c.id_of(ia), d.lam[A]]
-    bottom = [d.mor(d.kappa, c.id_of(A)), c.id_of(ia), d.lam[A]]
+    bottom = [d.tensor_mor(d.kappa, c.id_of(A)), c.id_of(ia), d.lam[A]]
     return top, bottom
 
 
@@ -511,15 +425,10 @@ def _poset_candidates(p: Poset, budget: int) -> Iterator[SkewData]:
             for c in elems
         ):
             continue
-        mor_tensor = {}
-        for a, b in p.leq:
-            for c, e in p.leq:
-                mor_tensor[(leq_label(a, b), leq_label(c, e))] = leq_label(
-                    table[(a, c)], table[(b, e)]
-                )
-        problem = _bifunctor_problem(cat, table, mor_tensor)
-        if problem is not None:
-            raise StructuralError(problem)
+        mor_tensor = poset_mor_tensor(p, table)
+        violation = next(tensor_violations(cat, table, mor_tensor), None)
+        if violation is not None:
+            raise StructuralError(violation.detail)
         alpha = {
             (a, b, c): leq_label(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
             for a in elems
@@ -568,7 +477,7 @@ def _category_candidates(cat: FinCategory, budget: int) -> Iterator[SkewData]:
         ]
         for mor_values in product(*cells):
             mor_tensor = dict(zip(mor_pairs, mor_values))
-            if _bifunctor_problem(cat, obj_tensor, mor_tensor) is not None:
+            if next(tensor_violations(cat, obj_tensor, mor_tensor), None) is not None:
                 continue
             for unit in objs:
                 lam_choices = [cat.hom(obj_tensor[(unit, a)], a) for a in objs]

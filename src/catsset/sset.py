@@ -17,8 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import dyck
 from .errors import BudgetExceededError, SchemaError, StructuralError
-
-SCHEMA_VERSION = 1
+from .finmon import SCHEMA_VERSION, check_header, check_label, parse_json_text
 
 BoundaryTuple = tuple[str, ...]
 
@@ -155,29 +154,26 @@ class TruncatedSSet:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "TruncatedSSet":
-        for key in ("schema_version", "kind", "levels", "faces", "degens"):
+        check_header(doc, "truncated_sset")
+        for key in ("levels", "faces", "degens"):
             if key not in doc:
                 raise SchemaError(f"missing key {key!r}")
-        if doc["kind"] != "truncated_sset":
-            raise SchemaError(f"unexpected kind {doc['kind']!r}")
         levels = doc["levels"]
         if not isinstance(levels, list) or not all(isinstance(lv, list) for lv in levels):
             raise SchemaError("levels must be a list of label arrays")
         for n, lv in enumerate(levels):
             for k, label in enumerate(lv):
-                if not isinstance(label, str):
-                    raise SchemaError(f"levels[{n}][{k}] must be a string label, got {label!r}")
+                check_label(label, f"levels[{n}][{k}]")
         faces = [[]] + _label_maps(doc, "faces", "face", levels, -1)
         degens = _label_maps(doc, "degens", "degeneracy", levels, 1) + [[]]
-        return cls(levels, faces, degens)
+        try:
+            return cls(levels, faces, degens)
+        except StructuralError as exc:
+            raise SchemaError(str(exc)) from exc
 
     @classmethod
     def from_json_text(cls, text: str) -> "TruncatedSSet":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(parse_json_text(text))
 
 
 def _label_maps(

@@ -220,6 +220,18 @@ def test_skew_check_rejects_non_string_labels(tmp_path, capsys):
     assert "mor_tensor[0][2] must be a string label" in err
 
 
+@pytest.mark.parametrize("table", ("obj_tensor", "mor_tensor", "alpha", "lambda", "rho"))
+def test_skew_check_rejects_unknown_labels(tmp_path, capsys, table):
+    # a copy of the first row keyed on a label the category does not have
+    doc = json.loads((EXAMPLES / "skew-two-or.json").read_text())
+    doc[table].append(["ghost", *doc[table][0][1:]])
+    bad = tmp_path / "ghost.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "skew", "check", str(bad))
+    assert (code, out) == (2, "")
+    assert "ghost" in err and "Traceback" not in err
+
+
 def test_config_rejects_non_integer_cap(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"caps": {"dyck": "ten"}}))

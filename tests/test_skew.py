@@ -3,14 +3,18 @@ from itertools import product
 import pytest
 
 from catsset.errors import BudgetExceededError, SchemaError, StructuralError
+from catsset.classify import classify_maps
 from catsset.finmon import (
     FinCategory,
+    FinMonoidalStructure,
     MonoidalPoset,
     chain_poset,
     poset_as_category,
     poset_category,
+    validate_strict_monoidal,
 )
 from catsset.library import boolean_or, chain3_max, zmonoid, zmonoid_category
+from catsset.nerve import monoidal_nerve
 from catsset.skew import (
     SkewData,
     SweepSummary,
@@ -412,6 +416,15 @@ STRUCTURAL_FAILURES = {
 }
 
 
+# the failures in the category, tensor tables and unit alone, and those of
+# them that FinMonoidalStructure rejects on construction
+TENSOR_FAILURES = {
+    "unit", "object tensor undefined", "object tensor dangles", "morphism tensor undefined",
+    "morphism tensor dangles", "ill-typed", "non-identity", "interchange",
+}
+CONSTRUCTOR_FAILURES = {"unit", "object tensor dangles", "morphism tensor dangles"}
+
+
 @pytest.mark.parametrize("failure", sorted(STRUCTURAL_FAILURES))
 def test_structural_error_messages(failure):
     base, edit, message = STRUCTURAL_FAILURES[failure]
@@ -422,3 +435,23 @@ def test_structural_error_messages(failure):
     with pytest.raises(StructuralError) as exc:
         SkewData(**fields)
     assert str(exc.value) == message
+    if failure not in TENSOR_FAILURES:
+        return
+    # the same tables as a strict structure fail with the same message,
+    # on construction or as the first violation the validator lists
+    tables = {k: fields[k] for k in ("category", "obj_tensor", "mor_tensor", "unit")}
+    if failure in CONSTRUCTOR_FAILURES:
+        with pytest.raises(StructuralError) as exc:
+            FinMonoidalStructure(**tables)
+        assert str(exc.value) == message
+    else:
+        assert validate_strict_monoidal(FinMonoidalStructure(**tables))[0].detail == message
+
+
+def test_lax_skew_data_is_not_strict():
+    d = skew_from_strict(zmonoid(), kappa="z")
+    assert [v.law for v in validate_strict_monoidal(d)] == ["strict constraints"]
+    with pytest.raises(StructuralError, match="kappa component 'z' is not an identity"):
+        monoidal_nerve(d, 3)
+    with pytest.raises(StructuralError, match="strict constraints"):
+        classify_maps(d)

@@ -296,6 +296,11 @@ TABLE_ERRORS = {
     "label-not-string": (
         lambda doc: doc["levels"][0].__setitem__(0, ["x"]), "levels[0][0] must be a string label"
     ),
+    "schema-version": (_set_key("schema_version", 99), "unsupported schema_version 99"),
+    "duplicate-label": (
+        lambda doc: doc["levels"][1].__setitem__(1, doc["levels"][1][0]),
+        "duplicate labels at level 1",
+    ),
 }
 
 
