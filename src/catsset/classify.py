@@ -122,8 +122,13 @@ def classify_maps(m: FinMonoidalStructure) -> list[ClassificationRecord]:
     evaluate to commuting squares; each survivor extends uniquely to a
     full map and pairs with the monoid (A, mu, eta = eta').
     """
-    S = catalan_sset(4)
-    T = monoidal_nerve(m, 4)
+    return _generator_records(catalan_sset(4), monoidal_nerve(m, 4), m)
+
+
+def _generator_records(
+    S: TruncatedSSet, T: TruncatedSSet, m: FinMonoidalStructure
+) -> list[ClassificationRecord]:
+    """The records of :func:`classify_maps`, given S = catalan_sset(4) and T = monoidal_nerve(m, 4)."""
     out = []
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
@@ -169,10 +174,10 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
     The strict tensor identifies eta with eta', so all three enumerations
     must produce exactly the same (A, mu, eta) triples.
     """
-    records = classify_maps(m)
-    monoids = enumerate_monoids(m)
     S = catalan_sset(4)
     T = monoidal_nerve(m, 4)
+    records = _generator_records(S, T, m)
+    monoids = enumerate_monoids(m)
     maps = simplicial_maps(S, T, 3)
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import dyck, motzkin
 from .classify import classify_maps, verify_classification
 from .errors import BudgetExceededError, CatssetError
-from .finmon import SCHEMA_VERSION, FinMonoidalStructure, chain_poset, validate_category, validate_strict_monoidal
-from .library import boolean_or, chain3_poset, zmonoid_category
+from .finmon import SCHEMA_VERSION, FinCategory, FinMonoidalStructure, Poset, chain_poset, validate_category, validate_strict_monoidal
+from .library import boolean_or, zmonoid_category
 from .nerve import monoidal_nerve
 from .relations import to_relation
 from .skew import SkewData, check_axioms, check_naturality, check_pentagons, sweep_equivalence, verify_equivalence
@@ -99,24 +99,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_face(args: argparse.Namespace) -> int:
-    result = dyck.face(args.word, args.index)
+def cmd_word_map(args: argparse.Namespace) -> int:
+    apply = dyck.face if args.command == "face" else dyck.degeneracy
+    result = apply(args.word, args.index)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "command": "face",
-        "word": args.word,
-        "index": args.index,
-        "result": result,
-    }
-    _emit(args, doc, [result])
-    return 0
-
-
-def cmd_degeneracy(args: argparse.Namespace) -> int:
-    result = dyck.degeneracy(args.word, args.index)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "degeneracy",
+        "command": args.command,
         "word": args.word,
         "index": args.index,
         "result": result,
@@ -345,18 +333,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- skew checking -------------------------------------------------------------
 
 
-_CARRIERS: dict[str, Callable] = {
-    "chain2": lambda: chain_poset(["0", "1"]),
-    "chain3": chain3_poset,
-    "zmonoid": zmonoid_category,
-}
+def _carrier(name: str) -> Poset | FinCategory:
+    """The zmonoid category, or for ``chainN`` the chain poset on 0 .. N-1."""
+    if name == "zmonoid":
+        return zmonoid_category()
+    size = name.removeprefix("chain")
+    if name.startswith("chain") and size.isdigit():
+        return chain_poset([str(k) for k in range(int(size))])
+    raise ValueError(f"unknown carrier {name!r}; choose zmonoid or chainN")
 
 
 def cmd_skew(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.mode == "check":
-        if not args.file:
-            raise ValueError("skew check needs a data file")
         with open(args.file, "r", encoding="utf-8") as handle:
             d = SkewData.from_json_text(handle.read())
         naturality = check_naturality(d)
@@ -387,18 +376,7 @@ def cmd_skew(args: argparse.Namespace) -> int:
         lines.append(f"pentagon/axiom equivalence consistent: {str(equivalent).lower()}")
         _emit(args, doc, lines)
         return 0 if ok else 1
-    # sweep
-    if args.carrier not in _CARRIERS:
-        if args.carrier and args.carrier.startswith("chain"):
-            size = args.carrier.removeprefix("chain")
-            if size.isdigit():
-                carrier = chain_poset([str(k) for k in range(int(size))])
-                summary = sweep_equivalence(carrier, config["budget"])
-                return _emit_sweep(args, summary)
-        raise ValueError(
-            f"unknown carrier {args.carrier!r}; choose from {sorted(_CARRIERS)} or chainN"
-        )
-    summary = sweep_equivalence(_CARRIERS[args.carrier](), config["budget"])
+    summary = sweep_equivalence(_carrier(args.carrier), config["budget"])
     return _emit_sweep(args, summary)
 
 
@@ -453,15 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("face", parents=[common], help="apply a face map to a word")
-    p.add_argument("word")
-    p.add_argument("--index", type=int, required=True)
-    p.set_defaults(func=cmd_face)
-
-    p = sub.add_parser("degeneracy", parents=[common], help="apply a degeneracy map")
-    p.add_argument("word")
-    p.add_argument("--index", type=int, required=True)
-    p.set_defaults(func=cmd_degeneracy)
+    for name, text in (("face", "apply a face map to a word"), ("degeneracy", "apply a degeneracy map")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("word")
+        p.add_argument("--index", type=int, required=True)
+        p.set_defaults(func=cmd_word_map)
 
     p = sub.add_parser("decompose", parents=[common], help="factor out all degeneracies")
     p.add_argument("word")
@@ -488,11 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("skew", parents=[common], help="check skew data or sweep a carrier")
-    p.add_argument("mode", choices=("check", "sweep"))
-    p.add_argument("file", nargs="?")
-    p.add_argument("--carrier", default=None)
-    p.set_defaults(func=cmd_skew)
+    p = sub.add_parser("skew", help="check skew data or sweep a carrier")
+    modes = p.add_subparsers(dest="mode", required=True)
+    q = modes.add_parser("check", parents=[common], help="check a skew data file")
+    q.add_argument("file")
+    q.set_defaults(func=cmd_skew)
+    q = modes.add_parser("sweep", parents=[common], help="sweep every skew candidate on a carrier")
+    q.add_argument("--carrier", required=True, help="zmonoid, or chainN for the chain of N elements")
+    q.set_defaults(func=cmd_skew)
 
     return parser
 

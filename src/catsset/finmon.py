@@ -27,6 +27,13 @@ def check_header(doc: object, kind: str) -> None:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
 
 
+def _require_keys(doc: Mapping, *keys: str) -> None:
+    """Raise SchemaError naming the first of ``keys`` that ``doc`` lacks."""
+    for key in keys:
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}")
+
+
 def parse_json_text(text: str) -> object:
     """The JSON value in ``text``; SchemaError when it does not parse."""
     try:
@@ -159,9 +166,7 @@ class FinCategory:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "FinCategory":
-        for key in ("objects", "morphisms", "identities", "compose"):
-            if key not in doc:
-                raise SchemaError(f"category block missing key {key!r}")
+        _require_keys(doc, "objects", "morphisms", "identities", "compose")
         objects = doc["objects"]
         if not isinstance(objects, list):
             raise SchemaError("objects must be an array of labels")
@@ -366,9 +371,7 @@ class FinMonoidalStructure:
     def _fields_from_json(cls, doc: Mapping) -> tuple:
         """The constructor arguments in ``doc``, checked for shape only."""
         category = FinCategory.from_json_dict(doc)
-        for key in ("obj_tensor", "mor_tensor", "unit"):
-            if key not in doc:
-                raise SchemaError(f"missing key {key!r}")
+        _require_keys(doc, "obj_tensor", "mor_tensor", "unit")
         obj_tensor = {(a, b): v for a, b, v in table_rows(doc, "obj_tensor", "[a, b, ab]")}
         mor_tensor = {(f, g): v for f, g, v in table_rows(doc, "mor_tensor", "[f, g, fg]")}
         return category, obj_tensor, mor_tensor, check_label(doc["unit"], "unit")

@@ -13,7 +13,7 @@ import json
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, boundaries, coskeletal_extension
+from .sset import TruncatedSSet, _with_level, boundaries, coskeletal_extension
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -84,46 +84,22 @@ def monoidal_nerve(
                 {a: two_label(m.unit, a, a, cat.id_of(a)) for a in levels[1]},
             ]
         )
-    if N >= 3:
-        stub = TruncatedSSet(levels, faces, degens + [[]])
-
-        def commutes(bt: tuple[str, ...]) -> bool:
-            x0, x1, x2, x3 = (data2[lab] for lab in bt)
-            a23, a01 = x0[0], x3[2]
-            left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(a01)))
-            right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
-            return left == right
-
-        bts = sorted(bt for bt in boundaries(stub, 3) if commutes(bt))
-        if len(bts) > max_simplices:
-            raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
-        labels3 = [f"s3:{k}" for k in range(len(bts))]
-        tup_to_label = dict(zip(bts, labels3))
-        levels.append(labels3)
-        faces.append(
-            [{lab: bt[i] for lab, bt in zip(labels3, bts)} for i in range(4)]
-        )
-
-        def degen3(i: int, y: str) -> str:
-            d0, d1, d2 = (faces[2][q][y] for q in range(3))
-            if i == 0:
-                quad = (y, y, degens[1][0][d1], degens[1][0][d2])
-            elif i == 1:
-                quad = (degens[1][0][d0], y, y, degens[1][1][d2])
-            else:
-                quad = (degens[1][1][d0], degens[1][1][d1], y, y)
-            try:
-                return tup_to_label[quad]
-            except KeyError:
-                raise StructuralError(
-                    f"degeneracy of 2-simplex {y!r} is not a commuting square"
-                ) from None
-
-        degens.append([{y: degen3(i, y) for y in levels[2]} for i in range(3)])
-
     degens.append([])
-    top = min(N, 3)
-    base = TruncatedSSet(levels[: top + 1], faces[: top + 1], degens[: top + 1])
-    if N <= 3:
-        return base
-    return coskeletal_extension(base, N, max_simplices=max_simplices)
+    T = TruncatedSSet(levels, faces, degens)
+    if N <= 2:
+        return T
+
+    def commutes(bt: tuple[str, ...]) -> bool:
+        x0, x1, x2, x3 = (data2[lab] for lab in bt)
+        a23, a01 = x0[0], x3[2]
+        left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(a01)))
+        right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
+        return left == right
+
+    bts = sorted(bt for bt in boundaries(T, 3) if commutes(bt))
+    if len(bts) > max_simplices:
+        raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
+    T = _with_level(T, bts)
+    if N == 3:
+        return T
+    return coskeletal_extension(T, N, max_simplices=max_simplices)

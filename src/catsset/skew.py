@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, SchemaError, StructuralError
+from .errors import BudgetExceededError, StructuralError
 from .finmon import (
     FinCategory,
     FinMonoidalStructure,
     LawViolation,
     Poset,
+    _require_keys,
     check_label,
     leq_label,
     poset_category,
@@ -127,9 +128,7 @@ class SkewData(FinMonoidalStructure):
     @classmethod
     def _fields_from_json(cls, doc: Mapping) -> tuple:
         fields = super()._fields_from_json(doc)
-        for key in ("alpha", "lambda", "rho"):
-            if key not in doc:
-                raise SchemaError(f"missing key {key!r}")
+        _require_keys(doc, "alpha", "lambda", "rho")
         alpha = {(a, b, c): v for a, b, c, v in table_rows(doc, "alpha", "[a, b, c, component]")}
         lam = {a: v for a, v in table_rows(doc, "lambda", "[a, component]")}
         rho = {a: v for a, v in table_rows(doc, "rho", "[a, component]")}

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import dyck
 from .errors import BudgetExceededError, SchemaError, StructuralError
-from .finmon import SCHEMA_VERSION, check_header, check_label, parse_json_text
+from .finmon import SCHEMA_VERSION, _require_keys, check_header, check_label, parse_json_text
 
 BoundaryTuple = tuple[str, ...]
 
@@ -155,9 +155,7 @@ class TruncatedSSet:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "TruncatedSSet":
         check_header(doc, "truncated_sset")
-        for key in ("levels", "faces", "degens"):
-            if key not in doc:
-                raise SchemaError(f"missing key {key!r}")
+        _require_keys(doc, "levels", "faces", "degens")
         levels = doc["levels"]
         if not isinstance(levels, list) or not all(isinstance(lv, list) for lv in levels):
             raise SchemaError("levels must be a list of label arrays")
@@ -366,6 +364,38 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
 # -- coskeletal extension -------------------------------------------------
 
 
+def _with_level(S: TruncatedSSet, tuples: Sequence[BoundaryTuple]) -> TruncatedSSet:
+    """``S`` plus level n = S.N + 1 whose simplices carry the face vectors ``tuples``.
+
+    The new simplices are labelled ``s{n}:{k}`` in the order of ``tuples``
+    and their faces project to components.  The simplicial identities
+    force the face vector of s_i x for an (n-1)-simplex x to be
+    (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
+    and it must be among ``tuples``.
+    """
+    m, n = S.N, S.N + 1
+    labels = [f"s{n}:{k}" for k in range(len(tuples))]
+    label_of = dict(zip(tuples, labels))
+    faces, below = S.faces[m], S.degens[m - 1]
+
+    def degenerate(i: int, x: str) -> str:
+        key = (
+            *(below[i - 1][faces[k][x]] for k in range(i)),
+            x,
+            x,
+            *(below[i][faces[k][x]] for k in range(i + 1, m + 1)),
+        )
+        if key not in label_of:
+            raise StructuralError(f"degenerate boundary at level {m} is not compatible")
+        return label_of[key]
+
+    return TruncatedSSet(
+        [*S.levels, labels],
+        [*S.faces, [{lab: t[i] for lab, t in zip(labels, tuples)} for i in range(n + 1)]],
+        [*S.degens[:-1], [{x: degenerate(i, x) for x in S.levels[m]} for i in range(n)], []],
+    )
+
+
 def coskeletal_extension(
     S: TruncatedSSet, N: int, max_simplices: int = 1_000_000
 ) -> TruncatedSSet:
@@ -379,52 +409,16 @@ def coskeletal_extension(
         raise ValueError("cannot extend below the current truncation")
     if check_simplicial_identities(S):
         raise StructuralError("input truncation violates the simplicial identities")
-    levels = [list(lv) for lv in S.levels]
-    faces = [[dict(m) for m in maps] for maps in S.faces]
-    degens = [[dict(m) for m in maps] for maps in S.degens[:-1]]
-    degens.append([])
-    current = S
-    total = current.size()
+    total = S.size()
     for n in range(S.N + 1, N + 1):
-        bts = sorted(boundaries(current, n))
+        bts = sorted(boundaries(S, n))
         total += len(bts)
         if total > max_simplices:
             raise BudgetExceededError(
                 f"extension to dimension {n} needs more than {max_simplices} simplices"
             )
-        labels = [f"s{n}:{k}" for k in range(len(bts))]
-        tup_to_label = dict(zip(bts, labels))
-        levels.append(labels)
-        faces.append(
-            [
-                {lab: bt[i] for lab, bt in zip(labels, bts)}
-                for i in range(n + 1)
-            ]
-        )
-        m = n - 1
-        new_degens = []
-        for i in range(m + 1):
-            table = {}
-            for x in levels[m]:
-                parts = []
-                for k in range(n + 1):
-                    if k in (i, i + 1):
-                        parts.append(x)
-                    elif k < i:
-                        parts.append(degens[m - 1][i - 1][faces[m][k][x]])
-                    else:
-                        parts.append(degens[m - 1][i][faces[m][k - 1][x]])
-                key = tuple(parts)
-                if key not in tup_to_label:
-                    raise StructuralError(
-                        f"degenerate boundary at level {m} is not compatible"
-                    )
-                table[x] = tup_to_label[key]
-            new_degens.append(table)
-        degens[m] = new_degens
-        degens.append([])
-        current = TruncatedSSet(levels, faces, degens)
-    return current
+        S = _with_level(S, bts)
+    return S
 
 
 # -- simplicial maps -------------------------------------------------------

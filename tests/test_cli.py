@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from catsset.cli import main
+from catsset.errors import SchemaError
+from catsset.finmon import FinMonoidalStructure
 from catsset.library import boolean_or, zmonoid
-from catsset.skew import skew_from_strict
+from catsset.skew import SkewData, skew_from_strict
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -232,6 +234,28 @@ def test_skew_check_rejects_unknown_labels(tmp_path, capsys, table):
     assert "ghost" in err and "Traceback" not in err
 
 
+# every required key of the strict and skew documents, deleted from a docs example
+REQUIRED_KEYS = [
+    *(("two-or.json", key) for key in ("objects", "morphisms", "identities", "compose",
+                                         "obj_tensor", "mor_tensor", "unit")),
+    *(("skew-two-or.json", key) for key in ("alpha", "lambda", "rho")),
+]
+
+
+@pytest.mark.parametrize("example, key", REQUIRED_KEYS)
+def test_missing_key_is_a_schema_error(tmp_path, capsys, example, key):
+    skew = example.startswith("skew")
+    doc = json.loads((EXAMPLES / example).read_text())
+    del doc[key]
+    with pytest.raises(SchemaError, match=f"missing key '{key}'"):
+        (SkewData if skew else FinMonoidalStructure).from_json_dict(doc)
+    bad = tmp_path / example
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(["skew", "check"] if skew else ["classify"]), str(bad))
+    assert (code, out) == (2, "")
+    assert f"missing key '{key}'" in err
+
+
 def test_config_rejects_non_integer_cap(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"caps": {"dyck": "ten"}}))
@@ -283,6 +307,22 @@ def test_skew_sweep_poset_budget(tmp_path, capsys):
 def test_skew_unknown_carrier(capsys):
     code, _, err = run(capsys, "skew", "sweep", "--carrier", "mystery")
     assert code == 2
+
+
+# a file for sweep, a carrier for check, or neither mode's own argument
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["skew", "sweep", "docs/examples/skew-two-or.json", "--carrier", "chain2"],
+        ["skew", "check", "docs/examples/skew-two-or.json", "--carrier", "chain2"],
+        ["skew", "sweep"],
+        ["skew", "check", "--json"],
+    ),
+)
+def test_skew_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_outputs_are_deterministic(capsys):

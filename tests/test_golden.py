@@ -16,9 +16,8 @@ from pathlib import Path
 import pytest
 
 from catsset.cli import main
-from catsset.library import structure_library
 from catsset.nerve import monoidal_nerve
-from catsset.sset import catalan_sset
+from catsset.sset import TruncatedSSet, catalan_sset, coskeletal_extension
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,12 +32,15 @@ CLI_GOLDEN = {
     "classify --json docs/examples/chain3-truncated-add.json": (0, "5828a958bed70cb62edfce13e45d8b312c808cabb0cf6d5baed95c6b11a58d4a"),
     "skew check docs/examples/skew-two-or.json": (0, "ad99fa1539f862e2cdae8ef508925b632b327eec08c358a168ce6b47069fdf7a"),
     "skew check docs/examples/skew-two-or.json --json": (0, "2db593ec14f6add3efaceb453b8f96589ee620fe7ed402b2de7a0bade1013471"),
+    "skew check --json docs/examples/skew-two-or.json": (0, "2db593ec14f6add3efaceb453b8f96589ee620fe7ed402b2de7a0bade1013471"),
     "skew check docs/examples/skew-kappa-z.json": (1, "29e853df6d91de96e1de6587511cf86c4a0ae84156b96f2feac902fadc0b656e"),
     "skew check docs/examples/skew-kappa-z.json --json": (1, "fcc4d208c2c5df712a3c16609ff8ae5f7df2ddeeed8787d58d138ab107cebe2d"),
     "skew sweep --carrier chain2 --json": (0, "e269ab7cf624400a415ea1e494a6c1a645cf6fd76ce42a5212562fb597d75b90"),
     "skew sweep --carrier chain3 --json": (0, "80127e2db5fb5fa2843b814e3523c79d9a4d6049fb4625eda86b88e705b6438a"),
     "skew sweep --carrier zmonoid --json": (0, "a792c26daae9670c279105781dbbf1890ab9971a2150236009faa9ab12b11f4a"),
     "verify --suite all --json": (0, "cb0c3dbd0d4a22f510d15a34381b097dcc75950cf92120ad316e1d722a7cf0e1"),
+    "face UUDUDD --index 1 --json": (0, "cbeb0cfc87496e90cb19edfc7fb10d16399edbfb8ac22ab7c652d0bf9ff401e4"),
+    "degeneracy UDUD --index 0 --json": (0, "fe712cd5e6098f5dfe986d089bc2388a8ea567bb76f2eabf36220ef22d20fa3f"),
 }
 
 CATALAN_GOLDEN = {
@@ -51,12 +53,58 @@ CATALAN_GOLDEN = {
     6: "769d365500ee059d944f20b69713a8e4ebb1720b63bbdf9d4959b0bcce6668c6",
 }
 
+#: Digests of ``monoidal_nerve(m, N)`` for N = 0..5.
 NERVE_GOLDEN = {
-    "two-or": "75d1b2412ddaba6a589fdabf7e5692855a66690b79751ac7a5ef7ae81d9f7e84",
-    "chain3-max": "a5959d7425c7ee6fd77e0a7386e5197228fb8f869c3cedb1190a1a747e03f11c",
-    "chain3-truncated-add": "2708cd5c1dc66928dcb1a4591609b1a00c863a66a61e37f873adff676293a8e5",
-    "antichain2": "1ced1844e9540c311a9f9f9c5d145195391518545fbcc7ac48e5b739c79d9d21",
-    "zmonoid": "f19cc2ec8fb25dbed5f95aa217982e85ef95618267b4c42946d991f25ab3271d",
+    "two-or": (
+        "b49509e21cf6a1b376d050e1dfaa3fc124b9c9f1f8d1bdb679a17fff630548d4",
+        "e627ce5fc6685d62ac581ad2157e52ba40d91750da352337688c775cd1fa9f7f",
+        "da6d7c3ae3e3c1f8dfa0c817476a5c2cc6b81be0d61a8245d44a924aad91b5ae",
+        "0427883141e5cb52b87265c0916a63831b0adbe74fc11f7b45bce9ff03edd046",
+        "0cfe599d8268f97d1155898b5b7c17493e440b4f50544bdd57f5433d4693c2a9",
+        "75d1b2412ddaba6a589fdabf7e5692855a66690b79751ac7a5ef7ae81d9f7e84",
+    ),
+    "chain3-max": (
+        "b49509e21cf6a1b376d050e1dfaa3fc124b9c9f1f8d1bdb679a17fff630548d4",
+        "e1567bb1324ec1a2ba508da436a1d039301ccf22915a99988fe2430ad6add51a",
+        "8b1a50b38e98bafe72d81f332217cfbf4cc8b120d81f22b82bb750ad68890aa3",
+        "6c285c81609280847084fc8c2b9b6b5050225fa021801953fd675cf5261da0f6",
+        "7fb6b3ac86470753334b550694547891cd4505462eb203217942e387716a634c",
+        "a5959d7425c7ee6fd77e0a7386e5197228fb8f869c3cedb1190a1a747e03f11c",
+    ),
+    "chain3-truncated-add": (
+        "b49509e21cf6a1b376d050e1dfaa3fc124b9c9f1f8d1bdb679a17fff630548d4",
+        "e1567bb1324ec1a2ba508da436a1d039301ccf22915a99988fe2430ad6add51a",
+        "d9412bc51bc2988ec7a4f9aec8f14f8cb793576c7610d2cd6dded46d32aadc82",
+        "651ddaa268f54bf46413b09b4971efab81579ca4358934b8f94e4f0f1cad63e6",
+        "f981e746bb8d4ea093fa6edcf7809fba0a790f20bb3ab25f4f03d07ec54322ec",
+        "2708cd5c1dc66928dcb1a4591609b1a00c863a66a61e37f873adff676293a8e5",
+    ),
+    "antichain2": (
+        "b49509e21cf6a1b376d050e1dfaa3fc124b9c9f1f8d1bdb679a17fff630548d4",
+        "0ed694f8861c781f5b429032b09b0a5cab265c5e9198ad9ebcb4cfa06104ee25",
+        "4aa71136d5fbaf40f00387f581da04f2e46c37f2ca50c8ab6092b16c0413547b",
+        "090ea02e67337802a41bbdcee1629d87bfb782773ab63efc342d0f52cbad5176",
+        "7e8f4695ffa157358facf15a76703ef2d24cbc05e0dfb0bab5864861fd72830d",
+        "1ced1844e9540c311a9f9f9c5d145195391518545fbcc7ac48e5b739c79d9d21",
+    ),
+    "zmonoid": (
+        "b49509e21cf6a1b376d050e1dfaa3fc124b9c9f1f8d1bdb679a17fff630548d4",
+        "bde4c6735dfdd878236b910b5a438c93b3ec00f0eec0330290deaa60c9d1111a",
+        "c675fdfee9fbd24ae0c4e2a7e4418244066253423e3e4686920e1bd8f5898ecf",
+        "6e04f75b051110865d6308831c0c8f71b44283f09e76c4858f59e5667d1cf512",
+        "2fd9525aa7ce2e4baae044cd521d9718020174abbf559c60dca8b29a1e9bbc7c",
+        "f19cc2ec8fb25dbed5f95aa217982e85ef95618267b4c42946d991f25ab3271d",
+    ),
+}
+
+EXTENSION_GOLDEN = {
+    "catalan2-to-6": "626b485234cadc8647f7339c40e6e42c377379899c279c74bf9945f05d3ec6a9",
+    "point-to-5": "e77dc08f81d984b2dc1b41869e6d5a39c80108c28584df03829ead3f28b72382",
+}
+
+EXTENSIONS = {
+    "catalan2-to-6": lambda: coskeletal_extension(catalan_sset(2), 6),
+    "point-to-5": lambda: coskeletal_extension(TruncatedSSet([["pt"]], [[]], [[]]), 5),
 }
 
 
@@ -75,4 +123,10 @@ def test_catalan_json_is_pinned(n):
 
 @pytest.mark.parametrize("name", list(NERVE_GOLDEN))
 def test_library_nerve_json_is_pinned(name, library):
-    assert sha(monoidal_nerve(library[name], 5).to_json_text()) == NERVE_GOLDEN[name]
+    got = tuple(sha(monoidal_nerve(library[name], N).to_json_text()) for N in range(6))
+    assert got == NERVE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("case", list(EXTENSION_GOLDEN))
+def test_coskeletal_extension_json_is_pinned(case):
+    assert sha(EXTENSIONS[case]().to_json_text()) == EXTENSION_GOLDEN[case]

@@ -10,6 +10,7 @@ from catsset.library import boolean_or, zmonoid
 from catsset.nerve import monoidal_nerve
 from catsset.sset import (
     TruncatedSSet,
+    _with_level,
     boundaries,
     catalan_sset,
     check_simplicial_identities,
@@ -198,6 +199,11 @@ def test_extension_rejects_inconsistent_input():
         coskeletal_extension(TruncatedSSet(levels, faces, degens), 4)
 
 
+def test_new_level_needs_the_forced_degeneracies(catalan2):
+    with pytest.raises(StructuralError, match="not compatible"):
+        _with_level(catalan2, [])
+
+
 def test_extension_budget():
     with pytest.raises(BudgetExceededError):
         coskeletal_extension(catalan_sset(2), 6, max_simplices=50)
@@ -297,6 +303,9 @@ TABLE_ERRORS = {
         lambda doc: doc["levels"][0].__setitem__(0, ["x"]), "levels[0][0] must be a string label"
     ),
     "schema-version": (_set_key("schema_version", 99), "unsupported schema_version 99"),
+    "missing-levels": (lambda doc: doc.pop("levels"), "missing key 'levels'"),
+    "missing-faces": (lambda doc: doc.pop("faces"), "missing key 'faces'"),
+    "missing-degens": (lambda doc: doc.pop("degens"), "missing key 'degens'"),
     "duplicate-label": (
         lambda doc: doc["levels"][1].__setitem__(1, doc["levels"][1][0]),
         "duplicate labels at level 1",
