@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from catsset.finmon import (
     FinCategory,
     FinMonoidalStructure,
     MonoidalPoset,
+    antichain_poset,
     chain_poset,
     poset_as_category,
     poset_category,
@@ -342,6 +344,40 @@ def test_category_sweep_budget_counts_raw_tables():
     # counted before typing leaves at most one table per object table
     with pytest.raises(BudgetExceededError, match="314928 raw tensor tables"):
         list(skew_candidates(SWEEP_CARRIERS["chain2-category"](), budget=314927))
+
+
+#: Candidate count and digest of the candidate stream, in stream order.
+STREAM_GOLDEN = {
+    "chain1": (1, "0a95d48596a99d41dae26e83331b6b25eca8ae0907aa55d280931a77ed6912e7"),
+    "chain2": (4, "824dfa6f98e6e8f6292d0b854e5a5ca9a8373c471cd279e88932899d25a62d27"),
+    "chain3": (29, "4212e0809db984773af78471ddf9fbc66903a251a8c19d65afa88ed9245b10da"),
+    "antichain2": (4, "9a15684ef6477c0b3b38bcefb5cfb1efeb4f26cf7191929739494ad43173ab6c"),
+    "antichain3": (33, "3c07c5652d64ea28271979191a2e0b93cb93101fc10b59d884abb538fc117e7a"),
+    "chain2-category": (4, "824dfa6f98e6e8f6292d0b854e5a5ca9a8373c471cd279e88932899d25a62d27"),
+}
+
+STREAM_CARRIERS = {
+    "chain1": lambda: chain_poset(["0"]),
+    "chain2": lambda: chain_poset(["0", "1"]),
+    "chain3": lambda: chain_poset(["0", "1", "2"]),
+    "antichain2": lambda: antichain_poset(["a", "b"]),
+    "antichain3": lambda: antichain_poset(["a", "b", "c"]),
+    "chain2-category": SWEEP_CARRIERS["chain2-category"],
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(STREAM_GOLDEN))
+def test_candidate_stream_is_pinned(carrier_name):
+    # tables are digested as sorted items: only the order of candidates
+    # is part of the contract, not the insertion order of a table
+    h = hashlib.sha256()
+    count = 0
+    for d in skew_candidates(STREAM_CARRIERS[carrier_name]()):
+        count += 1
+        tables = (d.obj_tensor, d.mor_tensor, d.alpha, d.lam, d.rho)
+        row = (d.unit, d.kappa, *(sorted(t.items()) for t in tables))
+        h.update(repr(row).encode("utf-8") + b"\n")
+    assert (count, h.hexdigest()) == STREAM_GOLDEN[carrier_name]
 
 
 # -- structural error messages -------------------------------------------
