@@ -174,6 +174,11 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
     The strict tensor identifies eta with eta', so all three enumerations
     must produce exactly the same (A, mu, eta) triples.
     """
+    return _classification(m)[1]
+
+
+def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
+    """The records and the three-way verdict, from one Catalan set and one nerve."""
     S = catalan_sset(4)
     T = monoidal_nerve(m, 4)
     records = _generator_records(S, T, m)
@@ -182,7 +187,7 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}
     engine_triples = {map_triple(T, f) for f in maps}
-    return (
+    return records, (
         len(records) == len(monoids) == len(maps)
         and record_triples == monoid_triples == engine_triples
     )

@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import dyck, motzkin
-from .classify import classify_maps, verify_classification
+from .classify import _classification
 from .errors import BudgetExceededError, CatssetError
 from .finmon import SCHEMA_VERSION, FinCategory, FinMonoidalStructure, Poset, chain_poset, validate_category, validate_strict_monoidal
 from .library import boolean_or, zmonoid_category
@@ -203,6 +203,8 @@ def _suite_coskeletal(r: int, max_dim: int) -> list[Check]:
 
 
 def _suite_nerve_iso(max_dim: int) -> list[Check]:
+    if max_dim < 1:
+        raise ValueError("the nerve-iso suite checks edges, so it needs --max-dim >= 1")
     S = catalan_sset(max_dim)
     T = monoidal_nerve(boolean_or(), max_dim)
     isos = isomorphisms(S, T)
@@ -268,16 +270,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks: list[Check] = []
     suite = args.suite
     if suite in ("identities", "all"):
-        checks.extend(_suite_identities(args.max_dim if args.max_dim else 8))
+        checks.extend(_suite_identities(args.max_dim if args.max_dim is not None else 8))
     if suite in ("coskeletal", "all"):
         r = args.r if args.r is not None else 2
-        checks.extend(_suite_coskeletal(r, args.max_dim if args.max_dim else 6))
+        checks.extend(_suite_coskeletal(r, args.max_dim if args.max_dim is not None else 6))
     if suite in ("nerve-iso", "all"):
-        checks.extend(_suite_nerve_iso(min(args.max_dim, 4) if args.max_dim else 4))
+        checks.extend(_suite_nerve_iso(min(args.max_dim, 4) if args.max_dim is not None else 4))
     if suite in ("motzkin", "all"):
-        checks.extend(_suite_motzkin(args.max_n if args.max_n else 7))
+        checks.extend(_suite_motzkin(args.max_n if args.max_n is not None else 7))
     if suite in ("binomial", "all"):
-        checks.extend(_suite_binomial(args.max_n if args.max_n else 12))
+        checks.extend(_suite_binomial(args.max_n if args.max_n is not None else 12))
     passed = all(ok for _, ok, _ in checks)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -308,8 +310,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise CatssetError(
             f"structure violates the laws: {problems[0]} ({len(problems)} total)"
         )
-    records = classify_maps(m)
-    verdict = verify_classification(m)
+    records, verdict = _classification(m)
     triples = sorted(r.triple() for r in records)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -344,7 +345,6 @@ def _carrier(name: str) -> Poset | FinCategory:
 
 
 def cmd_skew(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     if args.mode == "check":
         with open(args.file, "r", encoding="utf-8") as handle:
             d = SkewData.from_json_text(handle.read())
@@ -376,7 +376,7 @@ def cmd_skew(args: argparse.Namespace) -> int:
         lines.append(f"pentagon/axiom equivalence consistent: {str(equivalent).lower()}")
         _emit(args, doc, lines)
         return 0 if ok else 1
-    summary = sweep_equivalence(_carrier(args.carrier), config["budget"])
+    summary = sweep_equivalence(_carrier(args.carrier), _load_config(args.config)["budget"])
     return _emit_sweep(args, summary)
 
 
@@ -415,7 +415,6 @@ def _emit_sweep(args: argparse.Namespace, summary) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--config", help="JSON file overriding caps and budgets")
 
     parser = argparse.ArgumentParser(
         prog="catsset",
@@ -425,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list simplices of a dimension")
     p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--config", help="JSON file overriding the dimension caps")
     p.add_argument("--nondegenerate", action="store_true")
     p.add_argument(
         "--as", dest="form", choices=("dyck", "relation", "motzkin"), default="dyck"
@@ -469,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_skew)
     q = modes.add_parser("sweep", parents=[common], help="sweep every skew candidate on a carrier")
     q.add_argument("--carrier", required=True, help="zmonoid, or chainN for the chain of N elements")
+    q.add_argument("--config", help="JSON file overriding the sweep budget")
     q.set_defaults(func=cmd_skew)
 
     return parser

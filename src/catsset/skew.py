@@ -26,9 +26,7 @@ from .finmon import (
     Poset,
     _require_keys,
     check_label,
-    leq_label,
     poset_category,
-    poset_mor_tensor,
     table_rows,
     tensor_violations,
 )
@@ -379,89 +377,75 @@ def is_monoidal(d: SkewData) -> bool:
 # -- candidate sweeps --------------------------------------------------
 
 
-def _monotone_tensors(p: Poset) -> Iterator[dict[tuple[str, str], str]]:
-    elems = sorted(p.elements)
-    pairs = [(a, b) for a in elems for b in elems]
-    cell = {pair: k for k, pair in enumerate(pairs)}
-    # cell pairs that monotonicity orders; a <= a always holds, so only
-    # the strict relations a < b need checking
-    strict = [(a, b) for a, b in p.leq if a != b]
-    ordered = [(cell[(a, c)], cell[(b, c)]) for a, b in strict for c in elems]
-    ordered += [(cell[(c, a)], cell[(c, b)]) for a, b in strict for c in elems]
-    for values in product(elems, repeat=len(pairs)):
-        if all((values[i], values[j]) in p.leq for i, j in ordered):
-            yield dict(zip(pairs, values))
+def _object_tensors(
+    cat: FinCategory, typed: Mapping[tuple[str, str], tuple[str, ...]]
+) -> Iterator[dict[tuple[str, str], str]]:
+    """The object tables of the raw product, in its order, filled cell by cell.
 
-
-def _check_budget(raw: int, budget: int) -> None:
-    if raw > budget:
-        raise BudgetExceededError(
-            f"{raw} raw tensor tables exceed the sweep budget {budget}"
-        )
-
-
-def _poset_candidates(p: Poset, budget: int) -> Iterator[SkewData]:
-    """All skew data over a poset: monotone tensor, unit, forced components.
-
-    Components are the unique order witnesses; a candidate is skipped
-    when some required relation fails, because no component exists then.
-    Every endomorphism in a poset is an identity, so kappa is forced.
-    The raw table count, n^(n*n) for n elements, is capped.
+    A pair of morphisms f: a -> b, g: c -> d types the morphism-tensor
+    cell (f, g) by an arrow a(x)c -> b(x)d; a table is skipped as soon as
+    both object cells of such an arrow are set and its hom-set is empty,
+    because no morphism tensor exists over it.  For a poset this is
+    monotonicity.
     """
-    elems = sorted(p.elements)
-    _check_budget(len(elems) ** (len(elems) ** 2), budget)
-    cat = poset_category(p)
-    for table in _monotone_tensors(p):
-        units = [
-            unit
-            for unit in elems
-            if all(p.le(table[(unit, a)], a) and p.le(a, table[(a, unit)]) for a in elems)
-        ]
-        if not units or not all(
-            p.le(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
-            for a in elems
-            for b in elems
-            for c in elems
-        ):
+    objs = sorted(cat.objects)
+    obj_pairs = [(a, b) for a in objs for b in objs]
+    cell = {pair: k for k, pair in enumerate(obj_pairs)}
+    arrows = {
+        (cell[(cat.src(f), cat.src(g))], cell[(cat.tgt(f), cat.tgt(g))])
+        for f in cat.morphism_labels()
+        for g in cat.morphism_labels()
+    }
+    # an endomorphism cell always holds the identity, so only arrows
+    # between two cells are checked, at the later of the two
+    checks: list[list[tuple[int, int]]] = [[] for _ in obj_pairs]
+    for i, j in arrows:
+        if i != j:
+            checks[max(i, j)].append((i, j))
+    last = len(obj_pairs) - 1
+    picks = [-1] * len(obj_pairs)
+    values = [objs[0]] * len(obj_pairs)
+    k = 0
+    while k >= 0:
+        picks[k] += 1
+        if picks[k] == len(objs):
+            picks[k] = -1
+            k -= 1
             continue
-        mor_tensor = poset_mor_tensor(p, table)
-        violation = next(tensor_violations(cat, table, mor_tensor), None)
-        if violation is not None:
-            raise StructuralError(violation.detail)
-        alpha = {
-            (a, b, c): leq_label(table[(table[(a, b)], c)], table[(a, table[(b, c)])])
-            for a in elems
-            for b in elems
-            for c in elems
-        }
-        for unit in units:
-            lam = {a: leq_label(table[(unit, a)], a) for a in elems}
-            rho = {a: leq_label(a, table[(a, unit)]) for a in elems}
-            yield SkewData._over_bifunctor(cat, table, mor_tensor, unit, alpha, lam, rho, None)
+        values[k] = objs[picks[k]]
+        if not checks[k] or all(typed[(values[i], values[j])] for i, j in checks[k]):
+            if k == last:
+                yield dict(zip(obj_pairs, values))
+            else:
+                k += 1
 
 
-def _category_candidates(cat: FinCategory, budget: int) -> Iterator[SkewData]:
+def _category_candidates(cat: FinCategory) -> Iterator[SkewData]:
     """All skew data over a small category by table search.
 
     Object tensors, bifunctorial morphism tensors, units, components and
-    every kappa choice are enumerated; the raw table count is capped.
-    Each morphism-tensor cell only ranges over the morphisms of the type
-    the object tensor forces on it, and a pair of identities only over
-    the identity of its tensor, so the tables tried are exactly those of
-    the raw product that can be bifunctors, in the same order.  An object
-    tensor with no alpha component for some triple yields nothing and is
-    skipped before its morphism tables.
+    every kappa choice are enumerated.  Each morphism-tensor cell only
+    ranges over the morphisms of the type the object tensor forces on it,
+    and a pair of identities only over the identity of its tensor, so the
+    tables tried are exactly those of the raw product that can be
+    bifunctors, in the same order.  An object tensor with no unit, or with
+    no alpha component for some triple, yields nothing and is skipped
+    before its morphism tables.
     """
     objs = sorted(cat.objects)
     mors = sorted(cat.morphism_labels())
-    obj_pairs = [(a, b) for a in objs for b in objs]
     mor_pairs = [(f, g) for f in mors for g in mors]
-    _check_budget(len(objs) ** len(obj_pairs) * len(mors) ** len(mor_pairs), budget)
     triples = [(a, b, c) for a in objs for b in objs for c in objs]
     typed = {(s, t): tuple(sorted(cat.hom(s, t))) for s in objs for t in objs}
     object_of = {cat.id_of(a): a for a in objs}
-    for obj_values in product(objs, repeat=len(obj_pairs)):
-        obj_tensor = dict(zip(obj_pairs, obj_values))
+    for obj_tensor in _object_tensors(cat, typed):
+        units = [
+            unit
+            for unit in objs
+            if all(typed[(obj_tensor[(unit, a)], a)] and typed[(a, obj_tensor[(a, unit)])] for a in objs)
+        ]
+        if not units:
+            continue
         alpha_choices = [
             cat.hom(obj_tensor[(obj_tensor[(a, b)], c)], obj_tensor[(a, obj_tensor[(b, c)])])
             for a, b, c in triples
@@ -478,7 +462,7 @@ def _category_candidates(cat: FinCategory, budget: int) -> Iterator[SkewData]:
             mor_tensor = dict(zip(mor_pairs, mor_values))
             if next(tensor_violations(cat, obj_tensor, mor_tensor), None) is not None:
                 continue
-            for unit in objs:
+            for unit in units:
                 lam_choices = [cat.hom(obj_tensor[(unit, a)], a) for a in objs]
                 rho_choices = [cat.hom(a, obj_tensor[(a, unit)]) for a in objs]
                 for alpha_pick in product(*alpha_choices):
@@ -499,21 +483,29 @@ def skew_candidates(
 ) -> Iterator[SkewData]:
     """Structurally valid skew data over a small carrier, every kappa included.
 
-    ``budget`` caps the raw tensor tables, counted before typing prunes them.
+    A poset is searched as its thin category.  ``budget`` caps the raw
+    tensor tables, counted before typing prunes them: n^(n*n) for a poset
+    with n elements, and n^(n*n) * m^(m*m) for a category with n objects
+    and m morphisms.
     """
     if isinstance(carrier, Poset):
-        if len(carrier.elements) > 3:
+        n = len(carrier.elements)
+        if n > 3:
             raise BudgetExceededError("poset sweeps are capped at 3 elements")
-        yield from _poset_candidates(carrier, budget)
-        return
-    if isinstance(carrier, FinCategory):
-        if len(carrier.objects) > 2 or len(carrier.morphisms) > 6:
+        raw = n ** (n * n)
+        carrier = poset_category(carrier)
+    elif isinstance(carrier, FinCategory):
+        n, m = len(carrier.objects), len(carrier.morphisms)
+        if n > 2 or m > 6:
             raise BudgetExceededError(
                 "category sweeps are capped at 2 objects and 6 morphisms"
             )
-        yield from _category_candidates(carrier, budget)
-        return
-    raise TypeError(f"unsupported carrier type {type(carrier).__name__}")
+        raw = n ** (n * n) * m ** (m * m)
+    else:
+        raise TypeError(f"unsupported carrier type {type(carrier).__name__}")
+    if raw > budget:
+        raise BudgetExceededError(f"{raw} raw tensor tables exceed the sweep budget {budget}")
+    yield from _category_candidates(carrier)
 
 
 def enumerate_skew_structures(

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import catsset.classify
 from catsset.cli import main
 from catsset.errors import SchemaError
 from catsset.finmon import FinMonoidalStructure
@@ -132,6 +133,27 @@ def test_verify_nerve_iso_json(capsys):
     assert any("1 isomorphism" in c["detail"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv, first_check",
+    (
+        (["--suite", "identities", "--max-dim", "0"], "identities-dyck-0"),
+        (["--suite", "binomial", "--max-n", "0"], "binomial-identity-upto-0"),
+    ),
+)
+def test_verify_honours_a_zero_bound(capsys, argv, first_check):
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["name"] == first_check
+
+
+# nerve-iso reads level-1 edges, and not-1-coskeletal needs 2-boundaries
+@pytest.mark.parametrize("suite", ("nerve-iso", "coskeletal"))
+def test_verify_suite_that_cannot_run_at_zero_exits_2(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-dim", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_identities_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--max-dim", "5")
     assert code == 0
@@ -150,6 +172,20 @@ def test_classify_files(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert "count: 2" in lines
     assert lines[-1] == "three-way agreement: true"
+
+
+def test_classify_builds_the_nerve_once(capsys, monkeypatch):
+    built = []
+    real = catsset.classify.monoidal_nerve
+
+    def counting(m, n):
+        built.append(n)
+        return real(m, n)
+
+    monkeypatch.setattr(catsset.classify, "monoidal_nerve", counting)
+    code, out, _ = run(capsys, "classify", str(EXAMPLES / "two-or.json"))
+    assert code == 0 and "three-way agreement: true" in out
+    assert built == [4]
 
 
 def test_classify_shipped_examples(capsys):
@@ -320,6 +356,21 @@ def test_skew_unknown_carrier(capsys):
     ),
 )
 def test_skew_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+# only enumerate and skew sweep read a config file
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["face", "UDUD", "--index", "0", "--config", "/nonexistent.json"],
+        ["classify", "docs/examples/two-or.json", "--config", "/nonexistent.json"],
+        ["skew", "check", "docs/examples/skew-two-or.json", "--config", "/nonexistent.json"],
+    ),
+)
+def test_config_where_it_is_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from catsset.errors import BudgetExceededError, SchemaError, StructuralError
 from catsset.classify import classify_maps
+from catsset.dyck import FREE_EDGE, dimension, ez_decompose, face
 from catsset.finmon import (
     FinCategory,
     FinMonoidalStructure,
@@ -16,8 +17,11 @@ from catsset.finmon import (
     validate_strict_monoidal,
 )
 from catsset.library import boolean_or, chain3_max, zmonoid, zmonoid_category
+from catsset.motzkin import dyck_to_motzkin
 from catsset.nerve import monoidal_nerve
+from catsset.sset import catalan_sset
 from catsset.skew import (
+    PENTAGONS,
     SkewData,
     SweepSummary,
     check_axioms,
@@ -378,6 +382,125 @@ def test_candidate_stream_is_pinned(carrier_name):
         row = (d.unit, d.kappa, *(sorted(t.items()) for t in tables))
         h.update(repr(row).encode("utf-8") + b"\n")
     assert (count, h.hexdigest()) == STREAM_GOLDEN[carrier_name]
+
+
+# -- the pentagon conditions read off the Catalan simplicial set --------
+
+#: The hand-written condition of each non-degenerate 4-simplex, by Motzkin word.
+PENTAGON_OF = {
+    "CCCC": "A1", "CUDC": "A2", "UDCC": "A3", "CCUD": "A4", "UUDD": "A5",
+    "UDUD": "A6", "UCCD": "A7", "CUCD": "A8", "UCDC": "A9",
+}
+
+#: The constraint component of each non-degenerate 3-simplex, by Motzkin
+#: word, at the objects of its free spine edges.
+COMPONENT_OF = {
+    "CCC": lambda d, a, b, c: d.alpha[(a, b, c)],
+    "UDC": lambda d, a: d.lam[a],
+    "CUD": lambda d, a: d.rho[a],
+    "UCD": lambda d: d.kappa,
+}
+
+
+def _is_free(x: str, j: int, k: int) -> bool:
+    """Whether the edge of the simplex x from vertex j to vertex k is free."""
+    for v in reversed(range(dimension(x) + 1)):
+        if v not in (j, k):
+            x = face(x, v)
+    return x == FREE_EDGE
+
+
+def _pentagon_of_simplex(x: str):
+    """The condition a non-degenerate 4-simplex x reads off its faces.
+
+    It maps skew data and the objects of the free spine edges of x to a
+    (top, bottom) pair of edge paths, top [d_1, d_3] and bottom
+    [d_4, d_2, d_0], in the form of the hand-written table.
+    """
+    spine = [j for j in range(4) if _is_free(x, j, j + 1)]
+    faces = []
+    for i in range(5):
+        phi, core = ez_decompose(face(x, i))
+        verts = [v for v in range(5) if v != i]
+        edges = [(a, b) for a, b in zip(verts, verts[1:]) if _is_free(x, a, b)]
+        faces.append((COMPONENT_OF[dyck_to_motzkin(core)], edges) if phi.is_identity else None)
+
+    def condition(d: SkewData, *args: str):
+        c = d.category
+        obj = dict(zip(spine, args))
+
+        def edge_object(a: int, b: int) -> str:
+            if b == a + 1:
+                return obj[a]
+            # a merged edge is read through the deleted vertex a + 1: the
+            # tensor of two free edges, the unit under two unit edges, or
+            # else the one free edge
+            free = [obj[j] for j in (a, a + 1) if j in obj]
+            return d.tensor_obj(*free) if len(free) == 2 else free[0] if free else d.unit
+
+        morphisms = []
+        for i, entry in enumerate(faces):
+            if entry is None:
+                morphisms.append(None)
+                continue
+            component, edges = entry
+            f = component(d, *(edge_object(a, b) for a, b in edges))
+            if i == 0 and 0 in obj:
+                f = d.tensor_mor(c.id_of(obj[0]), f)
+            if i == 4 and 3 in obj:
+                f = d.tensor_mor(f, c.id_of(obj[3]))
+            morphisms.append(f)
+        top = [morphisms[1], morphisms[3]]
+        bottom = [morphisms[4], morphisms[2], morphisms[0]]
+        source = next(c.src(f) for f in top + bottom if f is not None)
+        return _with_identities(c, top, source), _with_identities(c, bottom, source)
+
+    return len(spine), condition
+
+
+def _with_identities(c: FinCategory, path, source: str) -> list[str]:
+    """The path with each degenerate face an identity where its neighbours meet."""
+    out = []
+    for p, f in enumerate(path):
+        if f is None:
+            after = [g for g in path[p + 1:] if g is not None]
+            f = c.id_of(c.tgt(out[-1]) if out else c.src(after[0]) if after else source)
+        out.append(f)
+    return out
+
+
+def test_pentagons_biject_with_the_nondegenerate_4_simplices():
+    words = {dyck_to_motzkin(x) for x in catalan_sset(4).nondegenerate(4)}
+    assert words == set(PENTAGON_OF)
+    assert sorted(PENTAGON_OF.values()) == [name for name, _, _ in PENTAGONS]
+
+
+def test_pentagons_are_read_off_the_catalan_4_simplices():
+    hand = {name: (arity, fn) for name, arity, fn in PENTAGONS}
+    derived = {
+        PENTAGON_OF[dyck_to_motzkin(x)]: _pentagon_of_simplex(x)
+        for x in catalan_sset(4).nondegenerate(4)
+    }
+    assert {name: arity for name, (arity, _) in derived.items()} == {
+        name: arity for name, (arity, _) in hand.items()
+    }
+    carriers = (
+        chain_poset(["0", "1"]),
+        chain_poset(["0", "1", "2"]),
+        antichain_poset(["a", "b", "c"]),
+        zmonoid_category(),
+        SWEEP_CARRIERS["chain2-category"](),
+        monoid_1ab(),
+    )
+    instances = 0
+    for carrier in carriers:
+        for d in skew_candidates(carrier):
+            objs = sorted(d.category.objects)
+            for name, (arity, condition) in derived.items():
+                for args in product(objs, repeat=arity):
+                    assert condition(d, *args) == hand[name][1](d, *args), (name, args)
+                    instances += 1
+    assert instances == 34354
 
 
 # -- structural error messages -------------------------------------------
