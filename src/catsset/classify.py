@@ -19,10 +19,11 @@ from .nerve import monoidal_nerve, two_label, two_simplex_data
 from .sset import (
     SimplicialMap,
     TruncatedSSet,
+    _commutes,
     _extend_by_fillers,
+    _indexed,
+    _labelled_map,
     catalan_sset,
-    is_simplicial_map,
-    make_map,
     simplicial_maps,
 )
 
@@ -134,8 +135,8 @@ def _generator_records(
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
             continue
         comps = _generator_components(S, T, m, a, mu, etap)
-        full = _extend_by_fillers(S, T, comps)
-        if full is None or not is_simplicial_map(S, T, full):
+        full = _extend_by_fillers(S, T, _indexed(S, T, comps))
+        if full is None or not _commutes(S, T, full):
             raise StructuralError(
                 f"candidate ({a!r}, {mu!r}, {etap!r}) passed the square conditions "
                 "but does not extend to a map"
@@ -145,7 +146,7 @@ def _generator_records(
         eta = m.category.compose(etap, m.category.id_of(m.unit))
         out.append(
             ClassificationRecord(
-                map=make_map(S, T, full),
+                map=_labelled_map(S, T, full),
                 monoid=MonoidObject(a, mu, eta),
                 eta_prime=etap,
             )

@@ -266,20 +266,46 @@ def _suite_binomial(max_n: int) -> list[Check]:
     ]
 
 
+#: The bound flags each verify suite reads.
+_SUITE_BOUNDS = {
+    "identities": ("max_dim",),
+    "coskeletal": ("max_dim", "r"),
+    "nerve-iso": ("max_dim",),
+    "motzkin": ("max_n",),
+    "binomial": ("max_n",),
+    "all": ("max_dim", "max_n", "r"),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks: list[Check] = []
     suite = args.suite
+    for flag in ("max_dim", "max_n", "r"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        if flag not in _SUITE_BOUNDS[suite]:
+            raise ValueError(f"the {suite} suite does not read {option}")
+        if value < 0:
+            raise ValueError(f"{option} must be non-negative, got {value}")
+    cap = DEFAULT_CAPS["dyck"]
+    if args.max_dim is not None and args.max_dim > cap:
+        raise BudgetExceededError(f"--max-dim {args.max_dim} exceeds the dyck cap {cap}")
+
+    def bound(value: int | None, default: int) -> int:
+        return default if value is None else value
+
+    checks: list[Check] = []
     if suite in ("identities", "all"):
-        checks.extend(_suite_identities(args.max_dim if args.max_dim is not None else 8))
+        checks.extend(_suite_identities(bound(args.max_dim, 8)))
     if suite in ("coskeletal", "all"):
-        r = args.r if args.r is not None else 2
-        checks.extend(_suite_coskeletal(r, args.max_dim if args.max_dim is not None else 6))
+        checks.extend(_suite_coskeletal(bound(args.r, 2), bound(args.max_dim, 6)))
     if suite in ("nerve-iso", "all"):
-        checks.extend(_suite_nerve_iso(min(args.max_dim, 4) if args.max_dim is not None else 4))
+        checks.extend(_suite_nerve_iso(bound(args.max_dim, 4)))
     if suite in ("motzkin", "all"):
-        checks.extend(_suite_motzkin(args.max_n if args.max_n is not None else 7))
+        checks.extend(_suite_motzkin(bound(args.max_n, 7)))
     if suite in ("binomial", "all"):
-        checks.extend(_suite_binomial(args.max_n if args.max_n is not None else 12))
+        checks.extend(_suite_binomial(bound(args.max_n, 12)))
     passed = all(ok for _, ok, _ in checks)
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -13,7 +13,7 @@ import json
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _with_level, boundaries, coskeletal_extension
+from .sset import TruncatedSSet, _boundaries, _with_level, coskeletal_extension
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -49,13 +49,13 @@ def monoidal_nerve(
     cat = m.category
 
     levels: list[list[str]] = [["*"]]
-    faces: list[list[dict[str, str]]] = [[]]
-    degens: list[list[dict[str, str]]] = []
+    faces: list[list[list[int]]] = [[]]
+    degens: list[list[list[int]]] = []
     if N >= 1:
         objs = sorted(cat.objects)
         levels.append(objs)
-        faces.append([{a: "*" for a in objs}, {a: "*" for a in objs}])
-        degens.append([{"*": m.unit}])
+        faces.append([[0] * len(objs), [0] * len(objs)])
+        degens.append([[objs.index(m.unit)]])
     if N >= 2:
         data2: dict[str, tuple[str, str, str, str]] = {}
         for a12 in cat.objects:
@@ -70,18 +70,15 @@ def monoidal_nerve(
                 f"nerve level 2 would have {len(data2)} simplices"
             )
         two = sorted(data2)
+        data = [data2[lab] for lab in two]
+        obj_at = {a: k for k, a in enumerate(objs)}
+        two_at = {lab: k for k, lab in enumerate(two)}
         levels.append(two)
-        faces.append(
-            [
-                {lab: data2[lab][0] for lab in two},
-                {lab: data2[lab][1] for lab in two},
-                {lab: data2[lab][2] for lab in two},
-            ]
-        )
+        faces.append([[obj_at[x[i]] for x in data] for i in range(3)])
         degens.append(
             [
-                {a: two_label(a, a, m.unit, cat.id_of(a)) for a in levels[1]},
-                {a: two_label(m.unit, a, a, cat.id_of(a)) for a in levels[1]},
+                [two_at[two_label(a, a, m.unit, cat.id_of(a))] for a in objs],
+                [two_at[two_label(m.unit, a, a, cat.id_of(a))] for a in objs],
             ]
         )
     degens.append([])
@@ -89,14 +86,14 @@ def monoidal_nerve(
     if N <= 2:
         return T
 
-    def commutes(bt: tuple[str, ...]) -> bool:
-        x0, x1, x2, x3 = (data2[lab] for lab in bt)
+    def commutes(bt: tuple[int, ...]) -> bool:
+        x0, x1, x2, x3 = (data[k] for k in bt)
         a23, a01 = x0[0], x3[2]
         left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(a01)))
         right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
         return left == right
 
-    bts = sorted(bt for bt in boundaries(T, 3) if commutes(bt))
+    bts = [bt for bt in _boundaries(T, 3) if commutes(bt)]
     if len(bts) > max_simplices:
         raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
     T = _with_level(T, bts)

@@ -1,10 +1,12 @@
 """Finite truncated simplicial sets over opaque string labels.
 
-The engine is presentation-agnostic: levels are finite label sets and
-face/degeneracy tables are explicit dicts.  On top of that it provides
-identity checking, boundary and filler analysis, coskeletality tests,
-coskeletal extension, and backtracking enumeration of simplicial maps
-and isomorphisms.
+The engine is presentation-agnostic: levels are finite label sets, and
+each face or degeneracy table lists, per simplex of its level, the index
+of the image in the adjacent level, as in the ``truncated_sset`` JSON
+form.  On top of that it provides identity checking, boundary and filler
+analysis, coskeletality tests, coskeletal extension, and backtracking
+enumeration of simplicial maps and isomorphisms.  The kernels run on
+indices; labels appear only where a result is handed back.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from . import dyck
@@ -20,14 +23,17 @@ from .errors import BudgetExceededError, SchemaError, StructuralError
 from .finmon import SCHEMA_VERSION, _require_keys, check_header, check_label, parse_json_text
 
 BoundaryTuple = tuple[str, ...]
+#: Simplex indices: one face or degeneracy table, a face vector or a boundary.
+_Indices = tuple[int, ...]
 
 
 class TruncatedSSet:
     """Levelwise finite simplicial set truncated at dimension N.
 
-    ``levels[n]`` lists the n-simplex labels, ``faces[n][i]`` maps level n
-    to level n-1 and ``degens[n][i]`` maps level n to level n+1.  Labels
-    are unique within a level but carry no meaning to the engine.
+    ``levels[n]`` lists the n-simplex labels.  ``faces[n][i][k]`` is the
+    index in level n-1 of the i-th face of simplex k of level n, and
+    ``degens[n][i][k]`` the index in level n+1 of its i-th degeneracy.
+    Labels are unique within a level but carry no meaning to the engine.
     Instances are never mutated after construction; query indexes are
     cached lazily.
     """
@@ -35,57 +41,42 @@ class TruncatedSSet:
     def __init__(
         self,
         levels: Sequence[Sequence[str]],
-        faces: Sequence[Sequence[Mapping[str, str]]],
-        degens: Sequence[Sequence[Mapping[str, str]]],
+        faces: Sequence[Sequence[Sequence[int]]],
+        degens: Sequence[Sequence[Sequence[int]]],
     ) -> None:
         if not levels:
             raise StructuralError("at least dimension 0 is required")
         self.levels: tuple[tuple[str, ...], ...] = tuple(tuple(lv) for lv in levels)
         self.N: int = len(self.levels) - 1
-        self.faces: tuple[tuple[dict[str, str], ...], ...] = tuple(
-            tuple(dict(m) for m in maps) for maps in faces
-        )
-        self.degens: tuple[tuple[dict[str, str], ...], ...] = tuple(
-            tuple(dict(m) for m in maps) for maps in degens
-        )
-        self._level_sets = tuple(frozenset(lv) for lv in self.levels)
-        self._nondeg_cache: dict[int, tuple[str, ...]] = {}
-        self._filler_cache: dict[int, dict[BoundaryTuple, tuple[str, ...]]] = {}
-        self._validate()
-
-    def _validate(self) -> None:
+        self._position = tuple({lab: k for k, lab in enumerate(lv)} for lv in self.levels)
         for n, lv in enumerate(self.levels):
-            if len(set(lv)) != len(lv):
+            if len(self._position[n]) != len(lv):
                 raise StructuralError(f"duplicate labels at level {n}")
-        if len(self.faces) != self.N + 1 or len(self.degens) != self.N + 1:
+        if len(faces) != self.N + 1 or len(degens) != self.N + 1:
             raise StructuralError("face/degeneracy tables must cover every level")
-        for n in range(self.N + 1):
-            want = n + 1 if n >= 1 else 0
-            if len(self.faces[n]) != want:
-                raise StructuralError(f"level {n} needs {want} face maps")
-            want = n + 1 if n < self.N else 0
-            if len(self.degens[n]) != want:
-                raise StructuralError(f"level {n} needs {want} degeneracy maps")
-        for n in range(1, self.N + 1):
-            for i, table in enumerate(self.faces[n]):
-                if set(table) != self._level_sets[n]:
-                    raise StructuralError(f"face map d_{i} at level {n} is not total")
-                for value in table.values():
-                    if value not in self._level_sets[n - 1]:
-                        raise StructuralError(
-                            f"face map d_{i} at level {n} hits unknown label {value!r}"
-                        )
-        for n in range(self.N):
-            for i, table in enumerate(self.degens[n]):
-                if set(table) != self._level_sets[n]:
+        self.faces = tuple(self._checked(faces[n], n, -1) for n in range(self.N + 1))
+        self.degens = tuple(self._checked(degens[n], n, 1) for n in range(self.N + 1))
+        self._witness_cache: dict[int, tuple[int | None, ...]] = {}
+        self._filler_cache: dict[int, dict[_Indices, _Indices]] = {}
+
+    def _checked(self, tables: Sequence[Sequence[int]], n: int, step: int) -> tuple[_Indices, ...]:
+        """The tables from level n to level n + step, each total and in range."""
+        name = "face" if step < 0 else "degeneracy"
+        want = n + 1 if 0 <= n + step <= self.N else 0
+        if len(tables) != want:
+            raise StructuralError(f"level {n} needs {want} {name} maps")
+        out = []
+        for i, table in enumerate(tables):
+            if not isinstance(table, (list, tuple)) or len(table) != len(self.levels[n]):
+                raise StructuralError(f"{name} table length mismatch at level {n}")
+            size = len(self.levels[n + step])
+            for v in table:
+                if type(v) is not int or not 0 <= v < size:
                     raise StructuralError(
-                        f"degeneracy map s_{i} at level {n} is not total"
+                        f"{name} table {i} at level {n} has index {v!r} outside level {n + step}"
                     )
-                for value in table.values():
-                    if value not in self._level_sets[n + 1]:
-                        raise StructuralError(
-                            f"degeneracy map s_{i} at level {n} hits unknown label {value!r}"
-                        )
+            out.append(tuple(table))
+        return tuple(out)
 
     # -- basic queries -------------------------------------------------
 
@@ -95,36 +86,40 @@ class TruncatedSSet:
         return self.levels[n]
 
     def face(self, n: int, i: int, label: str) -> str:
-        return self.faces[n][i][label]
+        return self.levels[n - 1][self.faces[n][i][self._position[n][label]]]
 
     def degeneracy(self, n: int, i: int, label: str) -> str:
-        return self.degens[n][i][label]
+        return self.levels[n + 1][self.degens[n][i][self._position[n][label]]]
 
     def face_vector(self, n: int, label: str) -> BoundaryTuple:
-        return tuple(self.faces[n][i][label] for i in range(n + 1))
+        k = self._position[n][label]
+        return tuple(self.levels[n - 1][table[k]] for table in self.faces[n])
 
     def degeneracy_witness(self, n: int, label: str) -> int | None:
-        for i in range(n):
-            if self.degens[n - 1][i][self.faces[n][i][label]] == label:
-                return i
-        return None
+        return self._witnesses(n)[self._position[n][label]]
 
     def is_degenerate(self, n: int, label: str) -> bool:
         return self.degeneracy_witness(n, label) is not None
 
     def nondegenerate(self, n: int) -> tuple[str, ...]:
-        if n not in self._nondeg_cache:
-            self._nondeg_cache[n] = tuple(
-                x for x in self.level(n) if self.degeneracy_witness(n, x) is None
-            )
-        return self._nondeg_cache[n]
+        return tuple(x for x, w in zip(self.level(n), self._witnesses(n)) if w is None)
 
-    def filler_index(self, n: int) -> dict[BoundaryTuple, tuple[str, ...]]:
-        """Map from face vectors at level n to the labels carrying them."""
+    def _witnesses(self, n: int) -> tuple[int | None, ...]:
+        """Per simplex x of level n, the smallest i with s_i d_i x = x, or None."""
+        if n not in self._witness_cache:
+            faces, below = self.faces[n], self.degens[n - 1]
+            self._witness_cache[n] = tuple(
+                next((i for i in range(n) if below[i][faces[i][x]] == x), None)
+                for x in range(len(self.levels[n]))
+            )
+        return self._witness_cache[n]
+
+    def _filler_index(self, n: int) -> dict[_Indices, _Indices]:
+        """Map from face vectors at level n to the simplices carrying them, all as indices."""
         if n not in self._filler_cache:
-            index: dict[BoundaryTuple, list[str]] = defaultdict(list)
-            for x in self.level(n):
-                index[self.face_vector(n, x)].append(x)
+            index: dict[_Indices, list[int]] = defaultdict(list)
+            for x, vector in enumerate(zip(*self.faces[n])):
+                index[vector].append(x)
             self._filler_cache[n] = {k: tuple(v) for k, v in index.items()}
         return self._filler_cache[n]
 
@@ -134,19 +129,12 @@ class TruncatedSSet:
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        index = [{lab: k for k, lab in enumerate(lv)} for lv in self.levels]
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "truncated_sset",
             "levels": [list(lv) for lv in self.levels],
-            "faces": [
-                [[index[n - 1][table[x]] for x in self.levels[n]] for table in self.faces[n]]
-                for n in range(1, self.N + 1)
-            ],
-            "degens": [
-                [[index[n + 1][table[x]] for x in self.levels[n]] for table in self.degens[n]]
-                for n in range(self.N)
-            ],
+            "faces": [[list(t) for t in tables] for tables in self.faces[1:]],
+            "degens": [[list(t) for t in tables] for tables in self.degens[:-1]],
         }
 
     def to_json_text(self) -> str:
@@ -162,48 +150,17 @@ class TruncatedSSet:
         for n, lv in enumerate(levels):
             for k, label in enumerate(lv):
                 check_label(label, f"levels[{n}][{k}]")
-        faces = [[]] + _label_maps(doc, "faces", "face", levels, -1)
-        degens = _label_maps(doc, "degens", "degeneracy", levels, 1) + [[]]
+        for key in ("faces", "degens"):
+            if not isinstance(doc[key], list) or not all(isinstance(t, list) for t in doc[key]):
+                raise SchemaError(f"{key} must be an array of per-level table arrays")
         try:
-            return cls(levels, faces, degens)
+            return cls(levels, [[], *doc["faces"]], [*doc["degens"], []])
         except StructuralError as exc:
             raise SchemaError(str(exc)) from exc
 
     @classmethod
     def from_json_text(cls, text: str) -> "TruncatedSSet":
         return cls.from_json_dict(parse_json_text(text))
-
-
-def _label_maps(
-    doc: Mapping, key: str, name: str, levels: list[list[str]], step: int
-) -> list[list[dict[str, str]]]:
-    """Label maps from the index tables ``doc[key]``, one entry per positive level.
-
-    Entry k holds the tables of level n = k + 1 (faces, ``step`` -1) or
-    n = k (degeneracies, ``step`` +1); each lists, per label of level n,
-    an index into level n + step.
-    """
-    per_level = doc[key]
-    if not isinstance(per_level, list) or not all(isinstance(t, list) for t in per_level):
-        raise SchemaError(f"{key} must be an array of per-level table arrays")
-    if len(per_level) != len(levels) - 1:
-        raise SchemaError("faces/degens arrays must have one entry per positive level")
-    out = []
-    for k, tables in enumerate(per_level):
-        n = k + 1 if step < 0 else k
-        target = levels[n + step]
-        maps = []
-        for i, idx_list in enumerate(tables):
-            if not isinstance(idx_list, list) or len(idx_list) != len(levels[n]):
-                raise SchemaError(f"{name} table length mismatch at level {n}")
-            for v in idx_list:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(target):
-                    raise SchemaError(
-                        f"{name} table {i} at level {n} has index {v!r} outside level {n + step}"
-                    )
-            maps.append({levels[n][j]: target[v] for j, v in enumerate(idx_list)})
-        out.append(maps)
-    return out
 
 
 def catalan_sset(N: int) -> TruncatedSSet:
@@ -215,30 +172,30 @@ def catalan_sset(N: int) -> TruncatedSSet:
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
     levels = [dyck.enumerate_dyck(n) for n in range(N + 1)]
-    faces: list[list[dict[str, str]]] = []
-    degens: list[list[dict[str, str]]] = []
+    position = [{w: k for k, w in enumerate(words)} for words in levels]
+    faces: list[list[list[int]]] = []
+    degens: list[list[list[int]]] = []
     for n, words in enumerate(levels):
-        face_maps: list[dict[str, str]] = [{} for _ in range(n + 1)] if n >= 1 else []
-        degen_maps: list[dict[str, str]] = [{} for _ in range(n + 1)] if n < N else []
+        face_tables: list[list[int]] = [[] for _ in range(n + 1)] if n >= 1 else []
+        degen_tables: list[list[int]] = [[] for _ in range(n + 1)] if n < N else []
         for w in words:
             ups, downs = dyck.positions(w)
-            for table, u, d in zip(face_maps, ups, downs):
-                table[w] = dyck.face_at(w, u, d)
-            for table, u, d in zip(degen_maps, ups, downs):
-                table[w] = dyck.degeneracy_at(w, u, d)
-        faces.append(face_maps)
-        degens.append(degen_maps)
+            for table, u, d in zip(face_tables, ups, downs):
+                table.append(position[n - 1][dyck.face_at(w, u, d)])
+            for table, u, d in zip(degen_tables, ups, downs):
+                table.append(position[n + 1][dyck.degeneracy_at(w, u, d)])
+        faces.append(face_tables)
+        degens.append(degen_tables)
     return TruncatedSSet(levels, faces, degens)
 
 
 def point_sset(N: int) -> TruncatedSSet:
     """The one-point simplicial set, a single simplex in every dimension."""
-    levels = [["pt"] for _ in range(N + 1)]
-    faces: list[list[dict[str, str]]] = [[]]
-    faces.extend([[{"pt": "pt"} for _ in range(n + 1)] for n in range(1, N + 1)])
-    degens = [[{"pt": "pt"} for _ in range(n + 1)] for n in range(N)]
-    degens.append([])
-    return TruncatedSSet(levels, faces, degens)
+    return TruncatedSSet(
+        [["pt"] for _ in range(N + 1)],
+        [[[0]] * (n + 1) if n >= 1 else [] for n in range(N + 1)],
+        [[[0]] * (n + 1) if n < N else [] for n in range(N + 1)],
+    )
 
 
 # -- simplicial identities ----------------------------------------------
@@ -261,36 +218,35 @@ class SimplicialViolation:
 def check_simplicial_identities(S: TruncatedSSet) -> list[SimplicialViolation]:
     """Every violated identity instance within the truncation; empty means pass."""
     bad: list[SimplicialViolation] = []
+    F, D, L = S.faces, S.degens, S.levels
     for n in range(2, S.N + 1):
-        for x in S.level(n):
+        for x in range(len(L[n])):
             for j in range(n + 1):
-                dj = S.face(n, j, x)
+                dj = F[n][j][x]
                 for i in range(j):
-                    if S.face(n - 1, i, dj) != S.face(n - 1, j - 1, S.face(n, i, x)):
-                        bad.append(SimplicialViolation("d_i d_j = d_{j-1} d_i", n, (i, j), x))
+                    if F[n - 1][i][dj] != F[n - 1][j - 1][F[n][i][x]]:
+                        bad.append(SimplicialViolation("d_i d_j = d_{j-1} d_i", n, (i, j), L[n][x]))
     for n in range(S.N - 1):
-        for x in S.level(n):
+        for x in range(len(L[n])):
             for j in range(n + 1):
-                sj = S.degeneracy(n, j, x)
+                sj = D[n][j][x]
                 for i in range(j + 1):
-                    left = S.degeneracy(n + 1, i, sj)
-                    right = S.degeneracy(n + 1, j + 1, S.degeneracy(n, i, x))
-                    if left != right:
-                        bad.append(SimplicialViolation("s_i s_j = s_{j+1} s_i", n, (i, j), x))
+                    if D[n + 1][i][sj] != D[n + 1][j + 1][D[n][i][x]]:
+                        bad.append(SimplicialViolation("s_i s_j = s_{j+1} s_i", n, (i, j), L[n][x]))
     for n in range(S.N):
-        for x in S.level(n):
+        for x in range(len(L[n])):
             for j in range(n + 1):
-                sj = S.degeneracy(n, j, x)
+                sj = D[n][j][x]
                 for i in range(n + 2):
-                    got = S.face(n + 1, i, sj)
+                    got = F[n + 1][i][sj]
                     if i in (j, j + 1):
                         want = x
                     elif i < j:
-                        want = S.degeneracy(n - 1, j - 1, S.face(n, i, x))
+                        want = D[n - 1][j - 1][F[n][i][x]]
                     else:
-                        want = S.degeneracy(n - 1, j, S.face(n, i - 1, x))
+                        want = D[n - 1][j][F[n][i - 1][x]]
                     if got != want:
-                        bad.append(SimplicialViolation("d_i s_j", n, (i, j), x))
+                        bad.append(SimplicialViolation("d_i s_j", n, (i, j), L[n][x]))
     return bad
 
 
@@ -306,29 +262,37 @@ def boundaries(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
     chosen and an index on those faces yields its candidates.  It needs
     no filling property of S, and ``n`` may be S.N + 1.
     """
+    found = _boundaries(S, n)
+    lower = S.levels[n - 1]
+    return [tuple(lower[x] for x in t) for t in found]
+
+
+def _boundaries(S: TruncatedSSet, n: int) -> list[_Indices]:
+    """The facet tuples of :func:`boundaries`, as indices into level n-1."""
     if not 1 <= n <= S.N + 1:
         raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
-    lower = S.level(n - 1)
+    lower = range(len(S.levels[n - 1]))
     if n == 1:
         return [(a, b) for a in lower for b in lower]
-    prefix: list[dict[BoundaryTuple, list[str]]] = [dict() for _ in range(n + 1)]
+    faces = S.faces[n - 1]
+    prefix: list[dict[_Indices, list[int]]] = [{}]
     for m in range(1, n + 1):
-        index: dict[BoundaryTuple, list[str]] = defaultdict(list)
-        for x in lower:
-            index[tuple(S.face(n - 1, i, x) for i in range(m))].append(x)
-        prefix[m] = index
-    out: list[BoundaryTuple] = []
-    tup: list[str] = []
+        index: dict[_Indices, list[int]] = defaultdict(list)
+        for x, key in enumerate(zip(*faces[:m])):
+            index[key].append(x)
+        prefix.append(index)
+    out: list[_Indices] = []
+    tup: list[int] = []
 
     def extend(m: int) -> None:
         if m > n:
             out.append(tuple(tup))
             return
         if m == 0:
-            candidates: Iterable[str] = lower
+            candidates: Iterable[int] = lower
         else:
-            req = tuple(S.face(n - 1, m - 1, tup[i]) for i in range(m))
-            candidates = prefix[m].get(req, ())
+            face = faces[m - 1]
+            candidates = prefix[m].get(tuple(face[x] for x in tup), ())
         for x in candidates:
             tup.append(x)
             extend(m + 1)
@@ -343,10 +307,12 @@ def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
     n = len(boundary) - 1
     if not 1 <= n <= S.N:
         raise ValueError(f"boundary length {n + 1} outside truncation")
+    position = S._position[n - 1]
     for x in boundary:
-        if x not in S._level_sets[n - 1]:
+        if x not in position:
             raise StructuralError(f"unknown facet label {x!r} at level {n - 1}")
-    return list(S.filler_index(n).get(tuple(boundary), ()))
+    hits = S._filler_index(n).get(tuple(position[x] for x in boundary), ())
+    return [S.levels[n][k] for k in hits]
 
 
 def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
@@ -354,8 +320,8 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
     if not 0 <= r < maxdim <= S.N:
         raise ValueError("need 0 <= r < maxdim <= truncation")
     for n in range(r + 1, maxdim + 1):
-        index = S.filler_index(n)
-        for b in boundaries(S, n):
+        index = S._filler_index(n)
+        for b in _boundaries(S, n):
             if len(index.get(b, ())) != 1:
                 return False
     return True
@@ -364,35 +330,37 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
 # -- coskeletal extension -------------------------------------------------
 
 
-def _with_level(S: TruncatedSSet, tuples: Sequence[BoundaryTuple]) -> TruncatedSSet:
+def _with_level(S: TruncatedSSet, tuples: Sequence[_Indices]) -> TruncatedSSet:
     """``S`` plus level n = S.N + 1 whose simplices carry the face vectors ``tuples``.
 
-    The new simplices are labelled ``s{n}:{k}`` in the order of ``tuples``
-    and their faces project to components.  The simplicial identities
-    force the face vector of s_i x for an (n-1)-simplex x to be
-    (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
+    ``tuples`` hold indices into level S.N.  The new simplices are
+    labelled ``s{n}:{k}`` in the order of their face vectors' label
+    tuples, and their faces project to components.  The simplicial
+    identities force the face vector of s_i x for an (n-1)-simplex x to
+    be (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
     and it must be among ``tuples``.
     """
     m, n = S.N, S.N + 1
-    labels = [f"s{n}:{k}" for k in range(len(tuples))]
-    label_of = dict(zip(tuples, labels))
+    lower = S.levels[m]
+    tuples = sorted(tuples, key=lambda t: [lower[x] for x in t])
+    position = {t: k for k, t in enumerate(tuples)}
     faces, below = S.faces[m], S.degens[m - 1]
 
-    def degenerate(i: int, x: str) -> str:
+    def degenerate(i: int, x: int) -> int:
         key = (
             *(below[i - 1][faces[k][x]] for k in range(i)),
             x,
             x,
             *(below[i][faces[k][x]] for k in range(i + 1, m + 1)),
         )
-        if key not in label_of:
+        if key not in position:
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
-        return label_of[key]
+        return position[key]
 
     return TruncatedSSet(
-        [*S.levels, labels],
-        [*S.faces, [{lab: t[i] for lab, t in zip(labels, tuples)} for i in range(n + 1)]],
-        [*S.degens[:-1], [{x: degenerate(i, x) for x in S.levels[m]} for i in range(n)], []],
+        [*S.levels, [f"s{n}:{k}" for k in range(len(tuples))]],
+        [*S.faces, [[t[i] for t in tuples] for i in range(n + 1)]],
+        [*S.degens[:-1], [[degenerate(i, x) for x in range(len(lower))] for i in range(n)], []],
     )
 
 
@@ -411,7 +379,7 @@ def coskeletal_extension(
         raise StructuralError("input truncation violates the simplicial identities")
     total = S.size()
     for n in range(S.N + 1, N + 1):
-        bts = sorted(boundaries(S, n))
+        bts = _boundaries(S, n)
         total += len(bts)
         if total > max_simplices:
             raise BudgetExceededError(
@@ -459,117 +427,111 @@ def make_map(
     )
 
 
+def _labelled_map(S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Sequence[int]]) -> SimplicialMap:
+    """The map sending simplex x of level n of S to simplex ``comps[n][x]`` of T."""
+    return make_map(
+        S, T, [dict(zip(S.levels[n], (T.levels[n][y] for y in c))) for n, c in enumerate(comps)]
+    )
+
+
+def _indexed(
+    S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Mapping[str, str]]
+) -> list[list[int]] | None:
+    """Label components as index lists, or None when one is not a total map into T."""
+    out = []
+    for n, comp in enumerate(comps):
+        if len(comp) != len(S.levels[n]):
+            return None
+        try:
+            out.append([T._position[n][comp[x]] for x in S.levels[n]])
+        except (KeyError, TypeError):
+            return None
+    return out
+
+
+def _commutes(S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Sequence[int]]) -> bool:
+    """Whether index components commute with every face and degeneracy."""
+    upto = len(comps) - 1
+    for n in range(1, upto + 1):
+        here, below = comps[n], comps[n - 1]
+        for s, t in zip(S.faces[n], T.faces[n]):
+            if any(below[s[x]] != t[y] for x, y in enumerate(here)):
+                return False
+    for n in range(upto):
+        here, above = comps[n], comps[n + 1]
+        for s, t in zip(S.degens[n], T.degens[n]):
+            if any(above[s[x]] != t[y] for x, y in enumerate(here)):
+                return False
+    return True
+
+
 def is_simplicial_map(
     S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Mapping[str, str]]
 ) -> bool:
     """Check totality and commutation with every face and degeneracy."""
-    upto = len(comps) - 1
-    if upto > min(S.N, T.N):
+    if len(comps) - 1 > min(S.N, T.N):
         return False
-    for n in range(upto + 1):
-        comp = comps[n]
-        if set(comp) != S._level_sets[n]:
-            return False
-        if not T._level_sets[n].issuperset(comp.values()):
-            return False
-    for n in range(1, upto + 1):
-        for x, y in comps[n].items():
-            for i in range(n + 1):
-                if comps[n - 1][S.face(n, i, x)] != T.face(n, i, y):
-                    return False
-    for n in range(upto):
-        for x, y in comps[n].items():
-            for i in range(n + 1):
-                if comps[n + 1][S.degeneracy(n, i, x)] != T.degeneracy(n, i, y):
-                    return False
-    return True
+    images = _indexed(S, T, comps)
+    return images is not None and _commutes(S, T, images)
 
 
 def _enumerate_level_maps(
     S: TruncatedSSet, T: TruncatedSSet, k: int, bijective: bool
-) -> list[list[dict[str, str]]]:
+) -> list[list[list[int]]]:
     """All ways to map levels 0..k, assigning non-degenerate simplices.
 
-    Degenerate simplices take forced images through their smallest
-    witness; face compatibility prunes candidates as images are chosen.
+    Once level n-1 is mapped, each non-degenerate n-simplex may go to any
+    filler of its image boundary; degenerate simplices take forced images
+    through their smallest witness.  Components are index lists:
+    ``comps[n][x]`` is the image of simplex x.
     """
     if k > min(S.N, T.N):
         raise ValueError("level bound exceeds a truncation")
-    if bijective and any(len(S.level(n)) != len(T.level(n)) for n in range(k + 1)):
+    if bijective and any(len(S.levels[n]) != len(T.levels[n]) for n in range(k + 1)):
         return []
-    results: list[list[dict[str, str]]] = []
-    comps: list[dict[str, str]] = [dict() for _ in range(k + 1)]
-    used: list[set[str]] = [set() for _ in range(k + 1)]
+    results: list[list[list[int]]] = []
+    comps = [[0] * len(S.levels[n]) for n in range(k + 1)]
 
     def descend(n: int) -> None:
         if n > k:
-            results.append([dict(c) for c in comps])
+            results.append([list(c) for c in comps])
             return
-        assign(n, S.nondegenerate(n), 0)
-
-    def assign(n: int, nondeg: tuple[str, ...], idx: int) -> None:
-        if idx == len(nondeg):
-            place_degenerate(n)
-            return
-        x = nondeg[idx]
+        witnesses = S._witnesses(n)
+        nondeg = [x for x, w in enumerate(witnesses) if w is None]
         if n == 0:
-            candidates: Iterable[str] = T.level(0)
+            options: list[Iterable[int]] = [range(len(T.levels[0]))] * len(nondeg)
         else:
-            req = tuple(comps[n - 1][S.face(n, i, x)] for i in range(n + 1))
-            candidates = T.filler_index(n).get(req, ())
-        for y in candidates:
-            if bijective and y in used[n]:
-                continue
-            comps[n][x] = y
-            if bijective:
-                used[n].add(y)
-            assign(n, nondeg, idx + 1)
-            del comps[n][x]
-            if bijective:
-                used[n].discard(y)
-
-    def place_degenerate(n: int) -> None:
-        added: list[tuple[str, str]] = []
-        ok = True
-        for x in S.level(n):
-            if x in comps[n]:
-                continue
-            w = S.degeneracy_witness(n, x)
-            y = T.degeneracy(n - 1, w, comps[n - 1][S.face(n, w, x)])
-            if bijective and y in used[n]:
-                ok = False
-                break
-            comps[n][x] = y
-            if bijective:
-                used[n].add(y)
-            added.append((x, y))
-        if ok:
-            descend(n + 1)
-        for x, y in added:
-            del comps[n][x]
-            if bijective:
-                used[n].discard(y)
+            below, index = comps[n - 1], T._filler_index(n)
+            options = [index.get(tuple(below[t[x]] for t in S.faces[n]), ()) for x in nondeg]
+        here = comps[n]
+        for images in product(*options):
+            for x, y in zip(nondeg, images):
+                here[x] = y
+            for x, w in enumerate(witnesses):
+                if w is not None:
+                    here[x] = T.degens[n - 1][w][comps[n - 1][S.faces[n][w][x]]]
+            if not bijective or len(set(here)) == len(here):
+                descend(n + 1)
 
     descend(0)
     return results
 
 
 def _extend_by_fillers(
-    S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Mapping[str, str]]
-) -> list[dict[str, str]] | None:
-    """Extend a partial map upward through unique fillers.
+    S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Sequence[int]]
+) -> list[list[int]] | None:
+    """Extend a partial index map upward through unique fillers.
 
     Returns None when some image boundary has no filler; raises when a
     filler is ambiguous, since then the target is not coskeletal enough
     for the extension to be well-defined.
     """
     upto = min(S.N, T.N)
-    full = [dict(c) for c in comps]
+    full = [list(c) for c in comps]
     for n in range(len(full), upto + 1):
-        comp: dict[str, str] = {}
-        index = T.filler_index(n)
-        for x in S.level(n):
-            req = tuple(full[n - 1][S.face(n, i, x)] for i in range(n + 1))
+        index, below = T._filler_index(n), full[n - 1]
+        comp: list[int] = []
+        for req in zip(*([below[v] for v in table] for table in S.faces[n])):
             hits = index.get(req, ())
             if not hits:
                 return None
@@ -577,7 +539,7 @@ def _extend_by_fillers(
                 raise StructuralError(
                     "ambiguous filler while extending a map; target is not coskeletal"
                 )
-            comp[x] = hits[0]
+            comp.append(hits[0])
         full.append(comp)
     return full
 
@@ -586,11 +548,11 @@ def isomorphisms(S: TruncatedSSet, T: TruncatedSSet) -> list[SimplicialMap]:
     """All levelwise-bijective simplicial maps between equal truncations."""
     if S.N != T.N:
         raise ValueError("both objects must be truncated at the same dimension")
-    out = []
-    for comps in _enumerate_level_maps(S, T, S.N, bijective=True):
-        if is_simplicial_map(S, T, comps):
-            out.append(make_map(S, T, comps))
-    return out
+    return [
+        _labelled_map(S, T, comps)
+        for comps in _enumerate_level_maps(S, T, S.N, bijective=True)
+        if _commutes(S, T, comps)
+    ]
 
 
 def simplicial_maps(S: TruncatedSSet, T: TruncatedSSet, k: int) -> list[SimplicialMap]:
@@ -611,6 +573,6 @@ def simplicial_maps(S: TruncatedSSet, T: TruncatedSSet, k: int) -> list[Simplici
     out = []
     for comps in _enumerate_level_maps(S, T, k, bijective=False):
         full = _extend_by_fillers(S, T, comps)
-        if full is not None and is_simplicial_map(S, T, full):
-            out.append(make_map(S, T, full))
+        if full is not None and _commutes(S, T, full):
+            out.append(_labelled_map(S, T, full))
     return out

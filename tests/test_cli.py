@@ -4,11 +4,13 @@ from pathlib import Path
 import pytest
 
 import catsset.classify
+import catsset.cli
 from catsset.cli import main
 from catsset.errors import SchemaError
 from catsset.finmon import FinMonoidalStructure
 from catsset.library import boolean_or, zmonoid
 from catsset.skew import SkewData, skew_from_strict
+from catsset.sset import catalan_sset
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -152,6 +154,55 @@ def test_verify_suite_that_cannot_run_at_zero_exits_2(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-dim", "0")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["--suite", "binomial", "--max-n", "-1"],
+        ["--suite", "motzkin", "--max-n", "-1"],
+        ["--suite", "identities", "--max-dim", "-1"],
+        ["--suite", "coskeletal", "--r", "-1"],
+    ),
+)
+def test_verify_rejects_a_negative_bound(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert "non-negative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["--suite", "motzkin", "--max-dim", "0"],
+        ["--suite", "identities", "--max-n", "0"],
+        ["--suite", "coskeletal", "--max-n", "3"],
+    ),
+)
+def test_verify_rejects_a_bound_the_suite_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert "does not read" in err
+
+
+def test_verify_nerve_iso_honours_max_dim(capsys, monkeypatch):
+    built = []
+
+    def recording_catalan_sset(N):
+        built.append(N)
+        return catalan_sset(N)
+
+    monkeypatch.setattr(catsset.cli, "catalan_sset", recording_catalan_sset)
+    code, out, _ = run(capsys, "verify", "--suite", "nerve-iso", "--max-dim", "7", "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert built == [7]
+
+
+@pytest.mark.parametrize("suite", ("identities", "coskeletal", "nerve-iso", "all"))
+def test_verify_max_dim_above_the_dyck_cap_exits_3(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-dim", "11")
+    assert (code, out) == (3, "")
+    assert "dyck cap 10" in err
 
 
 def test_verify_identities_small(capsys):

@@ -1,8 +1,11 @@
+import copy
+import json
 import math
 import re
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catsset.dyck import enumerate_dyck
 from catsset.errors import BudgetExceededError, SchemaError, StructuralError
@@ -38,13 +41,19 @@ def test_identities_pass(catalan8, nerve_two5):
     assert check_simplicial_identities(nerve_two5) == []
 
 
+def _editable_tables(S):
+    """Copies of the levels and index tables of S that a test may edit."""
+    return (
+        [list(lv) for lv in S.levels],
+        [[list(t) for t in tables] for tables in S.faces],
+        [[list(t) for t in tables] for tables in S.degens],
+    )
+
+
 def test_identities_catch_fault_injection():
-    base = catalan_sset(3)
-    levels = [list(lv) for lv in base.levels]
-    faces = [[dict(m) for m in maps] for maps in base.faces]
-    degens = [[dict(m) for m in maps] for maps in base.degens]
+    levels, faces, degens = _editable_tables(catalan_sset(3))
     # reroute one face of the all-free 3-simplex to a different triangle
-    faces[3][0]["UDUDUDUD"] = "UDUUDD"
+    faces[3][0][levels[3].index("UDUDUDUD")] = levels[2].index("UDUUDD")
     broken = TruncatedSSet(levels, faces, degens)
     report = check_simplicial_identities(broken)
     assert report
@@ -52,10 +61,8 @@ def test_identities_catch_fault_injection():
 
 
 def test_construction_rejects_partial_tables(catalan2):
-    levels = [list(lv) for lv in catalan2.levels]
-    faces = [[dict(m) for m in maps] for maps in catalan2.faces]
-    degens = [[dict(m) for m in maps] for maps in catalan2.degens]
-    del faces[2][0]["UDUDUD"]
+    levels, faces, degens = _editable_tables(catalan2)
+    del faces[2][0][levels[2].index("UDUDUD")]
     with pytest.raises(StructuralError):
         TruncatedSSet(levels, faces, degens)
 
@@ -139,15 +146,15 @@ def test_catalan_tables_match_string_edits():
             for i in range(n + 1):
                 cells = [(w, _nth(w, "U", i), _nth(w, "D", i)) for w in S.level(n)]
                 if n >= 1:
-                    assert S.faces[n][i] == {
-                        w: "".join(c for p, c in enumerate(w) if p not in (u, d))
+                    assert [S.levels[n - 1][k] for k in S.faces[n][i]] == [
+                        "".join(c for p, c in enumerate(w) if p not in (u, d))
                         for w, u, d in cells
-                    }
+                    ]
                 if n < N:
-                    assert S.degens[n][i] == {
-                        w: "".join(c * 2 if p in (u, d) else c for p, c in enumerate(w))
+                    assert [S.levels[n + 1][k] for k in S.degens[n][i]] == [
+                        "".join(c * 2 if p in (u, d) else c for p, c in enumerate(w))
                         for w, u, d in cells
-                    }
+                    ]
             if n == N:
                 assert S.degens[n] == ()
 
@@ -190,11 +197,8 @@ def test_extension_of_a_point():
 
 
 def test_extension_rejects_inconsistent_input():
-    base = catalan_sset(3)
-    levels = [list(lv) for lv in base.levels]
-    faces = [[dict(m) for m in maps] for maps in base.faces]
-    degens = [[dict(m) for m in maps] for maps in base.degens]
-    faces[3][0]["UDUDUDUD"] = "UDUUDD"
+    levels, faces, degens = _editable_tables(catalan_sset(3))
+    faces[3][0][levels[3].index("UDUDUDUD")] = levels[2].index("UDUUDD")
     with pytest.raises(StructuralError):
         coskeletal_extension(TruncatedSSet(levels, faces, degens), 4)
 
@@ -256,6 +260,19 @@ def test_map_verification_negative(catalan4, nerve_two4):
     assert is_simplicial_map(catalan4, nerve_two4, comps)
     comps[1][FREE], comps[1][UNIT] = comps[1][UNIT], comps[1][FREE]
     assert not is_simplicial_map(catalan4, nerve_two4, comps)
+
+
+def test_is_simplicial_map_rejects_bad_label_components(catalan4, nerve_two4):
+    comps = [simplicial_maps(catalan4, nerve_two4, 3)[0].level_map(n) for n in range(5)]
+    assert is_simplicial_map(catalan4, nerve_two4, comps)
+    missing, extra, unknown, unhashable, renamed = (copy.deepcopy(comps) for _ in range(5))
+    del missing[2]["UDUDUD"]
+    extra[1]["UUUDDD"] = "top"
+    unknown[1][FREE] = "middle"
+    unhashable[1][FREE] = ["top"]
+    renamed[1]["UUUDDD"] = renamed[1].pop(FREE)
+    for bad in (missing, extra, unknown, unhashable, renamed):
+        assert is_simplicial_map(catalan4, nerve_two4, bad) is False
 
 
 def test_json_roundtrip_is_byte_exact(catalan4):
@@ -320,3 +337,59 @@ def test_json_table_errors_are_schema_errors(case):
     edit(doc)
     with pytest.raises(SchemaError, match=re.escape(message)):
         TruncatedSSet.from_json_dict(doc)
+
+
+FUZZ_BASE = catalan_sset(3).to_json_dict()
+#: Table cells other than ints; an edit sets an int, in range or not, as often.
+OTHER_CELLS = st.one_of(
+    st.booleans(), st.text(max_size=2), st.floats(), st.lists(st.integers(0, 2), max_size=2)
+)
+
+
+@st.composite
+def edited_catalan3_documents(draw):
+    """The catalan_sset(3) document with one to three entries set, dropped or added.
+
+    An edit walks down ``levels`` (to a level) or ``faces``/``degens``
+    (to a level's tables, then to one table), mostly to the bottom, then
+    sets an entry to a cell value, drops the last entry or appends one: a
+    copy of the last entry or a cell value.
+    """
+
+    def cell():
+        return draw(st.integers(-2, 16)) if draw(st.booleans()) else draw(OTHER_CELLS)
+
+    doc = copy.deepcopy(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["levels", "faces", "degens"]))
+        node = doc[key]
+        for _ in range(draw(st.sampled_from((1, 1, 0) if key == "levels" else (2, 2, 2, 1, 0)))):
+            if not isinstance(node, list) or not node:
+                break
+            node = node[draw(st.integers(0, len(node) - 1))]
+        if not isinstance(node, list):
+            continue
+        edit = draw(st.sampled_from(["set", "set", "drop", "append"]))
+        if edit == "set" and node:
+            node[draw(st.integers(0, len(node) - 1))] = cell()
+        elif edit == "drop" and node:
+            node.pop()
+        elif edit == "append" and node and draw(st.booleans()):
+            node.append(copy.deepcopy(node[-1]))
+        elif edit == "append":
+            node.append(cell())
+    return doc
+
+
+@settings(max_examples=300)
+@given(edited_catalan3_documents())
+def test_edited_documents_load_exactly_or_raise_schema_errors(doc):
+    try:
+        S = TruncatedSSet.from_json_dict(doc)
+    except SchemaError:
+        return
+    assert S.to_json_text() == json.dumps(doc, separators=(",", ":"))
+    for n in range(S.N + 1):
+        for tables, target in ((S.faces[n], n - 1), (S.degens[n], n + 1)):
+            size = len(S.levels[target]) if 0 <= target <= S.N else 0
+            assert all(type(v) is int and 0 <= v < size for t in tables for v in t)
