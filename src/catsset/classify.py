@@ -19,8 +19,7 @@ from .nerve import monoidal_nerve, two_label, two_simplex_data
 from .sset import (
     SimplicialMap,
     TruncatedSSet,
-    _commutes,
-    _extend_by_fillers,
+    _enumerate_level_maps,
     _indexed,
     _labelled_map,
     catalan_sset,
@@ -134,9 +133,9 @@ def _generator_records(
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
             continue
-        comps = _generator_components(S, T, m, a, mu, etap)
-        full = _extend_by_fillers(S, T, _indexed(S, T, comps))
-        if full is None or not _commutes(S, T, full):
+        given = _indexed(S, T, _generator_components(S, T, m, a, mu, etap))
+        maps = _enumerate_level_maps(S, T, min(S.N, T.N), bijective=False, given=given)
+        if len(maps) != 1:
             raise StructuralError(
                 f"candidate ({a!r}, {mu!r}, {etap!r}) passed the square conditions "
                 "but does not extend to a map"
@@ -146,7 +145,7 @@ def _generator_records(
         eta = m.category.compose(etap, m.category.id_of(m.unit))
         out.append(
             ClassificationRecord(
-                map=_labelled_map(S, T, full),
+                map=_labelled_map(S, T, maps[0]),
                 monoid=MonoidObject(a, mu, eta),
                 eta_prime=etap,
             )

@@ -35,26 +35,41 @@ DEFAULT_BUDGET = 1_000_000
 Check = tuple[str, bool, str]
 
 
-def _load_config(path: str | None) -> dict:
-    config = {"caps": dict(DEFAULT_CAPS), "budget": DEFAULT_BUDGET}
+def _load_config(path: str | None, defaults: dict) -> dict:
+    """``defaults`` with the overrides of the JSON config file at ``path``.
+
+    The file is an object whose keys, and the keys of a nested object,
+    are among those of ``defaults``: a command reads no other key.
+    Every value is a non-negative integer.
+    """
+    config = {key: dict(v) if isinstance(v, dict) else v for key, v in defaults.items()}
     if path is None:
         return config
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    caps = doc.get("caps", {})
-    if not isinstance(caps, dict):
-        raise ValueError("config key 'caps' must be an object")
-    budget = doc.get("budget", DEFAULT_BUDGET)
-    numbers = {f"caps.{name}": value for name, value in caps.items()}
-    numbers["budget"] = budget
-    for key, value in numbers.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
-    config["caps"].update(caps)
-    config["budget"] = budget
+    for key, value in doc.items():
+        if key not in config:
+            raise ValueError(f"config key {key!r} is not read by this command")
+        if not isinstance(config[key], dict):
+            config[key] = _config_number(key, value)
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object")
+        for name, number in value.items():
+            if name not in config[key]:
+                raise ValueError(f"config key '{key}.{name}' is not read by this command")
+            config[key][name] = _config_number(f"{key}.{name}", number)
     return config
+
+
+def _config_number(key: str, value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"config value {key!r} must be non-negative, got {value}")
+    return value
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: Sequence[str]) -> None:
@@ -69,8 +84,7 @@ def _emit(args: argparse.Namespace, doc: dict, lines: Sequence[str]) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    cap = config["caps"][args.form]
+    cap = _load_config(args.config, {"caps": DEFAULT_CAPS})["caps"][args.form]
     if args.dim > cap:
         raise BudgetExceededError(
             f"dimension {args.dim} exceeds the {args.form} cap {cap}"
@@ -402,7 +416,8 @@ def cmd_skew(args: argparse.Namespace) -> int:
         lines.append(f"pentagon/axiom equivalence consistent: {str(equivalent).lower()}")
         _emit(args, doc, lines)
         return 0 if ok else 1
-    summary = sweep_equivalence(_carrier(args.carrier), _load_config(args.config)["budget"])
+    budget = _load_config(args.config, {"budget": DEFAULT_BUDGET})["budget"]
+    summary = sweep_equivalence(_carrier(args.carrier), budget)
     return _emit_sweep(args, summary)
 
 
@@ -450,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list simplices of a dimension")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--config", help="JSON file overriding the dimension caps")
+    p.add_argument("--config", help='JSON file overriding the dimension caps: {"caps": {"dyck": N, ...}}')
     p.add_argument("--nondegenerate", action="store_true")
     p.add_argument(
         "--as", dest="form", choices=("dyck", "relation", "motzkin"), default="dyck"
@@ -495,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_skew)
     q = modes.add_parser("sweep", parents=[common], help="sweep every skew candidate on a carrier")
     q.add_argument("--carrier", required=True, help="zmonoid, or chainN for the chain of N elements")
-    q.add_argument("--config", help="JSON file overriding the sweep budget")
+    q.add_argument("--config", help='JSON file overriding the sweep budget: {"budget": N}')
     q.set_defaults(func=cmd_skew)
 
     return parser

@@ -13,7 +13,7 @@ import json
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _boundaries, _with_level, coskeletal_extension
+from .sset import TruncatedSSet, _add_level, _boundaries, coskeletal_extension
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -82,9 +82,8 @@ def monoidal_nerve(
             ]
         )
     degens.append([])
-    T = TruncatedSSet(levels, faces, degens)
     if N <= 2:
-        return T
+        return TruncatedSSet(levels, faces, degens)
 
     def commutes(bt: tuple[int, ...]) -> bool:
         x0, x1, x2, x3 = (data[k] for k in bt)
@@ -93,10 +92,11 @@ def monoidal_nerve(
         right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
         return left == right
 
-    bts = [bt for bt in _boundaries(T, 3) if commutes(bt)]
+    bts = [bt for bt in _boundaries(levels, faces, 3) if commutes(bt)]
     if len(bts) > max_simplices:
         raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
-    T = _with_level(T, bts)
+    _add_level(levels, faces, degens, bts)
+    T = TruncatedSSet(levels, faces, degens)
     if N == 3:
         return T
     return coskeletal_extension(T, N, max_simplices=max_simplices)

@@ -4,9 +4,9 @@ The engine is presentation-agnostic: levels are finite label sets, and
 each face or degeneracy table lists, per simplex of its level, the index
 of the image in the adjacent level, as in the ``truncated_sset`` JSON
 form.  On top of that it provides identity checking, boundary and filler
-analysis, coskeletality tests, coskeletal extension, and backtracking
-enumeration of simplicial maps and isomorphisms.  The kernels run on
-indices; labels appear only where a result is handed back.
+analysis, coskeletality tests, coskeletal extension, and one
+level-by-level search for simplicial maps and isomorphisms.  The kernels
+run on indices; labels appear only where a result is handed back.
 """
 
 from __future__ import annotations
@@ -262,23 +262,29 @@ def boundaries(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
     chosen and an index on those faces yields its candidates.  It needs
     no filling property of S, and ``n`` may be S.N + 1.
     """
-    found = _boundaries(S, n)
+    if not 1 <= n <= S.N + 1:
+        raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
+    found = _boundaries(S.levels, S.faces, n)
     lower = S.levels[n - 1]
     return [tuple(lower[x] for x in t) for t in found]
 
 
-def _boundaries(S: TruncatedSSet, n: int) -> list[_Indices]:
-    """The facet tuples of :func:`boundaries`, as indices into level n-1."""
-    if not 1 <= n <= S.N + 1:
-        raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
-    lower = range(len(S.levels[n - 1]))
+def _boundaries(
+    levels: Sequence[Sequence[str]], faces: Sequence[Sequence[Sequence[int]]], n: int
+) -> list[_Indices]:
+    """The facet tuples of :func:`boundaries`, as indices into level n-1.
+
+    It reads only level n-1 of the tables, which may be a
+    :class:`TruncatedSSet`'s or lists that one is being built from.
+    """
+    lower = range(len(levels[n - 1]))
     if n == 1:
         return [(a, b) for a in lower for b in lower]
-    faces = S.faces[n - 1]
+    tables = faces[n - 1]
     prefix: list[dict[_Indices, list[int]]] = [{}]
     for m in range(1, n + 1):
         index: dict[_Indices, list[int]] = defaultdict(list)
-        for x, key in enumerate(zip(*faces[:m])):
+        for x, key in enumerate(zip(*tables[:m])):
             index[key].append(x)
         prefix.append(index)
     out: list[_Indices] = []
@@ -291,7 +297,7 @@ def _boundaries(S: TruncatedSSet, n: int) -> list[_Indices]:
         if m == 0:
             candidates: Iterable[int] = lower
         else:
-            face = faces[m - 1]
+            face = tables[m - 1]
             candidates = prefix[m].get(tuple(face[x] for x in tup), ())
         for x in candidates:
             tup.append(x)
@@ -321,7 +327,7 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
         raise ValueError("need 0 <= r < maxdim <= truncation")
     for n in range(r + 1, maxdim + 1):
         index = S._filler_index(n)
-        for b in _boundaries(S, n):
+        for b in _boundaries(S.levels, S.faces, n):
             if len(index.get(b, ())) != 1:
                 return False
     return True
@@ -330,38 +336,44 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
 # -- coskeletal extension -------------------------------------------------
 
 
-def _with_level(S: TruncatedSSet, tuples: Sequence[_Indices]) -> TruncatedSSet:
-    """``S`` plus level n = S.N + 1 whose simplices carry the face vectors ``tuples``.
+def _add_level(
+    levels: list[Sequence[str]],
+    faces: list[Sequence[Sequence[int]]],
+    degens: list[Sequence[Sequence[int]]],
+    tuples: Sequence[_Indices],
+) -> None:
+    """Append level n = len(levels) whose simplices carry the face vectors ``tuples``.
 
-    ``tuples`` hold indices into level S.N.  The new simplices are
-    labelled ``s{n}:{k}`` in the order of their face vectors' label
-    tuples, and their faces project to components.  The simplicial
-    identities force the face vector of s_i x for an (n-1)-simplex x to
-    be (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
-    and it must be among ``tuples``.
+    The three lists hold tables in the constructor's form, and ``tuples``
+    hold indices into level n-1.  The new simplices are labelled
+    ``s{n}:{k}`` in the order of their face vectors' label tuples, and
+    their faces project to components.  The simplicial identities force
+    the face vector of s_i x for an (n-1)-simplex x to be
+    (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
+    and it must be among ``tuples``; the lists are left as they were
+    when it is not.
     """
-    m, n = S.N, S.N + 1
-    lower = S.levels[m]
+    m, n = len(levels) - 1, len(levels)
+    lower = levels[m]
     tuples = sorted(tuples, key=lambda t: [lower[x] for x in t])
     position = {t: k for k, t in enumerate(tuples)}
-    faces, below = S.faces[m], S.degens[m - 1]
+    face, below = faces[m], degens[m - 1]
 
     def degenerate(i: int, x: int) -> int:
         key = (
-            *(below[i - 1][faces[k][x]] for k in range(i)),
+            *(below[i - 1][face[k][x]] for k in range(i)),
             x,
             x,
-            *(below[i][faces[k][x]] for k in range(i + 1, m + 1)),
+            *(below[i][face[k][x]] for k in range(i + 1, m + 1)),
         )
         if key not in position:
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
         return position[key]
 
-    return TruncatedSSet(
-        [*S.levels, [f"s{n}:{k}" for k in range(len(tuples))]],
-        [*S.faces, [[t[i] for t in tuples] for i in range(n + 1)]],
-        [*S.degens[:-1], [[degenerate(i, x) for x in range(len(lower))] for i in range(n)], []],
-    )
+    degens[m] = [[degenerate(i, x) for x in range(len(lower))] for i in range(n)]
+    degens.append([])
+    levels.append([f"s{n}:{k}" for k in range(len(tuples))])
+    faces.append([[t[i] for t in tuples] for i in range(n + 1)])
 
 
 def coskeletal_extension(
@@ -371,22 +383,24 @@ def coskeletal_extension(
 
     Each new level consists of the compatible facet tuples over the level
     below; faces project to components and degeneracies are computed
-    through the simplicial identities.
+    through the simplicial identities.  The levels are added to table
+    lists, and the result is built, and so validated, once.
     """
     if N < S.N:
         raise ValueError("cannot extend below the current truncation")
     if check_simplicial_identities(S):
         raise StructuralError("input truncation violates the simplicial identities")
+    levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
     total = S.size()
     for n in range(S.N + 1, N + 1):
-        bts = _boundaries(S, n)
+        bts = _boundaries(levels, faces, n)
         total += len(bts)
         if total > max_simplices:
             raise BudgetExceededError(
                 f"extension to dimension {n} needs more than {max_simplices} simplices"
             )
-        S = _with_level(S, bts)
-    return S
+        _add_level(levels, faces, degens, bts)
+    return TruncatedSSet(levels, faces, degens) if N > S.N else S
 
 
 # -- simplicial maps -------------------------------------------------------
@@ -404,10 +418,6 @@ class SimplicialMap:
     target: TruncatedSSet = field(compare=False, repr=False)
     components: tuple[tuple[tuple[str, str], ...], ...] = ()
 
-    @property
-    def depth(self) -> int:
-        return len(self.components) - 1
-
     @cached_property
     def _lookup(self) -> tuple[dict[str, str], ...]:
         return tuple(dict(c) for c in self.components)
@@ -419,18 +429,14 @@ class SimplicialMap:
         return self._lookup[n][label]
 
 
-def make_map(
-    S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Mapping[str, str]]
-) -> SimplicialMap:
-    return SimplicialMap(
-        S, T, tuple(tuple(sorted(dict(c).items())) for c in comps)
-    )
-
-
 def _labelled_map(S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Sequence[int]]) -> SimplicialMap:
     """The map sending simplex x of level n of S to simplex ``comps[n][x]`` of T."""
-    return make_map(
-        S, T, [dict(zip(S.levels[n], (T.levels[n][y] for y in c))) for n, c in enumerate(comps)]
+    return SimplicialMap(
+        S,
+        T,
+        tuple(
+            tuple(sorted(zip(S.levels[n], (T.levels[n][y] for y in c)))) for n, c in enumerate(comps)
+        ),
     )
 
 
@@ -476,72 +482,45 @@ def is_simplicial_map(
 
 
 def _enumerate_level_maps(
-    S: TruncatedSSet, T: TruncatedSSet, k: int, bijective: bool
+    S: TruncatedSSet, T: TruncatedSSet, k: int, bijective: bool, given: Sequence[Sequence[int]] = ()
 ) -> list[list[list[int]]]:
-    """All ways to map levels 0..k, assigning non-degenerate simplices.
+    """All simplicial maps on levels 0..k that extend the components ``given``.
 
-    Once level n-1 is mapped, each non-degenerate n-simplex may go to any
-    filler of its image boundary; degenerate simplices take forced images
-    through their smallest witness.  Components are index lists:
-    ``comps[n][x]`` is the image of simplex x.
+    The search runs one level at a time, from the first level ``given``
+    leaves open.  Once level n-1 is mapped, each non-degenerate
+    n-simplex may go to any filler of its image boundary, and every
+    partial map is extended by the product of those candidates;
+    degenerate simplices take forced images through their smallest
+    witness.  Components are index lists: ``comps[n][x]`` is the image
+    of simplex x.  Only the candidates that commute with every face and
+    degeneracy are returned.
     """
     if k > min(S.N, T.N):
         raise ValueError("level bound exceeds a truncation")
     if bijective and any(len(S.levels[n]) != len(T.levels[n]) for n in range(k + 1)):
         return []
-    results: list[list[list[int]]] = []
-    comps = [[0] * len(S.levels[n]) for n in range(k + 1)]
-
-    def descend(n: int) -> None:
-        if n > k:
-            results.append([list(c) for c in comps])
-            return
+    partial = [list(given)]
+    for n in range(len(given), k + 1):
         witnesses = S._witnesses(n)
         nondeg = [x for x, w in enumerate(witnesses) if w is None]
-        if n == 0:
-            options: list[Iterable[int]] = [range(len(T.levels[0]))] * len(nondeg)
-        else:
-            below, index = comps[n - 1], T._filler_index(n)
-            options = [index.get(tuple(below[t[x]] for t in S.faces[n]), ()) for x in nondeg]
-        here = comps[n]
-        for images in product(*options):
-            for x, y in zip(nondeg, images):
-                here[x] = y
-            for x, w in enumerate(witnesses):
-                if w is not None:
-                    here[x] = T.degens[n - 1][w][comps[n - 1][S.faces[n][w][x]]]
-            if not bijective or len(set(here)) == len(here):
-                descend(n + 1)
-
-    descend(0)
-    return results
-
-
-def _extend_by_fillers(
-    S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Sequence[int]]
-) -> list[list[int]] | None:
-    """Extend a partial index map upward through unique fillers.
-
-    Returns None when some image boundary has no filler; raises when a
-    filler is ambiguous, since then the target is not coskeletal enough
-    for the extension to be well-defined.
-    """
-    upto = min(S.N, T.N)
-    full = [list(c) for c in comps]
-    for n in range(len(full), upto + 1):
-        index, below = T._filler_index(n), full[n - 1]
-        comp: list[int] = []
-        for req in zip(*([below[v] for v in table] for table in S.faces[n])):
-            hits = index.get(req, ())
-            if not hits:
-                return None
-            if len(hits) > 1:
-                raise StructuralError(
-                    "ambiguous filler while extending a map; target is not coskeletal"
-                )
-            comp.append(hits[0])
-        full.append(comp)
-    return full
+        forced = [(x, w) for x, w in enumerate(witnesses) if w is not None]
+        grown = []
+        for comps in partial:
+            if n == 0:
+                options: list[Iterable[int]] = [range(len(T.levels[0]))] * len(nondeg)
+            else:
+                below, index = comps[n - 1], T._filler_index(n)
+                options = [index.get(tuple(below[t[x]] for t in S.faces[n]), ()) for x in nondeg]
+            for images in product(*options):
+                here = [0] * len(witnesses)
+                for x, y in zip(nondeg, images):
+                    here[x] = y
+                for x, w in forced:
+                    here[x] = T.degens[n - 1][w][below[S.faces[n][w][x]]]
+                if not bijective or len(set(here)) == len(here):
+                    grown.append([*comps, here])
+        partial = grown
+    return [comps for comps in partial if _commutes(S, T, comps)]
 
 
 def isomorphisms(S: TruncatedSSet, T: TruncatedSSet) -> list[SimplicialMap]:
@@ -551,7 +530,6 @@ def isomorphisms(S: TruncatedSSet, T: TruncatedSSet) -> list[SimplicialMap]:
     return [
         _labelled_map(S, T, comps)
         for comps in _enumerate_level_maps(S, T, S.N, bijective=True)
-        if _commutes(S, T, comps)
     ]
 
 
@@ -559,8 +537,8 @@ def simplicial_maps(S: TruncatedSSet, T: TruncatedSSet, k: int) -> list[Simplici
     """All simplicial maps S -> T, for a target k-coskeletal within truncation.
 
     Images of non-degenerate simplices of dimension <= k determine the
-    map; candidates above are produced by unique filling, and a candidate
-    dies when some image boundary one dimension above k has no filler.
+    map, so above k each image boundary has at most one filler and the
+    search, run to the shared truncation, has one candidate or none.
     """
     if S.N < k + 1:
         raise ValueError("source truncation must reach k + 1")
@@ -570,9 +548,7 @@ def simplicial_maps(S: TruncatedSSet, T: TruncatedSSet, k: int) -> list[Simplici
         raise StructuralError(
             f"target is not {k}-coskeletal within its truncation"
         )
-    out = []
-    for comps in _enumerate_level_maps(S, T, k, bijective=False):
-        full = _extend_by_fillers(S, T, comps)
-        if full is not None and _commutes(S, T, full):
-            out.append(_labelled_map(S, T, full))
-    return out
+    return [
+        _labelled_map(S, T, comps)
+        for comps in _enumerate_level_maps(S, T, min(S.N, T.N), bijective=False)
+    ]

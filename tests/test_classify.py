@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+import catsset.classify
 from catsset.classify import (
     MUL_TRIANGLE,
     UNIT_TRIANGLE,
@@ -9,6 +12,7 @@ from catsset.classify import (
     verify_classification,
 )
 from catsset.dyck import FREE_EDGE
+from catsset.errors import StructuralError
 from catsset.finmon import enumerate_monoids
 from catsset.nerve import monoidal_nerve
 from catsset.sset import is_simplicial_map, simplicial_maps
@@ -80,3 +84,14 @@ def test_boolean_case_images(catalan4, library):
 def test_generator_words_are_the_nondegenerate_ones(catalan4):
     assert set(catalan4.nondegenerate(1)) == {FREE_EDGE}
     assert set(catalan4.nondegenerate(2)) == {MUL_TRIANGLE, UNIT_TRIANGLE}
+
+
+def test_candidate_that_does_not_extend_is_an_error(monkeypatch, library):
+    # with every square condition waived, a zmonoid candidate reaches the
+    # map search and has no commuting extension; in a poset every
+    # candidate still extends
+    monkeypatch.setattr(catsset.classify, "_CONDITIONS", (lambda m, a, mu, etap: True,))
+    with pytest.raises(StructuralError, match=re.escape("('*', '1', 'z')")):
+        classify_maps(library["zmonoid"])
+    for name in ("two-or", "chain3-max", "chain3-truncated-add", "antichain2"):
+        classify_maps(library[name])

@@ -351,6 +351,25 @@ def test_config_rejects_non_integer_cap(tmp_path, capsys):
     assert "caps.dyck" in err
 
 
+# a command reads only its own config keys, each a non-negative integer
+@pytest.mark.parametrize(
+    "argv, doc",
+    (
+        (["skew", "sweep", "--carrier", "chain2"], {"bugdet": 5}),
+        (["enumerate", "--dim", "2"], {"caps": {"dyk": 1}}),
+        (["enumerate", "--dim", "2"], {"budget": 5}),
+        (["skew", "sweep", "--carrier", "chain2"], {"caps": {"dyck": 1}}),
+        (["skew", "sweep", "--carrier", "chain2"], {"budget": -1}),
+    ),
+)
+def test_config_keys_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_skew_check_pass(tmp_path, capsys):
     data = tmp_path / "skew.json"
     data.write_text(json.dumps(skew_from_strict(boolean_or()).to_json_dict()))

@@ -11,13 +11,16 @@ and why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from catsset.classify import classify_maps
 from catsset.cli import main
+from catsset.library import boolean_or
 from catsset.nerve import monoidal_nerve
-from catsset.sset import TruncatedSSet, catalan_sset, coskeletal_extension
+from catsset.sset import TruncatedSSet, catalan_sset, coskeletal_extension, isomorphisms, simplicial_maps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,6 +110,51 @@ EXTENSIONS = {
     "point-to-5": lambda: coskeletal_extension(TruncatedSSet([["pt"]], [[]], [[]]), 5),
 }
 
+#: Digests of map lists in the order the search returns them: the
+#: components of each map, and for a classification record also its
+#: monoid and eta'.
+MAP_GOLDEN = {
+    "maps:two-or": "7fa0bcbd25cbbedf621a0d264aeb9ec511e6f791c043f79cd086a246c20fca3e",
+    "maps:chain3-max": "9f08c720ab111418a1a8696767bae19d489ebe69edb59a92f01f5591b713a096",
+    "maps:chain3-truncated-add": "8f74c916364ce63490f94143e6ea637732ec9d5b40bf1de487837ab58bd6c11d",
+    "maps:antichain2": "09ea8941fc37a4ccde882abea4f84e607edc157c3a903da1cbadb7931028d3f8",
+    "maps:zmonoid": "328ecdc3f5f74f0a3ca6af09d4a9652e2110a218bb7bba54f97e91725b95d62b",
+    "records:two-or": "143ed5f454a71f65905d4933d4ba90ef473a799d0f479b72c3013b05973172cc",
+    "records:chain3-max": "bae429a650fa32295d2c36eac18f5f25b506f11aa6022d0c3a7a5497a2d7b2c7",
+    "records:chain3-truncated-add": "3e8bc23258fc9cde80a1928b086445d6be69dc64d6801a569e82b0a8e0ce0738",
+    "records:antichain2": "2012b70957c4242b969e0438cc3efc4a23cba8aa81acb2db13b4a4e357f3c0ff",
+    "records:zmonoid": "b9e809fd692dcaa021f5e609ef64d8d58faaf1fdc63c0917a608dd14235e3243",
+    "isos:1": "cbc940ba7777b668084d26a3971d2488081b71c72b604c1e8572263c66772334",
+    "isos:2": "a48b85938b7bbcb6d73d0d4d0f650134b372f1af928152d7c5c2fe3189e14e0c",
+    "isos:3": "59506e94363d75a5d9654a18f5676da21fea2cd538a1edc517393db7d6a7da4c",
+    "isos:4": "b1b3306aa5489ee15acc999360f99e7b988c8b8920bc208c3aba7b752fa6d8a6",
+    "isos:5": "35ff0645ea6b6b48c1b1ab87afcd8b8a42fa6b503a69f53b6c09b202c7af90e7",
+    "isos:6": "9a308f733bb85053a65179ade8d1bda44c8de8f81ee0c86f331d4514990fc61d",
+    "isos:7": "4400b46306a0b6965ecda6fadf643ba63cea69b471acb059577400bf4d36c870",
+    "unequal:5-4": "7fa0bcbd25cbbedf621a0d264aeb9ec511e6f791c043f79cd086a246c20fca3e",
+    "unequal:4-5": "7fa0bcbd25cbbedf621a0d264aeb9ec511e6f791c043f79cd086a246c20fca3e",
+}
+
+
+def map_list_text(case: str, library) -> str:
+    kind, _, arg = case.partition(":")
+    if kind == "maps":
+        maps = simplicial_maps(catalan_sset(4), monoidal_nerve(library[arg], 4), 3)
+    elif kind == "records":
+        return json.dumps(
+            [
+                [r.map.components, [r.monoid.carrier, r.monoid.mu, r.monoid.eta], r.eta_prime]
+                for r in classify_maps(library[arg])
+            ]
+        )
+    elif kind == "isos":
+        n = int(arg)
+        maps = isomorphisms(catalan_sset(n), monoidal_nerve(boolean_or(), n))
+    else:
+        s, t = (int(x) for x in arg.split("-"))
+        maps = simplicial_maps(catalan_sset(s), monoidal_nerve(boolean_or(), t), 3)
+    return json.dumps([f.components for f in maps])
+
 
 @pytest.mark.parametrize("command", list(CLI_GOLDEN))
 def test_cli_output_is_pinned(command, capsys, monkeypatch):
@@ -130,3 +178,8 @@ def test_library_nerve_json_is_pinned(name, library):
 @pytest.mark.parametrize("case", list(EXTENSION_GOLDEN))
 def test_coskeletal_extension_json_is_pinned(case):
     assert sha(EXTENSIONS[case]().to_json_text()) == EXTENSION_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", list(MAP_GOLDEN))
+def test_map_lists_are_pinned(case, library):
+    assert sha(map_list_text(case, library)) == MAP_GOLDEN[case]

@@ -13,7 +13,7 @@ from catsset.library import boolean_or, zmonoid
 from catsset.nerve import monoidal_nerve
 from catsset.sset import (
     TruncatedSSet,
-    _with_level,
+    _add_level,
     boundaries,
     catalan_sset,
     check_simplicial_identities,
@@ -204,8 +204,10 @@ def test_extension_rejects_inconsistent_input():
 
 
 def test_new_level_needs_the_forced_degeneracies(catalan2):
+    tables = [list(catalan2.levels), list(catalan2.faces), list(catalan2.degens)]
     with pytest.raises(StructuralError, match="not compatible"):
-        _with_level(catalan2, [])
+        _add_level(*tables, [])
+    assert tables == [list(catalan2.levels), list(catalan2.faces), list(catalan2.degens)]
 
 
 def test_extension_budget():
