@@ -1,0 +1,168 @@
+"""Wall times and exact output counts of catsset's level kernels and commands.
+
+Usage, from the root of a checkout:
+
+    python3 bench/run.py --side change --out BENCH.json
+
+The script imports ``catsset`` from ``src/`` of the checkout it sits in,
+builds each case's inputs untimed, runs the case once to warm up and then
+``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
+are exact output counts (boundary tuples, simplices built, maps found,
+checks passed); they do not depend on the machine, and the script stops
+if two runs of one case disagree on them.  CLI cases call
+``catsset.cli.main`` in-process with ``--json``.
+
+One file can hold several sides, such as a parent commit and a change:
+run the script in each checkout (copy it into one that lacks it) with the
+same ``--out`` and a different ``--side``.  A side that is written again
+is replaced.  The script exits 1 when a case's counters differ from those
+of another side in the file, and 2 when the file was written by another
+Python version or platform.  It uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from catsset import cli  # noqa: E402
+from catsset.library import boolean_or  # noqa: E402
+from catsset.nerve import monoidal_nerve  # noqa: E402
+from catsset.sset import _boundaries, catalan_sset  # noqa: E402
+
+REPEATS = 5
+
+
+def _join(n: int):
+    def run(S) -> dict:
+        return {"boundary_tuples": len(_boundaries(S.levels, S.faces, n))}
+
+    return lambda: catalan_sset(n), run
+
+
+def _nerve(n: int):
+    def run(_) -> dict:
+        return {"simplices_built": monoidal_nerve(boolean_or(), n).size()}
+
+    return lambda: None, run
+
+
+def _command(*argv: str):
+    """A CLI case; its counters are the exit code and counts read off the JSON output."""
+
+    def run(_) -> dict:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--json"])
+        doc = json.loads(out.getvalue())
+        counters = {"exit_code": code}
+        if doc["command"] == "verify":
+            checks = doc["checks"]
+            counters["checks"] = len(checks)
+            counters["checks_passed"] = sum(c["passed"] for c in checks)
+            for c in checks:
+                if c["name"] == "nerve-iso-count":
+                    counters["maps_found"] = int(c["detail"].split()[0])
+        else:
+            counters["maps_found"] = doc["count"]
+        return counters
+
+    return lambda: None, run
+
+
+#: (layer, case, params, (prepare, run)); ``run(prepare())`` returns the counters.
+CASES = [
+    ("sset", "_boundaries", {"set": "catalan_sset(9)", "n": 9}, _join(9)),
+    ("sset", "_boundaries", {"set": "catalan_sset(10)", "n": 10}, _join(10)),
+    ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve(9)),
+    ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve(10)),
+    *(
+        ("cli", "verify", {"argv": argv}, _command(*argv))
+        for argv in (
+            ["verify", "--suite", "coskeletal", "--max-dim", "9"],
+            ["verify", "--suite", "coskeletal", "--max-dim", "10"],
+            ["verify", "--suite", "nerve-iso", "--max-dim", "8"],
+            ["verify", "--suite", "nerve-iso", "--max-dim", "9"],
+        )
+    ),
+    (
+        "cli",
+        "classify",
+        {"argv": ["classify", "docs/examples/chain3-max.json"]},
+        _command("classify", "docs/examples/chain3-max.json"),
+    ),
+]
+
+
+def measure(prepare, run) -> tuple[float, dict]:
+    """The median wall time of ``REPEATS`` runs after one warm-up, and their counters."""
+    inputs = prepare()
+    counters = run(inputs)
+    times = []
+    for _ in range(REPEATS):
+        gc.collect()
+        start = time.perf_counter()
+        got = run(inputs)
+        times.append(time.perf_counter() - start)
+        if got != counters:
+            raise SystemExit(f"counters changed between runs: {counters} then {got}")
+    return statistics.median(times), counters
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", required=True, help="name of this checkout's side, e.g. parent or change")
+    parser.add_argument("--out", required=True, help="JSON file to write this side into")
+    args = parser.parse_args()
+    out = os.path.abspath(args.out)
+    os.chdir(ROOT)
+    doc = {"python": platform.python_version(), "platform": platform.platform(), "repeats": REPEATS}
+    if os.path.exists(out):
+        with open(out) as fh:
+            old = json.load(fh)
+        if any(old[key] != doc[key] for key in doc):
+            print(f"error: {out} was written by another Python, platform or repeat count", file=sys.stderr)
+            return 2
+        doc = old
+    entries = []
+    for layer, case, params, (prepare, run) in CASES:
+        wall, counters = measure(prepare, run)
+        entries.append(
+            {"layer": layer, "case": case, "params": params, "wall_s": round(wall, 4), "counters": counters}
+        )
+        print(f"{layer:6} {case:15} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
+    sides = doc.setdefault("sides", {})
+    sides[args.side] = entries
+    with open(out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    status = 0
+    for name, others in sides.items():
+        if name == args.side:
+            continue
+        theirs = {(e["case"], json.dumps(e["params"])): e for e in others}
+        for mine in entries:
+            other = theirs.get((mine["case"], json.dumps(mine["params"])))
+            same = other is not None and other["counters"] == mine["counters"]
+            status |= not same
+            ratio = f"{mine['wall_s'] / other['wall_s']:6.2f}" if other and other["wall_s"] else "     -"
+            print(
+                f"{args.side}/{name} {mine['case']:15} {json.dumps(mine['params']):62} "
+                f"{ratio}  counters {'equal' if same else 'DIFFER'}"
+            )
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,6 +194,10 @@ def _suite_identities(max_dim: int) -> list[Check]:
 
 
 def _suite_coskeletal(r: int, max_dim: int) -> list[Check]:
+    if max_dim < 2:
+        raise ValueError("the coskeletal suite checks 2-boundaries, so it needs --max-dim >= 2")
+    if r >= max_dim:
+        raise ValueError(f"the coskeletal suite needs --r below --max-dim, got {r} and {max_dim}")
     checks: list[Check] = []
     S = catalan_sset(max_dim)
     ok = is_r_coskeletal_up_to(S, r, max_dim)

@@ -15,7 +15,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Iterable, Mapping, Sequence
 
 from . import dyck
@@ -275,37 +275,26 @@ def _boundaries(
     """The facet tuples of :func:`boundaries`, as indices into level n-1.
 
     It reads only level n-1 of the tables, which may be a
-    :class:`TruncatedSSet`'s or lists that one is being built from.
+    :class:`TruncatedSSet`'s or lists that one is being built from.  The
+    partial tuples are held as columns, ``cols[i][p]`` being facet i of
+    partial p, so each step of the join looks up the keys of every
+    partial at once.  The tuples come out in lexicographic index order.
     """
     lower = range(len(levels[n - 1]))
     if n == 1:
         return [(a, b) for a in lower for b in lower]
     tables = faces[n - 1]
-    prefix: list[dict[_Indices, list[int]]] = [{}]
+    cols = [list(lower)]
     for m in range(1, n + 1):
         index: dict[_Indices, list[int]] = defaultdict(list)
         for x, key in enumerate(zip(*tables[:m])):
             index[key].append(x)
-        prefix.append(index)
-    out: list[_Indices] = []
-    tup: list[int] = []
-
-    def extend(m: int) -> None:
-        if m > n:
-            out.append(tuple(tup))
-            return
-        if m == 0:
-            candidates: Iterable[int] = lower
-        else:
-            face = tables[m - 1]
-            candidates = prefix[m].get(tuple(face[x] for x in tup), ())
-        for x in candidates:
-            tup.append(x)
-            extend(m + 1)
-            tup.pop()
-
-    extend(0)
-    return out
+        face = tables[m - 1]
+        hits = list(map(index.get, zip(*(map(face.__getitem__, c) for c in cols)), repeat(())))
+        keep = list(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
+        cols = [list(map(c.__getitem__, keep)) for c in cols]
+        cols.append(list(chain.from_iterable(hits)))
+    return list(zip(*cols))
 
 
 def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
@@ -355,22 +344,22 @@ def _add_level(
     """
     m, n = len(levels) - 1, len(levels)
     lower = levels[m]
-    tuples = sorted(tuples, key=lambda t: [lower[x] for x in t])
-    position = {t: k for k, t in enumerate(tuples)}
-    face, below = faces[m], degens[m - 1]
-
-    def degenerate(i: int, x: int) -> int:
-        key = (
-            *(below[i - 1][face[k][x]] for k in range(i)),
-            x,
-            x,
-            *(below[i][face[k][x]] for k in range(i + 1, m + 1)),
+    labels = zip(*(map(lower.__getitem__, c) for c in zip(*tuples)))
+    tuples = [t for _, t in sorted(zip(labels, tuples))]
+    position = dict(zip(tuples, range(len(tuples))))
+    face, below, xs = faces[m], degens[m - 1], range(len(lower))
+    images = []
+    for i in range(n):
+        keys = zip(
+            *(map(below[i - 1].__getitem__, face[k]) for k in range(i)),
+            xs,
+            xs,
+            *(map(below[i].__getitem__, face[k]) for k in range(i + 1, n)),
         )
-        if key not in position:
+        images.append(list(map(position.get, keys)))
+        if None in images[-1]:
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
-        return position[key]
-
-    degens[m] = [[degenerate(i, x) for x in range(len(lower))] for i in range(n)]
+    degens[m] = images
     degens.append([])
     levels.append([f"s{n}:{k}" for k in range(len(tuples))])
     faces.append([[t[i] for t in tuples] for i in range(n + 1)])

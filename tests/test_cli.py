@@ -157,6 +157,21 @@ def test_verify_suite_that_cannot_run_at_zero_exits_2(capsys, suite):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    (
+        (["--max-dim", "1", "--r", "0"], "--max-dim >= 2"),
+        (["--max-dim", "1"], "--max-dim >= 2"),
+        (["--max-dim", "3", "--r", "3"], "--r below --max-dim"),
+        (["--max-dim", "2"], "--r below --max-dim"),
+    ),
+)
+def test_verify_coskeletal_names_the_bound_it_cannot_run_at(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", "--suite", "coskeletal", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     (
         ["--suite", "binomial", "--max-n", "-1"],

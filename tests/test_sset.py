@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from catsset.nerve import monoidal_nerve
 from catsset.sset import (
     TruncatedSSet,
     _add_level,
+    _boundaries,
     boundaries,
     catalan_sset,
     check_simplicial_identities,
@@ -115,9 +117,63 @@ def test_boundaries_match_brute_force(build, n):
     assert set(found) == _brute_force_boundaries(S, n)
 
 
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        pytest.param(catalan_sset, 3, id="catalan-3"),
+        pytest.param(lambda N: monoidal_nerve(boolean_or(), N), 3, id="two-or-3"),
+        pytest.param(lambda N: monoidal_nerve(boolean_or(), N), 4, id="two-or-4"),
+        pytest.param(lambda N: monoidal_nerve(zmonoid(), N), 3, id="zmonoid-3"),
+        pytest.param(lambda N: monoidal_nerve(zmonoid(), N), 4, id="zmonoid-4"),
+    ],
+)
+def test_boundaries_come_in_index_order(build, n):
+    # the join lists its tuples in lexicographic order of facet indices
+    S = build(n)
+    position = S._position[n - 1]
+    brute = sorted(tuple(position[x] for x in xs) for xs in _brute_force_boundaries(S, n))
+    assert _boundaries(S.levels, S.faces, n) == brute
+
+
+@pytest.mark.parametrize(
+    "build, N, n",
+    [
+        pytest.param(catalan_sset, 7, 3, id="catalan7-3"),
+        pytest.param(catalan_sset, 7, 7, id="catalan7-7"),
+        pytest.param(catalan_sset, 7, 8, id="catalan7-8"),
+        pytest.param(lambda N: monoidal_nerve(zmonoid(), N), 5, 5, id="zmonoid-5"),
+    ],
+)
+def test_boundaries_are_sorted_and_distinct(build, N, n):
+    S = build(N)
+    found = _boundaries(S.levels, S.faces, n)
+    assert found == sorted(set(found))
+
+
 def test_catalan_boundary_counts_are_catalan_numbers(catalan7):
     for n in range(3, 8):
         assert len(boundaries(catalan7, n)) == math.comb(2 * n + 2, n + 1) // (n + 2)
+
+
+@pytest.mark.parametrize(
+    "inputs, call",
+    [
+        pytest.param(lambda: (zmonoid(), 5), monoidal_nerve, id="zmonoid-nerve-5"),
+        pytest.param(lambda: (catalan_sset(2), 6), coskeletal_extension, id="extension-2-to-6"),
+        pytest.param(lambda: (catalan_sset(6), 2, 6), is_r_coskeletal_up_to, id="coskeletal-6"),
+    ],
+)
+def test_level_kernels_leave_no_cyclic_garbage(inputs, call):
+    # a self-referencing closure in the join would leave a reference
+    # cycle per call, holding its tables until the cyclic collector runs
+    args = inputs()
+    gc.collect()
+    gc.disable()
+    try:
+        call(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_join_needs_no_unique_fillers():
