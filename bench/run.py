@@ -8,8 +8,8 @@ The script imports ``catsset`` from ``src/`` of the checkout it sits in,
 builds each case's inputs untimed, runs the case once to warm up and then
 ``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
 are exact output counts (boundary tuples, simplices built, maps found,
-checks passed); they do not depend on the machine, and the script stops
-if two runs of one case disagree on them.  CLI cases call
+checks passed, sweep candidates); they do not depend on the machine,
+and the script stops if two runs of one case disagree on them.  CLI cases call
 ``catsset.cli.main`` in-process with ``--json``.
 
 One file can hold several sides, such as a parent commit and a change:
@@ -37,8 +37,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from catsset import cli  # noqa: E402
-from catsset.library import boolean_or  # noqa: E402
+from catsset.finmon import FinCategory, antichain_poset, chain_poset  # noqa: E402
+from catsset.library import boolean_or, zmonoid_category  # noqa: E402
 from catsset.nerve import monoidal_nerve  # noqa: E402
+from catsset.skew import sweep_equivalence  # noqa: E402
 from catsset.sset import _boundaries, catalan_sset  # noqa: E402
 
 REPEATS = 5
@@ -56,6 +58,34 @@ def _nerve(n: int):
         return {"simplices_built": monoidal_nerve(boolean_or(), n).size()}
 
     return lambda: None, run
+
+
+def monoid_1ab() -> FinCategory:
+    """One object; endomorphisms {1, a, b} with a idempotent and b absorbing."""
+    absorbing = {("1", x): x for x in "1ab"} | {(x, "1"): x for x in "1ab"}
+    table = absorbing | {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"}
+    return FinCategory(["*"], [(e, "*", "*") for e in "1ab"], {"*": "1"}, table)
+
+
+#: The carriers of the sweep cases, by name.
+SWEEP_CARRIERS = {
+    "chain3": lambda: chain_poset(["0", "1", "2"]),
+    "antichain3": lambda: antichain_poset(["0", "1", "2"]),
+    "zmonoid": zmonoid_category,
+    "monoid-1ab": monoid_1ab,
+}
+
+
+def _sweep(carrier: str):
+    def run(built) -> dict:
+        s = sweep_equivalence(built)
+        return {
+            "candidates": s.candidates,
+            "natural_candidates": s.natural_candidates,
+            "skew_structures": s.skew_structure_count,
+        }
+
+    return SWEEP_CARRIERS[carrier], run
 
 
 def _command(*argv: str):
@@ -102,6 +132,7 @@ CASES = [
         {"argv": ["classify", "docs/examples/chain3-max.json"]},
         _command("classify", "docs/examples/chain3-max.json"),
     ),
+    *(("skew", "sweep_equivalence", {"carrier": c}, _sweep(c)) for c in SWEEP_CARRIERS),
 ]
 
 
@@ -141,7 +172,7 @@ def main() -> int:
         entries.append(
             {"layer": layer, "case": case, "params": params, "wall_s": round(wall, 4), "counters": counters}
         )
-        print(f"{layer:6} {case:15} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
+        print(f"{layer:6} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
     sides = doc.setdefault("sides", {})
     sides[args.side] = entries
     with open(out, "w") as fh:
@@ -158,7 +189,7 @@ def main() -> int:
             status |= not same
             ratio = f"{mine['wall_s'] / other['wall_s']:6.2f}" if other and other["wall_s"] else "     -"
             print(
-                f"{args.side}/{name} {mine['case']:15} {json.dumps(mine['params']):62} "
+                f"{args.side}/{name} {mine['case']:17} {json.dumps(mine['params']):62} "
                 f"{ratio}  counters {'equal' if same else 'DIFFER'}"
             )
     return status

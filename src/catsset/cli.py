@@ -379,11 +379,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _carrier(name: str) -> Poset | FinCategory:
-    """The zmonoid category, or for ``chainN`` the chain poset on 0 .. N-1."""
+    """The zmonoid category, or for ``chainN`` with N >= 1 the chain poset on 0 .. N-1."""
     if name == "zmonoid":
         return zmonoid_category()
     size = name.removeprefix("chain")
     if name.startswith("chain") and size.isdigit():
+        if int(size) == 0:
+            raise ValueError(f"carrier {name!r} is empty, so no object can be the unit")
         return chain_poset([str(k) for k in range(int(size))])
     raise ValueError(f"unknown carrier {name!r}; choose zmonoid or chainN")
 

@@ -62,24 +62,18 @@ def enumerate_dyck(n: int) -> list[str]:
     if n < 0:
         raise ValueError("dimension must be non-negative")
     half = n + 1
-    out: list[str] = []
-    prefix: list[str] = []
-
-    def extend(ups: int, downs: int) -> None:
-        if ups == half and downs == half:
-            out.append("".join(prefix))
-            return
-        if ups < half:
-            prefix.append("U")
-            extend(ups + 1, downs)
-            prefix.pop()
-        if downs < ups:
-            prefix.append("D")
-            extend(ups, downs + 1)
-            prefix.pop()
-
-    extend(0, 0)
-    return sorted(out)
+    # by_ups[u] holds the prefixes of the current length with u U's, so
+    # each letter position extends whole lists at once
+    by_ups: list[list[str]] = [[""]] + [[] for _ in range(half)]
+    for length in range(2 * half):
+        longer: list[list[str]] = [[] for _ in range(half + 1)]
+        for ups, prefixes in enumerate(by_ups):
+            if length - ups < ups:
+                longer[ups] += [p + "D" for p in prefixes]
+            if ups < half:
+                longer[ups + 1] += [p + "U" for p in prefixes]
+        by_ups = longer
+    return sorted(by_ups[half])
 
 
 def positions(word: str) -> tuple[list[int], list[int]]:

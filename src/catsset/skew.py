@@ -180,29 +180,46 @@ def check_naturality(d: SkewData) -> list[LawViolation]:
 
 
 def _naturality_violations(d: SkewData) -> Iterator[LawViolation]:
-    """The naturality violations in report order, lazily, so sweeps stop at the first."""
-    c = d.category
+    """The naturality violations in report order, lazily: alpha's, then lambda's and rho's.
+
+    The candidate search runs the two parts apart, each once per pick of
+    the tables it reads, and stops each at its first violation.
+    """
+    yield from _alpha_naturality_violations(d.category, d.mor_tensor, d.alpha)
+    yield from _lambda_rho_naturality_violations(
+        d.category, d.mor_tensor, d.unit, d.lam, d.rho
+    )
+
+
+def _alpha_naturality_violations(c: FinCategory, mor_tensor, alpha) -> Iterator[LawViolation]:
+    """The part of :func:`_naturality_violations` that reads only the tensor and alpha."""
     mors = c.morphism_labels()
     ends = {f: (c.src(f), c.tgt(f)) for f in mors}
     for f in mors:
         sf, tf = ends[f]
         for g in mors:
             sg, tg = ends[g]
-            fg = d.tensor_mor(f, g)
+            fg = mor_tensor[(f, g)]
             for h in mors:
                 sh, th = ends[h]
-                left = c.compose(d.alpha[(tf, tg, th)], d.tensor_mor(fg, h))
-                right = c.compose(d.tensor_mor(f, d.tensor_mor(g, h)), d.alpha[(sf, sg, sh)])
+                left = c.compose(alpha[(tf, tg, th)], mor_tensor[(fg, h)])
+                right = c.compose(mor_tensor[(f, mor_tensor[(g, h)])], alpha[(sf, sg, sh)])
                 if left != right:
                     yield LawViolation("alpha naturality", (f, g, h), f"{left} != {right}")
-    idu = c.id_of(d.unit)
-    for f in mors:
-        left = c.compose(d.lam[c.tgt(f)], d.tensor_mor(idu, f))
-        right = c.compose(f, d.lam[c.src(f)])
+
+
+def _lambda_rho_naturality_violations(
+    c: FinCategory, mor_tensor, unit, lam, rho
+) -> Iterator[LawViolation]:
+    """The part of :func:`_naturality_violations` that reads the tensor, lambda and rho."""
+    idu = c.id_of(unit)
+    for f in c.morphism_labels():
+        left = c.compose(lam[c.tgt(f)], mor_tensor[(idu, f)])
+        right = c.compose(f, lam[c.src(f)])
         if left != right:
             yield LawViolation("lambda naturality", (f,), f"{left} != {right}")
-        left = c.compose(d.tensor_mor(f, idu), d.rho[c.src(f)])
-        right = c.compose(d.rho[c.tgt(f)], f)
+        left = c.compose(mor_tensor[(f, idu)], rho[c.src(f)])
+        right = c.compose(rho[c.tgt(f)], f)
         if left != right:
             yield LawViolation("rho naturality", (f,), f"{left} != {right}")
 
@@ -377,18 +394,48 @@ def is_monoidal(d: SkewData) -> bool:
 # -- candidate sweeps --------------------------------------------------
 
 
+def _fill(domains: Sequence[Sequence[str]], admits) -> Iterator[tuple[str, ...]]:
+    """The tables with one value per cell from ``domains``, in the order of their product.
+
+    Cells are set in order.  ``admits(k, values)`` is asked as soon as
+    cell k is set, with ``values[:k + 1]`` filled in, and a False drops
+    every table that extends that prefix.  ``domains`` is not empty.
+    """
+    last = len(domains) - 1
+    picks = [-1] * len(domains)
+    values: list[str] = [""] * len(domains)
+    k = 0
+    while k >= 0:
+        picks[k] += 1
+        if picks[k] == len(domains[k]):
+            picks[k] = -1
+            k -= 1
+            continue
+        values[k] = domains[k][picks[k]]
+        if admits(k, values):
+            if k == last:
+                yield tuple(values)
+            else:
+                k += 1
+
+
 def _object_tensors(
     cat: FinCategory, typed: Mapping[tuple[str, str], tuple[str, ...]]
-) -> Iterator[dict[tuple[str, str], str]]:
-    """The object tables of the raw product, in its order, filled cell by cell.
+) -> Iterator[tuple[dict[tuple[str, str], str], list[str]]]:
+    """The object tables of the raw product that admit a unit, in its order, with their units.
 
     A pair of morphisms f: a -> b, g: c -> d types the morphism-tensor
-    cell (f, g) by an arrow a(x)c -> b(x)d; a table is skipped as soon as
+    cell (f, g) by an arrow a(x)c -> b(x)d; a table is dropped as soon as
     both object cells of such an arrow are set and its hom-set is empty,
     because no morphism tensor exists over it.  For a poset this is
-    monotonicity.
+    monotonicity.  An object u can be the unit only if each set cell
+    (u, a) has an arrow u(x)a -> a for lambda and each set cell (a, u) an
+    arrow a -> a(x)u for rho; a table is dropped as soon as no object can,
+    so an empty carrier has no tables at all.
     """
     objs = sorted(cat.objects)
+    if not objs:
+        return
     obj_pairs = [(a, b) for a in objs for b in objs]
     cell = {pair: k for k, pair in enumerate(obj_pairs)}
     arrows = {
@@ -402,35 +449,67 @@ def _object_tensors(
     for i, j in arrows:
         if i != j:
             checks[max(i, j)].append((i, j))
+    # units as bit sets over objs: keep[k][v] clears the objects that
+    # value v in cell k rules out, and alive[k] holds the objects that can
+    # still be the unit once cells 0 .. k are set (alive[-1]: before any)
+    bit = {a: 1 << u for u, a in enumerate(objs)}
+    everyone = (1 << len(objs)) - 1
+    keep = [
+        {
+            v: everyone
+            & ~(0 if typed[(v, b)] else bit[a])
+            & ~(0 if typed[(a, v)] else bit[b])
+            for v in objs
+        }
+        for a, b in obj_pairs
+    ]
+    alive = [0] * len(obj_pairs) + [everyone]
     last = len(obj_pairs) - 1
-    picks = [-1] * len(obj_pairs)
-    values = [objs[0]] * len(obj_pairs)
-    k = 0
-    while k >= 0:
-        picks[k] += 1
-        if picks[k] == len(objs):
-            picks[k] = -1
-            k -= 1
-            continue
-        values[k] = objs[picks[k]]
-        if not checks[k] or all(typed[(values[i], values[j])] for i, j in checks[k]):
-            if k == last:
-                yield dict(zip(obj_pairs, values))
-            else:
-                k += 1
+
+    def admits(k: int, values: list[str]) -> bool:
+        alive[k] = alive[k - 1] & keep[k][values[k]]
+        return bool(alive[k]) and all(typed[(values[i], values[j])] for i, j in checks[k])
+
+    for values in _fill([objs] * len(obj_pairs), admits):
+        yield dict(zip(obj_pairs, values)), [a for a in objs if alive[last] & bit[a]]
 
 
-def _category_candidates(cat: FinCategory) -> Iterator[SkewData]:
-    """All skew data over a small category by table search.
+def _interchange_checks(
+    cat: FinCategory, mor_pairs: Sequence[tuple[str, str]]
+) -> list[list[tuple[int, int, int]]]:
+    """Per morphism-tensor cell, the interchange instances whose last cell it is.
+
+    The instance (g o f)(x)(g' o f') = (g(x)g') o (f(x)f') is the cell
+    triple ((g, g'), (f, f'), (g o f, g' o f')), checked once all three
+    are set.
+    """
+    cell = {pair: k for k, pair in enumerate(mor_pairs)}
+    mors = cat.morphism_labels()
+    composites = [(g, f, cat.compose(g, f)) for g in mors for f in mors if cat.is_composable(g, f)]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in mor_pairs]
+    for g, f, gf in composites:
+        for g2, f2, g2f2 in composites:
+            instance = (cell[(g, g2)], cell[(f, f2)], cell[(gf, g2f2)])
+            checks[max(instance)].append(instance)
+    return checks
+
+
+def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:
+    """All skew data over a small category by table search, each with its naturality.
 
     Object tensors, bifunctorial morphism tensors, units, components and
     every kappa choice are enumerated.  Each morphism-tensor cell only
     ranges over the morphisms of the type the object tensor forces on it,
-    and a pair of identities only over the identity of its tensor, so the
-    tables tried are exactly those of the raw product that can be
-    bifunctors, in the same order.  An object tensor with no unit, or with
-    no alpha component for some triple, yields nothing and is skipped
-    before its morphism tables.
+    a pair of identities only over the identity of its tensor, and a
+    partial table is dropped at the last cell of an interchange instance
+    it breaks, so the tables left are exactly the bifunctors of the raw
+    product, in its order; each one still goes through
+    :func:`tensor_violations`.  An object tensor with no unit, or with no
+    alpha component for some triple, is skipped before its morphism
+    tables.  Each check runs once, at the stage whose picks fix its
+    inputs: alpha naturality once per alpha pick of a morphism tensor,
+    lambda and rho naturality once per (lambda, rho) pick of a unit, and
+    a candidate is natural when both parts hold.
     """
     objs = sorted(cat.objects)
     mors = sorted(cat.morphism_labels())
@@ -438,14 +517,12 @@ def _category_candidates(cat: FinCategory) -> Iterator[SkewData]:
     triples = [(a, b, c) for a in objs for b in objs for c in objs]
     typed = {(s, t): tuple(sorted(cat.hom(s, t))) for s in objs for t in objs}
     object_of = {cat.id_of(a): a for a in objs}
-    for obj_tensor in _object_tensors(cat, typed):
-        units = [
-            unit
-            for unit in objs
-            if all(typed[(obj_tensor[(unit, a)], a)] and typed[(a, obj_tensor[(a, unit)])] for a in objs)
-        ]
-        if not units:
-            continue
+    interchange = _interchange_checks(cat, mor_pairs)
+
+    def bifunctorial(k: int, values: list[str]) -> bool:
+        return all(cat.compose(values[i], values[j]) == values[ij] for i, j, ij in interchange[k])
+
+    for obj_tensor, units in _object_tensors(cat, typed):
         alpha_choices = [
             cat.hom(obj_tensor[(obj_tensor[(a, b)], c)], obj_tensor[(a, obj_tensor[(b, c)])])
             for a, b, c in triples
@@ -458,36 +535,35 @@ def _category_candidates(cat: FinCategory) -> Iterator[SkewData]:
             else typed[(obj_tensor[(cat.src(f), cat.src(g))], obj_tensor[(cat.tgt(f), cat.tgt(g))])]
             for f, g in mor_pairs
         ]
-        for mor_values in product(*cells):
+        for mor_values in _fill(cells, bifunctorial):
             mor_tensor = dict(zip(mor_pairs, mor_values))
             if next(tensor_violations(cat, obj_tensor, mor_tensor), None) is not None:
                 continue
+            alphas = []
+            for pick in product(*alpha_choices):
+                alpha = dict(zip(triples, pick))
+                violations = _alpha_naturality_violations(cat, mor_tensor, alpha)
+                alphas.append((alpha, next(violations, None) is None))
             for unit in units:
                 lam_choices = [cat.hom(obj_tensor[(unit, a)], a) for a in objs]
                 rho_choices = [cat.hom(a, obj_tensor[(a, unit)]) for a in objs]
-                for alpha_pick in product(*alpha_choices):
-                    alpha = dict(zip(triples, alpha_pick))
-                    for lam_pick in product(*lam_choices):
-                        lam = dict(zip(objs, lam_pick))
-                        for rho_pick in product(*rho_choices):
-                            rho = dict(zip(objs, rho_pick))
-                            for kappa in cat.hom(unit, unit):
-                                yield SkewData._over_bifunctor(
-                                    cat, obj_tensor, mor_tensor, unit,
-                                    alpha, lam, rho, kappa,
-                                )
+                lam_rhos = []
+                for lam_pick, rho_pick in product(product(*lam_choices), product(*rho_choices)):
+                    lam, rho = dict(zip(objs, lam_pick)), dict(zip(objs, rho_pick))
+                    violations = _lambda_rho_naturality_violations(cat, mor_tensor, unit, lam, rho)
+                    lam_rhos.append((lam, rho, next(violations, None) is None))
+                for alpha, alpha_natural in alphas:
+                    for lam, rho, lam_rho_natural in lam_rhos:
+                        for kappa in cat.hom(unit, unit):
+                            d = SkewData._over_bifunctor(
+                                cat, obj_tensor, mor_tensor, unit,
+                                alpha, lam, rho, kappa,
+                            )
+                            yield d, alpha_natural and lam_rho_natural
 
 
-def skew_candidates(
-    carrier: "Poset | FinCategory", budget: int = 1_000_000
-) -> Iterator[SkewData]:
-    """Structurally valid skew data over a small carrier, every kappa included.
-
-    A poset is searched as its thin category.  ``budget`` caps the raw
-    tensor tables, counted before typing prunes them: n^(n*n) for a poset
-    with n elements, and n^(n*n) * m^(m*m) for a category with n objects
-    and m morphisms.
-    """
+def _swept_category(carrier: "Poset | FinCategory", budget: int) -> FinCategory:
+    """The category a sweep over ``carrier`` searches, once it is inside the caps and the budget."""
     if isinstance(carrier, Poset):
         n = len(carrier.elements)
         if n > 3:
@@ -505,22 +581,33 @@ def skew_candidates(
         raise TypeError(f"unsupported carrier type {type(carrier).__name__}")
     if raw > budget:
         raise BudgetExceededError(f"{raw} raw tensor tables exceed the sweep budget {budget}")
-    yield from _category_candidates(carrier)
+    return carrier
+
+
+def skew_candidates(
+    carrier: "Poset | FinCategory", budget: int = 1_000_000
+) -> Iterator[SkewData]:
+    """Structurally valid skew data over a small carrier, every kappa included.
+
+    A poset is searched as its thin category.  ``budget`` caps the raw
+    tensor tables, counted before typing prunes them: n^(n*n) for a poset
+    with n elements, and n^(n*n) * m^(m*m) for a category with n objects
+    and m morphisms.  An empty carrier has no candidates, since no object
+    can be the unit.
+    """
+    for d, _ in _category_candidates(_swept_category(carrier, budget)):
+        yield d
 
 
 def enumerate_skew_structures(
     carrier: "Poset | FinCategory", budget: int = 1_000_000
 ) -> list[SkewData]:
     """All candidates with identity kappa passing naturality and the axioms."""
-    out = []
-    for d in skew_candidates(carrier, budget):
-        if d.kappa != d.category.id_of(d.unit):
-            continue
-        if next(_naturality_violations(d), None) is not None:
-            continue
-        if check_axioms(d).all_hold:
-            out.append(d)
-    return out
+    return [
+        d
+        for d, natural in _category_candidates(_swept_category(carrier, budget))
+        if natural and d.kappa == d.category.id_of(d.unit) and check_axioms(d).all_hold
+    ]
 
 
 @dataclass(frozen=True)
@@ -543,9 +630,9 @@ def sweep_equivalence(
     a5_forces = True
     a8_a9 = True
     structures = 0
-    for d in skew_candidates(carrier, budget):
+    for d, is_natural in _category_candidates(_swept_category(carrier, budget)):
         candidates += 1
-        if next(_naturality_violations(d), None) is not None:
+        if not is_natural:
             continue
         natural += 1
         identity_kappa = d.kappa == d.category.id_of(d.unit)

@@ -430,6 +430,13 @@ def test_skew_unknown_carrier(capsys):
     assert code == 2
 
 
+def test_skew_sweep_rejects_the_empty_chain(capsys):
+    # an empty carrier has no candidates, so a sweep over it would pass vacuously
+    code, out, err = run(capsys, "skew", "sweep", "--carrier", "chain0")
+    assert (code, out) == (2, "")
+    assert "carrier 'chain0' is empty" in err and "Traceback" not in err
+
+
 # a file for sweep, a carrier for check, or neither mode's own argument
 @pytest.mark.parametrize(
     "argv",

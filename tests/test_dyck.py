@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 
 import pytest
@@ -60,6 +62,26 @@ def test_census_matches_closed_form(n):
     words = enumerate_dyck(n)
     assert len(words) == catalan_number(n + 1)
     assert all(is_dyck(w) and dimension(w) == n for w in words)
+
+
+#: Digest of the word lists for n 0-10, one line each, from before the
+#: enumeration became a loop.
+WORD_LISTS_DIGEST = "f990ba6a699e6aff9e48d2f34e9c28baec200ad88b6dbba0c3b712bb95ed0ddf"
+
+
+def test_enumeration_is_pinned_and_leaves_no_cyclic_garbage():
+    h = hashlib.sha256()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(11):
+            words = enumerate_dyck(n)
+            assert gc.collect() == 0, n
+            assert words == sorted(set(words))
+            h.update(" ".join(words).encode("utf-8") + b"\n")
+    finally:
+        gc.enable()
+    assert h.hexdigest() == WORD_LISTS_DIGEST
 
 
 def test_face_examples():

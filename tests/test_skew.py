@@ -33,6 +33,7 @@ from catsset.skew import (
     skew_from_strict,
     sweep_equivalence,
     verify_equivalence,
+    _category_candidates,
 )
 
 
@@ -358,6 +359,8 @@ STREAM_GOLDEN = {
     "antichain2": (4, "9a15684ef6477c0b3b38bcefb5cfb1efeb4f26cf7191929739494ad43173ab6c"),
     "antichain3": (33, "3c07c5652d64ea28271979191a2e0b93cb93101fc10b59d884abb538fc117e7a"),
     "chain2-category": (4, "824dfa6f98e6e8f6292d0b854e5a5ca9a8373c471cd279e88932899d25a62d27"),
+    "zmonoid": (64, "db48575ad393600e9bae7f4bec461c3f6a5a4c0323312c40619ecc840766c066"),
+    "monoid-1ab": (2916, "a7e838b8a8c545370f27c95053539d2d350713501ccef88629759676ce948f9c"),
 }
 
 STREAM_CARRIERS = {
@@ -367,6 +370,8 @@ STREAM_CARRIERS = {
     "antichain2": lambda: antichain_poset(["a", "b"]),
     "antichain3": lambda: antichain_poset(["a", "b", "c"]),
     "chain2-category": SWEEP_CARRIERS["chain2-category"],
+    "zmonoid": SWEEP_CARRIERS["zmonoid"],
+    "monoid-1ab": SWEEP_CARRIERS["monoid-1ab"],
 }
 
 
@@ -382,6 +387,71 @@ def test_candidate_stream_is_pinned(carrier_name):
         row = (d.unit, d.kappa, *(sorted(t.items()) for t in tables))
         h.update(repr(row).encode("utf-8") + b"\n")
     assert (count, h.hexdigest()) == STREAM_GOLDEN[carrier_name]
+
+
+def test_empty_carrier_has_no_candidates():
+    # no object can be the unit, so the search stops before any table
+    assert sweep_equivalence(chain_poset([])) == SweepSummary(0, 0, True, True, True, 0)
+    assert list(skew_candidates(FinCategory([], [], {}, {}))) == []
+    assert enumerate_skew_structures(chain_poset([])) == []
+
+
+# -- naturality, checked once per stage by the search ------------------------
+
+#: The six carriers a perfbench skew cycle sweeps.
+FLAG_CARRIERS = {
+    "chain2": lambda: poset_category(chain_poset(["0", "1"])),
+    "chain3": lambda: poset_category(chain_poset(["0", "1", "2"])),
+    "antichain3": lambda: poset_category(antichain_poset(["0", "1", "2"])),
+    "zmonoid": zmonoid_category,
+    "chain2-category": SWEEP_CARRIERS["chain2-category"],
+    "monoid-1ab": monoid_1ab,
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(FLAG_CARRIERS))
+def test_search_naturality_flag_is_check_naturality(carrier_name):
+    flags = [
+        (natural, check_naturality(d) == [])
+        for d, natural in _category_candidates(FLAG_CARRIERS[carrier_name]())
+    ]
+    assert flags and all(natural == expected for natural, expected in flags)
+
+
+#: Count of non-natural candidates and digest of every candidate's
+#: ``check_naturality`` report, in stream order, from before the search
+#: checked naturality per stage.  The reports on the docs examples are
+#: pinned by the ``skew check`` digests of test_golden.
+NATURALITY_GOLDEN = {
+    "zmonoid": (28, "23375a7de5148494601595a4967b8cdb9b4b08a094480a70d54decaa9b951cc4"),
+    "monoid-1ab": (2292, "7d7df325f94acb71097fce4a673d5be2d3084bef71ba93c5bfca892a5659a5f5"),
+}
+
+#: Reports of a few non-natural {1, a, b} candidates, by stream position.
+NATURALITY_REPORTS = {
+    0: [
+        "lambda naturality at ('a',): 1 != a", "rho naturality at ('a',): 1 != a",
+        "lambda naturality at ('b',): 1 != b", "rho naturality at ('b',): 1 != b",
+    ],
+    1407: [
+        "alpha naturality at ('1', 'a', '1'): a != b", "alpha naturality at ('1', 'a', 'a'): a != b",
+        "lambda naturality at ('a',): 1 != a", "rho naturality at ('a',): b != a",
+    ],
+    2912: ["rho naturality at ('a',): b != a"],
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(NATURALITY_GOLDEN))
+def test_naturality_reports_are_pinned(carrier_name):
+    h = hashlib.sha256()
+    failing = 0
+    for k, d in enumerate(skew_candidates(SWEEP_CARRIERS[carrier_name]())):
+        report = [str(v) for v in check_naturality(d)]
+        failing += bool(report)
+        h.update(repr(report).encode("utf-8") + b"\n")
+        if carrier_name == "monoid-1ab" and k in NATURALITY_REPORTS:
+            assert report == NATURALITY_REPORTS[k]
+    assert (failing, h.hexdigest()) == NATURALITY_GOLDEN[carrier_name]
 
 
 # -- the pentagon conditions read off the Catalan simplicial set --------
