@@ -8,9 +8,10 @@ The script imports ``catsset`` from ``src/`` of the checkout it sits in,
 builds each case's inputs untimed, runs the case once to warm up and then
 ``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
 are exact output counts (boundary tuples, simplices built, maps found,
-checks passed, sweep candidates); they do not depend on the machine,
-and the script stops if two runs of one case disagree on them.  CLI cases call
-``catsset.cli.main`` in-process with ``--json``.
+checks passed, sweep candidates, fillers, faces, CLI exit codes); they do
+not depend on the machine, and the script stops if two runs of one case
+disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
+``--json``.
 
 One file can hold several sides, such as a parent commit and a change:
 run the script in each checkout (copy it into one that lacks it) with the
@@ -37,9 +38,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from catsset import cli  # noqa: E402
+from catsset.dyck import enumerate_dyck, face  # noqa: E402
 from catsset.finmon import FinCategory, antichain_poset, chain_poset  # noqa: E402
 from catsset.library import boolean_or, zmonoid_category  # noqa: E402
 from catsset.nerve import monoidal_nerve  # noqa: E402
+from catsset.relations import enumerate_k_relations, filler, relation_face, to_relation  # noqa: E402
 from catsset.skew import sweep_equivalence  # noqa: E402
 from catsset.sset import _boundaries, catalan_sset  # noqa: E402
 
@@ -58,6 +61,39 @@ def _nerve(n: int):
         return {"simplices_built": monoidal_nerve(boolean_or(), n).size()}
 
     return lambda: None, run
+
+
+def _fillers(n: int):
+    """``filler`` of the face tuple of every word of dimension n."""
+
+    def prepare() -> list:
+        return [([to_relation(face(w, k)) for k in range(n + 1)], to_relation(w)) for w in enumerate_dyck(n)]
+
+    def run(cases) -> dict:
+        return {"fillers_equal": sum(filler(facets) == rel for facets, rel in cases)}
+
+    return prepare, run
+
+
+def _relation_faces(n: int):
+    def run(rels) -> dict:
+        return {"faces": sum(relation_face(rel, k).n == n - 1 for rel in rels for k in range(n + 1))}
+
+    return lambda: enumerate_k_relations(n), run
+
+
+def _face_calls(count: int):
+    """``count`` in-process ``catsset face`` calls over words of dimension 6."""
+
+    def prepare() -> list:
+        words = enumerate_dyck(6)
+        return [["face", words[c % len(words)], "--index", str(c % 7), "--json"] for c in range(count)]
+
+    def run(argvs) -> dict:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return {"exit_0": sum(cli.main(argv) == 0 for argv in argvs)}
+
+    return prepare, run
 
 
 def monoid_1ab() -> FinCategory:
@@ -133,6 +169,9 @@ CASES = [
         _command("classify", "docs/examples/chain3-max.json"),
     ),
     *(("skew", "sweep_equivalence", {"carrier": c}, _sweep(c)) for c in SWEEP_CARRIERS),
+    ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers(8)),
+    ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces(8)),
+    ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls(200)),
 ]
 
 
@@ -172,7 +211,7 @@ def main() -> int:
         entries.append(
             {"layer": layer, "case": case, "params": params, "wall_s": round(wall, 4), "counters": counters}
         )
-        print(f"{layer:6} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
+        print(f"{layer:9} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
     sides = doc.setdefault("sides", {})
     sides[args.side] = entries
     with open(out, "w") as fh:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from . import dyck, motzkin
@@ -459,7 +460,9 @@ def _emit_sweep(args: argparse.Namespace, summary) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no state between parses."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
 

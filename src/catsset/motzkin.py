@@ -59,23 +59,17 @@ def enumerate_motzkin(n: int) -> list[str]:
     """All Motzkin words of length n, sorted; there are motzkin_number(n)."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    out: list[str] = []
-    prefix: list[str] = []
-
-    def extend(remaining: int, height: int) -> None:
-        if remaining == 0:
-            if height == 0:
-                out.append("".join(prefix))
-            return
-        for letter, delta in (("U", 1), ("C", 0), ("D", -1)):
-            if height + delta < 0 or height + delta > remaining - 1:
-                continue
-            prefix.append(letter)
-            extend(remaining - 1, height + delta)
-            prefix.pop()
-
-    extend(n, 0)
-    return sorted(out)
+    # (prefix, height) pairs, extended a letter at a time while the height
+    # can still return to 0 in the letters that remain
+    words = [("", 0)]
+    for remaining in range(n - 1, -1, -1):
+        words = [
+            (w + letter, h + delta)
+            for w, h in words
+            for letter, delta in (("U", 1), ("C", 0), ("D", -1))
+            if 0 <= h + delta <= remaining
+        ]
+    return sorted(w for w, _ in words)
 
 
 def dyck_to_motzkin(word: str) -> str:

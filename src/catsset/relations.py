@@ -20,15 +20,30 @@ Pair = tuple[int, int]
 
 
 def is_k_relation(pairs: Iterable[Pair], n: int) -> bool:
-    """True iff ``pairs`` satisfies the order and interval-closure conditions on {0..n}."""
-    rel = set(tuple(p) for p in pairs)
-    for i, j in rel:
-        if not (0 <= i < j <= n):
+    """True iff ``pairs`` satisfies the order and interval-closure conditions on {0..n}.
+
+    Every entry must be a pair of ints (bools excluded).  A pair set is
+    interval-closed exactly when each pair (i, k) with k - i > 1 has both
+    one-step shrinkings (i, k - 1) and (i + 1, k) in it (by induction on
+    k - i), so the check is linear in the number of pairs.
+    """
+    try:
+        rel = frozenset(map(tuple, pairs))
+    except TypeError:  # an entry that is not iterable, or not hashable
+        return False
+    return _is_closed(rel, n)
+
+
+def _is_closed(rel: frozenset[tuple], n: int) -> bool:
+    """:func:`is_k_relation` on a set of tuples."""
+    for pair in rel:
+        if len(pair) != 2:
             return False
-    for i, k in rel:
-        for j in range(i + 1, k):
-            if (i, j) not in rel or (j, k) not in rel:
-                return False
+        i, k = pair
+        if type(i) is not int or type(k) is not int or not 0 <= i < k <= n:
+            return False
+        if k - i > 1 and ((i, k - 1) not in rel or (i + 1, k) not in rel):
+            return False
     return True
 
 
@@ -40,13 +55,22 @@ class EdgeRelation:
     pairs: frozenset[Pair]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in self.pairs))
+        try:
+            pairs = frozenset(map(tuple, self.pairs))
+        except TypeError:  # an entry that is not iterable, or not hashable
+            raise RelationConditionError(
+                f"pair set has an entry that is not a pair of integers: {self.pairs!r}"
+            ) from None
+        object.__setattr__(self, "pairs", pairs)
         if self.n < 0:
             raise RelationConditionError("dimension must be non-negative")
-        if not is_k_relation(self.pairs, self.n):
+        if not _is_closed(pairs, self.n):
+            try:
+                shown = sorted(pairs)
+            except TypeError:  # entries of mixed types do not compare
+                shown = sorted(pairs, key=repr)
             raise RelationConditionError(
-                f"pair set violates the relation conditions on {{0..{self.n}}}: "
-                f"{sorted(self.pairs)}"
+                f"pair set violates the relation conditions on {{0..{self.n}}}: {shown}"
             )
 
     def sorted_pairs(self) -> list[list[int]]:
@@ -95,9 +119,8 @@ def relation_face(rel: EdgeRelation, k: int) -> EdgeRelation:
         raise IndexError(f"face index {k} out of range for dimension {rel.n}")
     if rel.n < 1:
         raise ValueError("the 0-simplex has no faces")
-    renum = {v: v - (v > k) for v in range(rel.n + 1) if v != k}
     pairs = frozenset(
-        (renum[i], renum[j]) for i, j in rel.pairs if i != k and j != k
+        (i - (i > k), j - (j > k)) for i, j in rel.pairs if i != k and j != k
     )
     return EdgeRelation(rel.n - 1, pairs)
 
@@ -132,23 +155,16 @@ def enumerate_k_relations(n: int) -> list[EdgeRelation]:
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    out: list[EdgeRelation] = []
-    reach = [0] * (n + 1)
-
-    def assign(i: int) -> None:
-        if i > n:
-            pairs = frozenset(
-                (a, j) for a in range(n + 1) for j in range(a + 1, reach[a] + 1)
-            )
-            out.append(EdgeRelation(n, pairs))
-            return
-        lower = max([i] + [reach[a] for a in range(i) if reach[a] > i])
-        for v in range(lower, n + 1):
-            reach[i] = v
-            assign(i + 1)
-
-    assign(0)
-    return out
+    # The vectors grow one entry at a time and stay in lexicographic order.
+    # Entry i is at least i and at least every earlier reach that passes
+    # i, which is max(i, *r).
+    vectors: list[list[int]] = [[]]
+    for i in range(n + 1):
+        vectors = [r + [v] for r in vectors for v in range(max([i, *r]), n + 1)]
+    return [
+        EdgeRelation(n, frozenset((a, j) for a in range(n + 1) for j in range(a + 1, reach[a] + 1)))
+        for reach in vectors
+    ]
 
 
 def _as_relation(facet: "EdgeRelation | str") -> EdgeRelation:
@@ -160,7 +176,12 @@ def filler(facets: Sequence["EdgeRelation | str"]) -> EdgeRelation:
 
     ``facets`` lists x_0 .. x_n of dimension n - 1 (as relations or Dyck
     words) with d_j(x_i) = d_i(x_{j+1}); above dimension 2 the filler
-    always exists and is unique.
+    always exists and is unique.  As in the proof, pair (a, b) is read off
+    the facet of the smallest vertex outside {a, b}, and the result is
+    checked on its n + 1 faces.  Agreeing with every facet implies that
+    the facets agree pairwise, as d_j d_i = d_i d_{j+1} holds on
+    restrictions; a tuple that fails is compared pair by pair, so that
+    the error names the first two facets that disagree.
     """
     rels = [_as_relation(f) for f in facets]
     n = len(rels) - 1
@@ -168,18 +189,22 @@ def filler(facets: Sequence["EdgeRelation | str"]) -> EdgeRelation:
         raise ValueError("canonical fillers exist only above dimension 2")
     if any(r.n != n - 1 for r in rels):
         raise BoundaryError("every facet must have dimension n - 1")
+    pairs = set()
+    for a in range(n + 1):
+        for b in range(a + 1, n + 1):
+            k = 0 if a else 1 if b > 1 else 2  # the smallest vertex not in {a, b}
+            if (a - (a > k), b - (b > k)) in rels[k].pairs:
+                pairs.add((a, b))
+    if is_k_relation(pairs, n):
+        result = EdgeRelation(n, frozenset(pairs))
+        if all(relation_face(result, k) == rels[k] for k in range(n + 1)):
+            return result
     for i in range(n):
         for j in range(i, n):
             if relation_face(rels[i], j) != relation_face(rels[j + 1], i):
                 raise BoundaryError(
                     f"facets {i} and {j + 1} disagree on their common face"
                 )
-    pairs = set()
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            k = next(v for v in range(n + 1) if v not in (a, b))
-            if (a - (a > k), b - (b > k)) in rels[k].pairs:
-                pairs.add((a, b))
     result = EdgeRelation(n, frozenset(pairs))
     for k in range(n + 1):
         if relation_face(result, k) != rels[k]:

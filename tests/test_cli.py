@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from catsset.skew import SkewData, skew_from_strict
 from catsset.sset import catalan_sset
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -475,3 +479,40 @@ def test_outputs_are_deterministic(capsys):
     first = run(capsys, "verify", "--suite", "binomial", "--json")
     second = run(capsys, "verify", "--suite", "binomial", "--json")
     assert first == second
+
+
+#: Commands run in one process and each in a fresh one: word commands, a
+#: sweep, an input error, argparse usage errors and help.
+REPEATED_ARGV = [
+    ["face", "UUDUDD", "--index", "1", "--json"],
+    ["motzkin", "--from-dyck", "UUDUDD"],
+    ["face", "UUDD", "--index", "5"],
+    ["face", "UUDD"],
+    ["skew", "sweep", "--carrier", "chain2", "--json"],
+    ["--help"],
+    ["skew", "nonsense"],
+    ["face", "--help"],
+]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_main_in_one_process_matches_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(SRC)}
+    fresh = []
+    for argv in REPEATED_ARGV:
+        done = subprocess.run(
+            [sys.executable, "-m", "catsset.cli", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        fresh.append((done.returncode, done.stdout))
+    for _ in range(2):
+        for argv, want in zip(REPEATED_ARGV, fresh):
+            code = _exit_code(argv)
+            assert (code, capsys.readouterr().out) == want, argv
+    assert [code for code, _ in fresh] == [0, 0, 2, 2, 0, 0, 2, 0]

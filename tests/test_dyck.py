@@ -20,7 +20,8 @@ from catsset.dyck import (
     nondegenerate_dyck,
 )
 from catsset.errors import InvalidWordError
-from catsset.motzkin import catalan_number
+from catsset.motzkin import catalan_number, enumerate_motzkin
+from catsset.relations import enumerate_k_relations
 
 
 def test_is_dyck_basic():
@@ -82,6 +83,34 @@ def test_enumeration_is_pinned_and_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert h.hexdigest() == WORD_LISTS_DIGEST
+
+
+#: Digests of the Motzkin word lists for n 0-12 and of the relation lists
+#: (sorted pairs) for n 0-7, one line each, from before both enumerations
+#: became loops.
+MOTZKIN_LISTS_DIGEST = "77f0d20a7ed3f12ae2d558025f86173bb726b6a001a6f0f11cd938f96987ec68"
+RELATION_LISTS_DIGEST = "dde45693839ec3fc0beb7027c9d0e439c559b29a4b2a7a1b76c24e3a4a5799c2"
+
+
+@pytest.mark.parametrize(
+    "enumerate_, top, line, digest",
+    [
+        (enumerate_motzkin, 12, " ".join, MOTZKIN_LISTS_DIGEST),
+        (enumerate_k_relations, 7, lambda rels: repr([r.sorted_pairs() for r in rels]), RELATION_LISTS_DIGEST),
+    ],
+)
+def test_other_enumerations_are_pinned_and_leave_no_cyclic_garbage(enumerate_, top, line, digest):
+    h = hashlib.sha256()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(top + 1):
+            items = enumerate_(n)
+            assert gc.collect() == 0, n
+            h.update(line(items).encode("utf-8") + b"\n")
+    finally:
+        gc.enable()
+    assert h.hexdigest() == digest
 
 
 def test_face_examples():

@@ -1,8 +1,11 @@
-from itertools import combinations
+import hashlib
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from catsset import sset
 from catsset.dyck import degeneracy, enumerate_dyck, face
 from catsset.errors import BoundaryError, RelationConditionError
 from catsset.relations import (
@@ -23,6 +26,20 @@ def test_is_k_relation_examples():
     assert is_k_relation({(0, 1), (1, 2), (0, 2)}, 2)
     assert not is_k_relation({(1, 0)}, 2)
     assert not is_k_relation({(0, 3)}, 2)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [{(0.0, 1.0)}, [(0, 1, 2)], [5], ["ab"], {(False, True)}, [(0, 1), ("a", "b")], [([0], [1])]],
+)
+def test_malformed_pair_sets_are_rejected(pairs):
+    assert not is_k_relation(pairs, 2)
+    with pytest.raises(RelationConditionError):
+        EdgeRelation(2, pairs)
+
+
+def test_pairs_may_be_any_two_int_sequence():
+    assert EdgeRelation(2, [[0, 1], (1, 2), [0, 2]]).pairs == {(0, 1), (1, 2), (0, 2)}
 
 
 def _all_pair_subsets(n):
@@ -152,3 +169,76 @@ def test_filler_errors():
     bad = good[:3] + [to_relation(degeneracy("UUDD", 0))]
     with pytest.raises(BoundaryError):
         filler(bad)
+
+
+def _reference_is_k_relation(pairs, n):
+    # independent reference, straight from condition (ii): every vertex j
+    # strictly inside a pair (i, k) needs (i, j) and (j, k), O(n^3) checks
+    rel = set(tuple(p) for p in pairs)
+    for i, j in rel:
+        if not (0 <= i < j <= n):
+            return False
+    for i, k in rel:
+        for j in range(i + 1, k):
+            if (i, j) not in rel or (j, k) not in rel:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_closure_check_matches_the_cubic_reference(n):
+    for subset in _all_pair_subsets(n):
+        assert is_k_relation(subset, n) == _reference_is_k_relation(subset, n), sorted(subset)
+        assert is_k_relation(subset, n - 1) == _reference_is_k_relation(subset, n - 1)
+
+
+def _filler_outcomes(tuples, S):
+    """Each tuple's filler checked against S, and a digest of every (tuple, message) pair."""
+    h = hashlib.sha256()
+    filled = set()
+    for t in tuples:
+        try:
+            got = filler([to_relation(w) for w in t])
+        except BoundaryError as exc:
+            h.update(f"{' '.join(t)}: {exc}\n".encode("utf-8"))
+            continue
+        (unique,) = sset.fillers(S, t)
+        assert got == to_relation(unique), t
+        filled.add(t)
+    return filled, h.hexdigest()
+
+
+#: Digests of the (tuple, BoundaryError message) lists below, taken before
+#: ``filler`` built its result first and checked its faces after.
+FOUR_TUPLE_ERRORS_DIGEST = "a042857a9b0078887291779c6005f44a5faa71ce40cf16b750d7bd528948acb4"
+SWAPPED_FACET_ERRORS_DIGEST = "a4f3b1693d3c56b98d6bea351c43c0186a40c8b0914377d7bf8a1279829ebac1"
+RANDOM_FIVE_TUPLE_ERRORS_DIGEST = "1cb390346c3e48c485fb009b0fd4aa41c6c1b60b4a32db7d944d7f3c62ca7221"
+
+
+def test_filler_on_every_four_tuple_of_2_simplices():
+    S = sset.catalan_sset(3)
+    tuples = list(product(S.level(2), repeat=4))
+    assert len(tuples) == 625
+    filled, digest = _filler_outcomes(tuples, S)
+    assert filled == set(sset.boundaries(S, 3))
+    assert len(filled) == 14
+    assert digest == FOUR_TUPLE_ERRORS_DIGEST
+
+
+def test_filler_on_4_boundaries_with_one_facet_swapped():
+    S = sset.catalan_sset(4)
+    found = sset.boundaries(S, 4)
+    tuples = [b[:k] + (x,) + b[k + 1 :] for b in found for k in range(5) for x in S.level(3)]
+    filled, digest = _filler_outcomes(tuples, S)
+    assert filled == set(found)
+    assert digest == SWAPPED_FACET_ERRORS_DIGEST
+
+
+def test_filler_on_random_five_tuples_of_3_simplices():
+    S = sset.catalan_sset(4)
+    rng = random.Random(13)
+    level = S.level(3)
+    tuples = [tuple(rng.choice(level) for _ in range(5)) for _ in range(3000)]
+    filled, digest = _filler_outcomes(tuples, S)
+    assert filled <= set(sset.boundaries(S, 4))
+    assert digest == RANDOM_FIVE_TUPLE_ERRORS_DIGEST
