@@ -7,8 +7,10 @@ Usage, from the root of a checkout:
 The script imports ``catsset`` from ``src/`` of the checkout it sits in,
 builds each case's inputs untimed, runs the case once to warm up and then
 ``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
-are exact output counts (boundary tuples, simplices built, maps found,
-checks passed, sweep candidates, fillers, faces, CLI exit codes); they do
+are exact output counts (boundary tuples, identity violations with and
+without planted faults, coskeletality verdicts, simplices built, maps
+found, checks passed, sweep candidates, fillers, faces, CLI exit
+codes); they do
 not depend on the machine, and the script stops if two runs of one case
 disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
 ``--json``.
@@ -44,7 +46,13 @@ from catsset.library import boolean_or, zmonoid_category  # noqa: E402
 from catsset.nerve import monoidal_nerve  # noqa: E402
 from catsset.relations import enumerate_k_relations, filler, relation_face, to_relation  # noqa: E402
 from catsset.skew import sweep_equivalence  # noqa: E402
-from catsset.sset import _boundaries, catalan_sset  # noqa: E402
+from catsset.sset import (  # noqa: E402
+    TruncatedSSet,
+    _boundaries,
+    catalan_sset,
+    check_simplicial_identities,
+    is_r_coskeletal_up_to,
+)
 
 REPEATS = 5
 
@@ -54,6 +62,40 @@ def _join(n: int):
         return {"boundary_tuples": len(_boundaries(S.levels, S.faces, n))}
 
     return lambda: catalan_sset(n), run
+
+
+def _planted(S: TruncatedSSet) -> TruncatedSSet:
+    """``S`` with d_0 and s_0 of the last simplex of every level rerouted to the next index."""
+    faces = [[list(t) for t in level] for level in S.faces]
+    degens = [[list(t) for t in level] for level in S.degens]
+    for tables, step in ((faces, -1), (degens, 1)):
+        for n, level in enumerate(tables):
+            if level:
+                level[0][-1] = (level[0][-1] + 1) % len(S.levels[n + step])
+    return TruncatedSSet(S.levels, faces, degens)
+
+
+def _identities(N: int, planted: bool = False):
+    """``check_simplicial_identities`` of ``catalan_sset(N)``, with a fault in every level if ``planted``.
+
+    The planted faults break instances of every identity family at every
+    level where that family can fail, so the violation count changes if
+    the check skips a family or a level.
+    """
+
+    def run(S) -> dict:
+        return {"violations": len(check_simplicial_identities(S))}
+
+    return (lambda: _planted(catalan_sset(N))) if planted else (lambda: catalan_sset(N)), run
+
+
+def _coskeletal(r: int, N: int):
+    def run(S) -> dict:
+        # each run starts from an empty filler index, as on a freshly built set
+        S._filler_cache.clear()
+        return {"coskeletal": int(is_r_coskeletal_up_to(S, r, N))}
+
+    return lambda: catalan_sset(N), run
 
 
 def _nerve(n: int):
@@ -151,11 +193,21 @@ def _command(*argv: str):
 CASES = [
     ("sset", "_boundaries", {"set": "catalan_sset(9)", "n": 9}, _join(9)),
     ("sset", "_boundaries", {"set": "catalan_sset(10)", "n": 10}, _join(10)),
+    ("sset", "check_simplicial_identities", {"set": "catalan_sset(7)"}, _identities(7)),
+    ("sset", "check_simplicial_identities", {"set": "catalan_sset(8)"}, _identities(8)),
+    (
+        "sset",
+        "check_simplicial_identities",
+        {"set": "catalan_sset(8)", "planted": "d_0 and s_0 of each level's last simplex"},
+        _identities(8, planted=True),
+    ),
+    ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal(2, 7)),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve(9)),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve(10)),
     *(
         ("cli", "verify", {"argv": argv}, _command(*argv))
         for argv in (
+            ["verify", "--suite", "identities", "--max-dim", "9"],
             ["verify", "--suite", "coskeletal", "--max-dim", "9"],
             ["verify", "--suite", "coskeletal", "--max-dim", "10"],
             ["verify", "--suite", "nerve-iso", "--max-dim", "8"],

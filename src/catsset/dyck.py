@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 
 from .errors import InvalidWordError
 
@@ -33,28 +34,36 @@ def _check_alphabet(word: str) -> None:
         raise InvalidWordError(f"letters outside {{U, D}}: {sorted(bad)!r}")
 
 
+def _dyck_positions(word: str) -> tuple[list[int], list[int]] | None:
+    """The U and D positions of ``word`` if it is a Dyck word, else None.
+
+    One scan serves both the check and the positions: a word over {U, D}
+    is a Dyck word exactly when it is nonempty, balanced, and its (i+1)-st
+    U precedes its (i+1)-st D for every i.  Other letters raise.
+    """
+    _check_alphabet(word)
+    ups, downs = positions(word)
+    if ups and len(ups) == len(downs) and all(map(lt, ups, downs)):
+        return ups, downs
+    return None
+
+
 def is_dyck(word: str) -> bool:
     """True iff ``word`` is nonempty, balanced, and every prefix has #U >= #D."""
-    _check_alphabet(word)
-    if not word:
-        return False
-    height = 0
-    for letter in word:
-        height += 1 if letter == "U" else -1
-        if height < 0:
-            return False
-    return height == 0
+    return _dyck_positions(word) is not None
 
 
-def require_dyck(word: str) -> None:
-    if not is_dyck(word):
+def require_dyck(word: str) -> tuple[list[int], list[int]]:
+    """The U and D positions of a Dyck word; raise on anything else."""
+    found = _dyck_positions(word)
+    if found is None:
         raise InvalidWordError(f"not a Dyck word: {word!r}")
+    return found
 
 
 def dimension(word: str) -> int:
     """Simplex dimension: a word of length 2n + 2 has dimension n."""
-    require_dyck(word)
-    return len(word) // 2 - 1
+    return len(require_dyck(word)[0]) - 1
 
 
 def enumerate_dyck(n: int) -> list[str]:
@@ -101,22 +110,30 @@ def degeneracy_at(word: str, u: int, d: int) -> str:
 
 def face(word: str, i: int) -> str:
     """Delete the (i+1)-st U and the (i+1)-st D (0-based face index)."""
-    n = dimension(word)
+    ups, downs = require_dyck(word)
+    n = len(ups) - 1
     if n < 1:
         raise ValueError("the 0-simplex has no faces")
     if not 0 <= i <= n:
         raise IndexError(f"face index {i} out of range for dimension {n}")
-    ups, downs = positions(word)
     return face_at(word, ups[i], downs[i])
 
 
 def degeneracy(word: str, i: int) -> str:
     """Repeat the (i+1)-st U and the (i+1)-st D, raising dimension by one."""
-    n = dimension(word)
+    ups, downs = require_dyck(word)
+    n = len(ups) - 1
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range for dimension {n}")
-    ups, downs = positions(word)
     return degeneracy_at(word, ups[i], downs[i])
+
+
+def _first_witness(ups: list[int], downs: list[int]) -> int | None:
+    """Smallest i whose (i+1)-st and (i+2)-nd U's are adjacent, and D's too."""
+    for i in range(len(ups) - 1):
+        if ups[i + 1] == ups[i] + 1 and downs[i + 1] == downs[i] + 1:
+            return i
+    return None
 
 
 def degeneracy_witness(word: str) -> int | None:
@@ -125,12 +142,7 @@ def degeneracy_witness(word: str) -> int | None:
     A word is degenerate at i exactly when its (i+1)-st and (i+2)-nd U's
     are adjacent and so are its (i+1)-st and (i+2)-nd D's.
     """
-    n = dimension(word)
-    ups, downs = positions(word)
-    for i in range(n):
-        if ups[i + 1] == ups[i] + 1 and downs[i + 1] == downs[i] + 1:
-            return i
-    return None
+    return _first_witness(*require_dyck(word))
 
 
 def is_degenerate(word: str) -> bool:
@@ -139,7 +151,7 @@ def is_degenerate(word: str) -> bool:
 
 def nondegenerate_dyck(n: int) -> list[str]:
     """The non-degenerate Dyck words of dimension ``n``, sorted."""
-    return [w for w in enumerate_dyck(n) if not is_degenerate(w)]
+    return [w for w in enumerate_dyck(n) if _first_witness(*positions(w)) is None]
 
 
 @dataclass(frozen=True)
@@ -198,25 +210,26 @@ def ez_decompose(word: str) -> tuple[SurjectionPath, str]:
     exactly when ``word`` itself is non-degenerate.  The factorization is
     computed by repeatedly stripping the smallest degeneracy witness.
     """
-    n = dimension(word)
+    ups, downs = require_dyck(word)
+    n = len(ups) - 1
     image = list(range(n + 1))
     current = word
-    while True:
-        i = degeneracy_witness(current)
-        if i is None:
-            break
-        current = face(current, i)
+    i = _first_witness(ups, downs)
+    while i is not None:
+        # a face of a Dyck word is a Dyck word: scan it, but check only ``word``
+        current = face_at(current, ups[i], downs[i])
         # post-compose the running map with the collapse of i and i+1
         image = [v if v <= i else v - 1 for v in image]
-    return SurjectionPath(n, dimension(current), tuple(image)), current
+        ups, downs = positions(current)
+        i = _first_witness(ups, downs)
+    return SurjectionPath(n, len(ups) - 1, tuple(image)), current
 
 
 def apply_surjection(phi: SurjectionPath, word: str) -> str:
     """Act on ``word`` by the degeneracies encoded in ``phi``."""
-    if dimension(word) != phi.target_dim:
-        raise ValueError(
-            f"word dimension {dimension(word)} does not match surjection target {phi.target_dim}"
-        )
+    n = dimension(word)
+    if n != phi.target_dim:
+        raise ValueError(f"word dimension {n} does not match surjection target {phi.target_dim}")
     image = list(phi.image)
     ops: list[int] = []
     while len(image) - 1 > phi.target_dim:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .dyck import dimension, is_degenerate, positions
+from .dyck import _first_witness, require_dyck
 from .errors import DegenerateWordError, InvalidWordError
 
 MOTZKIN_ALPHABET = frozenset("UCD")
@@ -79,12 +79,11 @@ def dyck_to_motzkin(word: str) -> str:
     corresponding D's are, and C otherwise; on non-degenerate words the
     first two cases never overlap.
     """
-    n = dimension(word)
-    if is_degenerate(word):
+    ups, downs = require_dyck(word)
+    if _first_witness(ups, downs) is not None:
         raise DegenerateWordError(f"degenerate word has no Motzkin form: {word!r}")
-    ups, downs = positions(word)
     letters = []
-    for i in range(n):
+    for i in range(len(ups) - 1):
         if ups[i + 1] == ups[i] + 1:
             letters.append("U")
         elif downs[i + 1] == downs[i] + 1:

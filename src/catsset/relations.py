@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dyck import dimension, positions
+from .dyck import require_dyck
 from .errors import BoundaryError, RelationConditionError
 
 Pair = tuple[int, int]
@@ -80,8 +80,8 @@ class EdgeRelation:
 
 def to_relation(word: str) -> EdgeRelation:
     """Relation of a Dyck word: (i, j) is in when the (j+1)-st U precedes the (i+1)-st D."""
-    n = dimension(word)
-    ups, downs = positions(word)
+    ups, downs = require_dyck(word)
+    n = len(ups) - 1
     pairs = frozenset(
         (i, j)
         for i in range(n + 1)

@@ -16,7 +16,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product, repeat
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import dyck
 from .errors import BudgetExceededError, SchemaError, StructuralError
@@ -25,6 +26,13 @@ from .finmon import SCHEMA_VERSION, _require_keys, check_header, check_label, pa
 BoundaryTuple = tuple[str, ...]
 #: Simplex indices: one face or degeneracy table, a face vector or a boundary.
 _Indices = tuple[int, ...]
+
+
+def _take(table: Sequence[int], idx: Sequence[int]) -> _Indices:
+    """``tuple(table[k] for k in idx)``, composed in C by one itemgetter."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(table)
+    return (table[idx[0]],) if idx else ()
 
 
 class TruncatedSSet:
@@ -215,39 +223,55 @@ class SimplicialViolation:
         )
 
 
-def check_simplicial_identities(S: TruncatedSSet) -> list[SimplicialViolation]:
-    """Every violated identity instance within the truncation; empty means pass."""
-    bad: list[SimplicialViolation] = []
-    F, D, L = S.faces, S.degens, S.levels
+#: The identity families in the order their violations are listed.
+_IDENTITIES = ("d_i d_j = d_{j-1} d_i", "s_i s_j = s_{j+1} s_i", "d_i s_j")
+
+
+def _identity_columns(S: TruncatedSSet) -> Iterator[tuple[int, int, int, int, _Indices, _Indices]]:
+    """Each identity instance as (family, n, j, i, left, right).
+
+    ``left`` and ``right`` are its two sides composed as whole columns,
+    one entry per simplex of level n.
+    """
+    F, D = S.faces, S.degens
     for n in range(2, S.N + 1):
-        for x in range(len(L[n])):
-            for j in range(n + 1):
-                dj = F[n][j][x]
-                for i in range(j):
-                    if F[n - 1][i][dj] != F[n - 1][j - 1][F[n][i][x]]:
-                        bad.append(SimplicialViolation("d_i d_j = d_{j-1} d_i", n, (i, j), L[n][x]))
+        for j in range(n + 1):
+            for i in range(j):
+                yield 0, n, j, i, _take(F[n - 1][i], F[n][j]), _take(F[n - 1][j - 1], F[n][i])
     for n in range(S.N - 1):
-        for x in range(len(L[n])):
-            for j in range(n + 1):
-                sj = D[n][j][x]
-                for i in range(j + 1):
-                    if D[n + 1][i][sj] != D[n + 1][j + 1][D[n][i][x]]:
-                        bad.append(SimplicialViolation("s_i s_j = s_{j+1} s_i", n, (i, j), L[n][x]))
+        for j in range(n + 1):
+            for i in range(j + 1):
+                yield 1, n, j, i, _take(D[n + 1][i], D[n][j]), _take(D[n + 1][j + 1], D[n][i])
     for n in range(S.N):
-        for x in range(len(L[n])):
-            for j in range(n + 1):
-                sj = D[n][j][x]
-                for i in range(n + 2):
-                    got = F[n + 1][i][sj]
-                    if i in (j, j + 1):
-                        want = x
-                    elif i < j:
-                        want = D[n - 1][j - 1][F[n][i][x]]
-                    else:
-                        want = D[n - 1][j][F[n][i - 1][x]]
-                    if got != want:
-                        bad.append(SimplicialViolation("d_i s_j", n, (i, j), L[n][x]))
-    return bad
+        xs = tuple(range(len(S.levels[n])))
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i in (j, j + 1):
+                    want = xs
+                elif i < j:
+                    want = _take(D[n - 1][j - 1], F[n][i])
+                else:
+                    want = _take(D[n - 1][j], F[n][i - 1])
+                yield 2, n, j, i, _take(F[n + 1][i], D[n][j]), want
+
+
+def check_simplicial_identities(S: TruncatedSSet) -> list[SimplicialViolation]:
+    """Every violated identity instance within the truncation; empty means pass.
+
+    Only columns that differ are read off simplex by simplex.  Violations
+    are listed by identity, then dimension, simplex x, j and i.
+    """
+    hits = [
+        (family, n, x, j, i)
+        for family, n, j, i, left, right in _identity_columns(S)
+        if left != right
+        for x, (a, b) in enumerate(zip(left, right))
+        if a != b
+    ]
+    return [
+        SimplicialViolation(_IDENTITIES[family], n, (i, j), S.levels[n][x])
+        for family, n, x, j, i in sorted(hits)
+    ]
 
 
 # -- boundaries and fillers ----------------------------------------------
@@ -284,16 +308,16 @@ def _boundaries(
     if n == 1:
         return [(a, b) for a in lower for b in lower]
     tables = faces[n - 1]
-    cols = [list(lower)]
+    cols: list[Sequence[int]] = [lower]
     for m in range(1, n + 1):
         index: dict[_Indices, list[int]] = defaultdict(list)
         for x, key in enumerate(zip(*tables[:m])):
             index[key].append(x)
         face = tables[m - 1]
-        hits = list(map(index.get, zip(*(map(face.__getitem__, c) for c in cols)), repeat(())))
-        keep = list(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
-        cols = [list(map(c.__getitem__, keep)) for c in cols]
-        cols.append(list(chain.from_iterable(hits)))
+        hits = list(map(index.get, zip(*(_take(face, c) for c in cols)), repeat(())))
+        keep = tuple(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
+        cols = [_take(c, keep) for c in cols]
+        cols.append(tuple(chain.from_iterable(hits)))
     return list(zip(*cols))
 
 
@@ -311,14 +335,19 @@ def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
 
 
 def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
-    """True iff every boundary in dimensions r+1 .. maxdim has exactly one filler."""
+    """True iff every boundary in dimensions r+1 .. maxdim has exactly one filler.
+
+    The boundaries of a level are distinct, so the level passes when each
+    is the face vector of some simplex and the simplices whose face
+    vectors are boundaries number as many as the boundaries.
+    """
     if not 0 <= r < maxdim <= S.N:
         raise ValueError("need 0 <= r < maxdim <= truncation")
     for n in range(r + 1, maxdim + 1):
-        index = S._filler_index(n)
-        for b in _boundaries(S.levels, S.faces, n):
-            if len(index.get(b, ())) != 1:
-                return False
+        found = set(_boundaries(S.levels, S.faces, n))
+        vectors = list(zip(*S.faces[n]))
+        if not found.issubset(vectors) or sum(map(found.__contains__, vectors)) != len(found):
+            return False
     return True
 
 
@@ -344,17 +373,17 @@ def _add_level(
     """
     m, n = len(levels) - 1, len(levels)
     lower = levels[m]
-    labels = zip(*(map(lower.__getitem__, c) for c in zip(*tuples)))
+    labels = zip(*(_take(lower, c) for c in zip(*tuples)))
     tuples = [t for _, t in sorted(zip(labels, tuples))]
     position = dict(zip(tuples, range(len(tuples))))
     face, below, xs = faces[m], degens[m - 1], range(len(lower))
     images = []
     for i in range(n):
         keys = zip(
-            *(map(below[i - 1].__getitem__, face[k]) for k in range(i)),
+            *(_take(below[i - 1], face[k]) for k in range(i)),
             xs,
             xs,
-            *(map(below[i].__getitem__, face[k]) for k in range(i + 1, n)),
+            *(_take(below[i], face[k]) for k in range(i + 1, n)),
         )
         images.append(list(map(position.get, keys)))
         if None in images[-1]:

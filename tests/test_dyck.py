@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,9 +20,9 @@ from catsset.dyck import (
     is_dyck,
     nondegenerate_dyck,
 )
-from catsset.errors import InvalidWordError
-from catsset.motzkin import catalan_number, enumerate_motzkin
-from catsset.relations import enumerate_k_relations
+from catsset.errors import DegenerateWordError, InvalidWordError
+from catsset.motzkin import catalan_number, dyck_to_motzkin, enumerate_motzkin
+from catsset.relations import enumerate_k_relations, to_relation
 
 
 def test_is_dyck_basic():
@@ -140,6 +141,56 @@ def test_degeneracy_witness_examples():
     # both degeneracies of UUDD give UUUDDD; the smaller witness wins
     assert degeneracy_witness("UUUDDD") == 0
     assert not is_degenerate("UUDUDD")
+
+
+def _rejection(call, word):
+    """The message with which ``call`` rejects ``word`` as a bad word, else None."""
+    try:
+        call(word)
+    except InvalidWordError as exc:
+        return str(exc)
+    except DegenerateWordError:
+        pass
+    return None
+
+
+#: Word functions that validate through the one position scan of require_dyck.
+WORD_CALLS = (
+    dimension,
+    degeneracy_witness,
+    ez_decompose,
+    dyck_to_motzkin,
+    to_relation,
+    lambda w: degeneracy(w, 0),
+)
+
+
+def _expected_rejection(word):
+    foreign = sorted(set(word) - {"U", "D"})
+    if foreign:
+        return f"letters outside {{U, D}}: {foreign!r}"
+    return None if _stack_oracle(word) else f"not a Dyck word: {word!r}"
+
+
+def _check_against_counter_oracle(word):
+    want = _expected_rejection(word)
+    for call in WORD_CALLS:
+        assert _rejection(call, word) == want
+    if want is None or want.startswith("not"):
+        assert is_dyck(word) == (want is None)
+
+
+def test_word_functions_reject_exactly_the_non_dyck_words():
+    # the Dyck check reads the U and D positions instead of a running
+    # height; the counter oracle decides every U/D word up to length 10
+    for length in range(11):
+        for letters in product("UD", repeat=length):
+            _check_against_counter_oracle("".join(letters))
+
+
+@given(st.text(alphabet="UDX", max_size=16))
+def test_word_functions_reject_foreign_letters(word):
+    _check_against_counter_oracle(word)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -13,9 +13,11 @@ from catsset.errors import BudgetExceededError, SchemaError, StructuralError
 from catsset.library import boolean_or, zmonoid
 from catsset.nerve import monoidal_nerve
 from catsset.sset import (
+    SimplicialViolation,
     TruncatedSSet,
     _add_level,
     _boundaries,
+    _take,
     boundaries,
     catalan_sset,
     check_simplicial_identities,
@@ -52,6 +54,42 @@ def _editable_tables(S):
     )
 
 
+def _scalar_identities(S):
+    """The identity check one simplex and one index pair at a time: the
+    reference the column check must match in content and order."""
+    bad = []
+    F, D, L = S.faces, S.degens, S.levels
+    for n in range(2, S.N + 1):
+        for x in range(len(L[n])):
+            for j in range(n + 1):
+                dj = F[n][j][x]
+                for i in range(j):
+                    if F[n - 1][i][dj] != F[n - 1][j - 1][F[n][i][x]]:
+                        bad.append(SimplicialViolation("d_i d_j = d_{j-1} d_i", n, (i, j), L[n][x]))
+    for n in range(S.N - 1):
+        for x in range(len(L[n])):
+            for j in range(n + 1):
+                sj = D[n][j][x]
+                for i in range(j + 1):
+                    if D[n + 1][i][sj] != D[n + 1][j + 1][D[n][i][x]]:
+                        bad.append(SimplicialViolation("s_i s_j = s_{j+1} s_i", n, (i, j), L[n][x]))
+    for n in range(S.N):
+        for x in range(len(L[n])):
+            for j in range(n + 1):
+                sj = D[n][j][x]
+                for i in range(n + 2):
+                    got = F[n + 1][i][sj]
+                    if i in (j, j + 1):
+                        want = x
+                    elif i < j:
+                        want = D[n - 1][j - 1][F[n][i][x]]
+                    else:
+                        want = D[n - 1][j][F[n][i - 1][x]]
+                    if got != want:
+                        bad.append(SimplicialViolation("d_i s_j", n, (i, j), L[n][x]))
+    return bad
+
+
 def test_identities_catch_fault_injection():
     levels, faces, degens = _editable_tables(catalan_sset(3))
     # reroute one face of the all-free 3-simplex to a different triangle
@@ -60,6 +98,157 @@ def test_identities_catch_fault_injection():
     report = check_simplicial_identities(broken)
     assert report
     assert any(v.simplex == "UDUDUDUD" and v.dimension == 3 for v in report)
+    assert report == _scalar_identities(broken)
+
+
+def _single_cell_rewrites(S):
+    """Copies of S, each with one table cell pointed at another simplex.
+
+    Per level, every cell of one face table and of one degeneracy table
+    (the middle one) is rewritten, one copy per cell; tables into a level
+    of one simplex have no other value and are left out.
+    """
+    for n in range(S.N + 1):
+        for key, tables, target in ((1, S.faces[n], n - 1), (2, S.degens[n], n + 1)):
+            if not tables or len(S.levels[target]) < 2:
+                continue
+            i = n // 2
+            for k, v in enumerate(tables[i]):
+                edited = _editable_tables(S)
+                edited[key][n][i][k] = (v + 1) % len(S.levels[target])
+                yield TruncatedSSet(*edited)
+
+
+@pytest.mark.parametrize("name", ["catalan4", "nerve_two4"])
+def test_column_identities_match_the_scalar_check(name, request):
+    S = request.getfixturevalue(name)
+    reports = [check_simplicial_identities(T) for T in _single_cell_rewrites(S)]
+    assert reports == [_scalar_identities(T) for T in _single_cell_rewrites(S)]
+    # 5 + 14 + 42 face cells at levels 2-4 (level 1's faces all land on
+    # the one vertex) and 1 + 2 + 5 + 14 degeneracy cells at levels 0-3
+    assert len(reports) == 83
+    # each moved cell breaks some identity, mostly at several simplices,
+    # so the order across simplices is compared too
+    assert all(reports)
+    assert sum(len({v.simplex for v in r}) > 1 for r in reports) > 40
+
+
+def test_take_composes_columns():
+    assert _take([5, 6, 7], [2, 0, 2]) == (7, 5, 7)
+    assert _take([5, 6, 7], (1,)) == (6,)
+    assert _take((5, 6, 7), ()) == ()
+    assert _take(range(4), range(1, 3)) == (1, 2)
+
+
+def _empty_sset(N):
+    """The empty simplicial set truncated at N, loaded from its JSON form."""
+    doc = {
+        "schema_version": 1,
+        "kind": "truncated_sset",
+        "levels": [[] for _ in range(N + 1)],
+        "faces": [[[]] * (n + 1) for n in range(1, N + 1)],
+        "degens": [[[]] * (n + 1) for n in range(N)],
+    }
+    return TruncatedSSet.from_json_dict(doc)
+
+
+def _coskeletal_by_boundary(S, r, maxdim):
+    """The definition: every boundary in dimensions r+1 .. maxdim has one filler."""
+    return all(
+        len(fillers(S, b)) == 1 for n in range(r + 1, maxdim + 1) for b in boundaries(S, n)
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [pytest.param(lambda: point_sset(5), id="point-5"), pytest.param(lambda: _empty_sset(3), id="empty-3")]
+)
+def test_levels_of_zero_and_one_simplices(build):
+    S = build()
+    assert check_simplicial_identities(S) == _scalar_identities(S) == []
+    # each boundary of the point fills once, and the empty set has none
+    for r in range(S.N):
+        assert is_r_coskeletal_up_to(S, r, S.N) is _coskeletal_by_boundary(S, r, S.N) is True
+    top = coskeletal_extension(S, S.N + 1).levels[-1]
+    assert len(top) == len(boundaries(S, S.N + 1)) == len(S.levels[0])
+
+
+def _with_top_edited(S, drop=None, copy_of=None, faces_of_new=None):
+    """S with its top simplex ``drop`` removed, or with one top simplex added.
+
+    The added simplex ``new`` carries the face vector of ``copy_of`` (a
+    doubled filler) or the index vector ``faces_of_new``.  Only
+    non-degenerate top simplices may be dropped, so no degeneracy points
+    at them.
+    """
+    levels, faces, degens = _editable_tables(S)
+    N = S.N
+    if drop is not None:
+        k = levels[N].index(drop)
+        assert S.degeneracy_witness(N, drop) is None
+        del levels[N][k]
+        for table in faces[N]:
+            del table[k]
+        degens[N - 1] = [[v - (v > k) for v in table] for table in degens[N - 1]]
+    else:
+        vector = faces_of_new or [table[levels[N].index(copy_of)] for table in faces[N]]
+        levels[N].append("new")
+        for table, v in zip(faces[N], vector):
+            table.append(v)
+    return TruncatedSSet(levels, faces, degens)
+
+
+def _not_a_boundary(S, n):
+    found = set(_boundaries(S.levels, S.faces, n))
+    return next(t for t in product(range(len(S.levels[n - 1])), repeat=n + 1) if t not in found)
+
+
+@pytest.mark.parametrize(
+    "build, r, want",
+    [
+        pytest.param(lambda: _with_top_edited(catalan_sset(3), drop="UDUDUDUD"), 2, False, id="missing-filler"),
+        pytest.param(lambda: _with_top_edited(catalan_sset(3), copy_of="UDUUDDUD"), 2, False, id="doubled-filler"),
+        pytest.param(
+            lambda: _with_top_edited(catalan_sset(3), faces_of_new=_not_a_boundary(catalan_sset(3), 3)),
+            2,
+            True,
+            id="extra-non-boundary-vector",
+        ),
+        pytest.param(lambda: catalan_sset(6), 2, True, id="catalan-6"),
+        pytest.param(lambda: catalan_sset(4), 1, False, id="catalan-4-r1"),
+        pytest.param(lambda: monoidal_nerve(boolean_or(), 5), 2, True, id="two-or-5"),
+        pytest.param(lambda: monoidal_nerve(zmonoid(), 5), 2, False, id="zmonoid-5-r2"),
+        pytest.param(lambda: monoidal_nerve(zmonoid(), 5), 3, True, id="zmonoid-5-r3"),
+    ],
+)
+def test_level_coskeletality_matches_the_definition(build, r, want):
+    S = build()
+    assert is_r_coskeletal_up_to(S, r, S.N) == _coskeletal_by_boundary(S, r, S.N) == want
+
+
+def test_edited_tops_are_simplicial_sets():
+    # the coskeletality cases above differ from C only in fillers
+    C = catalan_sset(3)
+    for S in (_with_top_edited(C, drop="UDUDUDUD"), _with_top_edited(C, copy_of="UDUUDDUD")):
+        assert check_simplicial_identities(S) == []
+        assert boundaries(S, 3) == boundaries(C, 3)
+
+
+@pytest.mark.parametrize(
+    "table, shown",
+    [
+        pytest.param([0, "x", -1, 0, 0], "'x'", id="string-before-negative"),
+        pytest.param([0, 0, 5, "x", -1], "5", id="too-large-first"),
+        pytest.param([0, -1, "x", 0, 0], "-1", id="negative-first"),
+        pytest.param([0.0, 0, 0, 0, 0], "0.0", id="float"),
+        pytest.param([0, True, 0, 0, 0], "True", id="bool"),
+        pytest.param((0, 1, 1, 0, 1.0), "1.0", id="float-last-in-tuple"),
+    ],
+)
+def test_table_validator_names_the_first_bad_value(catalan2, table, shown):
+    levels, faces, degens = _editable_tables(catalan2)
+    faces[2][1] = table
+    with pytest.raises(StructuralError, match=re.escape(f"face table 1 at level 2 has index {shown} outside level 1")):
+        TruncatedSSet(levels, faces, degens)
 
 
 def test_construction_rejects_partial_tables(catalan2):
