@@ -9,8 +9,8 @@ builds each case's inputs untimed, runs the case once to warm up and then
 ``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
 are exact output counts (boundary tuples, identity violations with and
 without planted faults, coskeletality verdicts, simplices built, maps
-found, checks passed, sweep candidates, fillers, faces, CLI exit
-codes); they do
+found, checks passed, sweep candidates, conditions that hold,
+fillers, faces, CLI exit codes); they do
 not depend on the machine, and the script stops if two runs of one case
 disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
 ``--json``.
@@ -41,11 +41,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from catsset import cli  # noqa: E402
 from catsset.dyck import enumerate_dyck, face  # noqa: E402
-from catsset.finmon import FinCategory, antichain_poset, chain_poset  # noqa: E402
+from catsset.finmon import FinCategory, antichain_poset, chain_poset, validate_strict_monoidal  # noqa: E402
 from catsset.library import boolean_or, zmonoid_category  # noqa: E402
 from catsset.nerve import monoidal_nerve  # noqa: E402
 from catsset.relations import enumerate_k_relations, filler, relation_face, to_relation  # noqa: E402
-from catsset.skew import sweep_equivalence  # noqa: E402
+from catsset.skew import check_axioms, check_pentagons, enumerate_skew_structures, sweep_equivalence  # noqa: E402
 from catsset.sset import (  # noqa: E402
     TruncatedSSet,
     _boundaries,
@@ -154,6 +154,10 @@ SWEEP_CARRIERS = {
 }
 
 
+#: The docs examples of ``catsset skew check``.
+SKEW_DOCS = ["docs/examples/skew-two-or.json", "docs/examples/skew-kappa-z.json"]
+
+
 def _sweep(carrier: str):
     def run(built) -> dict:
         s = sweep_equivalence(built)
@@ -164,6 +168,38 @@ def _sweep(carrier: str):
         }
 
     return SWEEP_CARRIERS[carrier], run
+
+
+def _strict_checks(carrier: str):
+    """``check_axioms`` and ``check_pentagons`` of each strict structure among the skew
+    structures on ``carrier``."""
+
+    def prepare() -> list:
+        structures = enumerate_skew_structures(SWEEP_CARRIERS[carrier]())
+        return [d for d in structures if not validate_strict_monoidal(d)]
+
+    def run(structures) -> dict:
+        reports = [(check_axioms(d), check_pentagons(d)) for d in structures]
+        return {
+            "structures": len(reports),
+            "axioms_hold": sum(a.all_hold for a, _ in reports),
+            "pentagons_hold": sum(p.all_hold for _, p in reports),
+        }
+
+    return prepare, run
+
+
+def _skew_check_calls(files: list[str], rounds: int):
+    """``rounds`` in-process ``catsset skew check FILE --json`` calls per file, tallied by exit code."""
+
+    def run(_) -> dict:
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for _ in range(rounds):
+                codes.extend(cli.main(["skew", "check", path, "--json"]) for path in files)
+        return {f"exit_{code}": codes.count(code) for code in sorted(set(codes))}
+
+    return lambda: None, run
 
 
 def _command(*argv: str):
@@ -221,6 +257,13 @@ CASES = [
         _command("classify", "docs/examples/chain3-max.json"),
     ),
     *(("skew", "sweep_equivalence", {"carrier": c}, _sweep(c)) for c in SWEEP_CARRIERS),
+    ("skew", "check_axioms+check_pentagons", {"structures": "strict on chain3"}, _strict_checks("chain3")),
+    (
+        "cli",
+        "skew check",
+        {"files": SKEW_DOCS, "rounds": 20},
+        _skew_check_calls(SKEW_DOCS, 20),
+    ),
     ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers(8)),
     ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces(8)),
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls(200)),

@@ -22,7 +22,7 @@ from .finmon import SCHEMA_VERSION, FinCategory, FinMonoidalStructure, Poset, ch
 from .library import boolean_or, zmonoid_category
 from .nerve import monoidal_nerve
 from .relations import to_relation
-from .skew import SkewData, check_axioms, check_naturality, check_pentagons, sweep_equivalence, verify_equivalence
+from .skew import SkewData, check_axioms, check_naturality, check_pentagons, equivalence_consistent, sweep_equivalence
 from .sset import (
     catalan_sset,
     check_simplicial_identities,
@@ -397,8 +397,8 @@ def cmd_skew(args: argparse.Namespace) -> int:
             d = SkewData.from_json_text(handle.read())
         naturality = check_naturality(d)
         axioms = check_axioms(d)
-        pentagons = check_pentagons(d)
-        equivalent = verify_equivalence(d)
+        pentagons = check_pentagons(d, axioms)
+        equivalent = equivalence_consistent(axioms, pentagons, d.kappa == d.category.id_of(d.unit))
         ok = not naturality and axioms.all_hold and pentagons.all_hold
         doc = {
             "schema_version": SCHEMA_VERSION,

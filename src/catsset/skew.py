@@ -67,10 +67,11 @@ class SkewData(FinMonoidalStructure):
         """Skew data over a tensor that already passed :func:`tensor_violations`.
 
         Sweeps validate each tensor once and build every component pick
-        through here, so only the components are checked per pick.
+        through here, so only the components are checked per pick; the
+        candidates of one tensor share its tables.
         """
         d = cls.__new__(cls)
-        FinMonoidalStructure.__init__(d, category, obj_tensor, mor_tensor, unit)
+        d.category, d.obj_tensor, d.mor_tensor, d.unit = category, obj_tensor, mor_tensor, unit
         d._set_components(alpha, lam, rho, kappa)
         return d
 
@@ -228,54 +229,49 @@ def _chain(cat: FinCategory, path: Sequence[str]) -> str:
     """Composite of a path, first morphism applied first."""
     out = path[0]
     for f in path[1:]:
-        out = cat.compose(f, out)
+        out = cat.composition[(f, out)]
     return out
 
 
 # Each condition maps an object tuple to a (left path, right path) pair of
-# edge lists; the condition holds when the two composites agree.
+# edge lists; the condition holds when the two composites agree.  The
+# tables are read by subscript: SkewData construction has checked every
+# entry they reach.
 
 
 def _pentagon_alpha(d: SkewData, A: str, B: str, C: str, D: str):
-    c = d.category
-    top = [d.alpha[(d.tensor_obj(A, B), C, D)], d.alpha[(A, B, d.tensor_obj(C, D))]]
+    ids, t, tm, alpha = d.category.identities, d.obj_tensor, d.mor_tensor, d.alpha
+    top = [alpha[(t[(A, B)], C, D)], alpha[(A, B, t[(C, D)])]]
     bottom = [
-        d.tensor_mor(d.alpha[(A, B, C)], c.id_of(D)),
-        d.alpha[(A, d.tensor_obj(B, C), D)],
-        d.tensor_mor(c.id_of(A), d.alpha[(B, C, D)]),
+        tm[(alpha[(A, B, C)], ids[D])],
+        alpha[(A, t[(B, C)], D)],
+        tm[(ids[A], alpha[(B, C, D)])],
     ]
     return top, bottom
 
 
 def _triangle_middle(d: SkewData, A: str, B: str):
-    c = d.category
-    ab = d.tensor_obj(A, B)
-    top = [c.id_of(ab)]
-    bottom = [
-        d.tensor_mor(d.rho[A], c.id_of(B)),
-        d.alpha[(A, d.unit, B)],
-        d.tensor_mor(c.id_of(A), d.lam[B]),
-    ]
+    ids, tm = d.category.identities, d.mor_tensor
+    top = [ids[d.obj_tensor[(A, B)]]]
+    bottom = [tm[(d.rho[A], ids[B])], d.alpha[(A, d.unit, B)], tm[(ids[A], d.lam[B])]]
     return top, bottom
 
 
 def _triangle_left(d: SkewData, A: str, B: str):
-    c = d.category
-    top = [d.alpha[(d.unit, A, B)], d.lam[d.tensor_obj(A, B)]]
-    bottom = [d.tensor_mor(d.lam[A], c.id_of(B))]
+    top = [d.alpha[(d.unit, A, B)], d.lam[d.obj_tensor[(A, B)]]]
+    bottom = [d.mor_tensor[(d.lam[A], d.category.identities[B])]]
     return top, bottom
 
 
 def _triangle_right(d: SkewData, A: str, B: str):
-    c = d.category
-    top = [d.rho[d.tensor_obj(A, B)], d.alpha[(A, B, d.unit)]]
-    bottom = [d.tensor_mor(c.id_of(A), d.rho[B])]
+    top = [d.rho[d.obj_tensor[(A, B)]], d.alpha[(A, B, d.unit)]]
+    bottom = [d.mor_tensor[(d.category.identities[A], d.rho[B])]]
     return top, bottom
 
 
 def _unit_loop(d: SkewData):
     top = [d.rho[d.unit], d.lam[d.unit]]
-    bottom = [d.category.id_of(d.unit)]
+    bottom = [d.category.identities[d.unit]]
     return top, bottom
 
 
@@ -286,42 +282,42 @@ def _pent_a2(d: SkewData, A: str, B: str):
 
 def _pent_a3(d: SkewData, A: str, B: str):
     top, bottom = _triangle_left(d, A, B)
-    return top, bottom + [d.category.id_of(d.tensor_obj(A, B))] * 2
+    return top, bottom + [d.category.identities[d.obj_tensor[(A, B)]]] * 2
 
 
 def _pent_a4(d: SkewData, A: str, B: str):
     top, bottom = _triangle_right(d, A, B)
-    return top, [d.category.id_of(d.tensor_obj(A, B))] * 2 + bottom
+    return top, [d.category.identities[d.obj_tensor[(A, B)]]] * 2 + bottom
 
 
 def _pent_a5(d: SkewData):
-    idu = d.category.id_of(d.unit)
+    idu = d.category.identities[d.unit]
     return [idu, idu], [idu, d.kappa, idu]
 
 
 def _pent_a6(d: SkewData):
-    idu = d.category.id_of(d.unit)
+    idu = d.category.identities[d.unit]
     return [d.rho[d.unit], d.lam[d.unit]], [idu, d.kappa, idu]
 
 
 def _pent_a7(d: SkewData):
-    idu = d.category.id_of(d.unit)
+    idu = d.category.identities[d.unit]
     return [d.rho[d.unit], d.lam[d.unit]], [d.kappa, idu, d.kappa]
 
 
 def _pent_a8(d: SkewData, A: str):
-    c = d.category
-    ai = d.tensor_obj(A, d.unit)
-    top = [d.rho[A], c.id_of(ai)]
-    bottom = [d.rho[A], c.id_of(ai), d.tensor_mor(c.id_of(A), d.kappa)]
+    ids = d.category.identities
+    ai = ids[d.obj_tensor[(A, d.unit)]]
+    top = [d.rho[A], ai]
+    bottom = [d.rho[A], ai, d.mor_tensor[(ids[A], d.kappa)]]
     return top, bottom
 
 
 def _pent_a9(d: SkewData, A: str):
-    c = d.category
-    ia = d.tensor_obj(d.unit, A)
-    top = [c.id_of(ia), d.lam[A]]
-    bottom = [d.tensor_mor(d.kappa, c.id_of(A)), c.id_of(ia), d.lam[A]]
+    ids = d.category.identities
+    ia = ids[d.obj_tensor[(d.unit, A)]]
+    top = [ia, d.lam[A]]
+    bottom = [d.mor_tensor[(d.kappa, ids[A])], ia, d.lam[A]]
     return top, bottom
 
 
@@ -346,10 +342,14 @@ PENTAGONS: tuple[tuple[str, int, object], ...] = (
 )
 
 
-def _evaluate(d: SkewData, table) -> ConditionReport:
+def _evaluate(d: SkewData, table, known: Mapping = {}) -> ConditionReport:
+    """The report of ``table`` on d; a condition function in ``known`` takes its witness from there."""
     results = []
     objs = sorted(d.category.objects)
     for name, arity, fn in table:
+        if fn in known:
+            results.append(ConditionResult(name, known[fn] is None, known[fn]))
+            continue
         witness = None
         for tup in product(objs, repeat=arity):
             left, right = fn(d, *tup)
@@ -365,16 +365,26 @@ def check_axioms(d: SkewData) -> ConditionReport:
     return _evaluate(d, AXIOMS)
 
 
-def check_pentagons(d: SkewData) -> ConditionReport:
-    """The nine pentagon conditions, kappa included, evaluated pointwise."""
-    return _evaluate(d, PENTAGONS)
+def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> ConditionReport:
+    """The nine pentagon conditions, kappa included, evaluated pointwise.
+
+    Given ``check_axioms(d)``, a condition that is also an axiom (A1 is
+    5.1) takes the axiom's result instead of being evaluated again.
+    """
+    known = {} if axioms is None else {fn: axioms.result(name).witness for name, _, fn in AXIOMS}
+    return _evaluate(d, PENTAGONS, known)
+
+
+def equivalence_consistent(axioms: ConditionReport, pentagons: ConditionReport, identity_kappa: bool) -> bool:
+    """Whether the pentagons all hold exactly when the axioms hold and kappa is the identity."""
+    return pentagons.all_hold == (axioms.all_hold and identity_kappa)
 
 
 def verify_equivalence(d: SkewData) -> bool:
     """Pentagons all hold iff the axioms hold and kappa is the identity."""
-    pentagons = check_pentagons(d).all_hold
-    axioms = check_axioms(d).all_hold and d.kappa == d.category.id_of(d.unit)
-    return pentagons == axioms
+    axioms = check_axioms(d)
+    identity_kappa = d.kappa == d.category.id_of(d.unit)
+    return equivalence_consistent(axioms, check_pentagons(d, axioms), identity_kappa)
 
 
 def is_monoidal(d: SkewData) -> bool:
@@ -494,17 +504,20 @@ def _interchange_checks(
     return checks
 
 
-def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:
-    """All skew data over a small category by table search, each with its naturality.
+def _category_picks(cat: FinCategory) -> Iterator[tuple]:
+    """All skew data over a small category by table search, as picks with their naturality.
 
-    Object tensors, bifunctorial morphism tensors, units, components and
-    every kappa choice are enumerated.  Each morphism-tensor cell only
-    ranges over the morphisms of the type the object tensor forces on it,
-    a pair of identities only over the identity of its tensor, and a
-    partial table is dropped at the last cell of an interchange instance
-    it breaks, so the tables left are exactly the bifunctors of the raw
-    product, in its order; each one still goes through
-    :func:`tensor_violations`.  An object tensor with no unit, or with no
+    Each pick is ``(obj_tensor, mor_tensor, unit, alpha, lam, rho,
+    kappas, natural)``.  Its candidates are the pick with each kappa in
+    ``kappas``, the endomorphisms of the unit, in order; they share the
+    flag, since naturality does not read kappa.  Object tensors,
+    bifunctorial morphism tensors, units and components are enumerated.
+    Each morphism-tensor cell only ranges over the morphisms of the type
+    the object tensor forces on it, a pair of identities only over the
+    identity of its tensor, and a partial table is dropped at the last
+    cell of an interchange instance it breaks, so the tables left are
+    exactly the bifunctors of the raw product, in its order; each one
+    still goes through :func:`tensor_violations`.  An object tensor with no unit, or with no
     alpha component for some triple, is skipped before its morphism
     tables.  Each check runs once, at the stage whose picks fix its
     inputs: alpha naturality once per alpha pick of a morphism tensor,
@@ -552,14 +565,18 @@ def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:
                     lam, rho = dict(zip(objs, lam_pick)), dict(zip(objs, rho_pick))
                     violations = _lambda_rho_naturality_violations(cat, mor_tensor, unit, lam, rho)
                     lam_rhos.append((lam, rho, next(violations, None) is None))
+                kappas = cat.hom(unit, unit)
                 for alpha, alpha_natural in alphas:
                     for lam, rho, lam_rho_natural in lam_rhos:
-                        for kappa in cat.hom(unit, unit):
-                            d = SkewData._over_bifunctor(
-                                cat, obj_tensor, mor_tensor, unit,
-                                alpha, lam, rho, kappa,
-                            )
-                            yield d, alpha_natural and lam_rho_natural
+                        natural = alpha_natural and lam_rho_natural
+                        yield obj_tensor, mor_tensor, unit, alpha, lam, rho, kappas, natural
+
+
+def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:
+    """The candidates of :func:`_category_picks`, one per kappa, each with its naturality."""
+    for *tables, kappas, natural in _category_picks(cat):
+        for kappa in kappas:
+            yield SkewData._over_bifunctor(cat, *tables, kappa), natural
 
 
 def _swept_category(carrier: "Poset | FinCategory", budget: int) -> FinCategory:
@@ -603,11 +620,9 @@ def enumerate_skew_structures(
     carrier: "Poset | FinCategory", budget: int = 1_000_000
 ) -> list[SkewData]:
     """All candidates with identity kappa passing naturality and the axioms."""
-    return [
-        d
-        for d, natural in _category_candidates(_swept_category(carrier, budget))
-        if natural and d.kappa == d.category.id_of(d.unit) and check_axioms(d).all_hold
-    ]
+    cat = _swept_category(carrier, budget)
+    picks = (SkewData._over_bifunctor(cat, *t, None) for *t, _, natural in _category_picks(cat) if natural)
+    return [d for d in picks if check_axioms(d).all_hold]
 
 
 @dataclass(frozen=True)
@@ -623,31 +638,32 @@ class SweepSummary:
 def sweep_equivalence(
     carrier: "Poset | FinCategory", budget: int = 1_000_000
 ) -> SweepSummary:
-    """Exhaustively verify the pentagon/axiom equivalence over a carrier."""
+    """Exhaustively verify the pentagon/axiom equivalence over a carrier.
+
+    Only natural candidates are built.  The axioms, which do not read
+    kappa, run once per pick, and the pentagons once per kappa.
+    """
     candidates = 0
     natural = 0
     equivalence = True
     a5_forces = True
     a8_a9 = True
     structures = 0
-    for d, is_natural in _category_candidates(_swept_category(carrier, budget)):
-        candidates += 1
+    cat = _swept_category(carrier, budget)
+    for *tables, kappas, is_natural in _category_picks(cat):
+        candidates += len(kappas)
         if not is_natural:
             continue
-        natural += 1
-        identity_kappa = d.kappa == d.category.id_of(d.unit)
-        pentagons = check_pentagons(d)
-        axioms_ok = check_axioms(d).all_hold
-        if pentagons.all_hold != (axioms_ok and identity_kappa):
-            equivalence = False
-        if pentagons.result("A5").holds and not identity_kappa:
-            a5_forces = False
-        if identity_kappa and not (
-            pentagons.result("A8").holds and pentagons.result("A9").holds
-        ):
-            a8_a9 = False
-        if identity_kappa and axioms_ok:
-            structures += 1
+        natural += len(kappas)
+        ds = [SkewData._over_bifunctor(cat, *tables, kappa) for kappa in kappas]
+        axioms = check_axioms(ds[0])
+        for d in ds:
+            identity_kappa = d.kappa == cat.identities[d.unit]
+            pentagons = check_pentagons(d, axioms)
+            equivalence &= equivalence_consistent(axioms, pentagons, identity_kappa)
+            a5_forces &= identity_kappa or not pentagons.result("A5").holds
+            a8_a9 &= not identity_kappa or pentagons.result("A8").holds and pentagons.result("A9").holds
+            structures += identity_kappa and axioms.all_hold
     return SweepSummary(
         candidates=candidates,
         natural_candidates=natural,

@@ -42,6 +42,8 @@ class TruncatedSSet:
     index in level n-1 of the i-th face of simplex k of level n, and
     ``degens[n][i][k]`` the index in level n+1 of its i-th degeneracy.
     Labels are unique within a level but carry no meaning to the engine.
+    ``positions``, if given, are the levels' label-to-index dicts, from a
+    caller that built them to fill the tables.
     Instances are never mutated after construction; query indexes are
     cached lazily.
     """
@@ -51,12 +53,13 @@ class TruncatedSSet:
         levels: Sequence[Sequence[str]],
         faces: Sequence[Sequence[Sequence[int]]],
         degens: Sequence[Sequence[Sequence[int]]],
+        positions: Sequence[dict[str, int]] | None = None,
     ) -> None:
         if not levels:
             raise StructuralError("at least dimension 0 is required")
         self.levels: tuple[tuple[str, ...], ...] = tuple(tuple(lv) for lv in levels)
         self.N: int = len(self.levels) - 1
-        self._position = tuple({lab: k for k, lab in enumerate(lv)} for lv in self.levels)
+        self._position = tuple(positions or ({lab: k for k, lab in enumerate(lv)} for lv in self.levels))
         for n, lv in enumerate(self.levels):
             if len(self._position[n]) != len(lv):
                 raise StructuralError(f"duplicate labels at level {n}")
@@ -194,7 +197,7 @@ def catalan_sset(N: int) -> TruncatedSSet:
                 table.append(position[n + 1][dyck.degeneracy_at(w, u, d)])
         faces.append(face_tables)
         degens.append(degen_tables)
-    return TruncatedSSet(levels, faces, degens)
+    return TruncatedSSet(levels, faces, degens, position)
 
 
 def point_sset(N: int) -> TruncatedSSet:
@@ -479,12 +482,12 @@ def _commutes(S: TruncatedSSet, T: TruncatedSSet, comps: Sequence[Sequence[int]]
     for n in range(1, upto + 1):
         here, below = comps[n], comps[n - 1]
         for s, t in zip(S.faces[n], T.faces[n]):
-            if any(below[s[x]] != t[y] for x, y in enumerate(here)):
+            if _take(below, s) != _take(t, here):
                 return False
     for n in range(upto):
         here, above = comps[n], comps[n + 1]
         for s, t in zip(S.degens[n], T.degens[n]):
-            if any(above[s[x]] != t[y] for x, y in enumerate(here)):
+            if _take(above, s) != _take(t, here):
                 return False
     return True
 

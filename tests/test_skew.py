@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from catsset import skew
 from catsset.errors import BudgetExceededError, SchemaError, StructuralError
 from catsset.classify import classify_maps
 from catsset.dyck import FREE_EDGE, dimension, ez_decompose, face
@@ -452,6 +453,81 @@ def test_naturality_reports_are_pinned(carrier_name):
         if carrier_name == "monoid-1ab" and k in NATURALITY_REPORTS:
             assert report == NATURALITY_REPORTS[k]
     assert (failing, h.hexdigest()) == NATURALITY_GOLDEN[carrier_name]
+
+
+#: Count of natural candidates and digest of their ``check_axioms`` and
+#: ``check_pentagons`` result strings, in stream order, from before the
+#: sweep evaluated each report once per the picks it reads.
+REPORT_GOLDEN = {
+    "chain2": (4, "57aa417c46ff8fbf74319faf392ed998bd688074f22c47698d25b7a3ddfbfaff"),
+    "chain3": (29, "8b6a32a3b77443d7c4c31bdd1e6293b50799e4210c229282b335c30939a5c03c"),
+    "antichain3": (33, "e67c1a9920ab567ffd92d71b08e451e3cc5275d8faad1a80a4233230e57f4b91"),
+    "zmonoid": (36, "a2fa7d53e5311442973420417d162df5a711c246bbac0b7c3c606e033a1ea88a"),
+    "chain2-category": (4, "57aa417c46ff8fbf74319faf392ed998bd688074f22c47698d25b7a3ddfbfaff"),
+    "monoid-1ab": (624, "bfa651e641604470319107612ec227a5c6b6ac8098b40fae01fedac9f5666fdd"),
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(REPORT_GOLDEN))
+def test_condition_reports_are_pinned(carrier_name):
+    h = hashlib.sha256()
+    count = 0
+    for d, natural in _category_candidates(FLAG_CARRIERS[carrier_name]()):
+        if not natural:
+            continue
+        count += 1
+        row = [str(r) for r in check_axioms(d).results + check_pentagons(d).results]
+        h.update(repr(row).encode("utf-8") + b"\n")
+    assert (count, h.hexdigest()) == REPORT_GOLDEN[carrier_name]
+
+
+class _KappaTrap(SkewData):
+    """Skew data whose kappa cannot be read."""
+
+    @property
+    def kappa(self):
+        raise AssertionError("kappa was read")
+
+
+@pytest.mark.parametrize("carrier_name", ("zmonoid", "monoid-1ab"))
+def test_axioms_do_not_read_kappa(carrier_name):
+    # the sweep evaluates the axioms once per pick of every table but kappa
+    for d, natural in _category_candidates(FLAG_CARRIERS[carrier_name]()):
+        axioms = check_axioms(d)
+        assert check_pentagons(d, axioms) == check_pentagons(d)
+        trapped = _KappaTrap.__new__(_KappaTrap)
+        trapped.__dict__.update({k: v for k, v in vars(d).items() if k != "kappa"})
+        assert check_axioms(trapped) == axioms
+        with pytest.raises(AssertionError, match="kappa was read"):
+            check_pentagons(trapped, axioms)
+
+
+@pytest.mark.parametrize("carrier_name", list(STREAM_CARRIERS))
+def test_enumerated_structures_are_the_filtered_stream(carrier_name):
+    carrier = STREAM_CARRIERS[carrier_name]()
+    expected = [
+        d
+        for d in skew_candidates(carrier)
+        if not check_naturality(d) and d.kappa == d.category.id_of(d.unit) and check_axioms(d).all_hold
+    ]
+    assert [d.to_json_dict() for d in enumerate_skew_structures(carrier)] == [
+        d.to_json_dict() for d in expected
+    ]
+
+
+def test_sweep_evaluates_a5_for_every_kappa(monkeypatch):
+    # a planted A5 that ignores kappa holds for kappa = z, which the sweep
+    # must see although it evaluates the axioms once per pick
+    def a5_without_kappa(d):
+        idu = d.category.id_of(d.unit)
+        return [idu, idu], [idu, idu, idu]
+
+    planted = tuple(
+        (name, arity, a5_without_kappa if name == "A5" else fn) for name, arity, fn in skew.PENTAGONS
+    )
+    assert sweep_equivalence(zmonoid_category()).a5_forces_identity_kappa
+    monkeypatch.setattr(skew, "PENTAGONS", planted)
+    assert not sweep_equivalence(zmonoid_category()).a5_forces_identity_kappa
 
 
 # -- the pentagon conditions read off the Catalan simplicial set --------

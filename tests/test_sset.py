@@ -17,6 +17,7 @@ from catsset.sset import (
     TruncatedSSet,
     _add_level,
     _boundaries,
+    _commutes,
     _take,
     boundaries,
     catalan_sset,
@@ -507,6 +508,36 @@ def test_map_verification_negative(catalan4, nerve_two4):
     assert is_simplicial_map(catalan4, nerve_two4, comps)
     comps[1][FREE], comps[1][UNIT] = comps[1][UNIT], comps[1][FREE]
     assert not is_simplicial_map(catalan4, nerve_two4, comps)
+
+
+def _scalar_commutes(S, T, comps):
+    """The commutation check one simplex at a time: the reference for ``_commutes``."""
+    for n in range(1, len(comps)):
+        for s, t in zip(S.faces[n], T.faces[n]):
+            if any(comps[n - 1][s[x]] != t[y] for x, y in enumerate(comps[n])):
+                return False
+    for n in range(len(comps) - 1):
+        for s, t in zip(S.degens[n], T.degens[n]):
+            if any(comps[n + 1][s[x]] != t[y] for x, y in enumerate(comps[n])):
+                return False
+    return True
+
+
+def test_commutes_matches_the_scalar_check(catalan4, nerve_two4):
+    # both maps, and every rewrite of one simplex's image in one of them,
+    # each of which breaks the map
+    maps = [
+        [[nerve_two4.levels[n].index(f(n, x)) for x in catalan4.levels[n]] for n in range(5)]
+        for f in simplicial_maps(catalan4, nerve_two4, 3)
+    ]
+    assert len(maps) == 2
+    for comps in maps:
+        for n, level in enumerate(comps):
+            for x, y in product(range(len(level)), range(len(nerve_two4.levels[n]))):
+                edited = [list(c) for c in comps]
+                edited[n][x] = y
+                verdict = _commutes(catalan4, nerve_two4, edited)
+                assert verdict == _scalar_commutes(catalan4, nerve_two4, edited) == (y == level[x])
 
 
 def test_is_simplicial_map_rejects_bad_label_components(catalan4, nerve_two4):
