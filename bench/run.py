@@ -10,7 +10,7 @@ builds each case's inputs untimed, runs the case once to warm up and then
 are exact output counts (boundary tuples, identity violations with and
 without planted faults, coskeletality verdicts, simplices built, maps
 found, checks passed, sweep candidates, conditions that hold,
-fillers, faces, CLI exit codes); they do
+fillers, faces, words rebuilt, classification records, CLI exit codes); they do
 not depend on the machine, and the script stops if two runs of one case
 disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
 ``--json``.
@@ -40,9 +40,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from catsset import cli  # noqa: E402
-from catsset.dyck import enumerate_dyck, face  # noqa: E402
+from catsset.classify import classify_maps  # noqa: E402
+from catsset.dyck import apply_surjection, enumerate_dyck, ez_decompose, face  # noqa: E402
 from catsset.finmon import FinCategory, antichain_poset, chain_poset, validate_strict_monoidal  # noqa: E402
-from catsset.library import boolean_or, zmonoid_category  # noqa: E402
+from catsset.library import boolean_or, structure_library, zmonoid_category  # noqa: E402
 from catsset.nerve import monoidal_nerve  # noqa: E402
 from catsset.relations import enumerate_k_relations, filler, relation_face, to_relation  # noqa: E402
 from catsset.skew import check_axioms, check_pentagons, enumerate_skew_structures, sweep_equivalence  # noqa: E402
@@ -122,6 +123,27 @@ def _relation_faces(n: int):
         return {"faces": sum(relation_face(rel, k).n == n - 1 for rel in rels for k in range(n + 1))}
 
     return lambda: enumerate_k_relations(n), run
+
+
+def _surjections(n: int):
+    """``apply_surjection`` of the ``ez_decompose`` of every word of dimension n."""
+
+    def prepare() -> list:
+        return [(ez_decompose(w), w) for w in enumerate_dyck(n)]
+
+    def run(cases) -> dict:
+        return {"words_rebuilt": sum(apply_surjection(phi, core) == w for (phi, core), w in cases)}
+
+    return prepare, run
+
+
+def _classify_library():
+    """``classify_maps`` of each structure of the library."""
+
+    def run(structures) -> dict:
+        return {"records": sum(len(classify_maps(m)) for m in structures)}
+
+    return lambda: list(structure_library().values()), run
 
 
 def _face_calls(count: int):
@@ -267,6 +289,8 @@ CASES = [
     ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers(8)),
     ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces(8)),
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls(200)),
+    ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections(8)),
+    ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library()),
 ]
 
 

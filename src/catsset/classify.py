@@ -23,7 +23,6 @@ from .sset import (
     _indexed,
     _labelled_map,
     catalan_sset,
-    simplicial_maps,
 )
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
@@ -183,7 +182,8 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
     T = monoidal_nerve(m, 4)
     records = _generator_records(S, T, m)
     monoids = enumerate_monoids(m)
-    maps = simplicial_maps(S, T, 3)
+    # simplicial_maps(S, T, 3), less its check that a nerve is 3-coskeletal
+    maps = [_labelled_map(S, T, c) for c in _enumerate_level_maps(S, T, 4, bijective=False)]
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}
     engine_triples = {map_triple(T, f) for f in maps}

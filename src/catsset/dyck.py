@@ -226,7 +226,7 @@ def ez_decompose(word: str) -> tuple[SurjectionPath, str]:
 
 
 def apply_surjection(phi: SurjectionPath, word: str) -> str:
-    """Act on ``word`` by the degeneracies encoded in ``phi``."""
+    """Act on ``word`` by the degeneracies encoded in ``phi``; only ``word`` itself is checked."""
     n = dimension(word)
     if n != phi.target_dim:
         raise ValueError(f"word dimension {n} does not match surjection target {phi.target_dim}")
@@ -238,5 +238,6 @@ def apply_surjection(phi: SurjectionPath, word: str) -> str:
         del image[j]
     result = word
     for j in reversed(ops):
-        result = degeneracy(result, j)
+        ups, downs = positions(result)
+        result = degeneracy_at(result, ups[j], downs[j])
     return result

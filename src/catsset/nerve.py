@@ -13,7 +13,7 @@ import json
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _add_level, _boundaries, coskeletal_extension
+from .sset import TruncatedSSet, _add_level, _boundaries, _extend_levels
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -35,8 +35,9 @@ def monoidal_nerve(
 ) -> TruncatedSSet:
     """The nerve of ``m`` truncated at dimension N.
 
-    Levels above 3 are produced by coskeletal extension; a size guard
-    aborts construction past ``max_simplices`` simplices in total.
+    Levels are built into table lists, those above 3 by the loop of
+    :func:`coskeletal_extension`, and the result is validated once; a size
+    guard aborts construction past ``max_simplices`` simplices in total.
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
@@ -82,21 +83,17 @@ def monoidal_nerve(
             ]
         )
     degens.append([])
-    if N <= 2:
-        return TruncatedSSet(levels, faces, degens)
+    if N >= 3:
+        def commutes(bt: tuple[int, ...]) -> bool:
+            x0, x1, x2, x3 = (data[k] for k in bt)
+            a23, a01 = x0[0], x3[2]
+            left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(a01)))
+            right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
+            return left == right
 
-    def commutes(bt: tuple[int, ...]) -> bool:
-        x0, x1, x2, x3 = (data[k] for k in bt)
-        a23, a01 = x0[0], x3[2]
-        left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(a01)))
-        right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
-        return left == right
-
-    bts = [bt for bt in _boundaries(levels, faces, 3) if commutes(bt)]
-    if len(bts) > max_simplices:
-        raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
-    _add_level(levels, faces, degens, bts)
-    T = TruncatedSSet(levels, faces, degens)
-    if N == 3:
-        return T
-    return coskeletal_extension(T, N, max_simplices=max_simplices)
+        bts = [bt for bt in _boundaries(levels, faces, 3) if commutes(bt)]
+        if len(bts) > max_simplices:
+            raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
+        _add_level(levels, faces, degens, bts)
+    _extend_levels(levels, faces, degens, N, max_simplices)
+    return TruncatedSSet(levels, faces, degens)

@@ -60,22 +60,6 @@ class SkewData(FinMonoidalStructure):
         violation = next(tensor_violations(category, self.obj_tensor, self.mor_tensor), None)
         if violation is not None:
             raise StructuralError(violation.detail)
-        self._set_components(alpha, lam, rho, kappa)
-
-    @classmethod
-    def _over_bifunctor(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa):
-        """Skew data over a tensor that already passed :func:`tensor_violations`.
-
-        Sweeps validate each tensor once and build every component pick
-        through here, so only the components are checked per pick; the
-        candidates of one tensor share its tables.
-        """
-        d = cls.__new__(cls)
-        d.category, d.obj_tensor, d.mor_tensor, d.unit = category, obj_tensor, mor_tensor, unit
-        d._set_components(alpha, lam, rho, kappa)
-        return d
-
-    def _set_components(self, alpha, lam, rho, kappa) -> None:
         self.alpha = dict(alpha)
         self.lam = dict(lam)
         self.rho = dict(rho)
@@ -113,6 +97,18 @@ class SkewData(FinMonoidalStructure):
             if len(table) != len(keys):
                 key = min(set(table) - keys, key=repr)
                 raise StructuralError(f"{name} entry at {key!r} is not at objects")
+
+    @classmethod
+    def _over_bifunctor(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa):
+        """A candidate of a :func:`_category_picks` pick, its tables stored as given and shared.
+
+        The search drew them typed and kept only bifunctors; a kappa of None is the unit's identity.
+        """
+        d = cls.__new__(cls)
+        d.category, d.obj_tensor, d.mor_tensor, d.unit = category, obj_tensor, mor_tensor, unit
+        d.alpha, d.lam, d.rho = alpha, lam, rho
+        d.kappa = kappa if kappa is not None else category.id_of(unit)
+        return d
 
     # -- serialization ---------------------------------------------------
 
@@ -194,7 +190,7 @@ def _naturality_violations(d: SkewData) -> Iterator[LawViolation]:
 
 def _alpha_naturality_violations(c: FinCategory, mor_tensor, alpha) -> Iterator[LawViolation]:
     """The part of :func:`_naturality_violations` that reads only the tensor and alpha."""
-    mors = c.morphism_labels()
+    mors, comp = c.morphism_labels(), c.composition
     ends = {f: (c.src(f), c.tgt(f)) for f in mors}
     for f in mors:
         sf, tf = ends[f]
@@ -203,8 +199,8 @@ def _alpha_naturality_violations(c: FinCategory, mor_tensor, alpha) -> Iterator[
             fg = mor_tensor[(f, g)]
             for h in mors:
                 sh, th = ends[h]
-                left = c.compose(alpha[(tf, tg, th)], mor_tensor[(fg, h)])
-                right = c.compose(mor_tensor[(f, mor_tensor[(g, h)])], alpha[(sf, sg, sh)])
+                left = comp[(alpha[(tf, tg, th)], mor_tensor[(fg, h)])]
+                right = comp[(mor_tensor[(f, mor_tensor[(g, h)])], alpha[(sf, sg, sh)])]
                 if left != right:
                     yield LawViolation("alpha naturality", (f, g, h), f"{left} != {right}")
 
@@ -213,14 +209,14 @@ def _lambda_rho_naturality_violations(
     c: FinCategory, mor_tensor, unit, lam, rho
 ) -> Iterator[LawViolation]:
     """The part of :func:`_naturality_violations` that reads the tensor, lambda and rho."""
-    idu = c.id_of(unit)
+    idu, comp = c.id_of(unit), c.composition
     for f in c.morphism_labels():
-        left = c.compose(lam[c.tgt(f)], mor_tensor[(idu, f)])
-        right = c.compose(f, lam[c.src(f)])
+        left = comp[(lam[c.tgt(f)], mor_tensor[(idu, f)])]
+        right = comp[(f, lam[c.src(f)])]
         if left != right:
             yield LawViolation("lambda naturality", (f,), f"{left} != {right}")
-        left = c.compose(mor_tensor[(f, idu)], rho[c.src(f)])
-        right = c.compose(rho[c.tgt(f)], f)
+        left = comp[(mor_tensor[(f, idu)], rho[c.src(f)])]
+        right = comp[(rho[c.tgt(f)], f)]
         if left != right:
             yield LawViolation("rho naturality", (f,), f"{left} != {right}")
 
@@ -235,8 +231,8 @@ def _chain(cat: FinCategory, path: Sequence[str]) -> str:
 
 # Each condition maps an object tuple to a (left path, right path) pair of
 # edge lists; the condition holds when the two composites agree.  The
-# tables are read by subscript: SkewData construction has checked every
-# entry they reach.
+# tables and composites are read by subscript: SkewData construction, or
+# the search that drew the pick, has checked every entry they reach.
 
 
 def _pentagon_alpha(d: SkewData, A: str, B: str, C: str, D: str):
@@ -516,13 +512,13 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple]:
     the object tensor forces on it, a pair of identities only over the
     identity of its tensor, and a partial table is dropped at the last
     cell of an interchange instance it breaks, so the tables left are
-    exactly the bifunctors of the raw product, in its order; each one
-    still goes through :func:`tensor_violations`.  An object tensor with no unit, or with no
-    alpha component for some triple, is skipped before its morphism
-    tables.  Each check runs once, at the stage whose picks fix its
-    inputs: alpha naturality once per alpha pick of a morphism tensor,
-    lambda and rho naturality once per (lambda, rho) pick of a unit, and
-    a candidate is natural when both parts hold.
+    exactly the bifunctors of the raw product, in its order, and none is
+    checked again.  An object tensor with no unit, or with no alpha
+    component for some triple, is skipped before its morphism tables.
+    Each check runs once, at the stage whose picks fix its inputs: alpha
+    naturality once per alpha pick of a morphism tensor, lambda and rho
+    naturality once per (lambda, rho) pick of a unit, and a candidate is
+    natural when both parts hold.
     """
     objs = sorted(cat.objects)
     mors = sorted(cat.morphism_labels())
@@ -531,9 +527,10 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple]:
     typed = {(s, t): tuple(sorted(cat.hom(s, t))) for s in objs for t in objs}
     object_of = {cat.id_of(a): a for a in objs}
     interchange = _interchange_checks(cat, mor_pairs)
+    comp = cat.composition
 
     def bifunctorial(k: int, values: list[str]) -> bool:
-        return all(cat.compose(values[i], values[j]) == values[ij] for i, j, ij in interchange[k])
+        return all(comp[(values[i], values[j])] == values[ij] for i, j, ij in interchange[k])
 
     for obj_tensor, units in _object_tensors(cat, typed):
         alpha_choices = [
@@ -550,8 +547,6 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple]:
         ]
         for mor_values in _fill(cells, bifunctorial):
             mor_tensor = dict(zip(mor_pairs, mor_values))
-            if next(tensor_violations(cat, obj_tensor, mor_tensor), None) is not None:
-                continue
             alphas = []
             for pick in product(*alpha_choices):
                 alpha = dict(zip(triples, pick))

@@ -397,23 +397,10 @@ def _add_level(
     faces.append([[t[i] for t in tuples] for i in range(n + 1)])
 
 
-def coskeletal_extension(
-    S: TruncatedSSet, N: int, max_simplices: int = 1_000_000
-) -> TruncatedSSet:
-    """Extend a consistent truncation to dimension N by boundary tuples.
-
-    Each new level consists of the compatible facet tuples over the level
-    below; faces project to components and degeneracies are computed
-    through the simplicial identities.  The levels are added to table
-    lists, and the result is built, and so validated, once.
-    """
-    if N < S.N:
-        raise ValueError("cannot extend below the current truncation")
-    if check_simplicial_identities(S):
-        raise StructuralError("input truncation violates the simplicial identities")
-    levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
-    total = S.size()
-    for n in range(S.N + 1, N + 1):
+def _extend_levels(levels: list, faces: list, degens: list, N: int, max_simplices: int) -> None:
+    """Add levels up to N to :func:`_add_level`'s lists, each of the boundary tuples over the one below."""
+    total = sum(map(len, levels))
+    for n in range(len(levels), N + 1):
         bts = _boundaries(levels, faces, n)
         total += len(bts)
         if total > max_simplices:
@@ -421,6 +408,24 @@ def coskeletal_extension(
                 f"extension to dimension {n} needs more than {max_simplices} simplices"
             )
         _add_level(levels, faces, degens, bts)
+
+
+def coskeletal_extension(
+    S: TruncatedSSet, N: int, max_simplices: int = 1_000_000
+) -> TruncatedSSet:
+    """Extend a consistent truncation to dimension N by boundary tuples.
+
+    Each new level consists of the compatible facet tuples over the level
+    below; faces project to components and degeneracies are computed
+    through the simplicial identities, which only the input is checked
+    against.  The result is built, and so validated, once.
+    """
+    if N < S.N:
+        raise ValueError("cannot extend below the current truncation")
+    if check_simplicial_identities(S):
+        raise StructuralError("input truncation violates the simplicial identities")
+    levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
+    _extend_levels(levels, faces, degens, N, max_simplices)
     return TruncatedSSet(levels, faces, degens) if N > S.N else S
 
 

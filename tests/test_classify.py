@@ -39,6 +39,18 @@ def test_three_way_agreement(name, library):
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
+def test_engine_leg_is_the_public_map_search(name, library, catalan4):
+    # the classification searches maps without the public coskeletality
+    # check; its engine triples equal those of simplicial_maps
+    m = library[name]
+    nerve = monoidal_nerve(m, 4)
+    public = [map_triple(nerve, f) for f in simplicial_maps(catalan4, nerve, 3)]
+    records, verdict = catsset.classify._classification(m)
+    assert verdict and len(records) == len(public)
+    assert {r.triple() for r in records} == set(public)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))
 def test_unit_square_condition_is_automatic(name, library):
     assert check_fk_automatic(library[name])
 

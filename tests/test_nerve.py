@@ -6,6 +6,7 @@ from catsset.library import boolean_or, chain3_max, zmonoid
 from catsset.nerve import monoidal_nerve, two_label, two_simplex_data
 from catsset.sset import (
     check_simplicial_identities,
+    coskeletal_extension,
     is_r_coskeletal_up_to,
     isomorphisms,
 )
@@ -60,6 +61,15 @@ def test_every_library_nerve_at_five(library):
         nerve = monoidal_nerve(m, 5)
         assert check_simplicial_identities(nerve) == [], name
         assert is_r_coskeletal_up_to(nerve, 3, 5), name
+
+
+@pytest.mark.parametrize("N", (3, 4, 5))
+def test_nerve_is_the_checked_extension_of_its_three_truncation(library, N):
+    # the nerve builds its levels without checking the identities; the
+    # public extension checks them on the 3-truncation and must agree
+    for name, m in library.items():
+        checked = coskeletal_extension(monoidal_nerve(m, 3), N)
+        assert monoidal_nerve(m, N).to_json_text() == checked.to_json_text(), name
 
 
 def test_poset_nerves_are_two_coskeletal(nerve_two5):

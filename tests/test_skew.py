@@ -419,6 +419,18 @@ def test_search_naturality_flag_is_check_naturality(carrier_name):
     assert flags and all(natural == expected for natural, expected in flags)
 
 
+@pytest.mark.parametrize("carrier_name", [*FLAG_CARRIERS, "discrete2"])
+def test_search_candidates_pass_the_public_constructor(carrier_name):
+    # the search builds its candidates unchecked; the public constructor,
+    # which checks the tensor and every component, must accept each as is
+    cat = {**FLAG_CARRIERS, "discrete2": discrete_two}[carrier_name]()
+    candidates = [d for d, _ in _category_candidates(cat)]
+    assert candidates
+    for d in candidates:
+        rebuilt = SkewData(cat, d.obj_tensor, d.mor_tensor, d.unit, d.alpha, d.lam, d.rho, d.kappa)
+        assert vars(rebuilt) == vars(d)
+
+
 #: Count of non-natural candidates and digest of every candidate's
 #: ``check_naturality`` report, in stream order, from before the search
 #: checked naturality per stage.  The reports on the docs examples are

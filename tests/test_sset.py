@@ -442,6 +442,12 @@ def test_extension_of_a_point():
     assert check_simplicial_identities(ext) == []
 
 
+def test_coskeletality_needs_a_dimension_above_r(catalan4):
+    for r in range(5):
+        with pytest.raises(ValueError, match="need 0 <= r < maxdim"):
+            is_r_coskeletal_up_to(catalan4, r, r)
+
+
 def test_extension_rejects_inconsistent_input():
     levels, faces, degens = _editable_tables(catalan_sset(3))
     faces[3][0][levels[3].index("UDUDUDUD")] = levels[2].index("UDUUDD")
