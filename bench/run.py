@@ -9,10 +9,10 @@ builds each case's inputs untimed, runs the case once to warm up and then
 ``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
 are exact output counts (boundary tuples, identity violations with and
 without planted faults, coskeletality verdicts, simplices built, maps
-found, checks passed, sweep candidates, conditions that hold,
-fillers, faces, words rebuilt, classification records, CLI exit codes); they do
-not depend on the machine, and the script stops if two runs of one case
-disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
+found, checks passed, sweep candidates, conditions that hold, fillers,
+faces, words rebuilt, classification records, their distinct maps and
+three-way agreements, CLI exit codes); they do not depend on the
+machine, and the script stops if two runs of one case disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
 ``--json``.
 
 One file can hold several sides, such as a parent commit and a change:
@@ -40,7 +40,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from catsset import cli  # noqa: E402
-from catsset.classify import classify_maps  # noqa: E402
+from catsset.classify import _classification, classify_maps  # noqa: E402
 from catsset.dyck import apply_surjection, enumerate_dyck, ez_decompose, face  # noqa: E402
 from catsset.finmon import FinCategory, antichain_poset, chain_poset, validate_strict_monoidal  # noqa: E402
 from catsset.library import boolean_or, structure_library, zmonoid_category  # noqa: E402
@@ -142,6 +142,20 @@ def _classify_library():
 
     def run(structures) -> dict:
         return {"records": sum(len(classify_maps(m)) for m in structures)}
+
+    return lambda: list(structure_library().values()), run
+
+
+def _verify_classification_library():
+    """``verify_classification`` of each structure of the library, from the records and verdict it reads."""
+
+    def run(structures) -> dict:
+        results = [_classification(m) for m in structures]
+        return {
+            "records": sum(len(records) for records, _ in results),
+            "maps": sum(len({r.map for r in records}) for records, _ in results),
+            "agreements": sum(verdict for _, verdict in results),
+        }
 
     return lambda: list(structure_library().values()), run
 
@@ -291,6 +305,12 @@ CASES = [
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls(200)),
     ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections(8)),
     ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library()),
+    (
+        "classify",
+        "verify_classification",
+        {"structures": "structure_library()"},
+        _verify_classification_library(),
+    ),
 ]
 
 

@@ -6,29 +6,26 @@ multiplication candidate mu : A (x) A -> A, a unit candidate
 eta' : I (x) I -> A, and four commuting-square conditions coming from
 the non-degenerate 3-simplices.  In the strict setting eta' equals the
 monoid unit eta, and the fourth condition holds for every candidate.
+The maps themselves come from one search of the engine; the conditions
+are an independent route to their generator images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyck import FREE_EDGE, POINT, UNIT_EDGE
+from .dyck import FREE_EDGE
 from .errors import StructuralError
 from .finmon import FinMonoidalStructure, MonoidObject, enumerate_monoids
-from .nerve import monoidal_nerve, two_label, two_simplex_data
-from .sset import (
-    SimplicialMap,
-    TruncatedSSet,
-    _enumerate_level_maps,
-    _indexed,
-    _labelled_map,
-    catalan_sset,
-)
+from .nerve import monoidal_nerve, two_simplex_data
+from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _labelled_map, catalan_sset
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
 MUL_TRIANGLE = "UDUDUD"
 #: The non-degenerate 2-simplex with two degenerate edges (unit shape).
 UNIT_TRIANGLE = "UUDUDD"
+#: C_4, the source of every classified map; it does not depend on the structure.
+_CATALAN4 = catalan_sset(4)
 
 
 @dataclass(frozen=True)
@@ -95,63 +92,6 @@ def _candidates(m: FinMonoidalStructure):
                 yield a, mu, etap
 
 
-def _generator_components(
-    S: TruncatedSSet, T: TruncatedSSet, m: FinMonoidalStructure, a: str, mu: str, etap: str
-) -> list[dict[str, str]]:
-    """Images on levels 0..2 induced by the generator assignment."""
-    comps: list[dict[str, str]] = [{POINT: "*"}, {UNIT_EDGE: m.unit, FREE_EDGE: a}]
-    level2: dict[str, str] = {
-        MUL_TRIANGLE: two_label(a, a, a, mu),
-        UNIT_TRIANGLE: two_label(m.unit, a, m.unit, etap),
-    }
-    for w in S.level(2):
-        if w in level2:
-            continue
-        witness = S.degeneracy_witness(2, w)
-        edge = comps[1][S.face(2, witness, w)]
-        level2[w] = T.degeneracy(1, witness, edge)
-    comps.append(level2)
-    return comps
-
-
-def classify_maps(m: FinMonoidalStructure) -> list[ClassificationRecord]:
-    """All maps into the nerve of ``m``, built from candidate generator data.
-
-    Candidates (A, mu, eta') are kept when the four 3-simplex conditions
-    evaluate to commuting squares; each survivor extends uniquely to a
-    full map and pairs with the monoid (A, mu, eta = eta').
-    """
-    return _generator_records(catalan_sset(4), monoidal_nerve(m, 4), m)
-
-
-def _generator_records(
-    S: TruncatedSSet, T: TruncatedSSet, m: FinMonoidalStructure
-) -> list[ClassificationRecord]:
-    """The records of :func:`classify_maps`, given S = catalan_sset(4) and T = monoidal_nerve(m, 4)."""
-    out = []
-    for a, mu, etap in _candidates(m):
-        if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
-            continue
-        given = _indexed(S, T, _generator_components(S, T, m, a, mu, etap))
-        maps = _enumerate_level_maps(S, T, min(S.N, T.N), bijective=False, given=given)
-        if len(maps) != 1:
-            raise StructuralError(
-                f"candidate ({a!r}, {mu!r}, {etap!r}) passed the square conditions "
-                "but does not extend to a map"
-            )
-        # eta is eta' composed with the unit constraint, an identity here,
-        # evaluated from the table rather than assumed
-        eta = m.category.compose(etap, m.category.id_of(m.unit))
-        out.append(
-            ClassificationRecord(
-                map=_labelled_map(S, T, maps[0]),
-                monoid=MonoidObject(a, mu, eta),
-                eta_prime=etap,
-            )
-        )
-    return out
-
-
 def check_fk_automatic(m: FinMonoidalStructure) -> bool:
     """The fourth square condition holds for every candidate triple, not just monoids."""
     return all(
@@ -167,6 +107,17 @@ def map_triple(T: TruncatedSSet, f: SimplicialMap) -> tuple[str, str, str]:
     return (a, mu, etap)
 
 
+def classify_maps(m: FinMonoidalStructure) -> list[ClassificationRecord]:
+    """All maps into the nerve of ``m``, each paired with its monoid.
+
+    Candidates (A, mu, eta') are kept when the four 3-simplex conditions
+    evaluate to commuting squares; each survivor pairs with the monoid
+    (A, mu, eta = eta') and with the map whose generator images are
+    (A, mu, eta'), taken from the engine's map search.
+    """
+    return _classification(m)[0]
+
+
 def verify_classification(m: FinMonoidalStructure) -> bool:
     """Three-way agreement: records, engine map enumeration, monoid enumeration.
 
@@ -177,17 +128,33 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
 
 
 def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
-    """The records and the three-way verdict, from one Catalan set and one nerve."""
-    S = catalan_sset(4)
-    T = monoidal_nerve(m, 4)
-    records = _generator_records(S, T, m)
-    monoids = enumerate_monoids(m)
+    """The records and the three-way verdict, from one map search into the nerve.
+
+    Record triples come from the square conditions, monoid triples from
+    :func:`enumerate_monoids` and engine triples from the search; a
+    record takes only its map from the search.
+    """
+    S, T = _CATALAN4, monoidal_nerve(m, 4)
     # simplicial_maps(S, T, 3), less its check that a nerve is 3-coskeletal
     maps = [_labelled_map(S, T, c) for c in _enumerate_level_maps(S, T, 4, bijective=False)]
+    by_triple = {map_triple(T, f): f for f in maps}
+    records = []
+    for a, mu, etap in _candidates(m):
+        if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
+            continue
+        if (a, mu, etap) not in by_triple:
+            raise StructuralError(
+                f"candidate ({a!r}, {mu!r}, {etap!r}) passed the square conditions "
+                "but does not extend to a map"
+            )
+        # eta is eta' composed with the unit constraint, an identity here,
+        # evaluated from the table rather than assumed
+        eta = m.category.compose(etap, m.category.id_of(m.unit))
+        records.append(ClassificationRecord(by_triple[(a, mu, etap)], MonoidObject(a, mu, eta), etap))
+    monoids = enumerate_monoids(m)
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}
-    engine_triples = {map_triple(T, f) for f in maps}
     return records, (
         len(records) == len(monoids) == len(maps)
-        and record_triples == monoid_triples == engine_triples
+        and record_triples == monoid_triples == set(by_triple)
     )

@@ -199,14 +199,9 @@ def filler(facets: Sequence["EdgeRelation | str"]) -> EdgeRelation:
         result = EdgeRelation(n, frozenset(pairs))
         if all(relation_face(result, k) == rels[k] for k in range(n + 1)):
             return result
-    for i in range(n):
-        for j in range(i, n):
-            if relation_face(rels[i], j) != relation_face(rels[j + 1], i):
-                raise BoundaryError(
-                    f"facets {i} and {j + 1} disagree on their common face"
-                )
-    result = EdgeRelation(n, frozenset(pairs))
-    for k in range(n + 1):
-        if relation_face(result, k) != rels[k]:
-            raise BoundaryError(f"no relation restricts to facet {k}")
-    return result
+    # facets that agree pairwise have a filler above dimension 2, so two disagree
+    i, j = next(
+        (i, j) for i in range(n) for j in range(i, n)
+        if relation_face(rels[i], j) != relation_face(rels[j + 1], i)
+    )
+    raise BoundaryError(f"facets {i} and {j + 1} disagree on their common face")

@@ -167,29 +167,21 @@ class ConditionReport:
                 return r
         raise KeyError(name)
 
-    def failures(self) -> tuple[ConditionResult, ...]:
-        return tuple(r for r in self.results if not r.holds)
-
 
 def check_naturality(d: SkewData) -> list[LawViolation]:
-    """Naturality of alpha in three arguments and of lambda/rho in one."""
-    return list(_naturality_violations(d))
-
-
-def _naturality_violations(d: SkewData) -> Iterator[LawViolation]:
-    """The naturality violations in report order, lazily: alpha's, then lambda's and rho's.
+    """Naturality of alpha in three arguments and of lambda/rho in one, alpha's violations first.
 
     The candidate search runs the two parts apart, each once per pick of
     the tables it reads, and stops each at its first violation.
     """
-    yield from _alpha_naturality_violations(d.category, d.mor_tensor, d.alpha)
-    yield from _lambda_rho_naturality_violations(
-        d.category, d.mor_tensor, d.unit, d.lam, d.rho
-    )
+    return [
+        *_alpha_naturality_violations(d.category, d.mor_tensor, d.alpha),
+        *_lambda_rho_naturality_violations(d.category, d.mor_tensor, d.unit, d.lam, d.rho),
+    ]
 
 
 def _alpha_naturality_violations(c: FinCategory, mor_tensor, alpha) -> Iterator[LawViolation]:
-    """The part of :func:`_naturality_violations` that reads only the tensor and alpha."""
+    """The part of :func:`check_naturality` that reads only the tensor and alpha."""
     mors, comp = c.morphism_labels(), c.composition
     ends = {f: (c.src(f), c.tgt(f)) for f in mors}
     for f in mors:
@@ -208,7 +200,7 @@ def _alpha_naturality_violations(c: FinCategory, mor_tensor, alpha) -> Iterator[
 def _lambda_rho_naturality_violations(
     c: FinCategory, mor_tensor, unit, lam, rho
 ) -> Iterator[LawViolation]:
-    """The part of :func:`_naturality_violations` that reads the tensor, lambda and rho."""
+    """The part of :func:`check_naturality` that reads the tensor, lambda and rho."""
     idu, comp = c.id_of(unit), c.composition
     for f in c.morphism_labels():
         left = comp[(lam[c.tgt(f)], mor_tensor[(idu, f)])]

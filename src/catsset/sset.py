@@ -42,7 +42,7 @@ class TruncatedSSet:
     index in level n-1 of the i-th face of simplex k of level n, and
     ``degens[n][i][k]`` the index in level n+1 of its i-th degeneracy.
     Labels are unique within a level but carry no meaning to the engine.
-    ``positions``, if given, are the levels' label-to-index dicts, from a
+    ``positions``, if passed, are the levels' label-to-index dicts, from a
     caller that built them to fill the tables.
     Instances are never mutated after construction; query indexes are
     cached lazily.
@@ -325,7 +325,7 @@ def _boundaries(
 
 
 def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
-    """All n-simplices whose face vector equals the given facet tuple."""
+    """All n-simplices whose face vector equals the facet tuple ``boundary``."""
     n = len(boundary) - 1
     if not 1 <= n <= S.N:
         raise ValueError(f"boundary length {n + 1} outside truncation")
@@ -507,26 +507,24 @@ def is_simplicial_map(
     return images is not None and _commutes(S, T, images)
 
 
-def _enumerate_level_maps(
-    S: TruncatedSSet, T: TruncatedSSet, k: int, bijective: bool, given: Sequence[Sequence[int]] = ()
-) -> list[list[list[int]]]:
-    """All simplicial maps on levels 0..k that extend the components ``given``.
+def _enumerate_level_maps(S: TruncatedSSet, T: TruncatedSSet, k: int, bijective: bool) -> list[list[list[int]]]:
+    """All simplicial maps on levels 0..k, the one map search.
 
-    The search runs one level at a time, from the first level ``given``
-    leaves open.  Once level n-1 is mapped, each non-degenerate
-    n-simplex may go to any filler of its image boundary, and every
-    partial map is extended by the product of those candidates;
-    degenerate simplices take forced images through their smallest
-    witness.  Components are index lists: ``comps[n][x]`` is the image
-    of simplex x.  Only the candidates that commute with every face and
-    degeneracy are returned.
+    It serves maps, isomorphisms and the classification, whose records
+    take their maps from it.  The search runs one level at a time from
+    level 0.  Once level n-1 is mapped, each non-degenerate n-simplex
+    may go to any filler of its image boundary, and every partial map is
+    extended by the product of those candidates; degenerate simplices
+    take forced images through their smallest witness.  Components are
+    index lists: ``comps[n][x]`` is the image of simplex x.  Only the
+    candidates that commute with every face and degeneracy are returned.
     """
     if k > min(S.N, T.N):
         raise ValueError("level bound exceeds a truncation")
     if bijective and any(len(S.levels[n]) != len(T.levels[n]) for n in range(k + 1)):
         return []
-    partial = [list(given)]
-    for n in range(len(given), k + 1):
+    partial: list[list[list[int]]] = [[]]
+    for n in range(k + 1):
         witnesses = S._witnesses(n)
         nondeg = [x for x, w in enumerate(witnesses) if w is None]
         forced = [(x, w) for x, w in enumerate(witnesses) if w is not None]

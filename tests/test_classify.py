@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import pytest
@@ -6,6 +8,7 @@ import catsset.classify
 from catsset.classify import (
     MUL_TRIANGLE,
     UNIT_TRIANGLE,
+    ClassificationRecord,
     check_fk_automatic,
     classify_maps,
     map_triple,
@@ -15,7 +18,7 @@ from catsset.dyck import FREE_EDGE
 from catsset.errors import StructuralError
 from catsset.finmon import enumerate_monoids
 from catsset.nerve import monoidal_nerve
-from catsset.sset import is_simplicial_map, simplicial_maps
+from catsset.sset import catalan_sset, is_simplicial_map, simplicial_maps
 
 EXPECTED_COUNTS = {
     "two-or": 2,
@@ -66,12 +69,45 @@ def test_records_carry_monoids(library):
 
 
 def test_record_maps_are_maps(catalan4, library):
-    m = library["chain3-max"]
-    T = monoidal_nerve(m, 4)
-    for record in classify_maps(m):
-        comps = [record.map.level_map(n) for n in range(5)]
-        assert is_simplicial_map(catalan4, T, comps)
-        assert map_triple(T, record.map) == record.triple()
+    for name, m in library.items():
+        T = monoidal_nerve(m, 4)
+        for record in classify_maps(m):
+            comps = [record.map.level_map(n) for n in range(5)]
+            assert is_simplicial_map(catalan4, T, comps), name
+            assert map_triple(T, record.map) == record.triple(), name
+
+
+#: sha256 of each library structure's records (triple, eta and map
+#: components, in triple order), first 16 hex digits; taken while the
+#: records still built their maps from the generator images by hand.
+RECORD_DIGESTS = {
+    "two-or": "131fba982aa6f6fd",
+    "chain3-max": "4c2069a48b69af0f",
+    "chain3-truncated-add": "059aeb469795bb0e",
+    "antichain2": "81fa4ba379b754d9",
+    "zmonoid": "00b1ffe000af469c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
+def test_record_digests(name, library):
+    records = sorted(classify_maps(library[name]), key=ClassificationRecord.triple)
+    doc = [
+        [list(r.triple()), r.monoid.eta, [[list(p) for p in c] for c in r.map.components]]
+        for r in records
+    ]
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == RECORD_DIGESTS[name]
+
+
+def test_shared_catalan_set_is_left_unchanged(library):
+    # every classification reads the one module-level C_4
+    for m in library.values():
+        classify_maps(m)
+    fresh, shared = catalan_sset(4), catsset.classify._CATALAN4
+    assert shared.levels == fresh.levels
+    assert shared.faces == fresh.faces
+    assert shared.degens == fresh.degens
 
 
 def test_maps_are_determined_by_generator_images(catalan4, library):

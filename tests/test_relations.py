@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -193,17 +194,25 @@ def test_closure_check_matches_the_cubic_reference(n):
 
 
 def _filler_outcomes(tuples, S):
-    """Each tuple's filler checked against S, and a digest of every (tuple, message) pair."""
+    """Each tuple's filler checked against S, and a digest of every (tuple, message) pair.
+
+    A tuple either fills, with the tuple as the faces of its filler, or
+    raises for two facets that really disagree.
+    """
     h = hashlib.sha256()
     filled = set()
     for t in tuples:
+        rels = [to_relation(w) for w in t]
         try:
-            got = filler([to_relation(w) for w in t])
+            got = filler(rels)
         except BoundaryError as exc:
             h.update(f"{' '.join(t)}: {exc}\n".encode("utf-8"))
+            i, j = map(int, re.fullmatch(r"facets (\d) and (\d) disagree on their common face", str(exc)).groups())
+            assert relation_face(rels[i], j - 1) != relation_face(rels[j], i), t
             continue
         (unique,) = sset.fillers(S, t)
         assert got == to_relation(unique), t
+        assert [relation_face(got, k) for k in range(len(t))] == rels, t
         filled.add(t)
     return filled, h.hexdigest()
 
