@@ -8,12 +8,17 @@ The script imports ``catsset`` from ``src/`` of the checkout it sits in,
 builds each case's inputs untimed, runs the case once to warm up and then
 ``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
 are exact output counts (boundary tuples, identity violations with and
-without planted faults, coskeletality verdicts, simplices built, maps
+without planted faults, coskeletality verdicts, simplices built and table cells, maps
 found, checks passed, sweep candidates, conditions that hold, fillers,
 faces, words rebuilt, classification records, their distinct maps and
 three-way agreements, CLI exit codes); they do not depend on the
 machine, and the script stops if two runs of one case disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
 ``--json``.
+
+A ``frontier`` section records, per verify suite, the largest
+``--max-dim`` whose median wall time over ``FRONTIER_REPEATS`` runs is
+under ``FRONTIER_S`` on the host, with that case's counters: the
+desk-scale frontier as a number.  It is recorded, not gated.
 
 One file can hold several sides, such as a parent commit and a change:
 run the script in each checkout (copy it into one that lacks it) with the
@@ -63,6 +68,15 @@ def _join(n: int):
         return {"boundary_tuples": len(_boundaries(S.levels, S.faces, n))}
 
     return lambda: catalan_sset(n), run
+
+
+def _catalan(n: int):
+    def run(_) -> dict:
+        S = catalan_sset(n)
+        cells = sum(len(table) for tables in (*S.faces, *S.degens) for table in tables)
+        return {"simplices_built": S.size(), "table_cells": cells}
+
+    return lambda: None, run
 
 
 def _planted(S: TruncatedSSet) -> TruncatedSSet:
@@ -263,6 +277,8 @@ def _command(*argv: str):
 
 #: (layer, case, params, (prepare, run)); ``run(prepare())`` returns the counters.
 CASES = [
+    ("sset", "catalan_sset", {"N": 9}, _catalan(9)),
+    ("sset", "catalan_sset", {"N": 10}, _catalan(10)),
     ("sset", "_boundaries", {"set": "catalan_sset(9)", "n": 9}, _join(9)),
     ("sset", "_boundaries", {"set": "catalan_sset(10)", "n": 10}, _join(10)),
     ("sset", "check_simplicial_identities", {"set": "catalan_sset(7)"}, _identities(7)),
@@ -280,6 +296,7 @@ CASES = [
         ("cli", "verify", {"argv": argv}, _command(*argv))
         for argv in (
             ["verify", "--suite", "identities", "--max-dim", "9"],
+            ["verify", "--suite", "identities", "--max-dim", "10"],
             ["verify", "--suite", "coskeletal", "--max-dim", "9"],
             ["verify", "--suite", "coskeletal", "--max-dim", "10"],
             ["verify", "--suite", "nerve-iso", "--max-dim", "8"],
@@ -314,12 +331,20 @@ CASES = [
 ]
 
 
-def measure(prepare, run) -> tuple[float, dict]:
-    """The median wall time of ``REPEATS`` runs after one warm-up, and their counters."""
+#: The verify suites of the frontier section, searched from ``FRONTIER_FROM`` up to the dyck cap.
+FRONTIER_SUITES = ("identities", "coskeletal", "nerve-iso")
+FRONTIER_FROM = 4
+#: The wall-time limit of the frontier, and the runs whose median is held against it.
+FRONTIER_S = 1.0
+FRONTIER_REPEATS = 3
+
+
+def measure(prepare, run, repeats: int = REPEATS) -> tuple[float, dict]:
+    """The median wall time of ``repeats`` runs after one warm-up, and their counters."""
     inputs = prepare()
     counters = run(inputs)
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         gc.collect()
         start = time.perf_counter()
         got = run(inputs)
@@ -327,6 +352,28 @@ def measure(prepare, run) -> tuple[float, dict]:
         if got != counters:
             raise SystemExit(f"counters changed between runs: {counters} then {got}")
     return statistics.median(times), counters
+
+
+def frontier() -> list[dict]:
+    """Per suite, the largest ``--max-dim`` whose median wall time is under ``FRONTIER_S``.
+
+    Each entry holds that case's wall time and counters, and ``over``, the
+    first dimension past it with its wall time, or None when the search
+    reached the dyck cap.  It is recorded, not compared between sides.
+    """
+    found = []
+    for suite in FRONTIER_SUITES:
+        entry: dict = {"suite": suite, "max_dim": None, "wall_s": None, "counters": None, "over": None}
+        for dim in range(FRONTIER_FROM, cli.DEFAULT_CAPS["dyck"] + 1):
+            case = _command("verify", "--suite", suite, "--max-dim", str(dim))
+            wall, counters = measure(*case, FRONTIER_REPEATS)
+            if wall >= FRONTIER_S:
+                entry["over"] = {"max_dim": dim, "wall_s": round(wall, 4)}
+                break
+            entry.update(max_dim=dim, wall_s=round(wall, 4), counters=counters)
+        found.append(entry)
+        print(f"frontier  {suite:17} {json.dumps(entry)}")
+    return found
 
 
 def main() -> int:
@@ -351,6 +398,7 @@ def main() -> int:
             {"layer": layer, "case": case, "params": params, "wall_s": round(wall, 4), "counters": counters}
         )
         print(f"{layer:9} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
+    doc.setdefault("frontier", {})[args.side] = frontier()
     sides = doc.setdefault("sides", {})
     sides[args.side] = entries
     with open(out, "w") as fh:

@@ -15,11 +15,10 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, product, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import dyck
 from .errors import BudgetExceededError, SchemaError, StructuralError
 from .finmon import SCHEMA_VERSION, _require_keys, check_header, check_label, parse_json_text
 
@@ -42,8 +41,6 @@ class TruncatedSSet:
     index in level n-1 of the i-th face of simplex k of level n, and
     ``degens[n][i][k]`` the index in level n+1 of its i-th degeneracy.
     Labels are unique within a level but carry no meaning to the engine.
-    ``positions``, if passed, are the levels' label-to-index dicts, from a
-    caller that built them to fill the tables.
     Instances are never mutated after construction; query indexes are
     cached lazily.
     """
@@ -53,13 +50,12 @@ class TruncatedSSet:
         levels: Sequence[Sequence[str]],
         faces: Sequence[Sequence[Sequence[int]]],
         degens: Sequence[Sequence[Sequence[int]]],
-        positions: Sequence[dict[str, int]] | None = None,
     ) -> None:
         if not levels:
             raise StructuralError("at least dimension 0 is required")
         self.levels: tuple[tuple[str, ...], ...] = tuple(tuple(lv) for lv in levels)
         self.N: int = len(self.levels) - 1
-        self._position = tuple(positions or ({lab: k for k, lab in enumerate(lv)} for lv in self.levels))
+        self._position = tuple({lab: k for k, lab in enumerate(lv)} for lv in self.levels)
         for n, lv in enumerate(self.levels):
             if len(self._position[n]) != len(lv):
                 raise StructuralError(f"duplicate labels at level {n}")
@@ -174,30 +170,88 @@ class TruncatedSSet:
         return cls.from_json_dict(parse_json_text(text))
 
 
+def _shifted(a: Sequence[int], c: Sequence[int], m: int, sign: int) -> Iterator[_Indices]:
+    """Per i < m, the column c + sign * [a <= i < a + c], read off a table of the pairs (a, c) below m + 2."""
+    keys = [x * (m + 2) + k for x, k in zip(a, c)]
+    pairs = list(product(range(m + 2), repeat=2))
+    return (_take([k + sign * (x <= i < x + k) for x, k in pairs], keys) for i in range(m))
+
+
+def _children(
+    start: Sequence[int],
+    tables: Sequence[Sequence[int]],
+    parent: Sequence[int],
+    params: Iterable[Sequence[int]],
+    rank: Sequence[int],
+) -> list[_Indices]:
+    """Per table, each word's child ``params`` of the image of its parent, as a sorted index.
+
+    ``start`` holds the child-order index of the first child of each word
+    the tables reach, and ``rank`` the sorted index of each child.
+    """
+    return [_take(rank, list(map(add, _take(start, _take(t, parent)), p))) for t, p in zip(tables, params)]
+
+
 def catalan_sset(N: int) -> TruncatedSSet:
     """The Dyck-word simplicial set truncated at dimension N.
 
-    Each word is scanned once for its U/D positions, and that scan fills
-    its column of every face and degeneracy table.
+    Each level is built from the one below by recurrence on the last
+    face.  A word w of dimension n >= 1 is the child (P, c) of P = d_n w:
+    with t the number of P's trailing D's and 0 <= c <= t, w puts a U
+    after the first c of them and appends a D.  Listed by parent, then c,
+    the children of P form a block from ``start[P]``.  By the simplicial
+    identities d_i w is a child of d_i P and s_i w one of s_i P for
+    i < n, and s_n w is the child (w, 0).  With a = n - t, only the child
+    parameter is computed:
+
+    - c - [a <= i < a + c] for d_i, i < n - 1;
+    - a - a(P) + c - [n - 1 < a + c] for d_{n-1}, n >= 2;
+    - c + [a <= i < a + c] for s_i, i < n.
+
+    So each table composes whole columns of the level below.  Each word
+    is built once, and one sort per level puts the tables in
+    lexicographic order.
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
-    levels = [dyck.enumerate_dyck(n) for n in range(N + 1)]
-    position = [{w: k for k, w in enumerate(words)} for words in levels]
-    faces: list[list[list[int]]] = []
-    degens: list[list[list[int]]] = []
-    for n, words in enumerate(levels):
-        face_tables: list[list[int]] = [[] for _ in range(n + 1)] if n >= 1 else []
-        degen_tables: list[list[int]] = [[] for _ in range(n + 1)] if n < N else []
-        for w in words:
-            ups, downs = dyck.positions(w)
-            for table, u, d in zip(face_tables, ups, downs):
-                table.append(position[n - 1][dyck.face_at(w, u, d)])
-            for table, u, d in zip(degen_tables, ups, downs):
-                table.append(position[n + 1][dyck.degeneracy_at(w, u, d)])
-        faces.append(face_tables)
-        degens.append(degen_tables)
-    return TruncatedSSet(levels, faces, degens, position)
+    # the top level so far in child order: its words' trailing D's, the columns parent, c, a,
+    # the order that sorts its words and the sorted index of each
+    words, trail, parent, c, a, order, rank = [["UD"]], [1], (), (), (), [0], [0]
+    orders = [order]
+    # each table maps child order to the sorted order of the level it reaches;
+    # degens opens with level -1, which has no degeneracies
+    faces, degens, lifted = [[]], [[]], []
+    for n in range(1, N + 1):
+        sizes = [t + 1 for t in trail]
+        start = list(accumulate(sizes, initial=0))[:-1]
+        # per sorted word of level n - 1, the child-order index of its first child
+        lifted_below, lifted = lifted, _take(start, order)
+        parent_below, c_below, a_below, rank_below = parent, c, a, rank
+        parent = list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+        c = list(chain.from_iterable(map(range, sizes)))
+        t = _take(trail, parent)
+        a = [n - x for x in t]
+        parents = _take(words[-1], parent)
+        words.append([P[: 2 * n - x + k] + "U" + "D" * (x - k + 1) for P, x, k in zip(parents, t, c)])
+        trail = [x - k + 1 for x, k in zip(t, c)]
+        order = sorted(range(len(parents)), key=words[-1].__getitem__)
+        # the inverse of order, sorted from order's own entries so that the two share their ints
+        rank = sorted(order, key=order.__getitem__)
+        orders.append(order)
+        ups = _shifted(a_below, c_below, n - 1, 1)
+        degens.append(_children(lifted, degens[-1], parent_below, ups, rank) + [_take(rank, start)])
+        if n == 1:
+            faces.append([parent, parent])
+        else:
+            last = [x - y + k - (n - 1 < x + k) for x, y, k in zip(a, _take(a_below, parent), c)]
+            downs = chain(_shifted(a, c, n - 1, -1), [last])
+            faces.append(_children(lifted_below, faces[-1], parent, downs, rank_below))
+            faces[-1].append(_take(rank_below, parent))
+    degens = [*degens[1:], []]
+    # then the sources, a level at a time, so that the tables are never all held twice
+    for tables, o in chain(zip(faces, orders), zip(degens, orders)):
+        tables[:] = map(_take, tables, repeat(o))
+    return TruncatedSSet([_take(w, o) for w, o in zip(words, orders)], faces, degens)
 
 
 def point_sset(N: int) -> TruncatedSSet:

@@ -54,6 +54,8 @@ CATALAN_GOLDEN = {
     4: "b3b81a340b1df08fa4d2522cd3d9de3cf22eae5d87be1456ddc6479cbeccc7ea",
     5: "cb5119ad3e1459dae92e7224d4b35e8cdd2a595bc68d582ad6db791873c24cb9",
     6: "769d365500ee059d944f20b69713a8e4ebb1720b63bbdf9d4959b0bcce6668c6",
+    7: "80828e380b384846d8704045dd6142e51cb479f38b9e4b5833bdaee4f498b995",
+    8: "bd160b2b1589bf325963258fff0c21b317ff6ba43976bcf3baee0f3ba1d40359",
 }
 
 #: Digests of ``monoidal_nerve(m, N)`` for N = 0..5.

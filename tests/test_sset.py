@@ -384,8 +384,9 @@ def _nth(word, letter, i):
 
 
 def test_catalan_tables_match_string_edits():
-    # cell by cell: the (i+1)-st U and D deleted for d_i, doubled for s_i
-    for N in range(7):
+    # cell by cell: the (i+1)-st U and D deleted for d_i, doubled for s_i; a
+    # second route beside the recurrence on the last face that builds the tables
+    for N in range(9):
         S = catalan_sset(N)
         for n in range(N + 1):
             assert S.level(n) == tuple(enumerate_dyck(n))
