@@ -139,6 +139,15 @@ def _relation_faces(n: int):
     return lambda: enumerate_k_relations(n), run
 
 
+def _to_relations(n: int):
+    """``to_relation`` of every word of dimension n."""
+
+    def run(words) -> dict:
+        return {"pairs": sum(len(to_relation(w).pairs) for w in words)}
+
+    return lambda: enumerate_dyck(n), run
+
+
 def _surjections(n: int):
     """``apply_surjection`` of the ``ez_decompose`` of every word of dimension n."""
 
@@ -319,6 +328,7 @@ CASES = [
     ),
     ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers(8)),
     ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces(8)),
+    ("relations", "to_relation", {"words": "enumerate_dyck(9)"}, _to_relations(9)),
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls(200)),
     ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections(8)),
     ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library()),

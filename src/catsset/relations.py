@@ -49,10 +49,22 @@ def _is_closed(rel: frozenset[tuple], n: int) -> bool:
 
 @dataclass(frozen=True)
 class EdgeRelation:
-    """A simplex of dimension ``n`` as a valid pair set on {0..n}."""
+    """A simplex of dimension ``n`` as a valid pair set on {0..n}.
+
+    The constructor checks its input.  What this module derives from
+    checked relations or words it builds with ``_trusted``, unchecked.
+    """
 
     n: int
     pairs: frozenset[Pair]
+
+    @classmethod
+    def _trusted(cls, n: int, pairs: frozenset[Pair]) -> EdgeRelation:
+        """The relation ``pairs`` on {0..n}, which the caller knows to be valid."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "n", n)
+        object.__setattr__(rel, "pairs", pairs)
+        return rel
 
     def __post_init__(self) -> None:
         try:
@@ -80,15 +92,9 @@ class EdgeRelation:
 
 def to_relation(word: str) -> EdgeRelation:
     """Relation of a Dyck word: (i, j) is in when the (j+1)-st U precedes the (i+1)-st D."""
-    ups, downs = require_dyck(word)
-    n = len(ups) - 1
-    pairs = frozenset(
-        (i, j)
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-        if ups[j] < downs[i]
-    )
-    return EdgeRelation(n, pairs)
+    _, downs = require_dyck(word)  # the (i+1)-st D follows exactly downs[i] - i U's
+    pairs = frozenset((i, j) for i, d in enumerate(downs) for j in range(i + 1, d - i))
+    return EdgeRelation._trusted(len(downs) - 1, pairs)
 
 
 def reach_vector(rel: EdgeRelation) -> list[int]:
@@ -106,11 +112,7 @@ def from_relation(rel: EdgeRelation) -> str:
     with reach(i) = m, in increasing i.
     """
     reach = reach_vector(rel)
-    out = []
-    for m in range(rel.n + 1):
-        out.append("U")
-        out.extend("D" for i in range(rel.n + 1) if reach[i] == m)
-    return "".join(out)
+    return "".join("U" + "D" * reach.count(m) for m in range(rel.n + 1))
 
 
 def relation_face(rel: EdgeRelation, k: int) -> EdgeRelation:
@@ -122,28 +124,21 @@ def relation_face(rel: EdgeRelation, k: int) -> EdgeRelation:
     pairs = frozenset(
         (i - (i > k), j - (j > k)) for i, j in rel.pairs if i != k and j != k
     )
-    return EdgeRelation(rel.n - 1, pairs)
+    return EdgeRelation._trusted(rel.n - 1, pairs)
 
 
 def relation_degeneracy(rel: EdgeRelation, i: int) -> EdgeRelation:
     """Pull back along the collapse of i and i+1.
 
     The fresh edge (i, i+1) sits over a collapsed vertex, hence is the
-    degenerate edge and belongs to the result.
+    degenerate edge and belongs to the result; each pair of ``rel`` lifts
+    to every pair of preimages.
     """
     if not 0 <= i <= rel.n:
         raise IndexError(f"degeneracy index {i} out of range for dimension {rel.n}")
-
-    def sig(x: int) -> int:
-        return x if x <= i else x - 1
-
-    pairs = frozenset(
-        (a, b)
-        for a in range(rel.n + 2)
-        for b in range(a + 1, rel.n + 2)
-        if sig(a) == sig(b) or (sig(a), sig(b)) in rel.pairs
-    )
-    return EdgeRelation(rel.n + 1, pairs)
+    lift = [(x,) for x in range(i)] + [(i, i + 1)] + [(x + 1,) for x in range(i + 1, rel.n + 1)]
+    pairs = frozenset((a, b) for x, y in rel.pairs for a in lift[x] for b in lift[y]) | {(i, i + 1)}
+    return EdgeRelation._trusted(rel.n + 1, pairs)
 
 
 def enumerate_k_relations(n: int) -> list[EdgeRelation]:
@@ -162,13 +157,11 @@ def enumerate_k_relations(n: int) -> list[EdgeRelation]:
     for i in range(n + 1):
         vectors = [r + [v] for r in vectors for v in range(max([i, *r]), n + 1)]
     return [
-        EdgeRelation(n, frozenset((a, j) for a in range(n + 1) for j in range(a + 1, reach[a] + 1)))
+        EdgeRelation._trusted(
+            n, frozenset((a, j) for a, r in enumerate(reach) for j in range(a + 1, r + 1))
+        )
         for reach in vectors
     ]
-
-
-def _as_relation(facet: "EdgeRelation | str") -> EdgeRelation:
-    return facet if isinstance(facet, EdgeRelation) else to_relation(facet)
 
 
 def filler(facets: Sequence["EdgeRelation | str"]) -> EdgeRelation:
@@ -178,27 +171,30 @@ def filler(facets: Sequence["EdgeRelation | str"]) -> EdgeRelation:
     words) with d_j(x_i) = d_i(x_{j+1}); above dimension 2 the filler
     always exists and is unique.  As in the proof, pair (a, b) is read off
     the facet of the smallest vertex outside {a, b}, and the result is
-    checked on its n + 1 faces.  Agreeing with every facet implies that
-    the facets agree pairwise, as d_j d_i = d_i d_{j+1} holds on
-    restrictions; a tuple that fails is compared pair by pair, so that
-    the error names the first two facets that disagree.
+    checked on its n + 1 faces, which is all the check it needs.  Its
+    pairs satisfy (i) by construction.  For (ii), above dimension 2 each
+    triple i < j < k misses some vertex l, so it lies inside the domain
+    of face l; when that face equals the valid facet x_l, the triple
+    satisfies (ii) there, hence in the result.  Agreeing with every facet
+    also implies that the facets agree pairwise, as d_j d_i = d_i d_{j+1}
+    holds on restrictions; a tuple that fails is compared pair by pair,
+    so that the error names the first two facets that disagree.
     """
-    rels = [_as_relation(f) for f in facets]
+    rels = [f if isinstance(f, EdgeRelation) else to_relation(f) for f in facets]
     n = len(rels) - 1
     if n <= 2:
         raise ValueError("canonical fillers exist only above dimension 2")
     if any(r.n != n - 1 for r in rels):
         raise BoundaryError("every facet must have dimension n - 1")
-    pairs = set()
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            k = 0 if a else 1 if b > 1 else 2  # the smallest vertex not in {a, b}
-            if (a - (a > k), b - (b > k)) in rels[k].pairs:
-                pairs.add((a, b))
-    if is_k_relation(pairs, n):
-        result = EdgeRelation(n, frozenset(pairs))
-        if all(relation_face(result, k) == rels[k] for k in range(n + 1)):
-            return result
+    # x_0 holds the pairs (a > 0, b), x_1 the pairs (0, b > 1), and x_2 (0, 1)
+    pairs = frozenset(
+        {(i + 1, j + 1) for i, j in rels[0].pairs}
+        | {(0, j + 1) for i, j in rels[1].pairs if i == 0}
+        | ({(0, 1)} & rels[2].pairs)
+    )
+    result = EdgeRelation._trusted(n, pairs)
+    if all(relation_face(result, k) == rels[k] for k in range(n + 1)):
+        return result
     # facets that agree pairwise have a filler above dimension 2, so two disagree
     i, j = next(
         (i, j) for i in range(n) for j in range(i, n)

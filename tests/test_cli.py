@@ -9,8 +9,8 @@ import pytest
 import catsset.classify
 import catsset.cli
 from catsset.cli import main
-from catsset.errors import SchemaError
-from catsset.finmon import FinMonoidalStructure
+from catsset.errors import SchemaError, StructuralError
+from catsset.finmon import FinCategory, FinMonoidalStructure
 from catsset.library import boolean_or, zmonoid
 from catsset.skew import SkewData, skew_from_strict
 from catsset.sset import catalan_sset
@@ -312,6 +312,22 @@ def test_classify_rejects_non_string_labels(tmp_path, capsys, case):
     doc = json.loads((EXAMPLES / "two-or.json").read_text())
     edit(doc)
     bad = tmp_path / "bad-labels.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(bad))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("obj", ("bot", "top"))
+def test_identity_with_one_wrong_end_is_rejected(tmp_path, capsys, obj):
+    # bot<=top : bot -> top has the right source for bot and the right target for top
+    message = f"identity of {obj!r} is not an endomorphism of it"
+    cat = boolean_or().category
+    with pytest.raises(StructuralError, match=message):
+        FinCategory(cat.objects, cat.morphisms, {**cat.identities, obj: "bot<=top"}, cat.composition)
+    doc = json.loads((EXAMPLES / "two-or.json").read_text())
+    doc["identities"][obj] = "bot<=top"
+    bad = tmp_path / "one-wrong-end.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "classify", str(bad))
     assert (code, out) == (2, "")

@@ -172,6 +172,61 @@ def test_filler_errors():
         filler(bad)
 
 
+def _assert_valid(rel):
+    """``rel`` passes the full validator and equals the checked relation on its pairs."""
+    assert type(rel.pairs) is frozenset
+    assert is_k_relation(rel.pairs, rel.n), (rel.n, sorted(rel.pairs))
+    assert EdgeRelation(rel.n, rel.pairs) == rel
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_relations_built_without_a_check_are_valid(n):
+    # to_relation, enumerate_k_relations, relation_face, relation_degeneracy
+    # and filler derive relations from checked input and do not check them
+    words = enumerate_dyck(n)
+    rels = enumerate_k_relations(n)
+    built = [to_relation(w) for w in words] + rels
+    for rel in rels:
+        built += [relation_degeneracy(rel, k) for k in range(n + 1)]
+        if n:
+            built += [relation_face(rel, k) for k in range(n + 1)]
+    if n >= 3:
+        built += [filler(_word_facets(w)) for w in words]
+    for rel in built:
+        _assert_valid(rel)
+
+
+@st.composite
+def _dyck_words(draw, dims=st.integers(3, 12)):
+    """A Dyck word of a drawn dimension, drawn letter by letter."""
+    n = draw(dims)
+    word, ups, downs = "", 0, 0
+    while downs <= n:
+        up = ups <= n and (ups == downs or draw(st.booleans()))
+        word += "U" if up else "D"
+        ups, downs = ups + up, downs + (not up)
+    return word
+
+
+@given(st.data())
+def test_relations_built_without_a_check_are_valid_up_to_dimension_12(data):
+    word = data.draw(_dyck_words())
+    n = len(word) // 2 - 1
+    k = data.draw(st.integers(0, n))
+    rel = to_relation(word)
+    facets = [relation_face(rel, i) for i in range(n + 1)]
+    for built in (rel, facets[k], relation_degeneracy(rel, k), filler(facets)):
+        _assert_valid(built)
+    # facet k swapped for any relation of its dimension fills or is refused
+    swapped = facets[:k] + [to_relation(data.draw(_dyck_words(st.just(n - 1))))] + facets[k + 1 :]
+    try:
+        got = filler(swapped)
+    except BoundaryError:
+        return
+    _assert_valid(got)
+    assert [relation_face(got, i) for i in range(n + 1)] == swapped
+
+
 def _reference_is_k_relation(pairs, n):
     # independent reference, straight from condition (ii): every vertex j
     # strictly inside a pair (i, k) needs (i, j) and (j, k), O(n^3) checks
