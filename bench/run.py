@@ -20,6 +20,10 @@ A ``frontier`` section records, per verify suite, the largest
 under ``FRONTIER_S`` on the host, with that case's counters: the
 desk-scale frontier as a number.  It is recorded, not gated.
 
+A ``source`` section records the non-blank lines of each module under
+``src/catsset`` and their total, so a change can report its net source
+lines.  It is recorded, not compared between sides.
+
 One file can hold several sides, such as a parent commit and a change:
 run the script in each checkout (copy it into one that lacks it) with the
 same ``--out`` and a different ``--side``.  A side that is written again
@@ -386,6 +390,17 @@ def frontier() -> list[dict]:
     return found
 
 
+def source_lines() -> dict:
+    """The non-blank line count of each ``src/catsset/*.py``, and their total."""
+    package = os.path.join(ROOT, "src", "catsset")
+    modules = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                modules[name] = sum(1 for line in fh if line.strip())
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", required=True, help="name of this checkout's side, e.g. parent or change")
@@ -409,6 +424,8 @@ def main() -> int:
         )
         print(f"{layer:9} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
     doc.setdefault("frontier", {})[args.side] = frontier()
+    source = doc.setdefault("source", {})[args.side] = source_lines()
+    print(f"source    {json.dumps(source)}")
     sides = doc.setdefault("sides", {})
     sides[args.side] = entries
     with open(out, "w") as fh:

@@ -10,6 +10,7 @@ a fixed key order with no timestamps.  Exit status: 0 = all checks pass,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -18,7 +19,7 @@ from typing import Sequence
 from . import dyck, motzkin
 from .classify import _classification
 from .errors import BudgetExceededError, CatssetError
-from .finmon import SCHEMA_VERSION, FinCategory, FinMonoidalStructure, Poset, chain_poset, validate_category, validate_strict_monoidal
+from .finmon import SCHEMA_VERSION, FinCategory, FinMonoidalStructure, LawViolation, Poset, chain_poset, validate_category, validate_strict_monoidal
 from .library import boolean_or, zmonoid_category
 from .nerve import monoidal_nerve
 from .relations import to_relation
@@ -73,9 +74,10 @@ def _config_number(key: str, value: object) -> int:
     return value
 
 
-def _emit(args: argparse.Namespace, doc: dict, lines: Sequence[str]) -> None:
+def _emit(args: argparse.Namespace, command: str, fields: dict, lines: Sequence[str]) -> None:
+    """Print the report: ``fields`` under the schema header as JSON, or ``lines``."""
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command, **fields}, indent=2))
     else:
         for line in lines:
             print(line)
@@ -101,38 +103,32 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             items = [json.dumps(to_relation(w).sorted_pairs()) for w in words]
     items = sorted(items)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "enumerate",
+    fields = {
         "dim": args.dim,
         "form": args.form,
         "nondegenerate": bool(args.nondegenerate),
         "items": items,
         "count": len(items),
     }
-    _emit(args, doc, [*items, f"count: {len(items)}"])
+    _emit(args, "enumerate", fields, [*items, f"count: {len(items)}"])
     return 0
 
 
 def cmd_word_map(args: argparse.Namespace) -> int:
     apply = dyck.face if args.command == "face" else dyck.degeneracy
     result = apply(args.word, args.index)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
+    fields = {
         "word": args.word,
         "index": args.index,
         "result": result,
     }
-    _emit(args, doc, [result])
+    _emit(args, args.command, fields, [result])
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     phi, core = dyck.ez_decompose(args.word)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "decompose",
+    fields = {
         "word": args.word,
         "core": core,
         "source_dim": phi.source_dim,
@@ -143,7 +139,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         f"core: {core}",
         f"surjection: {list(phi.image)} ([{phi.source_dim}] -> [{phi.target_dim}])",
     ]
-    _emit(args, doc, lines)
+    _emit(args, "decompose", fields, lines)
     return 0
 
 
@@ -156,14 +152,12 @@ def cmd_motzkin(args: argparse.Namespace) -> int:
         result = motzkin.motzkin_to_dyck(args.to_dyck)
         source = args.to_dyck
         direction = "to-dyck"
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "motzkin",
+    fields = {
         "direction": direction,
         "word": source,
         "result": result,
     }
-    _emit(args, doc, [result if result else "(empty word)"])
+    _emit(args, "motzkin", fields, [result if result else "(empty word)"])
     return 0
 
 
@@ -285,50 +279,41 @@ def _suite_binomial(max_n: int) -> list[Check]:
     ]
 
 
-#: The bound flags each verify suite reads.
-_SUITE_BOUNDS = {
-    "identities": ("max_dim",),
-    "coskeletal": ("max_dim", "r"),
-    "nerve-iso": ("max_dim",),
-    "motzkin": ("max_n",),
-    "binomial": ("max_n",),
-    "all": ("max_dim", "max_n", "r"),
+#: Each verify suite: its function and the bounds it reads, each a keyword
+#: of the function, with their defaults.  ``all`` runs them in this order.
+_SUITES = {
+    "identities": (_suite_identities, {"max_dim": 8}),
+    "coskeletal": (_suite_coskeletal, {"r": 2, "max_dim": 6}),
+    "nerve-iso": (_suite_nerve_iso, {"max_dim": 4}),
+    "motzkin": (_suite_motzkin, {"max_n": 7}),
+    "binomial": (_suite_binomial, {"max_n": 12}),
+}
+
+#: Every bound and its flag, in the order verify checks them.
+_FLAGS = {
+    bound: "--" + bound.replace("_", "-")
+    for bound in sorted({bound for _, defaults in _SUITES.values() for bound in defaults})
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
-    for flag in ("max_dim", "max_n", "r"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        if flag not in _SUITE_BOUNDS[suite]:
+    suites = list(_SUITES.values()) if suite == "all" else [_SUITES[suite]]
+    given = {flag: getattr(args, flag) for flag in _FLAGS if getattr(args, flag) is not None}
+    for flag, value in given.items():
+        option = _FLAGS[flag]
+        if not any(flag in defaults for _, defaults in suites):
             raise ValueError(f"the {suite} suite does not read {option}")
         if value < 0:
             raise ValueError(f"{option} must be non-negative, got {value}")
     cap = DEFAULT_CAPS["dyck"]
     if args.max_dim is not None and args.max_dim > cap:
         raise BudgetExceededError(f"--max-dim {args.max_dim} exceeds the dyck cap {cap}")
-
-    def bound(value: int | None, default: int) -> int:
-        return default if value is None else value
-
     checks: list[Check] = []
-    if suite in ("identities", "all"):
-        checks.extend(_suite_identities(bound(args.max_dim, 8)))
-    if suite in ("coskeletal", "all"):
-        checks.extend(_suite_coskeletal(bound(args.r, 2), bound(args.max_dim, 6)))
-    if suite in ("nerve-iso", "all"):
-        checks.extend(_suite_nerve_iso(bound(args.max_dim, 4)))
-    if suite in ("motzkin", "all"):
-        checks.extend(_suite_motzkin(bound(args.max_n, 7)))
-    if suite in ("binomial", "all"):
-        checks.extend(_suite_binomial(bound(args.max_n, 12)))
+    for run, defaults in suites:
+        checks.extend(run(**{bound: given.get(bound, default) for bound, default in defaults.items()}))
     passed = all(ok for _, ok, _ in checks)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    fields = {
         "suite": suite,
         "checks": [
             {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
@@ -339,27 +324,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks
     ]
     lines.append(f"suite {suite}: {'pass' if passed else 'FAIL'}")
-    _emit(args, doc, lines)
+    _emit(args, "verify", fields, lines)
     return 0 if passed else 1
 
 
 # -- classification -----------------------------------------------------------
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    m = FinMonoidalStructure.from_json_text(text)
-    problems = validate_category(m.category) + validate_strict_monoidal(m)
+def _require_laws(problems: list[LawViolation]) -> None:
     if problems:
         raise CatssetError(
             f"structure violates the laws: {problems[0]} ({len(problems)} total)"
         )
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    with open(args.file, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    m = FinMonoidalStructure.from_json_text(text)
+    _require_laws(validate_category(m.category) + validate_strict_monoidal(m))
     records, verdict = _classification(m)
     triples = sorted(r.triple() for r in records)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+    fields = {
         "file": args.file,
         "records": [
             {"carrier": a, "mu": mu, "eta_prime": etap} for a, mu, etap in triples
@@ -372,7 +358,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     ]
     lines.append(f"count: {len(triples)}")
     lines.append(f"three-way agreement: {str(verdict).lower()}")
-    _emit(args, doc, lines)
+    _emit(args, "classify", fields, lines)
     return 0 if verdict else 1
 
 
@@ -391,28 +377,37 @@ def _carrier(name: str) -> Poset | FinCategory:
     raise ValueError(f"unknown carrier {name!r}; choose zmonoid or chainN")
 
 
+#: The text label of each ``SweepSummary`` field, in field order.
+_SWEEP_LABELS = (
+    "candidates",
+    "natural candidates",
+    "equivalence holds for all",
+    "A5 forces identity kappa",
+    "A8/A9 pass with identity kappa",
+    "skew structures (identity kappa)",
+)
+
+
 def cmd_skew(args: argparse.Namespace) -> int:
     if args.mode == "check":
         with open(args.file, "r", encoding="utf-8") as handle:
             d = SkewData.from_json_text(handle.read())
+        _require_laws(validate_category(d.category))
         naturality = check_naturality(d)
         axioms = check_axioms(d)
         pentagons = check_pentagons(d, axioms)
         equivalent = equivalence_consistent(axioms, pentagons, d.kappa == d.category.id_of(d.unit))
         ok = not naturality and axioms.all_hold and pentagons.all_hold
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "skew-check",
+        fields = {
             "file": args.file,
             "naturality_violations": [str(v) for v in naturality],
-            "axioms": [
-                {"name": r.name, "passed": r.holds, "witness": list(r.witness) if r.witness else None}
-                for r in axioms.results
-            ],
-            "pentagons": [
-                {"name": r.name, "passed": r.holds, "witness": list(r.witness) if r.witness else None}
-                for r in pentagons.results
-            ],
+            **{
+                key: [
+                    {"name": r.name, "passed": r.holds, "witness": list(r.witness) if r.witness else None}
+                    for r in report.results
+                ]
+                for key, report in (("axioms", axioms), ("pentagons", pentagons))
+            },
             "equivalence_consistent": equivalent,
             "passed": ok,
         }
@@ -421,34 +416,13 @@ def cmd_skew(args: argparse.Namespace) -> int:
         lines.extend(str(r) for r in axioms.results)
         lines.extend(str(r) for r in pentagons.results)
         lines.append(f"pentagon/axiom equivalence consistent: {str(equivalent).lower()}")
-        _emit(args, doc, lines)
+        _emit(args, "skew-check", fields, lines)
         return 0 if ok else 1
     budget = _load_config(args.config, {"budget": DEFAULT_BUDGET})["budget"]
     summary = sweep_equivalence(_carrier(args.carrier), budget)
-    return _emit_sweep(args, summary)
-
-
-def _emit_sweep(args: argparse.Namespace, summary) -> int:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "skew-sweep",
-        "carrier": args.carrier,
-        "candidates": summary.candidates,
-        "natural_candidates": summary.natural_candidates,
-        "equivalence_holds": summary.equivalence_holds,
-        "a5_forces_identity_kappa": summary.a5_forces_identity_kappa,
-        "a8_a9_pass_with_identity_kappa": summary.a8_a9_pass_with_identity_kappa,
-        "skew_structure_count": summary.skew_structure_count,
-    }
-    lines = [
-        f"candidates: {summary.candidates}",
-        f"natural candidates: {summary.natural_candidates}",
-        f"equivalence holds for all: {str(summary.equivalence_holds).lower()}",
-        f"A5 forces identity kappa: {str(summary.a5_forces_identity_kappa).lower()}",
-        f"A8/A9 pass with identity kappa: {str(summary.a8_a9_pass_with_identity_kappa).lower()}",
-        f"skew structures (identity kappa): {summary.skew_structure_count}",
-    ]
-    _emit(args, doc, lines)
+    fields = dataclasses.asdict(summary)
+    lines = [f"{label}: {str(value).lower()}" for label, value in zip(_SWEEP_LABELS, fields.values())]
+    _emit(args, "skew-sweep", {"carrier": args.carrier, **fields}, lines)
     ok = (
         summary.equivalence_holds
         and summary.a5_forces_identity_kappa
@@ -500,12 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument(
         "--suite",
-        choices=("identities", "coskeletal", "nerve-iso", "motzkin", "binomial", "all"),
+        choices=(*_SUITES, "all"),
         required=True,
     )
-    p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    for option in _FLAGS.values():
+        p.add_argument(option, type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", parents=[common], help="classify maps into a nerve")
@@ -530,12 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (CatssetError, ValueError, IndexError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceededError) else 2
 
 
 if __name__ == "__main__":

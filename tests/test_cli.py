@@ -344,6 +344,38 @@ def test_skew_check_rejects_non_string_labels(tmp_path, capsys):
     assert "mor_tensor[0][2] must be a string label" in err
 
 
+def _add_non_composable_entry(doc):
+    doc["compose"].append(["bot<=bot", "top<=top", "bot<=bot"])
+
+
+def _square_the_unit_to_z(doc):
+    doc["compose"][0] = ["1", "1", "z"]
+    doc["kappa"] = "1"
+
+
+# edits of docs/examples skew data whose category breaks the laws, and the first violation
+BROKEN_CATEGORIES = {
+    "non-composable": (
+        "skew-two-or.json",
+        _add_non_composable_entry,
+        "composability at ('bot<=bot', 'top<=top'): table entry for a non-composable pair (1 total)",
+    ),
+    "unit-squared": ("skew-kappa-z.json", _square_the_unit_to_z, "left identity at ('1',): id . 1 = z (2 total)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CATEGORIES))
+def test_skew_check_rejects_a_category_that_breaks_the_laws(tmp_path, capsys, case):
+    example, edit, violation = BROKEN_CATEGORIES[case]
+    doc = json.loads((EXAMPLES / example).read_text())
+    edit(doc)
+    bad = tmp_path / example
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "skew", "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: structure violates the laws: {violation}\n"
+
+
 @pytest.mark.parametrize("table", ("obj_tensor", "mor_tensor", "alpha", "lambda", "rho"))
 def test_skew_check_rejects_unknown_labels(tmp_path, capsys, table):
     # a copy of the first row keyed on a label the category does not have

@@ -44,6 +44,17 @@ CLI_GOLDEN = {
     "verify --suite all --json": (0, "cb0c3dbd0d4a22f510d15a34381b097dcc75950cf92120ad316e1d722a7cf0e1"),
     "face UUDUDD --index 1 --json": (0, "cbeb0cfc87496e90cb19edfc7fb10d16399edbfb8ac22ab7c652d0bf9ff401e4"),
     "degeneracy UDUD --index 0 --json": (0, "fe712cd5e6098f5dfe986d089bc2388a8ea567bb76f2eabf36220ef22d20fa3f"),
+    "verify --suite all": (0, "98dad126eeca31942fd0c0e450f89e8b89230ccca73418a2e34d4d89d9dd3f34"),
+    "skew sweep --carrier chain2": (0, "7268233a7e46696130d2f68dbe7b467832c2d6e54126e6709d36a7b7682291f0"),
+    "classify docs/examples/two-or.json": (0, "866d974e7366f34163ae54fd075fba6e82fb99b1f24751de954f07ff490aebb9"),
+    "enumerate --dim 2 --json": (0, "74e26c74d51849054bf874cc09414ca18b0d12113f5c9954dde1950fbe589fac"),
+    "decompose UUDDUD --json": (0, "0f1714245e4657ec5cd1eefebd62292fea35ea035882808a86b13c0f63dd9a56"),
+    "motzkin --from-dyck UUDUDD --json": (0, "72dc6207fe5b29850d86a66fc2cb8610a0c3c36c639afb08ab86bc8d6ff2beb7"),
+    "verify --suite identities --json": (0, "6df19bef7e923f41198417c005456c4b60c655e08c2aa7e1018632265d9cdd1e"),
+    "verify --suite coskeletal --json": (0, "8ebc56e11080be1f8ea1d7b6955cce46b2a0ec0558e7f6f78f14ccfd4eb177d9"),
+    "verify --suite nerve-iso --json": (0, "f7a5be6db942acb0853928b658425304cb18f6711bc3e5e7e1a6ff28e9303fab"),
+    "verify --suite motzkin --json": (0, "28df8000496a6d9aab4041dabe0d394f0ae8dc9aa395ff9c5bccd578ad057581"),
+    "verify --suite binomial --json": (0, "6bbca1e8e29488926cd081380a7ed195b48a0010f9eed6475124ea4105c8ab4c"),
 }
 
 CATALAN_GOLDEN = {

@@ -661,6 +661,42 @@ def test_pentagons_are_read_off_the_catalan_4_simplices():
     assert instances == 34354
 
 
+def isomorphic_pair() -> FinCategory:
+    """Objects I and X with inverse isomorphisms f: I -> X and g: X -> I."""
+    return FinCategory(
+        ["I", "X"],
+        [("1I", "I", "I"), ("1X", "X", "X"), ("f", "I", "X"), ("g", "X", "I")],
+        {"I": "1I", "X": "1X"},
+        {
+            ("1I", "1I"): "1I", ("1X", "1X"): "1X",
+            ("f", "1I"): "f", ("1X", "f"): "f", ("g", "1X"): "g", ("1I", "g"): "g",
+            ("g", "f"): "1I", ("f", "g"): "1X",
+        },
+    )
+
+
+def test_merged_edges_read_the_unit_where_the_unit_is_not_idempotent():
+    # every candidate on the other carriers has I (x) I = I; here half do not,
+    # so a merged edge under two unit edges is read as I, not as I (x) I.
+    # 2 ** 4 object tables times 4 ** 16 morphism tables, over the default budget
+    budget = 2**4 * 4**16
+    assert budget == 68_719_476_736
+    cat = isomorphic_pair()
+    assert sweep_equivalence(cat, budget) == SweepSummary(32, 32, True, True, True, 32)
+    candidates = list(skew_candidates(cat, budget))
+    assert sum(d.obj_tensor[(d.unit, d.unit)] != d.unit for d in candidates) == 16
+    hand = {name: fn for name, _, fn in PENTAGONS}
+    instances = 0
+    for x in catalan_sset(4).nondegenerate(4):
+        name = PENTAGON_OF[dyck_to_motzkin(x)]
+        arity, condition = _pentagon_of_simplex(x)
+        for d in candidates:
+            for args in product(sorted(cat.objects), repeat=arity):
+                assert condition(d, *args) == hand[name](d, *args), (name, args)
+                instances += 1
+    assert instances == 1120
+
+
 # -- structural error messages -------------------------------------------
 
 
