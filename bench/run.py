@@ -20,6 +20,12 @@ A ``frontier`` section records, per verify suite, the largest
 under ``FRONTIER_S`` on the host, with that case's counters: the
 desk-scale frontier as a number.  It is recorded, not gated.
 
+A ``work`` section records, per case, the boundary joins its warm-up run
+made and the tuples they returned, in all and by level: ``_boundaries``
+is wrapped in this process only, and the timed runs call it unwrapped.
+The counts are exact, but a change may lower them, so they are recorded
+per side and kept out of the ``counters`` comparison.
+
 A ``source`` section records the non-blank lines of each module under
 ``src/catsset`` and their total, so a change can report its net source
 lines.  It is recorded, not compared between sides.
@@ -49,9 +55,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from catsset import cli  # noqa: E402
+from catsset import nerve as nerve_module  # noqa: E402
+from catsset import sset as sset_module  # noqa: E402
 from catsset.classify import _classification, classify_maps  # noqa: E402
 from catsset.dyck import apply_surjection, enumerate_dyck, ez_decompose, face  # noqa: E402
-from catsset.finmon import FinCategory, antichain_poset, chain_poset, validate_strict_monoidal  # noqa: E402
+from catsset.finmon import (  # noqa: E402
+    FinCategory,
+    antichain_poset,
+    chain_poset,
+    enumerate_monoids,
+    validate_strict_monoidal,
+)
 from catsset.library import boolean_or, structure_library, zmonoid_category  # noqa: E402
 from catsset.nerve import monoidal_nerve  # noqa: E402
 from catsset.relations import enumerate_k_relations, filler, relation_face, to_relation  # noqa: E402
@@ -62,6 +76,7 @@ from catsset.sset import (  # noqa: E402
     catalan_sset,
     check_simplicial_identities,
     is_r_coskeletal_up_to,
+    simplicial_maps,
 )
 
 REPEATS = 5
@@ -122,6 +137,41 @@ def _nerve(n: int):
         return {"simplices_built": monoidal_nerve(boolean_or(), n).size()}
 
     return lambda: None, run
+
+
+def _nerve_coskeletal():
+    """``monoidal_nerve(m, 4)`` of each structure of the library, then ``is_r_coskeletal_up_to(T, 3, 4)``."""
+
+    def run(structures) -> dict:
+        nerves = [monoidal_nerve(m, 4) for m in structures]
+        return {
+            "simplices_built": sum(T.size() for T in nerves),
+            "coskeletal": sum(is_r_coskeletal_up_to(T, 3, 4) for T in nerves),
+        }
+
+    return lambda: list(structure_library().values()), run
+
+
+def _classify_jobs():
+    """perfbench's classify API job on each structure of the library.
+
+    It validates the structure, builds its nerve at 4, runs
+    ``classify_maps`` and ``enumerate_monoids``, builds ``catalan_sset(4)``
+    and runs ``simplicial_maps(S, T, 3)``.
+    """
+
+    def run(structures) -> dict:
+        counters = dict.fromkeys(("valid", "simplices_built", "records", "monoids", "maps_found"), 0)
+        for m in structures:
+            counters["valid"] += not validate_strict_monoidal(m)
+            T = monoidal_nerve(m, 4)
+            counters["simplices_built"] += T.size()
+            counters["records"] += len(classify_maps(m))
+            counters["monoids"] += len(enumerate_monoids(m))
+            counters["maps_found"] += len(simplicial_maps(catalan_sset(4), T, 3))
+        return counters
+
+    return lambda: list(structure_library().values()), run
 
 
 def _fillers(n: int):
@@ -305,6 +355,12 @@ CASES = [
     ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal(2, 7)),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve(9)),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve(10)),
+    (
+        "nerve",
+        "monoidal_nerve+is_r_coskeletal_up_to",
+        {"structures": "structure_library()", "N": 4, "r": 3},
+        _nerve_coskeletal(),
+    ),
     *(
         ("cli", "verify", {"argv": argv}, _command(*argv))
         for argv in (
@@ -342,6 +398,7 @@ CASES = [
         {"structures": "structure_library()"},
         _verify_classification_library(),
     ),
+    ("classify", "classify job", {"structures": "structure_library()", "N": 4}, _classify_jobs()),
 ]
 
 
@@ -353,10 +410,37 @@ FRONTIER_S = 1.0
 FRONTIER_REPEATS = 3
 
 
-def measure(prepare, run, repeats: int = REPEATS) -> tuple[float, dict]:
-    """The median wall time of ``repeats`` runs after one warm-up, and their counters."""
+@contextlib.contextmanager
+def joins_counted():
+    """Count the boundary joins run inside the block and the tuples they return, in all and by level."""
+    work: dict = {"joins": 0, "tuples": 0, "joins_by_level": {}, "tuples_by_level": {}}
+    real = sset_module._boundaries
+
+    def counted(levels, faces, n):
+        found = real(levels, faces, n)
+        work["joins"] += 1
+        work["tuples"] += len(found)
+        for key, add in (("joins_by_level", 1), ("tuples_by_level", len(found))):
+            work[key][str(n)] = work[key].get(str(n), 0) + add
+        return found
+
+    # every namespace that calls the join by this name: the engine's, the nerve's and this script's
+    namespaces = (vars(sset_module), vars(nerve_module), globals())
+    for space in namespaces:
+        space["_boundaries"] = counted
+    try:
+        yield work
+    finally:
+        for space in namespaces:
+            space["_boundaries"] = real
+
+
+def measure(prepare, run, repeats: int = REPEATS) -> tuple[float, dict, dict]:
+    """The median wall time of ``repeats`` runs after one warm-up, their counters, and the
+    warm-up's joins (:func:`joins_counted`)."""
     inputs = prepare()
-    counters = run(inputs)
+    with joins_counted() as work:
+        counters = run(inputs)
     times = []
     for _ in range(repeats):
         gc.collect()
@@ -365,7 +449,7 @@ def measure(prepare, run, repeats: int = REPEATS) -> tuple[float, dict]:
         times.append(time.perf_counter() - start)
         if got != counters:
             raise SystemExit(f"counters changed between runs: {counters} then {got}")
-    return statistics.median(times), counters
+    return statistics.median(times), counters, work
 
 
 def frontier() -> list[dict]:
@@ -380,7 +464,7 @@ def frontier() -> list[dict]:
         entry: dict = {"suite": suite, "max_dim": None, "wall_s": None, "counters": None, "over": None}
         for dim in range(FRONTIER_FROM, cli.DEFAULT_CAPS["dyck"] + 1):
             case = _command("verify", "--suite", suite, "--max-dim", str(dim))
-            wall, counters = measure(*case, FRONTIER_REPEATS)
+            wall, counters, _ = measure(*case, FRONTIER_REPEATS)
             if wall >= FRONTIER_S:
                 entry["over"] = {"max_dim": dim, "wall_s": round(wall, 4)}
                 break
@@ -416,13 +500,16 @@ def main() -> int:
             print(f"error: {out} was written by another Python, platform or repeat count", file=sys.stderr)
             return 2
         doc = old
-    entries = []
+    entries, works = [], []
     for layer, case, params, (prepare, run) in CASES:
-        wall, counters = measure(prepare, run)
+        wall, counters, work = measure(prepare, run)
         entries.append(
             {"layer": layer, "case": case, "params": params, "wall_s": round(wall, 4), "counters": counters}
         )
+        works.append({"case": case, "params": params, **work})
         print(f"{layer:9} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
+        print(f"{'work':9} {case:17} {json.dumps(params):62} {json.dumps(work)}")
+    doc.setdefault("work", {})[args.side] = works
     doc.setdefault("frontier", {})[args.side] = frontier()
     source = doc.setdefault("source", {})[args.side] = source_lines()
     print(f"source    {json.dumps(source)}")
@@ -436,14 +523,17 @@ def main() -> int:
         if name == args.side:
             continue
         theirs = {(e["case"], json.dumps(e["params"])): e for e in others}
-        for mine in entries:
-            other = theirs.get((mine["case"], json.dumps(mine["params"])))
+        their_work = {(w["case"], json.dumps(w["params"])): w for w in doc["work"].get(name, [])}
+        for mine, work in zip(entries, works):
+            key = (mine["case"], json.dumps(mine["params"]))
+            other = theirs.get(key)
             same = other is not None and other["counters"] == mine["counters"]
             status |= not same
             ratio = f"{mine['wall_s'] / other['wall_s']:6.2f}" if other and other["wall_s"] else "     -"
+            joins = their_work[key]["joins"] if key in their_work else "-"
             print(
                 f"{args.side}/{name} {mine['case']:17} {json.dumps(mine['params']):62} "
-                f"{ratio}  counters {'equal' if same else 'DIFFER'}"
+                f"{ratio}  counters {'equal' if same else 'DIFFER'}  joins {joins} -> {work['joins']}"
             )
     return status
 

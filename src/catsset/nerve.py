@@ -95,5 +95,8 @@ def monoidal_nerve(
         if len(bts) > max_simplices:
             raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
         _add_level(levels, faces, degens, bts)
-    _extend_levels(levels, faces, degens, N, max_simplices)
-    return TruncatedSSet(levels, faces, degens)
+    joins = _extend_levels(levels, faces, degens, N, max_simplices)
+    T = TruncatedSSet(levels, faces, degens)
+    # level 3 keeps only the commuting boundaries, so only the joins above it are handed over
+    T._joins = joins
+    return T

@@ -42,7 +42,8 @@ class TruncatedSSet:
     ``degens[n][i][k]`` the index in level n+1 of its i-th degeneracy.
     Labels are unique within a level but carry no meaning to the engine.
     Instances are never mutated after construction; query indexes are
-    cached lazily.
+    cached lazily, and a level builder hands over the joins it built
+    levels from.
     """
 
     def __init__(
@@ -55,7 +56,7 @@ class TruncatedSSet:
             raise StructuralError("at least dimension 0 is required")
         self.levels: tuple[tuple[str, ...], ...] = tuple(tuple(lv) for lv in levels)
         self.N: int = len(self.levels) - 1
-        self._position = tuple({lab: k for k, lab in enumerate(lv)} for lv in self.levels)
+        self._position = tuple(dict(zip(lv, range(len(lv)))) for lv in self.levels)
         for n, lv in enumerate(self.levels):
             if len(self._position[n]) != len(lv):
                 raise StructuralError(f"duplicate labels at level {n}")
@@ -65,6 +66,8 @@ class TruncatedSSet:
         self.degens = tuple(self._checked(degens[n], n, 1) for n in range(self.N + 1))
         self._witness_cache: dict[int, tuple[int | None, ...]] = {}
         self._filler_cache: dict[int, dict[_Indices, _Indices]] = {}
+        # the joins a level builder made this set's levels from, by level
+        self._joins: dict[int, list[_Indices]] = {}
 
     def _checked(self, tables: Sequence[Sequence[int]], n: int, step: int) -> tuple[_Indices, ...]:
         """The tables from level n to level n + step, each total and in range."""
@@ -124,10 +127,7 @@ class TruncatedSSet:
     def _filler_index(self, n: int) -> dict[_Indices, _Indices]:
         """Map from face vectors at level n to the simplices carrying them, all as indices."""
         if n not in self._filler_cache:
-            index: dict[_Indices, list[int]] = defaultdict(list)
-            for x, vector in enumerate(zip(*self.faces[n])):
-                index[vector].append(x)
-            self._filler_cache[n] = {k: tuple(v) for k, v in index.items()}
+            self._filler_cache[n] = _grouped(list(zip(*self.faces[n])))
         return self._filler_cache[n]
 
     def size(self) -> int:
@@ -168,6 +168,17 @@ class TruncatedSSet:
     @classmethod
     def from_json_text(cls, text: str) -> "TruncatedSSet":
         return cls.from_json_dict(parse_json_text(text))
+
+
+def _grouped(keys: Sequence[_Indices]) -> dict[_Indices, _Indices]:
+    """Map from each key to the ascending positions that carry it, in C when the keys are distinct."""
+    index = dict(zip(keys, zip(range(len(keys)))))
+    if len(index) < len(keys):
+        groups: dict[_Indices, list[int]] = defaultdict(list)
+        for x, key in enumerate(keys):
+            groups[key].append(x)
+        index = {k: tuple(v) for k, v in groups.items()}
+    return index
 
 
 def _shifted(a: Sequence[int], c: Sequence[int], m: int, sign: int) -> Iterator[_Indices]:
@@ -345,9 +356,14 @@ def boundaries(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
     """
     if not 1 <= n <= S.N + 1:
         raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
-    found = _boundaries(S.levels, S.faces, n)
     lower = S.levels[n - 1]
-    return [tuple(lower[x] for x in t) for t in found]
+    return [tuple(lower[x] for x in t) for t in _joined(S, n)]
+
+
+def _joined(S: TruncatedSSet, n: int) -> list[_Indices]:
+    """``_boundaries`` of S at n, the join its level n was built from when a builder kept it."""
+    found = S._joins.get(n)
+    return _boundaries(S.levels, S.faces, n) if found is None else found
 
 
 def _boundaries(
@@ -367,14 +383,15 @@ def _boundaries(
     tables = faces[n - 1]
     cols: list[Sequence[int]] = [lower]
     for m in range(1, n + 1):
-        index: dict[_Indices, list[int]] = defaultdict(list)
-        for x, key in enumerate(zip(*tables[:m])):
-            index[key].append(x)
+        index = _grouped(list(zip(*tables[:m])))
         face = tables[m - 1]
         hits = list(map(index.get, zip(*(_take(face, c) for c in cols)), repeat(())))
-        keep = tuple(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
-        cols = [_take(c, keep) for c in cols]
-        cols.append(tuple(chain.from_iterable(hits)))
+        found = tuple(chain.from_iterable(hits))
+        # the columns are copied only when some partial has no hit or several
+        if len(found) != len(hits) or not all(hits):
+            keep = tuple(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
+            cols = [_take(c, keep) for c in cols]
+        cols.append(found)
     return list(zip(*cols))
 
 
@@ -401,7 +418,7 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
     if not 0 <= r < maxdim <= S.N:
         raise ValueError("need 0 <= r < maxdim <= truncation")
     for n in range(r + 1, maxdim + 1):
-        found = set(_boundaries(S.levels, S.faces, n))
+        found = set(_joined(S, n))
         vectors = list(zip(*S.faces[n]))
         if not found.issubset(vectors) or sum(map(found.__contains__, vectors)) != len(found):
             return False
@@ -421,8 +438,9 @@ def _add_level(
 
     The three lists hold tables in the constructor's form, and ``tuples``
     hold indices into level n-1.  The new simplices are labelled
-    ``s{n}:{k}`` in the order of their face vectors' label tuples, and
-    their faces project to components.  The simplicial identities force
+    ``s{n}:{k}`` in the order of their face vectors' label tuples, sorted
+    as tuples of the labels' ranks, and their faces project to
+    components.  The simplicial identities force
     the face vector of s_i x for an (n-1)-simplex x to be
     (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
     and it must be among ``tuples``; the lists are left as they were
@@ -430,8 +448,11 @@ def _add_level(
     """
     m, n = len(levels) - 1, len(levels)
     lower = levels[m]
-    labels = zip(*(_take(lower, c) for c in zip(*tuples)))
-    tuples = [t for _, t in sorted(zip(labels, tuples))]
+    order = sorted(range(len(lower)), key=lower.__getitem__)
+    rank = sorted(order, key=order.__getitem__)
+    # the tuples of the labels' ranks, held only while they are sorted
+    ranked = zip(*(_take(rank, c) for c in zip(*tuples)))
+    tuples = _take(tuples, sorted(range(len(tuples)), key=list(ranked).__getitem__))
     position = dict(zip(tuples, range(len(tuples))))
     face, below, xs = faces[m], degens[m - 1], range(len(lower))
     images = []
@@ -447,21 +468,24 @@ def _add_level(
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
     degens[m] = images
     degens.append([])
-    levels.append([f"s{n}:{k}" for k in range(len(tuples))])
-    faces.append([[t[i] for t in tuples] for i in range(n + 1)])
+    levels.append(list(map(f"s{n}:".__add__, map(str, range(len(tuples))))))
+    faces.append(list(zip(*tuples)) or [()] * (n + 1))
 
 
-def _extend_levels(levels: list, faces: list, degens: list, N: int, max_simplices: int) -> None:
-    """Add levels up to N to :func:`_add_level`'s lists, each of the boundary tuples over the one below."""
+def _extend_levels(levels: list, faces: list, degens: list, N: int, max_simplices: int) -> dict:
+    """Add levels up to N to :func:`_add_level`'s lists, each of the boundary tuples over the one
+    below, and return those joins by level for the built set to keep."""
     total = sum(map(len, levels))
+    joins = {}
     for n in range(len(levels), N + 1):
-        bts = _boundaries(levels, faces, n)
+        joins[n] = bts = _boundaries(levels, faces, n)
         total += len(bts)
         if total > max_simplices:
             raise BudgetExceededError(
                 f"extension to dimension {n} needs more than {max_simplices} simplices"
             )
         _add_level(levels, faces, degens, bts)
+    return joins
 
 
 def coskeletal_extension(
@@ -472,15 +496,20 @@ def coskeletal_extension(
     Each new level consists of the compatible facet tuples over the level
     below; faces project to components and degeneracies are computed
     through the simplicial identities, which only the input is checked
-    against.  The result is built, and so validated, once.
+    against.  The result is built, and so validated, once, and it keeps
+    the joins its new levels, and S's, were built from.
     """
     if N < S.N:
         raise ValueError("cannot extend below the current truncation")
     if check_simplicial_identities(S):
         raise StructuralError("input truncation violates the simplicial identities")
+    if N == S.N:
+        return S
     levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
-    _extend_levels(levels, faces, degens, N, max_simplices)
-    return TruncatedSSet(levels, faces, degens) if N > S.N else S
+    joins = _extend_levels(levels, faces, degens, N, max_simplices)
+    T = TruncatedSSet(levels, faces, degens)
+    T._joins = S._joins | joins
+    return T
 
 
 # -- simplicial maps -------------------------------------------------------

@@ -468,6 +468,83 @@ def test_extension_budget():
         coskeletal_extension(catalan_sset(2), 6, max_simplices=50)
 
 
+def _built_sets(library):
+    """The builder-made sets whose kept joins are checked, by name."""
+    sets = {f"nerve-{name}-5": monoidal_nerve(m, 5) for name, m in library.items()}
+    sets["extension-catalan-3-to-7"] = coskeletal_extension(catalan_sset(3), 7)
+    for name, m in library.items():
+        sets[f"extension-{name}-3-to-5"] = coskeletal_extension(monoidal_nerve(m, 3), 5)
+    return sets
+
+
+def test_kept_joins_are_the_joins(library):
+    for name, T in _built_sets(library).items():
+        # a nerve's level 3 keeps only the commuting boundaries; every level above is a join
+        assert sorted(T._joins) == list(range(4, T.N + 1)), name
+        for n, found in T._joins.items():
+            assert found == _boundaries(T.levels, T.faces, n), (name, n)
+        for n in range(1, T.N + 1):
+            lower = T.levels[n - 1]
+            fresh = [tuple(lower[x] for x in t) for t in _boundaries(T.levels, T.faces, n)]
+            assert boundaries(T, n) == fresh, (name, n)
+        assert TruncatedSSet(T.levels, T.faces, T.degens)._joins == {}, name
+        assert TruncatedSSet.from_json_text(T.to_json_text())._joins == {}, name
+
+
+def test_coskeletality_compares_with_the_sets_own_face_vectors():
+    built = monoidal_nerve(boolean_or(), 4)
+    levels, faces, degens = _editable_tables(built)
+    for table in faces[4]:
+        table[-1] = table[0]
+    planted = TruncatedSSet(levels, faces, degens)
+    assert is_r_coskeletal_up_to(built, 3, 4)
+    assert not is_r_coskeletal_up_to(planted, 3, 4)
+
+
+def _grouped_by_brute_force(S, n):
+    """Face vector -> the ascending tuple of the simplices of level n carrying it."""
+    index = {}
+    for x in range(len(S.levels[n])):
+        index.setdefault(tuple(table[x] for table in S.faces[n]), []).append(x)
+    return {vector: tuple(xs) for vector, xs in index.items()}
+
+
+def test_filler_index_on_both_paths(catalan4, library):
+    sets = [catalan_sset(5), *(monoidal_nerve(m, 4) for m in library.values())]
+    distinct = shared = 0
+    for S in sets:
+        for n in range(1, S.N + 1):
+            index = S._filler_index(n)
+            assert index == _grouped_by_brute_force(S, n)
+            distinct += len(index) == len(S.levels[n])
+            shared += len(index) < len(S.levels[n])
+    assert distinct and shared
+    # both edges of C lie over (pt, pt), so level 1 is grouped
+    assert len(catalan4._filler_index(1)) == 1
+    assert fillers(catalan4, ("UD", "UD")) == ["UDUD", "UUDD"]
+
+
+@pytest.mark.parametrize(
+    "build, added",
+    [
+        pytest.param(
+            lambda: coskeletal_extension(catalan_sset(3), 6), (5, 6), id="extension-3-to-6"
+        ),
+        pytest.param(lambda: monoidal_nerve(boolean_or(), 5), (4, 5), id="two-or-5"),
+    ],
+)
+def test_added_levels_follow_the_label_order(build, added):
+    # labels are compared as strings, so "s4:10" sorts before "s4:2" and
+    # the label order of these levels is not their face vectors' index order
+    T = build()
+    for n in added:
+        assert T.levels[n] == tuple(f"s{n}:{k}" for k in range(len(T.levels[n])))
+        vectors = list(zip(*T.faces[n]))
+        labels = [tuple(T.levels[n - 1][x] for x in v) for v in vectors]
+        assert labels == sorted(labels)
+        assert vectors != sorted(vectors)
+
+
 def test_extension_of_nerve_truncation(nerve_two4):
     low = TruncatedSSet(
         nerve_two4.levels[:3],
