@@ -20,11 +20,14 @@ A ``frontier`` section records, per verify suite, the largest
 under ``FRONTIER_S`` on the host, with that case's counters: the
 desk-scale frontier as a number.  It is recorded, not gated.
 
-A ``work`` section records, per case, the boundary joins its warm-up run
-made and the tuples they returned, in all and by level: ``_boundaries``
-is wrapped in this process only, and the timed runs call it unwrapped.
-The counts are exact, but a change may lower them, so they are recorded
-per side and kept out of the ``counters`` comparison.
+A ``work`` section records, per case and in all and by level, what its
+warm-up run did: the boundary joins it made and the tuples they
+returned, the table cells the ``TruncatedSSet`` constructor checked
+(``_checked``), and the filler indexes built on a cache miss
+(``_filler_index``).  These are wrapped in this process only, and the
+timed runs call them unwrapped.  The counts are exact, but a change may
+lower them, so they are recorded per side and kept out of the
+``counters`` comparison.
 
 A ``source`` section records the non-blank lines of each module under
 ``src/catsset`` and their total, so a change can report its net source
@@ -410,36 +413,59 @@ FRONTIER_S = 1.0
 FRONTIER_REPEATS = 3
 
 
+#: The work counts of :func:`work_counted`; each also has a ``*_by_level`` breakdown.
+WORK = ("joins", "tuples", "checked_cells", "filler_indexes")
+
+
 @contextlib.contextmanager
-def joins_counted():
-    """Count the boundary joins run inside the block and the tuples they return, in all and by level."""
-    work: dict = {"joins": 0, "tuples": 0, "joins_by_level": {}, "tuples_by_level": {}}
-    real = sset_module._boundaries
+def work_counted():
+    """Count, inside the block, the boundary joins run and the tuples they return, the table
+    cells the constructor checks and the filler indexes built, in all and by level."""
+    work: dict = {key: 0 for key in WORK} | {f"{key}_by_level": {} for key in WORK}
+
+    def tally(key: str, n: int, amount: int) -> None:
+        work[key] += amount
+        by_level = work[f"{key}_by_level"]
+        by_level[str(n)] = by_level.get(str(n), 0) + amount
+
+    real_join = sset_module._boundaries
+    real_checked = TruncatedSSet._checked
+    real_index = TruncatedSSet._filler_index
 
     def counted(levels, faces, n):
-        found = real(levels, faces, n)
-        work["joins"] += 1
-        work["tuples"] += len(found)
-        for key, add in (("joins_by_level", 1), ("tuples_by_level", len(found))):
-            work[key][str(n)] = work[key].get(str(n), 0) + add
+        found = real_join(levels, faces, n)
+        tally("joins", n, 1)
+        tally("tuples", n, len(found))
         return found
+
+    def checked(self, tables, n, step):
+        out = real_checked(self, tables, n, step)
+        tally("checked_cells", n, sum(map(len, out)))
+        return out
+
+    def indexed(self, n):
+        if n not in self._filler_cache:
+            tally("filler_indexes", n, 1)
+        return real_index(self, n)
 
     # every namespace that calls the join by this name: the engine's, the nerve's and this script's
     namespaces = (vars(sset_module), vars(nerve_module), globals())
     for space in namespaces:
         space["_boundaries"] = counted
+    TruncatedSSet._checked, TruncatedSSet._filler_index = checked, indexed
     try:
         yield work
     finally:
         for space in namespaces:
-            space["_boundaries"] = real
+            space["_boundaries"] = real_join
+        TruncatedSSet._checked, TruncatedSSet._filler_index = real_checked, real_index
 
 
 def measure(prepare, run, repeats: int = REPEATS) -> tuple[float, dict, dict]:
     """The median wall time of ``repeats`` runs after one warm-up, their counters, and the
-    warm-up's joins (:func:`joins_counted`)."""
+    warm-up's work (:func:`work_counted`)."""
     inputs = prepare()
-    with joins_counted() as work:
+    with work_counted() as work:
         counters = run(inputs)
     times = []
     for _ in range(repeats):
@@ -530,10 +556,11 @@ def main() -> int:
             same = other is not None and other["counters"] == mine["counters"]
             status |= not same
             ratio = f"{mine['wall_s'] / other['wall_s']:6.2f}" if other and other["wall_s"] else "     -"
-            joins = their_work[key]["joins"] if key in their_work else "-"
+            before = their_work.get(key, {})
+            moved = "  ".join(f"{k} {before.get(k, '-')} -> {work[k]}" for k in WORK)
             print(
                 f"{args.side}/{name} {mine['case']:17} {json.dumps(mine['params']):62} "
-                f"{ratio}  counters {'equal' if same else 'DIFFER'}  joins {joins} -> {work['joins']}"
+                f"{ratio}  counters {'equal' if same else 'DIFFER'}  {moved}"
             )
     return status
 

@@ -10,10 +10,12 @@ identity morphisms.
 from __future__ import annotations
 
 import json
+from itertools import compress
+from operator import eq
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _add_level, _boundaries, _extend_levels
+from .sset import TruncatedSSet, _add_level, _boundaries, _extend_levels, _take
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -36,8 +38,10 @@ def monoidal_nerve(
     """The nerve of ``m`` truncated at dimension N.
 
     Levels are built into table lists, those above 3 by the loop of
-    :func:`coskeletal_extension`, and the result is validated once; a size
-    guard aborts construction past ``max_simplices`` simplices in total.
+    :func:`coskeletal_extension`, from a structure that is checked first,
+    so the result is built unchecked and keeps the joins and filler
+    indexes of its levels from 3 up; a size guard aborts construction
+    past ``max_simplices`` simplices in total.
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
@@ -83,20 +87,22 @@ def monoidal_nerve(
             ]
         )
     degens.append([])
+    joins, fillers = {}, {}
     if N >= 3:
-        def commutes(bt: tuple[int, ...]) -> bool:
-            x0, x1, x2, x3 = (data[k] for k in bt)
-            a23, a01 = x0[0], x3[2]
-            left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(a01)))
-            right = cat.compose(x1[3], m.tensor_mor(cat.id_of(a23), x3[3]))
-            return left == right
-
-        bts = [bt for bt in _boundaries(levels, faces, 3) if commutes(bt)]
+        # a boundary (x0, x1, x2, x3) is kept when its square commutes:
+        # x2 . (x0 (x) id A01) = x1 . (id A23 (x) x3), composed a column at a time
+        bts = _boundaries(levels, faces, 3)
+        x0, x1, x2, x3 = zip(*bts) if bts else [()] * 4
+        # per 2-simplex: its morphism, the identity of its A01 and that of its A12
+        mor = [x[3] for x in data]
+        id01, id12 = ([cat.id_of(x[k]) for x in data] for k in (2, 0))
+        compose, tensor = cat.composition.__getitem__, m.mor_tensor.__getitem__
+        left = map(compose, zip(_take(mor, x2), map(tensor, zip(_take(mor, x0), _take(id01, x3)))))
+        right = map(compose, zip(_take(mor, x1), map(tensor, zip(_take(id12, x0), _take(mor, x3)))))
+        bts = list(compress(bts, map(eq, left, right)))
         if len(bts) > max_simplices:
             raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
-        _add_level(levels, faces, degens, bts)
-    joins = _extend_levels(levels, faces, degens, N, max_simplices)
-    T = TruncatedSSet(levels, faces, degens)
+        fillers[3] = _add_level(levels, faces, degens, bts)
+    _extend_levels(levels, faces, degens, N, max_simplices, joins, fillers)
     # level 3 keeps only the commuting boundaries, so only the joins above it are handed over
-    T._joins = joins
-    return T
+    return TruncatedSSet._trusted(levels, faces, degens, joins, fillers)

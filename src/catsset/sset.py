@@ -42,8 +42,10 @@ class TruncatedSSet:
     ``degens[n][i][k]`` the index in level n+1 of its i-th degeneracy.
     Labels are unique within a level but carry no meaning to the engine.
     Instances are never mutated after construction; query indexes are
-    cached lazily, and a level builder hands over the joins it built
-    levels from.
+    cached lazily.  The constructor checks its tables; a level builder,
+    whose tables are valid by construction, goes through
+    :meth:`_trusted` and hands over the joins and filler indexes it
+    built levels from.
     """
 
     def __init__(
@@ -54,9 +56,7 @@ class TruncatedSSet:
     ) -> None:
         if not levels:
             raise StructuralError("at least dimension 0 is required")
-        self.levels: tuple[tuple[str, ...], ...] = tuple(tuple(lv) for lv in levels)
-        self.N: int = len(self.levels) - 1
-        self._position = tuple(dict(zip(lv, range(len(lv)))) for lv in self.levels)
+        self._fill(levels, (), (), {}, {})
         for n, lv in enumerate(self.levels):
             if len(self._position[n]) != len(lv):
                 raise StructuralError(f"duplicate labels at level {n}")
@@ -64,10 +64,30 @@ class TruncatedSSet:
             raise StructuralError("face/degeneracy tables must cover every level")
         self.faces = tuple(self._checked(faces[n], n, -1) for n in range(self.N + 1))
         self.degens = tuple(self._checked(degens[n], n, 1) for n in range(self.N + 1))
+
+    @classmethod
+    def _trusted(cls, levels, faces, degens, joins: dict, fillers: dict) -> "TruncatedSSet":
+        """A set from a level builder's tables, valid by construction, left unchecked; it keeps
+        ``joins`` and ``fillers``, the boundary tuples and :meth:`_filler_index` of its levels."""
+        S = cls.__new__(cls)
+        S._fill(levels, faces, degens, joins, fillers)
+        return S
+
+    def _fill(self, levels, faces, degens, joins, fillers) -> None:
+        """Set the levels, the tables and the caches as given, unchecked."""
+        self.levels: tuple[tuple[str, ...], ...] = tuple(map(tuple, levels))
+        self.N: int = len(self.levels) - 1
+        self.faces = tuple(tuple(map(tuple, tables)) for tables in faces)
+        self.degens = tuple(tuple(map(tuple, tables)) for tables in degens)
         self._witness_cache: dict[int, tuple[int | None, ...]] = {}
-        self._filler_cache: dict[int, dict[_Indices, _Indices]] = {}
+        self._filler_cache: dict[int, dict[_Indices, _Indices]] = fillers
         # the joins a level builder made this set's levels from, by level
-        self._joins: dict[int, list[_Indices]] = {}
+        self._joins: dict[int, list[_Indices]] = joins
+
+    @cached_property
+    def _position(self) -> tuple[dict[str, int], ...]:
+        """Per level, the map from each label to its index."""
+        return tuple(dict(zip(lv, range(len(lv)))) for lv in self.levels)
 
     def _checked(self, tables: Sequence[Sequence[int]], n: int, step: int) -> tuple[_Indices, ...]:
         """The tables from level n to level n + step, each total and in range."""
@@ -262,7 +282,7 @@ def catalan_sset(N: int) -> TruncatedSSet:
     # then the sources, a level at a time, so that the tables are never all held twice
     for tables, o in chain(zip(faces, orders), zip(degens, orders)):
         tables[:] = map(_take, tables, repeat(o))
-    return TruncatedSSet([_take(w, o) for w, o in zip(words, orders)], faces, degens)
+    return TruncatedSSet._trusted([_take(w, o) for w, o in zip(words, orders)], faces, degens, {}, {})
 
 
 def point_sset(N: int) -> TruncatedSSet:
@@ -412,15 +432,15 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
     """True iff every boundary in dimensions r+1 .. maxdim has exactly one filler.
 
     The boundaries of a level are distinct, so the level passes when each
-    is the face vector of some simplex and the simplices whose face
-    vectors are boundaries number as many as the boundaries.
+    is a key of the filler index and the fillers over the boundaries
+    number as many as the boundaries.
     """
     if not 0 <= r < maxdim <= S.N:
         raise ValueError("need 0 <= r < maxdim <= truncation")
     for n in range(r + 1, maxdim + 1):
-        found = set(_joined(S, n))
-        vectors = list(zip(*S.faces[n]))
-        if not found.issubset(vectors) or sum(map(found.__contains__, vectors)) != len(found):
+        found = _joined(S, n)
+        hits = list(map(S._filler_index(n).get, found, repeat(())))
+        if not all(hits) or sum(map(len, hits)) != len(found):
             return False
     return True
 
@@ -433,11 +453,13 @@ def _add_level(
     faces: list[Sequence[Sequence[int]]],
     degens: list[Sequence[Sequence[int]]],
     tuples: Sequence[_Indices],
-) -> None:
-    """Append level n = len(levels) whose simplices carry the face vectors ``tuples``.
+) -> dict[_Indices, _Indices]:
+    """Append level n = len(levels) whose simplices carry the distinct face vectors ``tuples``.
 
     The three lists hold tables in the constructor's form, and ``tuples``
-    hold indices into level n-1.  The new simplices are labelled
+    hold indices into level n-1.  It returns the new level's
+    :meth:`TruncatedSSet._filler_index`, by which it finds the images of
+    the degeneracies.  The new simplices are labelled
     ``s{n}:{k}`` in the order of their face vectors' label tuples, sorted
     as tuples of the labels' ranks, and their faces project to
     components.  The simplicial identities force
@@ -453,7 +475,7 @@ def _add_level(
     # the tuples of the labels' ranks, held only while they are sorted
     ranked = zip(*(_take(rank, c) for c in zip(*tuples)))
     tuples = _take(tuples, sorted(range(len(tuples)), key=list(ranked).__getitem__))
-    position = dict(zip(tuples, range(len(tuples))))
+    index = dict(zip(tuples, zip(range(len(tuples)))))
     face, below, xs = faces[m], degens[m - 1], range(len(lower))
     images = []
     for i in range(n):
@@ -463,20 +485,23 @@ def _add_level(
             xs,
             *(_take(below[i], face[k]) for k in range(i + 1, n)),
         )
-        images.append(list(map(position.get, keys)))
-        if None in images[-1]:
+        images.append(list(chain.from_iterable(map(index.get, keys, repeat(())))))
+        if len(images[-1]) < len(lower):
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
     degens[m] = images
     degens.append([])
     levels.append(list(map(f"s{n}:".__add__, map(str, range(len(tuples))))))
     faces.append(list(zip(*tuples)) or [()] * (n + 1))
+    return index
 
 
-def _extend_levels(levels: list, faces: list, degens: list, N: int, max_simplices: int) -> dict:
+def _extend_levels(
+    levels: list, faces: list, degens: list, N: int, max_simplices: int, joins: dict, fillers: dict
+) -> None:
     """Add levels up to N to :func:`_add_level`'s lists, each of the boundary tuples over the one
-    below, and return those joins by level for the built set to keep."""
+    below, and put those joins and the levels' filler indexes into ``joins`` and ``fillers``,
+    by level, for the built set to keep."""
     total = sum(map(len, levels))
-    joins = {}
     for n in range(len(levels), N + 1):
         joins[n] = bts = _boundaries(levels, faces, n)
         total += len(bts)
@@ -484,8 +509,7 @@ def _extend_levels(levels: list, faces: list, degens: list, N: int, max_simplice
             raise BudgetExceededError(
                 f"extension to dimension {n} needs more than {max_simplices} simplices"
             )
-        _add_level(levels, faces, degens, bts)
-    return joins
+        fillers[n] = _add_level(levels, faces, degens, bts)
 
 
 def coskeletal_extension(
@@ -496,8 +520,9 @@ def coskeletal_extension(
     Each new level consists of the compatible facet tuples over the level
     below; faces project to components and degeneracies are computed
     through the simplicial identities, which only the input is checked
-    against.  The result is built, and so validated, once, and it keeps
-    the joins its new levels, and S's, were built from.
+    against.  The new levels are valid by construction, so the result is
+    built unchecked, and it keeps the joins and filler indexes of its new
+    levels and S's.
     """
     if N < S.N:
         raise ValueError("cannot extend below the current truncation")
@@ -506,10 +531,9 @@ def coskeletal_extension(
     if N == S.N:
         return S
     levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
-    joins = _extend_levels(levels, faces, degens, N, max_simplices)
-    T = TruncatedSSet(levels, faces, degens)
-    T._joins = S._joins | joins
-    return T
+    joins, fillers = dict(S._joins), dict(S._filler_cache)
+    _extend_levels(levels, faces, degens, N, max_simplices, joins, fillers)
+    return TruncatedSSet._trusted(levels, faces, degens, joins, fillers)
 
 
 # -- simplicial maps -------------------------------------------------------

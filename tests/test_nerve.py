@@ -1,10 +1,11 @@
 import pytest
 
 from catsset.errors import BudgetExceededError, StructuralError
-from catsset.finmon import FinMonoidalStructure, MonoidalPoset, chain_poset, poset_as_category
+from catsset.finmon import FinCategory, FinMonoidalStructure, MonoidalPoset, chain_poset, poset_as_category
 from catsset.library import boolean_or, chain3_max, zmonoid
 from catsset.nerve import monoidal_nerve, two_label, two_simplex_data
 from catsset.sset import (
+    _boundaries,
     check_simplicial_identities,
     coskeletal_extension,
     is_r_coskeletal_up_to,
@@ -70,6 +71,44 @@ def test_nerve_is_the_checked_extension_of_its_three_truncation(library, N):
     for name, m in library.items():
         checked = coskeletal_extension(monoidal_nerve(m, 3), N)
         assert monoidal_nerve(m, N).to_json_text() == checked.to_json_text(), name
+
+
+def _chain_min(labels):
+    """The chain on ``labels`` with min as tensor, its top the unit."""
+    tensor = {(a, b): min(a, b, key=labels.index) for a in labels for b in labels}
+    return poset_as_category(MonoidalPoset(chain_poset(labels), tensor, labels[-1]))
+
+
+def _commutative_monoid(table):
+    """The one-object category over a commutative monoid with unit "1", its product as tensor."""
+    elems = sorted({x for x, _ in table})
+    cat = FinCategory(["*"], [(e, "*", "*") for e in elems], {"*": "1"}, table)
+    return FinMonoidalStructure(cat, {("*", "*"): "*"}, table, "*")
+
+
+def test_level_three_is_the_commuting_boundaries(library):
+    z3 = {(a, b): "1gh"[("1gh".index(a) + "1gh".index(b)) % 3] for a in "1gh" for b in "1gh"}
+    one_ab = {("1", x): x for x in "1ab"} | {(x, "1"): x for x in "1ab"}
+    one_ab |= {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"}
+    structures = dict(library)
+    structures |= {"chain2-min": _chain_min(["0", "1"]), "chain3-min": _chain_min(["0", "1", "2"])}
+    structures |= {"z3": _commutative_monoid(z3), "monoid-1ab": _commutative_monoid(one_ab)}
+    dropped = {}
+    for name, m in structures.items():
+        T = monoidal_nerve(m, 3)
+        cat, data = m.category, [two_simplex_data(label) for label in T.levels[2]]
+        found = _boundaries(T.levels, T.faces, 3)
+        kept = []
+        # the scalar rule: x2 . (x0 (x) id A01) = x1 . (id A23 (x) x3), one boundary at a time
+        for bt in found:
+            x0, x1, x2, x3 = (data[k] for k in bt)
+            left = cat.compose(x2[3], m.tensor_mor(x0[3], cat.id_of(x3[2])))
+            right = cat.compose(x1[3], m.tensor_mor(cat.id_of(x0[0]), x3[3]))
+            if left == right:
+                kept.append(bt)
+        assert sorted(zip(*T.faces[3])) == kept, name
+        dropped[name] = len(found) - len(kept)
+    assert dropped["zmonoid"] > 0
 
 
 def test_poset_nerves_are_two_coskeletal(nerve_two5):

@@ -491,6 +491,49 @@ def test_kept_joins_are_the_joins(library):
         assert TruncatedSSet.from_json_text(T.to_json_text())._joins == {}, name
 
 
+def _trusted_sets(library):
+    """Every set the trust tests build through the level builders, by name."""
+    return {f"catalan-{n}": catalan_sset(n) for n in range(9)} | _built_sets(library)
+
+
+def test_builder_output_passes_the_public_constructor(library):
+    # the builders skip the constructor's checks, so each set they build must pass them
+    for name, T in _trusted_sets(library).items():
+        assert "_position" not in vars(T), name
+        checked = TruncatedSSet(T.levels, T.faces, T.degens)
+        assert (checked.levels, checked.faces, checked.degens) == (T.levels, T.faces, T.degens), name
+        assert check_simplicial_identities(T) == [], name
+        want = tuple({label: k for k, label in enumerate(lv)} for lv in T.levels)
+        assert T._position == checked._position == want, name
+
+
+def _unique_fillers_by_brute_force(S, n):
+    """Whether every boundary at level n is the face vector of exactly one simplex."""
+    index = _grouped_by_brute_force(S, n)
+    return all(len(index.get(b, ())) == 1 for b in _boundaries(S.levels, S.faces, n))
+
+
+def test_handed_over_filler_indexes_are_the_indexes(library):
+    for name, T in _trusted_sets(library).items():
+        # _add_level indexes each level it adds, and an extension keeps its input's indexes
+        if name.startswith("catalan"):
+            first = T.N + 1
+        else:
+            first = 4 if name == "extension-catalan-3-to-7" else 3
+        assert sorted(T._filler_cache) == list(range(first, T.N + 1)), name
+        for n, index in T._filler_cache.items():
+            assert index == _grouped_by_brute_force(T, n), (name, n)
+        checked = TruncatedSSet(T.levels, T.faces, T.degens)
+        loaded = TruncatedSSet.from_json_text(T.to_json_text())
+        assert checked._filler_cache == loaded._filler_cache == {}, name
+        unique = [None, *(_unique_fillers_by_brute_force(T, n) for n in range(1, T.N + 1))]
+        for S in (T, checked):
+            for n in range(1, T.N + 1):
+                assert is_r_coskeletal_up_to(S, n - 1, n) == unique[n], (name, n)
+            for r in range(T.N):
+                assert is_r_coskeletal_up_to(S, r, T.N) == all(unique[r + 1 :]), (name, r)
+
+
 def test_coskeletality_compares_with_the_sets_own_face_vectors():
     built = monoidal_nerve(boolean_or(), 4)
     levels, faces, degens = _editable_tables(built)
