@@ -31,7 +31,10 @@ lower them, so they are recorded per side and kept out of the
 
 A ``source`` section records the non-blank lines of each module under
 ``src/catsset`` and their total, so a change can report its net source
-lines.  It is recorded, not compared between sides.
+lines, and each module's compile heap peak: the peak traced by
+tracemalloc while ``compile()`` turns the module's source into code,
+which bounds the heap peak of importing the package fresh.  It is
+recorded, not compared between sides.
 
 One file can hold several sides, such as a parent commit and a change:
 run the script in each checkout (copy it into one that lacks it) with the
@@ -53,6 +56,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -501,14 +505,22 @@ def frontier() -> list[dict]:
 
 
 def source_lines() -> dict:
-    """The non-blank line count of each ``src/catsset/*.py``, and their total."""
+    """The non-blank line count of each ``src/catsset/*.py``, their total, and each module's
+    compile heap peak in MB."""
     package = os.path.join(ROOT, "src", "catsset")
-    modules = {}
+    modules, peaks = {}, {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                modules[name] = sum(1 for line in fh if line.strip())
-    return {"modules": modules, "total": sum(modules.values())}
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            modules[name] = sum(1 for line in text.splitlines() if line.strip())
+            gc.collect()
+            tracemalloc.start()
+            compile(text, path, "exec")
+            peaks[name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+            tracemalloc.stop()
+    return {"modules": modules, "total": sum(modules.values()), "compile_peak_mb": peaks}
 
 
 def main() -> int:

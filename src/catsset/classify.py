@@ -18,7 +18,7 @@ from .dyck import FREE_EDGE
 from .errors import StructuralError
 from .finmon import FinMonoidalStructure, MonoidObject, enumerate_monoids
 from .nerve import monoidal_nerve, two_simplex_data
-from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _labelled_map, catalan_sset
+from .sset import SimplicialMap, TruncatedSSet, catalan_sset, simplicial_maps
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
 MUL_TRIANGLE = "UDUDUD"
@@ -134,9 +134,9 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
     :func:`enumerate_monoids` and engine triples from the search; a
     record takes only its map from the search.
     """
-    S, T = _CATALAN4, monoidal_nerve(m, 4)
-    # simplicial_maps(S, T, 3), less its check that a nerve is 3-coskeletal
-    maps = [_labelled_map(S, T, c) for c in _enumerate_level_maps(S, T, 4, bijective=False)]
+    T = monoidal_nerve(m, 4)
+    # the nerve is marked coskeletal from level 4, so the target check reads only the marker
+    maps = simplicial_maps(_CATALAN4, T, 3)
     by_triple = {map_triple(T, f): f for f in maps}
     records = []
     for a, mu, etap in _candidates(m):

@@ -15,7 +15,7 @@ from operator import eq
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _add_level, _boundaries, _extend_levels, _take
+from .sset import TruncatedSSet, _add_level, _boundaries, _extended, _take
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
@@ -37,11 +37,12 @@ def monoidal_nerve(
 ) -> TruncatedSSet:
     """The nerve of ``m`` truncated at dimension N.
 
-    Levels are built into table lists, those above 3 by the loop of
-    :func:`coskeletal_extension`, from a structure that is checked first,
-    so the result is built unchecked and keeps the joins and filler
-    indexes of its levels from 3 up; a size guard aborts construction
-    past ``max_simplices`` simplices in total.
+    The 3-truncation is built into table lists from a structure that is
+    checked first, and the levels above 3 are its coskeletal extension
+    (:func:`~catsset.sset._extended`), so the result is built unchecked,
+    keeps the filler indexes of its levels from 3 up and is marked
+    coskeletal from level 4.  A size guard aborts construction when the
+    result would hold more than ``max_simplices`` simplices in total.
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
@@ -70,10 +71,6 @@ def monoidal_nerve(
                     for f in cat.hom(src, a02):
                         lab = two_label(a12, a02, a01, f)
                         data2[lab] = (a12, a02, a01, f)
-        if len(data2) > max_simplices:
-            raise BudgetExceededError(
-                f"nerve level 2 would have {len(data2)} simplices"
-            )
         two = sorted(data2)
         data = [data2[lab] for lab in two]
         obj_at = {a: k for k, a in enumerate(objs)}
@@ -87,7 +84,9 @@ def monoidal_nerve(
             ]
         )
     degens.append([])
-    joins, fillers = {}, {}
+    if sum(map(len, levels)) > max_simplices:
+        raise BudgetExceededError(f"level {len(levels) - 1} needs more than {max_simplices} simplices in all")
+    fillers = {}
     if N >= 3:
         # a boundary (x0, x1, x2, x3) is kept when its square commutes:
         # x2 . (x0 (x) id A01) = x1 . (id A23 (x) x3), composed a column at a time
@@ -100,9 +99,6 @@ def monoidal_nerve(
         left = map(compose, zip(_take(mor, x2), map(tensor, zip(_take(mor, x0), _take(id01, x3)))))
         right = map(compose, zip(_take(mor, x1), map(tensor, zip(_take(id12, x0), _take(mor, x3)))))
         bts = list(compress(bts, map(eq, left, right)))
-        if len(bts) > max_simplices:
-            raise BudgetExceededError(f"nerve level 3 would have {len(bts)} simplices")
-        fillers[3] = _add_level(levels, faces, degens, bts)
-    _extend_levels(levels, faces, degens, N, max_simplices, joins, fillers)
-    # level 3 keeps only the commuting boundaries, so only the joins above it are handed over
-    return TruncatedSSet._trusted(levels, faces, degens, joins, fillers)
+        fillers[3] = _add_level(levels, faces, degens, bts, max_simplices)
+    # level 3 keeps only the commuting boundaries, so the 3-truncation marks no level
+    return _extended(TruncatedSSet._trusted(levels, faces, degens, fillers, len(levels)), N, max_simplices)

@@ -44,8 +44,9 @@ class TruncatedSSet:
     Instances are never mutated after construction; query indexes are
     cached lazily.  The constructor checks its tables; a level builder,
     whose tables are valid by construction, goes through
-    :meth:`_trusted` and hands over the joins and filler indexes it
-    built levels from.
+    :meth:`_trusted` and hands over the filler indexes of the levels it
+    added.  From level ``_cosk`` up, each level is exactly the boundary
+    tuples over the one below; N + 1 marks no level.
     """
 
     def __init__(
@@ -56,7 +57,7 @@ class TruncatedSSet:
     ) -> None:
         if not levels:
             raise StructuralError("at least dimension 0 is required")
-        self._fill(levels, (), (), {}, {})
+        self._fill(levels, (), (), {}, len(levels))
         for n, lv in enumerate(self.levels):
             if len(self._position[n]) != len(lv):
                 raise StructuralError(f"duplicate labels at level {n}")
@@ -66,23 +67,22 @@ class TruncatedSSet:
         self.degens = tuple(self._checked(degens[n], n, 1) for n in range(self.N + 1))
 
     @classmethod
-    def _trusted(cls, levels, faces, degens, joins: dict, fillers: dict) -> "TruncatedSSet":
+    def _trusted(cls, levels, faces, degens, fillers: dict, cosk: int) -> "TruncatedSSet":
         """A set from a level builder's tables, valid by construction, left unchecked; it keeps
-        ``joins`` and ``fillers``, the boundary tuples and :meth:`_filler_index` of its levels."""
+        ``fillers``, the :meth:`_filler_index` of its levels, and the marker ``cosk``."""
         S = cls.__new__(cls)
-        S._fill(levels, faces, degens, joins, fillers)
+        S._fill(levels, faces, degens, fillers, cosk)
         return S
 
-    def _fill(self, levels, faces, degens, joins, fillers) -> None:
-        """Set the levels, the tables and the caches as given, unchecked."""
+    def _fill(self, levels, faces, degens, fillers, cosk) -> None:
+        """Set the levels, the tables, the caches and the marker as given, unchecked."""
         self.levels: tuple[tuple[str, ...], ...] = tuple(map(tuple, levels))
         self.N: int = len(self.levels) - 1
         self.faces = tuple(tuple(map(tuple, tables)) for tables in faces)
         self.degens = tuple(tuple(map(tuple, tables)) for tables in degens)
         self._witness_cache: dict[int, tuple[int | None, ...]] = {}
         self._filler_cache: dict[int, dict[_Indices, _Indices]] = fillers
-        # the joins a level builder made this set's levels from, by level
-        self._joins: dict[int, list[_Indices]] = joins
+        self._cosk: int = cosk
 
     @cached_property
     def _position(self) -> tuple[dict[str, int], ...]:
@@ -282,7 +282,7 @@ def catalan_sset(N: int) -> TruncatedSSet:
     # then the sources, a level at a time, so that the tables are never all held twice
     for tables, o in chain(zip(faces, orders), zip(degens, orders)):
         tables[:] = map(_take, tables, repeat(o))
-    return TruncatedSSet._trusted([_take(w, o) for w, o in zip(words, orders)], faces, degens, {}, {})
+    return TruncatedSSet._trusted([_take(w, o) for w, o in zip(words, orders)], faces, degens, {}, N + 1)
 
 
 def point_sset(N: int) -> TruncatedSSet:
@@ -372,18 +372,13 @@ def boundaries(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
     at a time: facet x_m must satisfy d_i(x_m) = d_{m-1}(x_i) for all
     i < m, so its first m faces are pinned once x_0 .. x_{m-1} are
     chosen and an index on those faces yields its candidates.  It needs
-    no filling property of S, and ``n`` may be S.N + 1.
+    no filling property of S, and ``n`` may be S.N + 1.  Each call joins
+    S's own tables.
     """
     if not 1 <= n <= S.N + 1:
         raise ValueError(f"boundary dimension {n} outside 1..{S.N + 1}")
     lower = S.levels[n - 1]
-    return [tuple(lower[x] for x in t) for t in _joined(S, n)]
-
-
-def _joined(S: TruncatedSSet, n: int) -> list[_Indices]:
-    """``_boundaries`` of S at n, the join its level n was built from when a builder kept it."""
-    found = S._joins.get(n)
-    return _boundaries(S.levels, S.faces, n) if found is None else found
+    return [tuple(lower[x] for x in t) for t in _boundaries(S.levels, S.faces, n)]
 
 
 def _boundaries(
@@ -433,12 +428,13 @@ def is_r_coskeletal_up_to(S: TruncatedSSet, r: int, maxdim: int) -> bool:
 
     The boundaries of a level are distinct, so the level passes when each
     is a key of the filler index and the fillers over the boundaries
-    number as many as the boundaries.
+    number as many as the boundaries.  Levels from ``S._cosk`` up pass
+    unjoined: each is the boundary tuples over the one below.
     """
     if not 0 <= r < maxdim <= S.N:
         raise ValueError("need 0 <= r < maxdim <= truncation")
-    for n in range(r + 1, maxdim + 1):
-        found = _joined(S, n)
+    for n in range(r + 1, min(maxdim + 1, S._cosk)):
+        found = _boundaries(S.levels, S.faces, n)
         hits = list(map(S._filler_index(n).get, found, repeat(())))
         if not all(hits) or sum(map(len, hits)) != len(found):
             return False
@@ -453,22 +449,27 @@ def _add_level(
     faces: list[Sequence[Sequence[int]]],
     degens: list[Sequence[Sequence[int]]],
     tuples: Sequence[_Indices],
+    max_simplices: int,
 ) -> dict[_Indices, _Indices]:
     """Append level n = len(levels) whose simplices carry the distinct face vectors ``tuples``.
 
     The three lists hold tables in the constructor's form, and ``tuples``
-    hold indices into level n-1.  It returns the new level's
-    :meth:`TruncatedSSet._filler_index`, by which it finds the images of
-    the degeneracies.  The new simplices are labelled
+    hold indices into level n-1.  The builders' one size rule is checked
+    here: it raises :class:`BudgetExceededError` when the levels would
+    then hold more than ``max_simplices`` simplices in all.  It returns
+    the new level's :meth:`TruncatedSSet._filler_index`, by which it
+    finds the images of the degeneracies.  The new simplices are labelled
     ``s{n}:{k}`` in the order of their face vectors' label tuples, sorted
     as tuples of the labels' ranks, and their faces project to
     components.  The simplicial identities force
     the face vector of s_i x for an (n-1)-simplex x to be
     (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
     and it must be among ``tuples``; the lists are left as they were
-    when it is not.
+    when it is not, or when the budget is exceeded.
     """
     m, n = len(levels) - 1, len(levels)
+    if sum(map(len, levels)) + len(tuples) > max_simplices:
+        raise BudgetExceededError(f"level {n} needs more than {max_simplices} simplices in all")
     lower = levels[m]
     order = sorted(range(len(lower)), key=lower.__getitem__)
     rank = sorted(order, key=order.__getitem__)
@@ -495,21 +496,17 @@ def _add_level(
     return index
 
 
-def _extend_levels(
-    levels: list, faces: list, degens: list, N: int, max_simplices: int, joins: dict, fillers: dict
-) -> None:
-    """Add levels up to N to :func:`_add_level`'s lists, each of the boundary tuples over the one
-    below, and put those joins and the levels' filler indexes into ``joins`` and ``fillers``,
-    by level, for the built set to keep."""
-    total = sum(map(len, levels))
-    for n in range(len(levels), N + 1):
-        joins[n] = bts = _boundaries(levels, faces, n)
-        total += len(bts)
-        if total > max_simplices:
-            raise BudgetExceededError(
-                f"extension to dimension {n} needs more than {max_simplices} simplices"
-            )
-        fillers[n] = _add_level(levels, faces, degens, bts)
+def _extended(S: TruncatedSSet, N: int, max_simplices: int) -> TruncatedSSet:
+    """S with levels S.N + 1 .. N added, each the boundary tuples over the one below, unchecked.
+
+    The result keeps S's filler indexes and those of its added levels, and
+    marks its levels from S's marker up: that is S.N + 1 when S marks none.
+    """
+    levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
+    fillers = dict(S._filler_cache)
+    for n in range(S.N + 1, N + 1):
+        fillers[n] = _add_level(levels, faces, degens, _boundaries(levels, faces, n), max_simplices)
+    return TruncatedSSet._trusted(levels, faces, degens, fillers, S._cosk)
 
 
 def coskeletal_extension(
@@ -521,19 +518,14 @@ def coskeletal_extension(
     below; faces project to components and degeneracies are computed
     through the simplicial identities, which only the input is checked
     against.  The new levels are valid by construction, so the result is
-    built unchecked, and it keeps the joins and filler indexes of its new
-    levels and S's.
+    built unchecked by :func:`_extended`, and it holds at most
+    ``max_simplices`` simplices in all.
     """
     if N < S.N:
         raise ValueError("cannot extend below the current truncation")
     if check_simplicial_identities(S):
         raise StructuralError("input truncation violates the simplicial identities")
-    if N == S.N:
-        return S
-    levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
-    joins, fillers = dict(S._joins), dict(S._filler_cache)
-    _extend_levels(levels, faces, degens, N, max_simplices, joins, fillers)
-    return TruncatedSSet._trusted(levels, faces, degens, joins, fillers)
+    return S if N == S.N else _extended(S, N, max_simplices)
 
 
 # -- simplicial maps -------------------------------------------------------

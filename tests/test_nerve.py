@@ -1,7 +1,14 @@
 import pytest
 
 from catsset.errors import BudgetExceededError, StructuralError
-from catsset.finmon import FinCategory, FinMonoidalStructure, MonoidalPoset, chain_poset, poset_as_category
+from catsset.finmon import (
+    FinCategory,
+    FinMonoidalStructure,
+    MonoidalPoset,
+    antichain_poset,
+    chain_poset,
+    poset_as_category,
+)
 from catsset.library import boolean_or, chain3_max, zmonoid
 from catsset.nerve import monoidal_nerve, two_label, two_simplex_data
 from catsset.sset import (
@@ -86,6 +93,13 @@ def _commutative_monoid(table):
     return FinMonoidalStructure(cat, {("*", "*"): "*"}, table, "*")
 
 
+def _left_zero_antichain():
+    """The antichain {a, b, e}, unit e, with x (x) y = x on {a, b}: a tensor that does not commute."""
+    tensor = {(x, "e"): x for x in "abe"} | {("e", x): x for x in "abe"}
+    tensor |= {(x, y): x for x in "ab" for y in "ab"}
+    return poset_as_category(MonoidalPoset(antichain_poset(["a", "b", "e"]), tensor, "e"))
+
+
 def test_level_three_is_the_commuting_boundaries(library):
     z3 = {(a, b): "1gh"[("1gh".index(a) + "1gh".index(b)) % 3] for a in "1gh" for b in "1gh"}
     one_ab = {("1", x): x for x in "1ab"} | {(x, "1"): x for x in "1ab"}
@@ -93,6 +107,7 @@ def test_level_three_is_the_commuting_boundaries(library):
     structures = dict(library)
     structures |= {"chain2-min": _chain_min(["0", "1"]), "chain3-min": _chain_min(["0", "1", "2"])}
     structures |= {"z3": _commutative_monoid(z3), "monoid-1ab": _commutative_monoid(one_ab)}
+    structures["left-zero-antichain"] = _left_zero_antichain()
     dropped = {}
     for name, m in structures.items():
         T = monoidal_nerve(m, 3)

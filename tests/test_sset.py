@@ -459,7 +459,7 @@ def test_extension_rejects_inconsistent_input():
 def test_new_level_needs_the_forced_degeneracies(catalan2):
     tables = [list(catalan2.levels), list(catalan2.faces), list(catalan2.degens)]
     with pytest.raises(StructuralError, match="not compatible"):
-        _add_level(*tables, [])
+        _add_level(*tables, [], 1_000_000)
     assert tables == [list(catalan2.levels), list(catalan2.faces), list(catalan2.degens)]
 
 
@@ -468,8 +468,26 @@ def test_extension_budget():
         coskeletal_extension(catalan_sset(2), 6, max_simplices=50)
 
 
+def test_max_simplices_bounds_the_returned_set(library):
+    # one size rule: a builder's budget is the size of the set it returns, whatever its top level
+    builds = {
+        f"nerve-{name}-{N}": lambda budget, m=m, N=N: monoidal_nerve(m, N, max_simplices=budget)
+        for name, m in library.items()
+        for N in range(6)
+    }
+    for N in range(3, 7):
+        builds[f"extension-catalan-2-to-{N}"] = lambda budget, N=N: coskeletal_extension(
+            catalan_sset(2), N, max_simplices=budget
+        )
+    for name, build in builds.items():
+        size = build(1_000_000).size()
+        assert build(size).size() == size, name
+        with pytest.raises(BudgetExceededError):
+            build(size - 1)
+
+
 def _built_sets(library):
-    """The builder-made sets whose kept joins are checked, by name."""
+    """The sets the level builders make from a nerve or an extension, by name."""
     sets = {f"nerve-{name}-5": monoidal_nerve(m, 5) for name, m in library.items()}
     sets["extension-catalan-3-to-7"] = coskeletal_extension(catalan_sset(3), 7)
     for name, m in library.items():
@@ -477,23 +495,30 @@ def _built_sets(library):
     return sets
 
 
-def test_kept_joins_are_the_joins(library):
-    for name, T in _built_sets(library).items():
-        # a nerve's level 3 keeps only the commuting boundaries; every level above is a join
-        assert sorted(T._joins) == list(range(4, T.N + 1)), name
-        for n, found in T._joins.items():
-            assert found == _boundaries(T.levels, T.faces, n), (name, n)
+def _trusted_sets(library):
+    """Every set the trust tests build through the level builders, by name."""
+    return {f"catalan-{n}": catalan_sset(n) for n in range(9)} | _built_sets(library)
+
+
+def test_marked_levels_are_the_joins(library):
+    for name, T in _trusted_sets(library).items():
+        # C's levels come from the recurrence, so no level of C is marked; a nerve's level 3
+        # keeps only the commuting boundaries, so the levels from 4 up are marked
+        assert T._cosk == (T.N + 1 if name.startswith("catalan") else 4), name
+        for n in range(T._cosk, T.N + 1):
+            fresh = _boundaries(T.levels, T.faces, n)
+            index = T._filler_index(n)
+            assert sorted(index) == sorted(fresh), (name, n)
+            assert all(len(xs) == 1 for xs in index.values()), (name, n)
         for n in range(1, T.N + 1):
             lower = T.levels[n - 1]
             fresh = [tuple(lower[x] for x in t) for t in _boundaries(T.levels, T.faces, n)]
             assert boundaries(T, n) == fresh, (name, n)
-        assert TruncatedSSet(T.levels, T.faces, T.degens)._joins == {}, name
-        assert TruncatedSSet.from_json_text(T.to_json_text())._joins == {}, name
-
-
-def _trusted_sets(library):
-    """Every set the trust tests build through the level builders, by name."""
-    return {f"catalan-{n}": catalan_sset(n) for n in range(9)} | _built_sets(library)
+        assert TruncatedSSet(T.levels, T.faces, T.degens)._cosk == T.N + 1, name
+        assert TruncatedSSet.from_json_text(T.to_json_text())._cosk == T.N + 1, name
+    for name, m in library.items():
+        for N in range(6):
+            assert monoidal_nerve(m, N)._cosk == min(N + 1, 4), (name, N)
 
 
 def test_builder_output_passes_the_public_constructor(library):
