@@ -1,47 +1,43 @@
-"""Wall times and exact output counts of catsset's level kernels and commands.
+"""Wall times and exact output counts of catsset's kernels and commands, parent against change.
 
-Usage, from the root of a checkout:
+Usage, from the root of a checkout (standard library and the ``git`` command only):
 
-    python3 bench/run.py --side change --out BENCH.json
+    python3 bench/run.py [--against REV] --out BENCH.json
 
-The script imports ``catsset`` from ``src/`` of the checkout it sits in,
-builds each case's inputs untimed, runs the case once to warm up and then
-``REPEATS`` times, and records the median as ``wall_s``.  ``counters``
-are exact output counts (boundary tuples, identity violations with and
-without planted faults, coskeletality verdicts, simplices built and table cells, maps
-found, checks passed, sweep candidates, conditions that hold, fillers,
-faces, words rebuilt, classification records, their distinct maps and
-three-way agreements, CLI exit codes); they do not depend on the
-machine, and the script stops if two runs of one case disagree on them.  CLI cases call ``catsset.cli.main`` in-process with
-``--json``.
+The change is this checkout's ``src/catsset``, uncommitted edits
+included, imported as ``catsset``.  The parent is ``src/catsset`` at the
+git revision REV (default ``HEAD``), extracted by ``git archive`` into a
+temporary directory and imported as ``catsset_parent``.  The package's
+imports are relative, so each tree loads its own modules.  A revision
+that cannot be extracted exits 2.
 
-A ``frontier`` section records, per verify suite, the largest
-``--max-dim`` whose median wall time over ``FRONTIER_REPEATS`` runs is
-under ``FRONTIER_S`` on the host, with that case's counters: the
-desk-scale frontier as a number.  It is recorded, not gated.
+Each case takes one tree's modules (``api.sset``, ``api.cli``, ...),
+builds its inputs from that tree, untimed, and returns the run to time:
+each tree prepares its own inputs, because one tree's objects are not
+instances of the other's classes.  Both trees run the case once to warm
+up, then at least ``REPEATS`` rounds that time each tree once, the
+parent first in even rounds and the change first in odd ones, with
+``gc.collect()`` before each timing.  ``sides`` holds each tree's median
+as ``wall_s``.  ``ratios`` holds ``min_ratio``, the change's fastest run
+over the parent's (below 1 is faster), and ``round_ratios``, the
+quartiles of the change/parent ratios within one round.  When the host
+changes speed during a case, the two minima can come from different
+speeds and ``min_ratio`` falls outside the quartiles; read those then.
+A run against a revision equal to the checkout (an A/A run) shows the
+noise band.
 
-A ``work`` section records, per case and in all and by level, what its
-warm-up run did: the boundary joins it made and the tuples they
-returned, the table cells the ``TruncatedSSet`` constructor checked
-(``_checked``), and the filler indexes built on a cache miss
-(``_filler_index``).  These are wrapped in this process only, and the
-timed runs call them unwrapped.  The counts are exact, but a change may
-lower them, so they are recorded per side and kept out of the
-``counters`` comparison.
+``counters`` are exact output counts, such as boundary tuples, identity
+violations, simplices built, maps found, sweep candidates and CLI exit
+codes; they do not depend on the machine.  The script stops if two runs
+of a case on one tree disagree on them.  It exits 1 when the trees'
+counters differ, or when a case raises on one tree (say, it calls a
+name the other tree lacks), which is recorded as that side's ``error``.
+CLI cases call the tree's ``cli.main`` in-process with ``--json``.
 
-A ``source`` section records the non-blank lines of each module under
-``src/catsset`` and their total, so a change can report its net source
-lines, and each module's compile heap peak: the peak traced by
-tracemalloc while ``compile()`` turns the module's source into code,
-which bounds the heap peak of importing the package fresh.  It is
-recorded, not compared between sides.
-
-One file can hold several sides, such as a parent commit and a change:
-run the script in each checkout (copy it into one that lacks it) with the
-same ``--out`` and a different ``--side``.  A side that is written again
-is replaced.  The script exits 1 when a case's counters differ from those
-of another side in the file, and 2 when the file was written by another
-Python version or platform.  It uses the standard library only.
+Three sections are recorded per tree and not compared: ``frontier``
+(:func:`frontier`), ``source`` (:func:`source_lines`) and ``work``,
+what each case's warm-up did (:func:`work_counted`), which a change may
+lower and so is not a counter.
 """
 
 from __future__ import annotations
@@ -49,63 +45,67 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import os
-import platform
 import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 import tracemalloc
+import traceback
+from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from catsset import cli  # noqa: E402
-from catsset import nerve as nerve_module  # noqa: E402
-from catsset import sset as sset_module  # noqa: E402
-from catsset.classify import _classification, classify_maps  # noqa: E402
-from catsset.dyck import apply_surjection, enumerate_dyck, ez_decompose, face  # noqa: E402
-from catsset.finmon import (  # noqa: E402
-    FinCategory,
-    antichain_poset,
-    chain_poset,
-    enumerate_monoids,
-    validate_strict_monoidal,
-)
-from catsset.library import boolean_or, structure_library, zmonoid_category  # noqa: E402
-from catsset.nerve import monoidal_nerve  # noqa: E402
-from catsset.relations import enumerate_k_relations, filler, relation_face, to_relation  # noqa: E402
-from catsset.skew import check_axioms, check_pentagons, enumerate_skew_structures, sweep_equivalence  # noqa: E402
-from catsset.sset import (  # noqa: E402
-    TruncatedSSet,
-    _boundaries,
-    catalan_sset,
-    check_simplicial_identities,
-    is_r_coskeletal_up_to,
-    simplicial_maps,
-)
+#: The modules of a tree that the cases reach through ``api``.
+MODULES = ("classify", "cli", "dyck", "finmon", "library", "nerve", "relations", "skew", "sset")
 
-REPEATS = 5
+#: A case runs at least ``REPEATS`` rounds, and a short one more, up to ``MAX_ROUNDS``, while a tree's
+#: runs fit in ``ROUNDS_S`` seconds: a few runs of a few milliseconds each see one moment of the host.
+REPEATS, MAX_ROUNDS, ROUNDS_S = 7, 50, 0.5
 
 
-def _join(n: int):
-    def run(S) -> dict:
-        return {"boundary_tuples": len(_boundaries(S.levels, S.faces, n))}
+def load_tree(package_dir: str, name: str) -> SimpleNamespace:
+    """Import the package in ``package_dir`` under the name ``name``; its :data:`MODULES` by short name."""
+    init = os.path.join(package_dir, "__init__.py")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[package_dir])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{module: importlib.import_module(f"{name}.{module}") for module in MODULES})
 
-    return lambda: catalan_sset(n), run
+
+def extract_tree(rev: str, into: str) -> str:
+    """Extract ``src/catsset`` at the git revision ``rev`` under ``into``; the package's directory."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src/catsset"], capture_output=True)
+    if archive.returncode:
+        reason = " ".join(archive.stderr.decode(errors="replace").split())
+        print(f"error: cannot extract src/catsset at {rev!r}: {reason}", file=sys.stderr)
+        raise SystemExit(2)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return os.path.join(into, "src", "catsset")
 
 
-def _catalan(n: int):
-    def run(_) -> dict:
-        S = catalan_sset(n)
+def _join(api, n: int):
+    S = api.sset.catalan_sset(n)
+    return lambda: {"boundary_tuples": len(api.sset._boundaries(S.levels, S.faces, n))}
+
+
+def _catalan(api, n: int):
+    def run() -> dict:
+        S = api.sset.catalan_sset(n)
         cells = sum(len(table) for tables in (*S.faces, *S.degens) for table in tables)
         return {"simplices_built": S.size(), "table_cells": cells}
 
-    return lambda: None, run
+    return run
 
 
-def _planted(S: TruncatedSSet) -> TruncatedSSet:
+def _planted(S):
     """``S`` with d_0 and s_0 of the last simplex of every level rerouted to the next index."""
     faces = [[list(t) for t in level] for level in S.faces]
     degens = [[list(t) for t in level] for level in S.degens]
@@ -113,163 +113,146 @@ def _planted(S: TruncatedSSet) -> TruncatedSSet:
         for n, level in enumerate(tables):
             if level:
                 level[0][-1] = (level[0][-1] + 1) % len(S.levels[n + step])
-    return TruncatedSSet(S.levels, faces, degens)
+    return type(S)(S.levels, faces, degens)
 
 
-def _identities(N: int, planted: bool = False):
+def _identities(api, N: int, planted: bool = False):
     """``check_simplicial_identities`` of ``catalan_sset(N)``, with a fault in every level if ``planted``.
 
     The planted faults break instances of every identity family at every
     level where that family can fail, so the violation count changes if
     the check skips a family or a level.
     """
-
-    def run(S) -> dict:
-        return {"violations": len(check_simplicial_identities(S))}
-
-    return (lambda: _planted(catalan_sset(N))) if planted else (lambda: catalan_sset(N)), run
+    S = api.sset.catalan_sset(N)
+    S = _planted(S) if planted else S
+    return lambda: {"violations": len(api.sset.check_simplicial_identities(S))}
 
 
-def _coskeletal(r: int, N: int):
-    def run(S) -> dict:
+def _coskeletal(api, r: int, N: int):
+    S = api.sset.catalan_sset(N)
+
+    def run() -> dict:
         # each run starts from an empty filler index, as on a freshly built set
         S._filler_cache.clear()
-        return {"coskeletal": int(is_r_coskeletal_up_to(S, r, N))}
+        return {"coskeletal": int(api.sset.is_r_coskeletal_up_to(S, r, N))}
 
-    return lambda: catalan_sset(N), run
-
-
-def _nerve(n: int):
-    def run(_) -> dict:
-        return {"simplices_built": monoidal_nerve(boolean_or(), n).size()}
-
-    return lambda: None, run
+    return run
 
 
-def _nerve_coskeletal():
+def _nerve(api, n: int):
+    return lambda: {"simplices_built": api.nerve.monoidal_nerve(api.library.boolean_or(), n).size()}
+
+
+def _nerve_coskeletal(api):
     """``monoidal_nerve(m, 4)`` of each structure of the library, then ``is_r_coskeletal_up_to(T, 3, 4)``."""
+    structures = list(api.library.structure_library().values())
 
-    def run(structures) -> dict:
-        nerves = [monoidal_nerve(m, 4) for m in structures]
+    def run() -> dict:
+        nerves = [api.nerve.monoidal_nerve(m, 4) for m in structures]
         return {
             "simplices_built": sum(T.size() for T in nerves),
-            "coskeletal": sum(is_r_coskeletal_up_to(T, 3, 4) for T in nerves),
+            "coskeletal": sum(api.sset.is_r_coskeletal_up_to(T, 3, 4) for T in nerves),
         }
 
-    return lambda: list(structure_library().values()), run
+    return run
 
 
-def _classify_jobs():
+def _classify_jobs(api):
     """perfbench's classify API job on each structure of the library.
 
     It validates the structure, builds its nerve at 4, runs
     ``classify_maps`` and ``enumerate_monoids``, builds ``catalan_sset(4)``
     and runs ``simplicial_maps(S, T, 3)``.
     """
+    structures = list(api.library.structure_library().values())
 
-    def run(structures) -> dict:
+    def run() -> dict:
         counters = dict.fromkeys(("valid", "simplices_built", "records", "monoids", "maps_found"), 0)
         for m in structures:
-            counters["valid"] += not validate_strict_monoidal(m)
-            T = monoidal_nerve(m, 4)
+            counters["valid"] += not api.finmon.validate_strict_monoidal(m)
+            T = api.nerve.monoidal_nerve(m, 4)
             counters["simplices_built"] += T.size()
-            counters["records"] += len(classify_maps(m))
-            counters["monoids"] += len(enumerate_monoids(m))
-            counters["maps_found"] += len(simplicial_maps(catalan_sset(4), T, 3))
+            counters["records"] += len(api.classify.classify_maps(m))
+            counters["monoids"] += len(api.finmon.enumerate_monoids(m))
+            counters["maps_found"] += len(api.sset.simplicial_maps(api.sset.catalan_sset(4), T, 3))
         return counters
 
-    return lambda: list(structure_library().values()), run
+    return run
 
 
-def _fillers(n: int):
+def _fillers(api, n: int):
     """``filler`` of the face tuple of every word of dimension n."""
-
-    def prepare() -> list:
-        return [([to_relation(face(w, k)) for k in range(n + 1)], to_relation(w)) for w in enumerate_dyck(n)]
-
-    def run(cases) -> dict:
-        return {"fillers_equal": sum(filler(facets) == rel for facets, rel in cases)}
-
-    return prepare, run
+    dyck, relations = api.dyck, api.relations
+    cases = [
+        ([relations.to_relation(dyck.face(w, k)) for k in range(n + 1)], relations.to_relation(w))
+        for w in dyck.enumerate_dyck(n)
+    ]
+    return lambda: {"fillers_equal": sum(relations.filler(facets) == rel for facets, rel in cases)}
 
 
-def _relation_faces(n: int):
-    def run(rels) -> dict:
-        return {"faces": sum(relation_face(rel, k).n == n - 1 for rel in rels for k in range(n + 1))}
-
-    return lambda: enumerate_k_relations(n), run
+def _relation_faces(api, n: int):
+    rels = api.relations.enumerate_k_relations(n)
+    return lambda: {"faces": sum(api.relations.relation_face(rel, k).n == n - 1 for rel in rels for k in range(n + 1))}
 
 
-def _to_relations(n: int):
+def _to_relations(api, n: int):
     """``to_relation`` of every word of dimension n."""
-
-    def run(words) -> dict:
-        return {"pairs": sum(len(to_relation(w).pairs) for w in words)}
-
-    return lambda: enumerate_dyck(n), run
+    words = api.dyck.enumerate_dyck(n)
+    return lambda: {"pairs": sum(len(api.relations.to_relation(w).pairs) for w in words)}
 
 
-def _surjections(n: int):
+def _surjections(api, n: int):
     """``apply_surjection`` of the ``ez_decompose`` of every word of dimension n."""
-
-    def prepare() -> list:
-        return [(ez_decompose(w), w) for w in enumerate_dyck(n)]
-
-    def run(cases) -> dict:
-        return {"words_rebuilt": sum(apply_surjection(phi, core) == w for (phi, core), w in cases)}
-
-    return prepare, run
+    dyck = api.dyck
+    cases = [(dyck.ez_decompose(w), w) for w in dyck.enumerate_dyck(n)]
+    return lambda: {"words_rebuilt": sum(dyck.apply_surjection(phi, core) == w for (phi, core), w in cases)}
 
 
-def _classify_library():
+def _classify_library(api):
     """``classify_maps`` of each structure of the library."""
-
-    def run(structures) -> dict:
-        return {"records": sum(len(classify_maps(m)) for m in structures)}
-
-    return lambda: list(structure_library().values()), run
+    structures = list(api.library.structure_library().values())
+    return lambda: {"records": sum(len(api.classify.classify_maps(m)) for m in structures)}
 
 
-def _verify_classification_library():
+def _verify_classification_library(api):
     """``verify_classification`` of each structure of the library, from the records and verdict it reads."""
+    structures = list(api.library.structure_library().values())
 
-    def run(structures) -> dict:
-        results = [_classification(m) for m in structures]
+    def run() -> dict:
+        results = [api.classify._classification(m) for m in structures]
         return {
             "records": sum(len(records) for records, _ in results),
             "maps": sum(len({r.map for r in records}) for records, _ in results),
             "agreements": sum(verdict for _, verdict in results),
         }
 
-    return lambda: list(structure_library().values()), run
+    return run
 
 
-def _face_calls(count: int):
+def _face_calls(api, count: int):
     """``count`` in-process ``catsset face`` calls over words of dimension 6."""
+    words = api.dyck.enumerate_dyck(6)
+    argvs = [["face", words[c % len(words)], "--index", str(c % 7), "--json"] for c in range(count)]
 
-    def prepare() -> list:
-        words = enumerate_dyck(6)
-        return [["face", words[c % len(words)], "--index", str(c % 7), "--json"] for c in range(count)]
-
-    def run(argvs) -> dict:
+    def run() -> dict:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return {"exit_0": sum(cli.main(argv) == 0 for argv in argvs)}
+            return {"exit_0": sum(api.cli.main(argv) == 0 for argv in argvs)}
 
-    return prepare, run
+    return run
 
 
-def monoid_1ab() -> FinCategory:
+def monoid_1ab(api):
     """One object; endomorphisms {1, a, b} with a idempotent and b absorbing."""
     absorbing = {("1", x): x for x in "1ab"} | {(x, "1"): x for x in "1ab"}
     table = absorbing | {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"}
-    return FinCategory(["*"], [(e, "*", "*") for e in "1ab"], {"*": "1"}, table)
+    return api.finmon.FinCategory(["*"], [(e, "*", "*") for e in "1ab"], {"*": "1"}, table)
 
 
-#: The carriers of the sweep cases, by name.
+#: The carriers of the sweep cases, by name, each built from a tree's modules.
 SWEEP_CARRIERS = {
-    "chain3": lambda: chain_poset(["0", "1", "2"]),
-    "antichain3": lambda: antichain_poset(["0", "1", "2"]),
-    "zmonoid": zmonoid_category,
+    "chain3": lambda api: api.finmon.chain_poset(["0", "1", "2"]),
+    "antichain3": lambda api: api.finmon.antichain_poset(["0", "1", "2"]),
+    "zmonoid": lambda api: api.library.zmonoid_category(),
     "monoid-1ab": monoid_1ab,
 }
 
@@ -278,57 +261,58 @@ SWEEP_CARRIERS = {
 SKEW_DOCS = ["docs/examples/skew-two-or.json", "docs/examples/skew-kappa-z.json"]
 
 
-def _sweep(carrier: str):
-    def run(built) -> dict:
-        s = sweep_equivalence(built)
+def _sweep(api, carrier: str):
+    built = SWEEP_CARRIERS[carrier](api)
+
+    def run() -> dict:
+        s = api.skew.sweep_equivalence(built)
         return {
             "candidates": s.candidates,
             "natural_candidates": s.natural_candidates,
             "skew_structures": s.skew_structure_count,
         }
 
-    return SWEEP_CARRIERS[carrier], run
+    return run
 
 
-def _strict_checks(carrier: str):
+def _strict_checks(api, carrier: str):
     """``check_axioms`` and ``check_pentagons`` of each strict structure among the skew
     structures on ``carrier``."""
+    skew = api.skew
+    structures = skew.enumerate_skew_structures(SWEEP_CARRIERS[carrier](api))
+    strict = [d for d in structures if not api.finmon.validate_strict_monoidal(d)]
 
-    def prepare() -> list:
-        structures = enumerate_skew_structures(SWEEP_CARRIERS[carrier]())
-        return [d for d in structures if not validate_strict_monoidal(d)]
-
-    def run(structures) -> dict:
-        reports = [(check_axioms(d), check_pentagons(d)) for d in structures]
+    def run() -> dict:
+        reports = [(skew.check_axioms(d), skew.check_pentagons(d)) for d in strict]
         return {
             "structures": len(reports),
             "axioms_hold": sum(a.all_hold for a, _ in reports),
             "pentagons_hold": sum(p.all_hold for _, p in reports),
         }
 
-    return prepare, run
+    return run
 
 
-def _skew_check_calls(files: list[str], rounds: int):
+def _skew_check_calls(api, files: list[str], rounds: int):
     """``rounds`` in-process ``catsset skew check FILE --json`` calls per file, tallied by exit code."""
 
-    def run(_) -> dict:
+    def run() -> dict:
         codes = []
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for _ in range(rounds):
-                codes.extend(cli.main(["skew", "check", path, "--json"]) for path in files)
+                codes.extend(api.cli.main(["skew", "check", path, "--json"]) for path in files)
         return {f"exit_{code}": codes.count(code) for code in sorted(set(codes))}
 
-    return lambda: None, run
+    return run
 
 
-def _command(*argv: str):
+def _command(api, argv: list[str]):
     """A CLI case; its counters are the exit code and counts read off the JSON output."""
 
-    def run(_) -> dict:
+    def run() -> dict:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([*argv, "--json"])
+            code = api.cli.main([*argv, "--json"])
         doc = json.loads(out.getvalue())
         counters = {"exit_code": code}
         if doc["command"] == "verify":
@@ -342,34 +326,37 @@ def _command(*argv: str):
             counters["maps_found"] = doc["count"]
         return counters
 
-    return lambda: None, run
+    return run
 
 
-#: (layer, case, params, (prepare, run)); ``run(prepare())`` returns the counters.
+#: (layer, case, params, make, *args); ``make(api, *args)`` prepares the case on one tree and
+#: returns the run to time, which returns the counters.
 CASES = [
-    ("sset", "catalan_sset", {"N": 9}, _catalan(9)),
-    ("sset", "catalan_sset", {"N": 10}, _catalan(10)),
-    ("sset", "_boundaries", {"set": "catalan_sset(9)", "n": 9}, _join(9)),
-    ("sset", "_boundaries", {"set": "catalan_sset(10)", "n": 10}, _join(10)),
-    ("sset", "check_simplicial_identities", {"set": "catalan_sset(7)"}, _identities(7)),
-    ("sset", "check_simplicial_identities", {"set": "catalan_sset(8)"}, _identities(8)),
+    ("sset", "catalan_sset", {"N": 9}, _catalan, 9),
+    ("sset", "catalan_sset", {"N": 10}, _catalan, 10),
+    ("sset", "_boundaries", {"set": "catalan_sset(9)", "n": 9}, _join, 9),
+    ("sset", "_boundaries", {"set": "catalan_sset(10)", "n": 10}, _join, 10),
+    ("sset", "check_simplicial_identities", {"set": "catalan_sset(7)"}, _identities, 7),
+    ("sset", "check_simplicial_identities", {"set": "catalan_sset(8)"}, _identities, 8),
     (
         "sset",
         "check_simplicial_identities",
         {"set": "catalan_sset(8)", "planted": "d_0 and s_0 of each level's last simplex"},
-        _identities(8, planted=True),
+        _identities,
+        8,
+        True,
     ),
-    ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal(2, 7)),
-    ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve(9)),
-    ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve(10)),
+    ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal, 2, 7),
+    ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve, 9),
+    ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve, 10),
     (
         "nerve",
         "monoidal_nerve+is_r_coskeletal_up_to",
         {"structures": "structure_library()", "N": 4, "r": 3},
-        _nerve_coskeletal(),
+        _nerve_coskeletal,
     ),
     *(
-        ("cli", "verify", {"argv": argv}, _command(*argv))
+        ("cli", argv[0], {"argv": argv}, _command, argv)
         for argv in (
             ["verify", "--suite", "identities", "--max-dim", "9"],
             ["verify", "--suite", "identities", "--max-dim", "10"],
@@ -377,35 +364,20 @@ CASES = [
             ["verify", "--suite", "coskeletal", "--max-dim", "10"],
             ["verify", "--suite", "nerve-iso", "--max-dim", "8"],
             ["verify", "--suite", "nerve-iso", "--max-dim", "9"],
+            ["classify", "docs/examples/chain3-max.json"],
         )
     ),
-    (
-        "cli",
-        "classify",
-        {"argv": ["classify", "docs/examples/chain3-max.json"]},
-        _command("classify", "docs/examples/chain3-max.json"),
-    ),
-    *(("skew", "sweep_equivalence", {"carrier": c}, _sweep(c)) for c in SWEEP_CARRIERS),
-    ("skew", "check_axioms+check_pentagons", {"structures": "strict on chain3"}, _strict_checks("chain3")),
-    (
-        "cli",
-        "skew check",
-        {"files": SKEW_DOCS, "rounds": 20},
-        _skew_check_calls(SKEW_DOCS, 20),
-    ),
-    ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers(8)),
-    ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces(8)),
-    ("relations", "to_relation", {"words": "enumerate_dyck(9)"}, _to_relations(9)),
-    ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls(200)),
-    ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections(8)),
-    ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library()),
-    (
-        "classify",
-        "verify_classification",
-        {"structures": "structure_library()"},
-        _verify_classification_library(),
-    ),
-    ("classify", "classify job", {"structures": "structure_library()", "N": 4}, _classify_jobs()),
+    *(("skew", "sweep_equivalence", {"carrier": c}, _sweep, c) for c in SWEEP_CARRIERS),
+    ("skew", "check_axioms+check_pentagons", {"structures": "strict on chain3"}, _strict_checks, "chain3"),
+    ("cli", "skew check", {"files": SKEW_DOCS, "rounds": 20}, _skew_check_calls, SKEW_DOCS, 20),
+    ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers, 8),
+    ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces, 8),
+    ("relations", "to_relation", {"words": "enumerate_dyck(9)"}, _to_relations, 9),
+    ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls, 200),
+    ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections, 8),
+    ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library),
+    ("classify", "verify_classification", {"structures": "structure_library()"}, _verify_classification_library),
+    ("classify", "classify job", {"structures": "structure_library()", "N": 4}, _classify_jobs),
 ]
 
 
@@ -422,9 +394,10 @@ WORK = ("joins", "tuples", "checked_cells", "filler_indexes")
 
 
 @contextlib.contextmanager
-def work_counted():
-    """Count, inside the block, the boundary joins run and the tuples they return, the table
-    cells the constructor checks and the filler indexes built, in all and by level."""
+def work_counted(api):
+    """Count, inside the block, the boundary joins that tree runs and the tuples they return,
+    the table cells its constructor checks (``TruncatedSSet._checked``) and the filler indexes
+    it builds, in all and by level.  The timed runs call these functions unwrapped."""
     work: dict = {key: 0 for key in WORK} | {f"{key}_by_level": {} for key in WORK}
 
     def tally(key: str, n: int, amount: int) -> None:
@@ -432,9 +405,8 @@ def work_counted():
         by_level = work[f"{key}_by_level"]
         by_level[str(n)] = by_level.get(str(n), 0) + amount
 
-    real_join = sset_module._boundaries
-    real_checked = TruncatedSSet._checked
-    real_index = TruncatedSSet._filler_index
+    TruncatedSSet = api.sset.TruncatedSSet
+    real_join, real_checked, real_index = api.sset._boundaries, TruncatedSSet._checked, TruncatedSSet._filler_index
 
     def counted(levels, faces, n):
         found = real_join(levels, faces, n)
@@ -452,66 +424,82 @@ def work_counted():
             tally("filler_indexes", n, 1)
         return real_index(self, n)
 
-    # every namespace that calls the join by this name: the engine's, the nerve's and this script's
-    namespaces = (vars(sset_module), vars(nerve_module), globals())
-    for space in namespaces:
-        space["_boundaries"] = counted
+    # the modules that call the join by this name: the engine and the nerve
+    modules = (api.sset, api.nerve)
+    for module in modules:
+        module._boundaries = counted
     TruncatedSSet._checked, TruncatedSSet._filler_index = checked, indexed
     try:
         yield work
     finally:
-        for space in namespaces:
-            space["_boundaries"] = real_join
+        for module in modules:
+            module._boundaries = real_join
         TruncatedSSet._checked, TruncatedSSet._filler_index = real_checked, real_index
 
 
-def measure(prepare, run, repeats: int = REPEATS) -> tuple[float, dict, dict]:
-    """The median wall time of ``repeats`` runs after one warm-up, their counters, and the
-    warm-up's work (:func:`work_counted`)."""
-    inputs = prepare()
-    with work_counted() as work:
-        counters = run(inputs)
-    times = []
-    for _ in range(repeats):
-        gc.collect()
-        start = time.perf_counter()
-        got = run(inputs)
-        times.append(time.perf_counter() - start)
-        if got != counters:
-            raise SystemExit(f"counters changed between runs: {counters} then {got}")
-    return statistics.median(times), counters, work
+def measure(make, args, trees: dict, repeats: int = REPEATS) -> dict:
+    """Per tree, the case ``make(api, *args)``: its run times over at least ``repeats`` rounds after
+    one warm-up, its counters and the warm-up's work (:func:`work_counted`), or the error it raised.
+
+    Every round times each tree once, in turn, and odd rounds take the trees in reverse order.
+    """
+    runs, got, warm = {}, {}, 0.0
+    for side, api in trees.items():
+        try:
+            run = make(api, *args)
+            start = time.perf_counter()
+            with work_counted(api) as work:
+                counters = run()
+            warm = max(warm, time.perf_counter() - start)
+        except Exception as exc:  # a name the case calls may be missing from this tree
+            traceback.print_exc()
+            got[side] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        runs[side] = run
+        got[side] = {"times": [], "counters": counters, "work": work}
+    for r in range(max(repeats, min(MAX_ROUNDS, int(ROUNDS_S / max(warm, 1e-9))))):
+        for side in reversed(runs) if r % 2 else runs:
+            gc.collect()
+            start = time.perf_counter()
+            counters = runs[side]()
+            got[side]["times"].append(time.perf_counter() - start)
+            if counters != got[side]["counters"]:
+                raise SystemExit(f"{side}: counters changed between runs: {got[side]['counters']} then {counters}")
+    return got
 
 
-def frontier() -> list[dict]:
-    """Per suite, the largest ``--max-dim`` whose median wall time is under ``FRONTIER_S``.
+def frontier(api) -> list[dict]:
+    """Per suite, the largest ``--max-dim`` whose median wall time on this tree is under ``FRONTIER_S``.
 
-    Each entry holds that case's wall time and counters, and ``over``, the
-    first dimension past it with its wall time, or None when the search
-    reached the dyck cap.  It is recorded, not compared between sides.
+    Each entry holds that case's wall time and counters, and ``over``, the first dimension past
+    it with its wall time, or None when the search reached the dyck cap.
     """
     found = []
     for suite in FRONTIER_SUITES:
         entry: dict = {"suite": suite, "max_dim": None, "wall_s": None, "counters": None, "over": None}
-        for dim in range(FRONTIER_FROM, cli.DEFAULT_CAPS["dyck"] + 1):
-            case = _command("verify", "--suite", suite, "--max-dim", str(dim))
-            wall, counters, _ = measure(*case, FRONTIER_REPEATS)
+        for dim in range(FRONTIER_FROM, api.cli.DEFAULT_CAPS["dyck"] + 1):
+            argv = ["verify", "--suite", suite, "--max-dim", str(dim)]
+            got = measure(_command, [argv], {"tree": api}, FRONTIER_REPEATS)["tree"]
+            if "error" in got:
+                entry["error"] = got["error"]
+                break
+            wall = statistics.median(got["times"])
             if wall >= FRONTIER_S:
                 entry["over"] = {"max_dim": dim, "wall_s": round(wall, 4)}
                 break
-            entry.update(max_dim=dim, wall_s=round(wall, 4), counters=counters)
+            entry.update(max_dim=dim, wall_s=round(wall, 4), counters=got["counters"])
         found.append(entry)
-        print(f"frontier  {suite:17} {json.dumps(entry)}")
     return found
 
 
-def source_lines() -> dict:
-    """The non-blank line count of each ``src/catsset/*.py``, their total, and each module's
-    compile heap peak in MB."""
-    package = os.path.join(ROOT, "src", "catsset")
+def source_lines(package_dir: str) -> dict:
+    """The non-blank line count of each module in ``package_dir``, their total, and each
+    module's compile heap peak in MB: tracemalloc's peak while ``compile()`` turns its source
+    into code, which bounds the heap peak of importing the package fresh."""
     modules, peaks = {}, {}
-    for name in sorted(os.listdir(package)):
+    for name in sorted(os.listdir(package_dir)):
         if name.endswith(".py"):
-            path = os.path.join(package, name)
+            path = os.path.join(package_dir, name)
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             modules[name] = sum(1 for line in text.splitlines() if line.strip())
@@ -523,57 +511,59 @@ def source_lines() -> dict:
     return {"modules": modules, "total": sum(modules.values()), "compile_peak_mb": peaks}
 
 
+def compare(layer: str, case: str, params: dict, got: dict, doc: dict) -> bool:
+    """Record one case's readings on both trees in ``doc`` and print them; whether the trees ran
+    it with equal counters."""
+    key = {"case": case, "params": params}
+    for side, m in got.items():
+        found = m if "error" in m else {"wall_s": round(statistics.median(m["times"]), 4), "counters": m["counters"]}
+        doc["sides"][side].append({"layer": layer, **key, **found})
+        if "work" in m:
+            doc["work"][side].append({**key, **m["work"]})
+    parent, change = got["parent"], got["change"]
+    equal = "counters" in parent and parent["counters"] == change.get("counters")
+    ratio = {**key, "counters_equal": equal, "min_ratio": None, "round_ratios": None}
+    moved = []
+    if "times" in parent and "times" in change:
+        rounds = [c / p for c, p in zip(change["times"], parent["times"])]
+        min_ratio = round(min(change["times"]) / min(parent["times"]), 3)
+        ratio.update(min_ratio=min_ratio, round_ratios=[round(q, 3) for q in statistics.quantiles(rounds, n=4)])
+        before, after = parent["work"], change["work"]
+        moved = [f"{k} {before[k]} -> {after[k]}" for k in WORK if before[k] != after[k]]
+    doc["ratios"].append(ratio)
+    medians = [doc["sides"][side][-1].get("wall_s", "error") for side in ("parent", "change")]
+    print(
+        f"{layer:9} {case:17} {json.dumps(params):62} {medians[0]} -> {medians[1]} s  min-ratio {ratio['min_ratio']}"
+        f" {ratio['round_ratios']}  counters {'equal' if equal else 'DIFFER'}  {'  '.join(moved)}"
+    )
+    return equal
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", required=True, help="name of this checkout's side, e.g. parent or change")
-    parser.add_argument("--out", required=True, help="JSON file to write this side into")
+    parser.add_argument("--against", default="HEAD", help="git revision of the parent tree (default HEAD)")
+    parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
     out = os.path.abspath(args.out)
     os.chdir(ROOT)
-    doc = {"python": platform.python_version(), "platform": platform.platform(), "repeats": REPEATS}
-    if os.path.exists(out):
-        with open(out) as fh:
-            old = json.load(fh)
-        if any(old[key] != doc[key] for key in doc):
-            print(f"error: {out} was written by another Python, platform or repeat count", file=sys.stderr)
-            return 2
-        doc = old
-    entries, works = [], []
-    for layer, case, params, (prepare, run) in CASES:
-        wall, counters, work = measure(prepare, run)
-        entries.append(
-            {"layer": layer, "case": case, "params": params, "wall_s": round(wall, 4), "counters": counters}
-        )
-        works.append({"case": case, "params": params, **work})
-        print(f"{layer:9} {case:17} {json.dumps(params):62} {wall:8.3f} s  {json.dumps(counters)}")
-        print(f"{'work':9} {case:17} {json.dumps(params):62} {json.dumps(work)}")
-    doc.setdefault("work", {})[args.side] = works
-    doc.setdefault("frontier", {})[args.side] = frontier()
-    source = doc.setdefault("source", {})[args.side] = source_lines()
-    print(f"source    {json.dumps(source)}")
-    sides = doc.setdefault("sides", {})
-    sides[args.side] = entries
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {
+            "parent": load_tree(extract_tree(args.against, tmp), "catsset_parent"),
+            "change": load_tree(os.path.join(ROOT, "src", "catsset"), "catsset"),
+        }
+        doc: dict = {"against": args.against, "repeats": REPEATS, "ratios": []}
+        doc |= {section: {side: [] for side in trees} for section in ("sides", "work")}
+        status = 0
+        for layer, case, params, make, *case_args in CASES:
+            status |= not compare(layer, case, params, measure(make, case_args, trees), doc)
+        doc["frontier"] = {side: frontier(api) for side, api in trees.items()}
+        doc["source"] = {side: source_lines(os.path.dirname(api.sset.__file__)) for side, api in trees.items()}
+    for section in ("frontier", "source"):
+        for side, found in doc[section].items():
+            print(f"{section:9} {side:7} {json.dumps(found)}")
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    status = 0
-    for name, others in sides.items():
-        if name == args.side:
-            continue
-        theirs = {(e["case"], json.dumps(e["params"])): e for e in others}
-        their_work = {(w["case"], json.dumps(w["params"])): w for w in doc["work"].get(name, [])}
-        for mine, work in zip(entries, works):
-            key = (mine["case"], json.dumps(mine["params"]))
-            other = theirs.get(key)
-            same = other is not None and other["counters"] == mine["counters"]
-            status |= not same
-            ratio = f"{mine['wall_s'] / other['wall_s']:6.2f}" if other and other["wall_s"] else "     -"
-            before = their_work.get(key, {})
-            moved = "  ".join(f"{k} {before.get(k, '-')} -> {work[k]}" for k in WORK)
-            print(
-                f"{args.side}/{name} {mine['case']:17} {json.dumps(mine['params']):62} "
-                f"{ratio}  counters {'equal' if same else 'DIFFER'}  {moved}"
-            )
     return status
 
 

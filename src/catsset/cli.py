@@ -144,7 +144,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_motzkin(args: argparse.Namespace) -> int:
-    if args.from_dyck:
+    if args.from_dyck is not None:
         result = motzkin.dyck_to_motzkin(args.from_dyck)
         source = args.from_dyck
         direction = "from-dyck"

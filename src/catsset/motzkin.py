@@ -12,7 +12,6 @@ All arithmetic is exact; nothing here touches floating point.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .dyck import _first_witness, require_dyck
 from .errors import DegenerateWordError, InvalidWordError
@@ -20,16 +19,23 @@ from .errors import DegenerateWordError, InvalidWordError
 MOTZKIN_ALPHABET = frozenset("UCD")
 
 
-@lru_cache(maxsize=None)
+#: M_0, M_1, ... as far as any call has needed them.
+_MOTZKIN = [1]
+
+
+def _motzkin_numbers(n: int) -> list[int]:
+    """M_0, ..., M_n (and any computed beyond), extended bottom-up so no call recurses."""
+    m = _MOTZKIN
+    for k in range(len(m), n + 1):
+        m.append(m[k - 1] + sum(m[j] * m[k - 2 - j] for j in range(k - 1)))
+    return m
+
+
 def motzkin_number(n: int) -> int:
     """n-th Motzkin number, by the convolution recurrence (1, 1, 2, 4, 9, ...)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n == 0:
-        return 1
-    return motzkin_number(n - 1) + sum(
-        motzkin_number(k) * motzkin_number(n - 2 - k) for k in range(n - 1)
-    )
+    return _motzkin_numbers(n)[n]
 
 
 def catalan_number(n: int) -> int:
@@ -118,5 +124,6 @@ def verify_binomial_identity(n: int) -> bool:
     """Check C_{n+1} == sum_k binomial(n, k) * M_k with exact arithmetic."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    total = sum(math.comb(n, k) * motzkin_number(k) for k in range(n + 1))
+    m = _motzkin_numbers(n)
+    total = sum(math.comb(n, k) * m[k] for k in range(n + 1))
     return catalan_number(n + 1) == total

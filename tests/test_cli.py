@@ -89,6 +89,8 @@ def test_word_command_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "motzkin", "--from-dyck", "UUDD")
     assert code == 2 and "degenerate" in err.lower()
+    code, _, err = run(capsys, "motzkin", "--from-dyck", "")
+    assert code == 2 and err.strip() == "error: not a Dyck word: ''"
 
 
 def test_verify_binomial(capsys):
