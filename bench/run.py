@@ -22,7 +22,9 @@ as ``wall_s``.  ``ratios`` holds ``min_ratio``, the change's fastest run
 over the parent's (below 1 is faster), and ``round_ratios``, the
 quartiles of the change/parent ratios within one round.  When the host
 changes speed during a case, the two minima can come from different
-speeds and ``min_ratio`` falls outside the quartiles; read those then.
+speeds and ``min_ratio`` falls outside the quartiles; ``ratios`` then
+records ``min_outside_rounds`` true and the case's line is marked, and
+the quartiles are the reading to trust.
 A run against a revision equal to the checkout (an A/A run) shows the
 noise band.
 
@@ -522,19 +524,22 @@ def compare(layer: str, case: str, params: dict, got: dict, doc: dict) -> bool:
             doc["work"][side].append({**key, **m["work"]})
     parent, change = got["parent"], got["change"]
     equal = "counters" in parent and parent["counters"] == change.get("counters")
-    ratio = {**key, "counters_equal": equal, "min_ratio": None, "round_ratios": None}
-    moved = []
+    ratio = {**key, "counters_equal": equal, "min_ratio": None, "round_ratios": None, "min_outside_rounds": None}
+    notes = []
     if "times" in parent and "times" in change:
         rounds = [c / p for c, p in zip(change["times"], parent["times"])]
         min_ratio = round(min(change["times"]) / min(parent["times"]), 3)
-        ratio.update(min_ratio=min_ratio, round_ratios=[round(q, 3) for q in statistics.quantiles(rounds, n=4)])
+        quartiles = [round(q, 3) for q in statistics.quantiles(rounds, n=4)]
+        outside = not quartiles[0] <= min_ratio <= quartiles[2]
+        ratio.update(min_ratio=min_ratio, round_ratios=quartiles, min_outside_rounds=outside)
         before, after = parent["work"], change["work"]
-        moved = [f"{k} {before[k]} -> {after[k]}" for k in WORK if before[k] != after[k]]
+        notes = ["MIN OUTSIDE ROUNDS"] * outside
+        notes += [f"{k} {before[k]} -> {after[k]}" for k in WORK if before[k] != after[k]]
     doc["ratios"].append(ratio)
     medians = [doc["sides"][side][-1].get("wall_s", "error") for side in ("parent", "change")]
     print(
         f"{layer:9} {case:17} {json.dumps(params):62} {medians[0]} -> {medians[1]} s  min-ratio {ratio['min_ratio']}"
-        f" {ratio['round_ratios']}  counters {'equal' if equal else 'DIFFER'}  {'  '.join(moved)}"
+        f" {ratio['round_ratios']}  counters {'equal' if equal else 'DIFFER'}  {'  '.join(notes)}"
     )
     return equal
 

@@ -8,38 +8,67 @@ the non-degenerate 3-simplices.  In the strict setting eta' equals the
 monoid unit eta, and the fourth condition holds for every candidate.
 The maps themselves come from one search of the engine; the conditions
 are an independent route to their generator images.
+
+A monoidal nerve is 3-coskeletal, so a map C_4 -> N(m)_4 is the same as
+a map C_3 -> N(m)_3: the search runs on the 3-truncations, and a
+record's level 4 is built only when its map is read, each 4-simplex
+going to the one filler of its image boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
+from typing import Callable
 
 from .dyck import FREE_EDGE
 from .errors import StructuralError
 from .finmon import FinMonoidalStructure, MonoidObject, enumerate_monoids
 from .nerve import monoidal_nerve, two_simplex_data
-from .sset import SimplicialMap, TruncatedSSet, catalan_sset, simplicial_maps
+from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _extended, _labelled_map, _take, catalan_sset
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
 MUL_TRIANGLE = "UDUDUD"
 #: The non-degenerate 2-simplex with two degenerate edges (unit shape).
 UNIT_TRIANGLE = "UUDUDD"
-#: C_4, the source of every classified map; it does not depend on the structure.
-_CATALAN4 = catalan_sset(4)
+#: C_3, the source of the classification's map search, and C_4, the source of a record's map;
+#: neither depends on the structure, and C_3's tables are those of C_4 on levels 0..3.
+_CATALAN3, _CATALAN4 = catalan_sset(3), catalan_sset(4)
+#: The indices of the free edge and of the two non-degenerate triangles in C_3.
+_EDGE = _CATALAN3.levels[1].index(FREE_EDGE)
+_MUL, _UNIT = map(_CATALAN3.levels[2].index, (MUL_TRIANGLE, UNIT_TRIANGLE))
 
 
 @dataclass(frozen=True)
 class ClassificationRecord:
     """A classified map together with the monoid it corresponds to.
 
+    ``components[n][x]`` is the index in level n of the nerve of
+    ``structure`` of the image of simplex x of C_3, for n 0..3.
     ``eta_prime`` is the image of the unit-shaped 2-simplex; with the
     strict tensor it coincides with ``monoid.eta``, but both sides of the
-    correspondence are kept.
+    correspondence are kept.  ``nerve4`` returns the nerve of ``structure``
+    at 4, ``monoidal_nerve(structure, 4)``; it extends the searched
+    3-truncation on its first call, once for all the records of one
+    classification.  Records compare and hash by their components, monoid
+    and eta'; the structure and the nerve do not enter.
     """
 
-    map: SimplicialMap
+    components: tuple[tuple[int, ...], ...]
     monoid: MonoidObject
     eta_prime: str
+    structure: FinMonoidalStructure = field(compare=False, repr=False)
+    nerve4: Callable[[], TruncatedSSet] = field(compare=False, repr=False)
+
+    @cached_property
+    def map(self) -> SimplicialMap:
+        """The map C_4 -> N(m)_4, extended from level 3 on first read: each 4-simplex goes to
+        the one filler of its image boundary."""
+        T = self.nerve4()
+        below, index = self.components[3], T._filler_index(4)
+        boundaries = zip(*(_take(below, face) for face in _CATALAN4.faces[4]))
+        top = [y for (y,) in map(index.__getitem__, boundaries)]
+        return _labelled_map(_CATALAN4, T, (*self.components, top))
 
     def triple(self) -> tuple[str, str, str]:
         return (self.monoid.carrier, self.monoid.mu, self.eta_prime)
@@ -113,7 +142,8 @@ def classify_maps(m: FinMonoidalStructure) -> list[ClassificationRecord]:
     Candidates (A, mu, eta') are kept when the four 3-simplex conditions
     evaluate to commuting squares; each survivor pairs with the monoid
     (A, mu, eta = eta') and with the map whose generator images are
-    (A, mu, eta'), taken from the engine's map search.
+    (A, mu, eta'), taken on levels 0..3 from the engine's map search and
+    extended to level 4 when the record's map is first read.
     """
     return _classification(m)[0]
 
@@ -128,16 +158,22 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
 
 
 def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
-    """The records and the three-way verdict, from one map search into the nerve.
+    """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
     Record triples come from the square conditions, monoid triples from
     :func:`enumerate_monoids` and engine triples from the search; a
-    record takes only its map from the search.
+    record takes only its components from the search.
     """
-    T = monoidal_nerve(m, 4)
-    # the nerve is marked coskeletal from level 4, so the target check reads only the marker
-    maps = simplicial_maps(_CATALAN4, T, 3)
-    by_triple = {map_triple(T, f): f for f in maps}
+    T = monoidal_nerve(m, 3)
+    maps = _enumerate_level_maps(_CATALAN3, T, 3, bijective=False)
+    edges, triangles = T.levels[1], T.levels[2]
+    # each map's generator images (A, mu, eta'), read off its components
+    by_triple = {
+        (edges[c[1][_EDGE]], *(two_simplex_data(triangles[c[2][k]])[3] for k in (_MUL, _UNIT))): tuple(map(tuple, c))
+        for c in maps
+    }
+    # the level 4 that monoidal_nerve(m, 4) adds to the same 3-truncation, within its default budget
+    nerve4 = cache(partial(_extended, T, 4, 1_000_000))
     records = []
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
@@ -150,7 +186,7 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
         # eta is eta' composed with the unit constraint, an identity here,
         # evaluated from the table rather than assumed
         eta = m.category.compose(etap, m.category.id_of(m.unit))
-        records.append(ClassificationRecord(by_triple[(a, mu, etap)], MonoidObject(a, mu, eta), etap))
+        records.append(ClassificationRecord(by_triple[(a, mu, etap)], MonoidObject(a, mu, eta), etap, m, nerve4))
     monoids = enumerate_monoids(m)
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}

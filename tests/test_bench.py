@@ -1,6 +1,8 @@
 """The tree loader of ``bench/run.py``: a copy of the package imported under another name."""
 
+import contextlib
 import importlib.util
+import io
 import os
 import shutil
 import sys
@@ -40,3 +42,29 @@ def test_a_copied_tree_loads_its_own_modules(tmp_path):
     finally:
         for name in [name for name in sys.modules if name.startswith("catsset_copy")]:
             del sys.modules[name]
+
+
+def _compared(bench, parent_times, change_times):
+    """The ``ratios`` entry and printed line of one case read off the given run times."""
+    work = {key: 0 for key in bench.WORK}
+    got = {
+        side: {"times": times, "counters": {"n": 1}, "work": work}
+        for side, times in (("parent", parent_times), ("change", change_times))
+    }
+    doc = {"ratios": [], "sides": {"parent": [], "change": []}, "work": {"parent": [], "change": []}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert bench.compare("sset", "case", {}, got, doc)
+    return doc["ratios"][-1], out.getvalue()
+
+
+def test_a_min_ratio_outside_the_round_quartiles_is_flagged():
+    bench = load_bench()
+    # the host sped up for the parent's last run only: the minima pair runs taken at two speeds
+    ratio, line = _compared(bench, [1.0] * 6 + [0.5], [1.0] * 7)
+    assert ratio["min_ratio"] == 2.0 and ratio["round_ratios"][2] < 2.0
+    assert ratio["min_outside_rounds"] is True and "MIN OUTSIDE ROUNDS" in line
+    # one speed throughout: the minimum agrees with the rounds
+    ratio, line = _compared(bench, [1.0, 1.1, 1.0, 1.2, 1.0, 1.0, 1.1], [0.8, 0.9, 0.8, 1.0, 0.8, 0.8, 0.9])
+    assert ratio["round_ratios"][0] <= ratio["min_ratio"] <= ratio["round_ratios"][2]
+    assert ratio["min_outside_rounds"] is False and "MIN OUTSIDE ROUNDS" not in line

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -17,6 +18,7 @@ from catsset.classify import (
 from catsset.dyck import FREE_EDGE
 from catsset.errors import StructuralError
 from catsset.finmon import enumerate_monoids
+from catsset.library import boolean_or, chain3_max
 from catsset.nerve import monoidal_nerve
 from catsset.sset import catalan_sset, is_simplicial_map, simplicial_maps
 
@@ -100,14 +102,71 @@ def test_record_digests(name, library):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == RECORD_DIGESTS[name]
 
 
-def test_shared_catalan_set_is_left_unchanged(library):
-    # every classification reads the one module-level C_4
+def test_records_hash_and_compare_by_value(library):
+    # records are values: they go into sets, and classifying again gives equal records
+    for name, m in library.items():
+        records = classify_maps(m)
+        assert len(set(records)) == len(records), name
+        assert classify_maps(m) == records, name
+        assert {hash(r) for r in classify_maps(m)} == {hash(r) for r in records}, name
+
+
+def test_record_fields_are_tuples_and_the_context_does_not_compare(library):
+    compared = {f.name: f.compare for f in dataclasses.fields(ClassificationRecord)}
+    assert compared == {
+        "components": True,
+        "monoid": True,
+        "eta_prime": True,
+        "structure": False,
+        "nerve4": False,
+    }
     for m in library.values():
-        classify_maps(m)
-    fresh, shared = catalan_sset(4), catsset.classify._CATALAN4
-    assert shared.levels == fresh.levels
-    assert shared.faces == fresh.faces
-    assert shared.degens == fresh.degens
+        for record in classify_maps(m):
+            assert len(record.components) == 4
+            assert type(record.components) is tuple
+            assert all(type(c) is tuple for c in record.components)
+
+
+@pytest.mark.parametrize("make", (boolean_or, chain3_max))
+def test_record_maps_share_one_level_four_nerve(make, monkeypatch):
+    # the nerves the classification builds, by dimension: monoidal_nerve and
+    # the coskeletal extension of its 3-truncation, which is the nerve at 4
+    built = []
+    real_nerve, real_extended = catsset.classify.monoidal_nerve, catsset.classify._extended
+
+    def nerve(m, n):
+        built.append(n)
+        return real_nerve(m, n)
+
+    def extended(S, n, max_simplices):
+        built.append(n)
+        return real_extended(S, n, max_simplices)
+
+    monkeypatch.setattr(catsset.classify, "monoidal_nerve", nerve)
+    monkeypatch.setattr(catsset.classify, "_extended", extended)
+    m = make()
+    records = classify_maps(m)
+    assert len(records) > 1 and built == [3]
+    maps = [r.map for r in records]
+    # the first read builds the level-4 nerve for every record; reading again builds nothing
+    assert built == [3, 4]
+    assert [r.map for r in records] == maps and built == [3, 4]
+    assert all(f.target is maps[0].target for f in maps)
+    assert maps[0].target.to_json_text() == real_nerve(m, 4).to_json_text()
+
+
+def test_shared_catalan_set_is_left_unchanged(library):
+    # every classification searches from the one module-level C_3, and every record map leaves C_4
+    for m in library.values():
+        [r.map for r in classify_maps(m)]
+    c3, c4 = catsset.classify._CATALAN3, catsset.classify._CATALAN4
+    for N, shared in ((3, c3), (4, c4)):
+        fresh = catalan_sset(N)
+        assert shared.levels == fresh.levels
+        assert shared.faces == fresh.faces
+        assert shared.degens == fresh.degens
+    # a record's level-3 components index C_4 as they index C_3
+    assert c3.levels == c4.levels[:4] and c3.faces == c4.faces[:4] and c3.degens[:3] == c4.degens[:3]
 
 
 def test_maps_are_determined_by_generator_images(catalan4, library):

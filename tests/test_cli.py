@@ -257,7 +257,8 @@ def test_classify_builds_the_nerve_once(capsys, monkeypatch):
     monkeypatch.setattr(catsset.classify, "monoidal_nerve", counting)
     code, out, _ = run(capsys, "classify", str(EXAMPLES / "two-or.json"))
     assert code == 0 and "three-way agreement: true" in out
-    assert built == [4]
+    # one nerve, the 3-truncation the search runs on; the CLI reads no record's map
+    assert built == [3]
 
 
 def test_classify_shipped_examples(capsys):

@@ -13,6 +13,8 @@ from catsset.library import boolean_or, chain3_max, zmonoid
 from catsset.nerve import monoidal_nerve, two_label, two_simplex_data
 from catsset.sset import (
     _boundaries,
+    _enumerate_level_maps,
+    catalan_sset,
     check_simplicial_identities,
     coskeletal_extension,
     is_r_coskeletal_up_to,
@@ -124,6 +126,22 @@ def test_level_three_is_the_commuting_boundaries(library):
         assert sorted(zip(*T.faces[3])) == kept, name
         dropped[name] = len(found) - len(kept)
     assert dropped["zmonoid"] > 0
+
+
+def test_maps_from_catalan_restrict_bijectively_to_level_three(library, catalan4):
+    # a nerve is 3-coskeletal, so maps C_4 -> N(m)_4 are maps C_3 -> N(m)_3:
+    # restricting to levels 0..3 is one-to-one and onto
+    structures = dict(library)
+    structures["left-zero-antichain"] = _left_zero_antichain()
+    structures |= {"chain2-min": _chain_min(["0", "1"]), "chain3-min": _chain_min(["0", "1", "2"])}
+    catalan3 = catalan_sset(3)
+    for name, m in structures.items():
+        T3, T4 = monoidal_nerve(m, 3), monoidal_nerve(m, 4)
+        assert T3.levels == T4.levels[:4], name
+        restricted = [tuple(map(tuple, comps[:4])) for comps in _enumerate_level_maps(catalan4, T4, 4, False)]
+        found = {tuple(map(tuple, comps)) for comps in _enumerate_level_maps(catalan3, T3, 3, False)}
+        assert restricted and len(set(restricted)) == len(restricted), name
+        assert set(restricted) == found, name
 
 
 def test_poset_nerves_are_two_coskeletal(nerve_two5):
