@@ -145,6 +145,12 @@ def _nerve(api, n: int):
     return lambda: {"simplices_built": api.nerve.monoidal_nerve(api.library.boolean_or(), n).size()}
 
 
+def _library_nerves(api, n: int):
+    """``monoidal_nerve(m, n)`` of each structure of the library."""
+    structures = list(api.library.structure_library().values())
+    return lambda: {"simplices_built": sum(api.nerve.monoidal_nerve(m, n).size() for m in structures)}
+
+
 def _nerve_coskeletal(api):
     """``monoidal_nerve(m, 4)`` of each structure of the library, then ``is_r_coskeletal_up_to(T, 3, 4)``."""
     structures = list(api.library.structure_library().values())
@@ -351,6 +357,7 @@ CASES = [
     ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal, 2, 7),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve, 9),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve, 10),
+    ("nerve", "monoidal_nerve", {"structures": "structure_library()", "N": 5}, _library_nerves, 5),
     (
         "nerve",
         "monoidal_nerve+is_r_coskeletal_up_to",
@@ -399,7 +406,9 @@ WORK = ("joins", "tuples", "checked_cells", "filler_indexes")
 def work_counted(api):
     """Count, inside the block, the boundary joins that tree runs and the tuples they return,
     the table cells its constructor checks (``TruncatedSSet._checked``) and the filler indexes
-    it builds, in all and by level.  The timed runs call these functions unwrapped."""
+    it builds, in all and by level.  The join is ``sset._join``, which returns columns, on a
+    tree that has it and ``sset._boundaries``, which returns tuples, on an older one.  The
+    timed runs call these functions unwrapped."""
     work: dict = {key: 0 for key in WORK} | {f"{key}_by_level": {} for key in WORK}
 
     def tally(key: str, n: int, amount: int) -> None:
@@ -408,12 +417,13 @@ def work_counted(api):
         by_level[str(n)] = by_level.get(str(n), 0) + amount
 
     TruncatedSSet = api.sset.TruncatedSSet
-    real_join, real_checked, real_index = api.sset._boundaries, TruncatedSSet._checked, TruncatedSSet._filler_index
+    join = "_join" if hasattr(api.sset, "_join") else "_boundaries"
+    real_join, real_checked, real_index = getattr(api.sset, join), TruncatedSSet._checked, TruncatedSSet._filler_index
 
-    def counted(levels, faces, n):
-        found = real_join(levels, faces, n)
+    def counted(levels, faces, n, *order):
+        found = real_join(levels, faces, n, *order)
         tally("joins", n, 1)
-        tally("tuples", n, len(found))
+        tally("tuples", n, len(found[0]) if join == "_join" else len(found))
         return found
 
     def checked(self, tables, n, step):
@@ -429,13 +439,13 @@ def work_counted(api):
     # the modules that call the join by this name: the engine and the nerve
     modules = (api.sset, api.nerve)
     for module in modules:
-        module._boundaries = counted
+        setattr(module, join, counted)
     TruncatedSSet._checked, TruncatedSSet._filler_index = checked, indexed
     try:
         yield work
     finally:
         for module in modules:
-            module._boundaries = real_join
+            setattr(module, join, real_join)
         TruncatedSSet._checked, TruncatedSSet._filler_index = real_checked, real_index
 
 

@@ -150,8 +150,28 @@ def is_degenerate(word: str) -> bool:
 
 
 def nondegenerate_dyck(n: int) -> list[str]:
-    """The non-degenerate Dyck words of dimension ``n``, sorted."""
-    return [w for w in enumerate_dyck(n) if _first_witness(*positions(w)) is None]
+    """The non-degenerate Dyck words of dimension ``n``, sorted.
+
+    Prefixes grow a letter at a time, D before U, so they stay sorted.
+    A prefix, held with its counts of U's and D's and a bit i set when
+    its (i+1)-st and (i+2)-nd U's are adjacent, is dropped when a D
+    directly follows a D whose U's are adjacent: a witness of
+    :func:`_first_witness`.
+    """
+    if n < 0:
+        raise ValueError("dimension must be non-negative")
+    half = n + 1
+    prefixes = [("", 0, 0, 0)]
+    for _ in range(2 * half):
+        longer = []
+        for p, u, d, adjacent in prefixes:
+            last = p[-1:]
+            if d < u and not (last == "D" and adjacent >> (d - 1) & 1):
+                longer.append((p + "D", u, d + 1, adjacent))
+            if u < half:
+                longer.append((p + "U", u + 1, d, adjacent | (1 << u - 1) if last == "U" else adjacent))
+        prefixes = longer
+    return [p for p, _, _, _ in prefixes]
 
 
 @dataclass(frozen=True)

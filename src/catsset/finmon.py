@@ -399,25 +399,26 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
     bad = list(tensor_violations(c, m.obj_tensor, m.mor_tensor))
     if bad:
         return bad
-    objs = c.objects
-    mors = c.morphism_labels()
+    # both tensors are total and typed now, so the laws read them by subscript
+    objs, t = c.objects, m.obj_tensor
+    mors, tm = c.morphism_labels(), m.mor_tensor
     for a in objs:
-        if m.tensor_obj(m.unit, a) != a or m.tensor_obj(a, m.unit) != a:
+        if t[m.unit, a] != a or t[a, m.unit] != a:
             bad.append(LawViolation("strict unit", (a,), "unit does not act trivially"))
         for b in objs:
             for cc in objs:
-                if m.tensor_obj(m.tensor_obj(a, b), cc) != m.tensor_obj(a, m.tensor_obj(b, cc)):
+                if t[t[a, b], cc] != t[a, t[b, cc]]:
                     bad.append(
                         LawViolation("strict associativity", (a, b, cc), "object tensor")
                     )
     unit_id = c.id_of(m.unit)
     for f in mors:
-        if m.tensor_mor(unit_id, f) != f or m.tensor_mor(f, unit_id) != f:
+        if tm[unit_id, f] != f or tm[f, unit_id] != f:
             bad.append(LawViolation("strict unit", (f,), "unit identity does not act trivially"))
         for g in mors:
-            fg = m.tensor_mor(f, g)
+            fg = tm[f, g]
             for h in mors:
-                if m.tensor_mor(fg, h) != m.tensor_mor(f, m.tensor_mor(g, h)):
+                if tm[fg, h] != tm[f, tm[g, h]]:
                     bad.append(
                         LawViolation("strict associativity", (f, g, h), "morphism tensor")
                     )

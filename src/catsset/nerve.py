@@ -10,17 +10,18 @@ identity morphisms.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from itertools import compress
 from operator import eq
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, validate_strict_monoidal
-from .sset import TruncatedSSet, _add_level, _boundaries, _extended, _take
+from .sset import TruncatedSSet, _add_level, _extended, _join, _take
 
 
 def two_label(a12: str, a02: str, a01: str, mor: str) -> str:
-    """Canonical label of a 2-simplex; JSON keeps distinct data distinct."""
-    return json.dumps([a12, a02, a01, mor], separators=(",", ":"))
+    """Canonical label of a 2-simplex, the compact JSON array of the four; JSON keeps distinct data distinct."""
+    return "[" + ",".join(map(encode_basestring_ascii, (a12, a02, a01, mor))) + "]"
 
 
 def two_simplex_data(label: str) -> tuple[str, str, str, str]:
@@ -89,16 +90,16 @@ def monoidal_nerve(
     fillers = {}
     if N >= 3:
         # a boundary (x0, x1, x2, x3) is kept when its square commutes:
-        # x2 . (x0 (x) id A01) = x1 . (id A23 (x) x3), composed a column at a time
-        bts = _boundaries(levels, faces, 3)
-        x0, x1, x2, x3 = zip(*bts) if bts else [()] * 4
+        # x2 . (x0 (x) id A01) = x1 . (id A23 (x) x3), composed a column at a time;
+        # level 2's labels are sorted, so the join in index order is in label order
+        x0, x1, x2, x3 = cols = _join(levels, faces, 3, None)
         # per 2-simplex: its morphism, the identity of its A01 and that of its A12
         mor = [x[3] for x in data]
         id01, id12 = ([cat.id_of(x[k]) for x in data] for k in (2, 0))
         compose, tensor = cat.composition.__getitem__, m.mor_tensor.__getitem__
         left = map(compose, zip(_take(mor, x2), map(tensor, zip(_take(mor, x0), _take(id01, x3)))))
         right = map(compose, zip(_take(mor, x1), map(tensor, zip(_take(id12, x0), _take(mor, x3)))))
-        bts = list(compress(bts, map(eq, left, right)))
-        fillers[3] = _add_level(levels, faces, degens, bts, max_simplices)
+        keep = list(map(eq, left, right))
+        fillers[3] = _add_level(levels, faces, degens, [tuple(compress(c, keep)) for c in cols], max_simplices)
     # level 3 keeps only the commuting boundaries, so the 3-truncation marks no level
     return _extended(TruncatedSSet._trusted(levels, faces, degens, fillers, len(levels)), N, max_simplices)

@@ -381,33 +381,41 @@ def boundaries(S: TruncatedSSet, n: int) -> list[BoundaryTuple]:
     return [tuple(lower[x] for x in t) for t in _boundaries(S.levels, S.faces, n)]
 
 
-def _boundaries(
-    levels: Sequence[Sequence[str]], faces: Sequence[Sequence[Sequence[int]]], n: int
-) -> list[_Indices]:
-    """The facet tuples of :func:`boundaries`, as indices into level n-1.
+def _boundaries(levels: Sequence[Sequence[str]], faces: Sequence[Sequence[Sequence[int]]], n: int) -> list[_Indices]:
+    """The facet tuples of :func:`boundaries`, as indices into level n-1 in lexicographic index order."""
+    return list(zip(*_join(levels, faces, n, None)))
 
-    It reads only level n-1 of the tables, which may be a
-    :class:`TruncatedSSet`'s or lists that one is being built from.  The
-    partial tuples are held as columns, ``cols[i][p]`` being facet i of
-    partial p, so each step of the join looks up the keys of every
-    partial at once.  The tuples come out in lexicographic index order.
+
+def _join(
+    levels: Sequence[Sequence[str]], faces: Sequence[Sequence[Sequence[int]]], n: int, order: Sequence[int] | None
+) -> list[Sequence[int]]:
+    """The facet tuples of :func:`boundaries` as n + 1 columns of indices into level n-1.
+
+    The tuples are lexicographic in ``order``, level n-1's indices in the
+    order to sort by, or in index order when it is None.  Only level n-1
+    of the tables is read, through ``order``: the join runs on positions
+    in it and maps the columns back at the end.  The tables may be a
+    :class:`TruncatedSSet`'s or lists one is being built from.  Each step
+    looks up the keys of every partial tuple at once, ``cols[i][p]``
+    being facet i of partial p.
     """
     lower = range(len(levels[n - 1]))
     if n == 1:
-        return [(a, b) for a in lower for b in lower]
-    tables = faces[n - 1]
-    cols: list[Sequence[int]] = [lower]
-    for m in range(1, n + 1):
-        index = _grouped(list(zip(*tables[:m])))
-        face = tables[m - 1]
-        hits = list(map(index.get, zip(*(_take(face, c) for c in cols)), repeat(())))
-        found = tuple(chain.from_iterable(hits))
-        # the columns are copied only when some partial has no hit or several
-        if len(found) != len(hits) or not all(hits):
-            keep = tuple(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
-            cols = [_take(c, keep) for c in cols]
-        cols.append(found)
-    return list(zip(*cols))
+        cols: list[Sequence[int]] = list(zip(*product(lower, repeat=2))) or [(), ()]
+    else:
+        tables = faces[n - 1] if order is None else [_take(t, order) for t in faces[n - 1]]
+        cols = [lower]
+        for m in range(1, n + 1):
+            index = _grouped(list(zip(*tables[:m])))
+            face = tables[m - 1]
+            hits = list(map(index.get, zip(*(_take(face, c) for c in cols)), repeat(())))
+            found = tuple(chain.from_iterable(hits))
+            # the columns are copied only when some partial has no hit or several
+            if len(found) != len(hits) or not all(hits):
+                keep = tuple(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
+                cols = [_take(c, keep) for c in cols]
+            cols.append(found)
+    return cols if order is None else [_take(order, c) for c in cols]
 
 
 def fillers(S: TruncatedSSet, boundary: Sequence[str]) -> list[str]:
@@ -448,36 +456,29 @@ def _add_level(
     levels: list[Sequence[str]],
     faces: list[Sequence[Sequence[int]]],
     degens: list[Sequence[Sequence[int]]],
-    tuples: Sequence[_Indices],
+    cols: list[Sequence[int]],
     max_simplices: int,
 ) -> dict[_Indices, _Indices]:
-    """Append level n = len(levels) whose simplices carry the distinct face vectors ``tuples``.
+    """Append level n = len(levels) whose face tables are the n + 1 columns ``cols`` of :func:`_join`.
 
-    The three lists hold tables in the constructor's form, and ``tuples``
-    hold indices into level n-1.  The builders' one size rule is checked
+    The three lists hold tables in the constructor's form.  The rows of
+    ``cols``, the new simplices' distinct face vectors, are labelled
+    ``s{n}:{k}`` in their order.  The builders' one size rule is checked
     here: it raises :class:`BudgetExceededError` when the levels would
     then hold more than ``max_simplices`` simplices in all.  It returns
-    the new level's :meth:`TruncatedSSet._filler_index`, by which it
-    finds the images of the degeneracies.  The new simplices are labelled
-    ``s{n}:{k}`` in the order of their face vectors' label tuples, sorted
-    as tuples of the labels' ranks, and their faces project to
-    components.  The simplicial identities force
-    the face vector of s_i x for an (n-1)-simplex x to be
+    the new level's :meth:`TruncatedSSet._filler_index`, by which it finds
+    the images of the degeneracies.  The simplicial identities force the
+    face vector of s_i x for an (n-1)-simplex x to be
     (s_{i-1} d_0 x, .., s_{i-1} d_{i-1} x, x, x, s_i d_{i+1} x, .., s_i d_{n-1} x),
-    and it must be among ``tuples``; the lists are left as they were
-    when it is not, or when the budget is exceeded.
+    and it must be among the rows; the lists are left as they were when
+    it is not, or when the budget is exceeded.
     """
     m, n = len(levels) - 1, len(levels)
-    if sum(map(len, levels)) + len(tuples) > max_simplices:
+    size = len(cols[0])
+    if sum(map(len, levels)) + size > max_simplices:
         raise BudgetExceededError(f"level {n} needs more than {max_simplices} simplices in all")
-    lower = levels[m]
-    order = sorted(range(len(lower)), key=lower.__getitem__)
-    rank = sorted(order, key=order.__getitem__)
-    # the tuples of the labels' ranks, held only while they are sorted
-    ranked = zip(*(_take(rank, c) for c in zip(*tuples)))
-    tuples = _take(tuples, sorted(range(len(tuples)), key=list(ranked).__getitem__))
-    index = dict(zip(tuples, zip(range(len(tuples)))))
-    face, below, xs = faces[m], degens[m - 1], range(len(lower))
+    index = dict(zip(zip(*cols), zip(range(size))))
+    face, below, xs = faces[m], degens[m - 1], range(len(levels[m]))
     images = []
     for i in range(n):
         keys = zip(
@@ -487,25 +488,27 @@ def _add_level(
             *(_take(below[i], face[k]) for k in range(i + 1, n)),
         )
         images.append(list(chain.from_iterable(map(index.get, keys, repeat(())))))
-        if len(images[-1]) < len(lower):
+        if len(images[-1]) < len(xs):
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
     degens[m] = images
     degens.append([])
-    levels.append(list(map(f"s{n}:".__add__, map(str, range(len(tuples))))))
-    faces.append(list(zip(*tuples)) or [()] * (n + 1))
+    levels.append(list(map(f"s{n}:".__add__, map(str, range(size)))))
+    faces.append(cols)
     return index
 
 
 def _extended(S: TruncatedSSet, N: int, max_simplices: int) -> TruncatedSSet:
     """S with levels S.N + 1 .. N added, each the boundary tuples over the one below, unchecked.
 
-    The result keeps S's filler indexes and those of its added levels, and
-    marks its levels from S's marker up: that is S.N + 1 when S marks none.
+    Each level is joined in the label order of the level below.  The result
+    keeps S's filler indexes and those of its added levels, and marks its
+    levels from S's marker up: that is S.N + 1 when S marks none.
     """
     levels, faces, degens = list(S.levels), list(S.faces), list(S.degens)
     fillers = dict(S._filler_cache)
     for n in range(S.N + 1, N + 1):
-        fillers[n] = _add_level(levels, faces, degens, _boundaries(levels, faces, n), max_simplices)
+        order = sorted(range(len(levels[n - 1])), key=levels[n - 1].__getitem__)
+        fillers[n] = _add_level(levels, faces, degens, _join(levels, faces, n, order), max_simplices)
     return TruncatedSSet._trusted(levels, faces, degens, fillers, S._cosk)
 
 

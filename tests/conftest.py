@@ -1,5 +1,6 @@
 import pytest
 
+from catsset.finmon import MonoidalPoset, antichain_poset, poset_as_category
 from catsset.library import boolean_or, structure_library
 from catsset.nerve import monoidal_nerve
 from catsset.sset import catalan_sset
@@ -43,3 +44,11 @@ def nerve_two5():
 @pytest.fixture(scope="session")
 def library():
     return structure_library()
+
+
+@pytest.fixture(scope="session")
+def left_zero_antichain():
+    """The antichain {a, b, e}, unit e, with x (x) y = x on {a, b}: a tensor that does not commute."""
+    tensor = {(x, "e"): x for x in "abe"} | {("e", x): x for x in "abe"}
+    tensor |= {(x, y): x for x in "ab" for y in "ab"}
+    return poset_as_category(MonoidalPoset(antichain_poset(["a", "b", "e"]), tensor, "e"))

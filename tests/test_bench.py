@@ -6,8 +6,12 @@ import io
 import os
 import shutil
 import sys
+from types import SimpleNamespace
 
 import catsset
+from catsset.library import boolean_or
+from catsset.nerve import monoidal_nerve
+from catsset.sset import _boundaries
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,6 +46,18 @@ def test_a_copied_tree_loads_its_own_modules(tmp_path):
     finally:
         for name in [name for name in sys.modules if name.startswith("catsset_copy")]:
             del sys.modules[name]
+
+
+def test_work_counts_the_level_joins_the_builders_run():
+    bench = load_bench()
+    join = catsset.sset._join
+    with bench.work_counted(SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve)) as work:
+        T = monoidal_nerve(boolean_or(), 6)
+    assert catsset.sset._join is join and catsset.nerve._join is join
+    # the nerve joins its level 3 and each level above once; a poset's squares all commute
+    assert work["joins_by_level"] == {str(n): 1 for n in range(3, 7)}
+    assert work["tuples_by_level"] == {str(n): len(T.levels[n]) for n in range(3, 7)}
+    assert len(_boundaries(T.levels, T.faces, 3)) == len(T.levels[3])
 
 
 def _compared(bench, parent_times, change_times):

@@ -335,3 +335,11 @@ def test_random_degeneracy_chains_recompose(base_dim, indices, pick):
         w = degeneracy(w, i % (dimension(w) + 1))
     phi, core = ez_decompose(w)
     assert apply_surjection(phi, core) == w
+
+
+def test_nondegenerate_words_are_the_unfiltered_words_without_a_witness():
+    # the words are generated without their degenerate neighbours; filtering all words is the oracle
+    for n in range(10):
+        assert nondegenerate_dyck(n) == [w for w in enumerate_dyck(n) if not is_degenerate(w)], n
+    with pytest.raises(ValueError):
+        nondegenerate_dyck(-1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catsset.errors import SchemaError, StructuralError
@@ -58,6 +60,35 @@ def test_validate_category_flags_missing_composites():
     )
     report = validate_category(cat)
     assert any(v.law == "composability" for v in report)
+
+
+def _strict_law_violations(m):
+    """The strict unit and associativity failures as (law, subject), one tensor method call per lookup."""
+    c, u = m.category, m.unit
+    objs, mors, unit_id = c.objects, c.morphism_labels(), c.id_of(m.unit)
+    out = []
+    for t, xs, one, what in ((m.tensor_obj, objs, u, "object"), (m.tensor_mor, mors, unit_id, "morphism")):
+        for a in xs:
+            if t(one, a) != a or t(a, one) != a:
+                out.append(("strict unit", (a,)))
+            for b in xs:
+                for d in xs:
+                    if t(t(a, b), d) != t(a, t(b, d)):
+                        out.append(("strict associativity", (a, b, d)))
+    return out
+
+
+def test_strict_laws_match_the_method_call_oracle():
+    # any object tensor on a discrete category is a bifunctor, so seeded tables on three
+    # objects reach the strict unit and associativity loops with failures in every order
+    objs = ["a", "b", "e"]
+    ids = {x: f"1{x}" for x in objs}
+    cat = FinCategory(objs, [(ids[x], x, x) for x in objs], ids, {(f, f): f for f in ids.values()})
+    rng = random.Random(31)
+    for _ in range(300):
+        t = {(x, y): rng.choice(objs) for x in objs for y in objs}
+        m = FinMonoidalStructure(cat, t, {(ids[x], ids[y]): ids[v] for (x, y), v in t.items()}, rng.choice(objs))
+        assert [(v.law, v.subject) for v in validate_strict_monoidal(m)] == _strict_law_violations(m), t
 
 
 def test_dangling_references_raise():

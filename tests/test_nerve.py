@@ -1,3 +1,6 @@
+import json
+from itertools import product
+
 import pytest
 
 from catsset.errors import BudgetExceededError, StructuralError
@@ -5,7 +8,6 @@ from catsset.finmon import (
     FinCategory,
     FinMonoidalStructure,
     MonoidalPoset,
-    antichain_poset,
     chain_poset,
     poset_as_category,
 )
@@ -42,6 +44,15 @@ def test_two_label_roundtrip():
     assert two_simplex_data(lab) == ("a", "b", "c", "f")
     with pytest.raises(StructuralError):
         two_simplex_data("s3:0")
+
+
+def test_two_label_is_the_compact_json_array():
+    # labels with quotes, backslashes, control characters and non-ASCII letters
+    odd = ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é", "Ωμ", "日本", "\U0001d11e", "\ud800", "", "plain"]
+    for a12, a02, a01, mor in product(odd, repeat=4):
+        label = two_label(a12, a02, a01, mor)
+        assert label == json.dumps([a12, a02, a01, mor], separators=(",", ":"))
+        assert two_simplex_data(label) == (a12, a02, a01, mor)
 
 
 def test_chain3_level_two_size():
@@ -95,21 +106,14 @@ def _commutative_monoid(table):
     return FinMonoidalStructure(cat, {("*", "*"): "*"}, table, "*")
 
 
-def _left_zero_antichain():
-    """The antichain {a, b, e}, unit e, with x (x) y = x on {a, b}: a tensor that does not commute."""
-    tensor = {(x, "e"): x for x in "abe"} | {("e", x): x for x in "abe"}
-    tensor |= {(x, y): x for x in "ab" for y in "ab"}
-    return poset_as_category(MonoidalPoset(antichain_poset(["a", "b", "e"]), tensor, "e"))
-
-
-def test_level_three_is_the_commuting_boundaries(library):
+def test_level_three_is_the_commuting_boundaries(library, left_zero_antichain):
     z3 = {(a, b): "1gh"[("1gh".index(a) + "1gh".index(b)) % 3] for a in "1gh" for b in "1gh"}
     one_ab = {("1", x): x for x in "1ab"} | {(x, "1"): x for x in "1ab"}
     one_ab |= {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"}
     structures = dict(library)
     structures |= {"chain2-min": _chain_min(["0", "1"]), "chain3-min": _chain_min(["0", "1", "2"])}
     structures |= {"z3": _commutative_monoid(z3), "monoid-1ab": _commutative_monoid(one_ab)}
-    structures["left-zero-antichain"] = _left_zero_antichain()
+    structures["left-zero-antichain"] = left_zero_antichain
     dropped = {}
     for name, m in structures.items():
         T = monoidal_nerve(m, 3)
@@ -128,11 +132,11 @@ def test_level_three_is_the_commuting_boundaries(library):
     assert dropped["zmonoid"] > 0
 
 
-def test_maps_from_catalan_restrict_bijectively_to_level_three(library, catalan4):
+def test_maps_from_catalan_restrict_bijectively_to_level_three(library, catalan4, left_zero_antichain):
     # a nerve is 3-coskeletal, so maps C_4 -> N(m)_4 are maps C_3 -> N(m)_3:
     # restricting to levels 0..3 is one-to-one and onto
     structures = dict(library)
-    structures["left-zero-antichain"] = _left_zero_antichain()
+    structures["left-zero-antichain"] = left_zero_antichain
     structures |= {"chain2-min": _chain_min(["0", "1"]), "chain3-min": _chain_min(["0", "1", "2"])}
     catalan3 = catalan_sset(3)
     for name, m in structures.items():

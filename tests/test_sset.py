@@ -18,6 +18,7 @@ from catsset.sset import (
     _add_level,
     _boundaries,
     _commutes,
+    _join,
     _take,
     boundaries,
     catalan_sset,
@@ -457,9 +458,10 @@ def test_extension_rejects_inconsistent_input():
 
 
 def test_new_level_needs_the_forced_degeneracies(catalan2):
+    # a level 3 with no simplices: four empty face columns, so no s_i x has its forced face vector
     tables = [list(catalan2.levels), list(catalan2.faces), list(catalan2.degens)]
     with pytest.raises(StructuralError, match="not compatible"):
-        _add_level(*tables, [], 1_000_000)
+        _add_level(*tables, [()] * 4, 1_000_000)
     assert tables == [list(catalan2.levels), list(catalan2.faces), list(catalan2.degens)]
 
 
@@ -530,6 +532,30 @@ def test_builder_output_passes_the_public_constructor(library):
         assert check_simplicial_identities(T) == [], name
         want = tuple({label: k for k, label in enumerate(lv)} for lv in T.levels)
         assert T._position == checked._position == want, name
+
+
+def _sorted_by_label_ranks(S, n):
+    """The boundary tuples sorted as tuples of their facets' label ranks: the order in which
+    the level builders once sorted the join's tuples before labelling them."""
+    lower = S.levels[n - 1]
+    order = sorted(range(len(lower)), key=lower.__getitem__)
+    rank = sorted(order, key=order.__getitem__)
+    return sorted(_boundaries(S.levels, S.faces, n), key=lambda t: [rank[x] for x in t])
+
+
+def test_join_in_label_order_is_the_rank_sort(library, left_zero_antichain):
+    sets = _trusted_sets(library)
+    for N in range(3, 6):
+        sets[f"nerve-left-zero-antichain-{N}"] = monoidal_nerve(left_zero_antichain, N)
+    for name, m in {**library, "left-zero-antichain": left_zero_antichain}.items():
+        sets[f"extension-{name}-3-to-5"] = coskeletal_extension(monoidal_nerve(m, 3), 5)
+    for name, S in sets.items():
+        for n in range(3, S.N + 1):
+            lower = S.levels[n - 1]
+            cols = _join(S.levels, S.faces, n, sorted(range(len(lower)), key=lower.__getitem__))
+            assert len(cols) == n + 1, (name, n)
+            assert list(zip(*cols)) == _sorted_by_label_ranks(S, n), (name, n)
+            assert list(zip(*_join(S.levels, S.faces, n, None))) == _boundaries(S.levels, S.faces, n)
 
 
 def _unique_fillers_by_brute_force(S, n):
