@@ -67,7 +67,7 @@ def _strict_law_violations(m):
     c, u = m.category, m.unit
     objs, mors, unit_id = c.objects, c.morphism_labels(), c.id_of(m.unit)
     out = []
-    for t, xs, one, what in ((m.tensor_obj, objs, u, "object"), (m.tensor_mor, mors, unit_id, "morphism")):
+    for t, xs, one in ((m.tensor_obj, objs, u), (m.tensor_mor, mors, unit_id)):
         for a in xs:
             if t(one, a) != a or t(a, one) != a:
                 out.append(("strict unit", (a,)))
