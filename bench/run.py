@@ -203,10 +203,23 @@ def _relation_faces(api, n: int):
     return lambda: {"faces": sum(api.relations.relation_face(rel, k).n == n - 1 for rel in rels for k in range(n + 1))}
 
 
+def _relation_degeneracies(api, n: int):
+    """Every degeneracy of every relation on {0..n}; the distinct ones are the degenerate (n+1)-simplices."""
+    rels = api.relations.enumerate_k_relations(n)
+    return lambda: {"distinct": len({api.relations.relation_degeneracy(rel, i) for rel in rels for i in range(n + 1)})}
+
+
+def _from_relations(api, n: int):
+    """``from_relation`` of every relation on {0..n}."""
+    rels = api.relations.enumerate_k_relations(n)
+    return lambda: {"distinct_words": len({api.relations.from_relation(rel) for rel in rels})}
+
+
 def _to_relations(api, n: int):
-    """``to_relation`` of every word of dimension n."""
+    """``to_relation`` of every word of dimension n.  The count reads no ``pairs``, which a
+    relation stored as its reach vector derives when first read."""
     words = api.dyck.enumerate_dyck(n)
-    return lambda: {"pairs": sum(len(api.relations.to_relation(w).pairs) for w in words)}
+    return lambda: {"distinct": len({api.relations.to_relation(w) for w in words})}
 
 
 def _surjections(api, n: int):
@@ -381,7 +394,9 @@ CASES = [
     ("cli", "skew check", {"files": SKEW_DOCS, "rounds": 20}, _skew_check_calls, SKEW_DOCS, 20),
     ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers, 8),
     ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces, 8),
+    ("relations", "relation_degeneracy", {"relations": "enumerate_k_relations(8)"}, _relation_degeneracies, 8),
     ("relations", "to_relation", {"words": "enumerate_dyck(9)"}, _to_relations, 9),
+    ("relations", "from_relation", {"relations": "enumerate_k_relations(9)"}, _from_relations, 9),
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls, 200),
     ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections, 8),
     ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library),

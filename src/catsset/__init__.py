@@ -24,6 +24,7 @@ from .errors import (
     BudgetExceededError,
     CatssetError,
     DegenerateWordError,
+    IndexOutOfRangeError,
     InvalidWordError,
     RelationConditionError,
     SchemaError,

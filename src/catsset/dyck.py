@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
 
-from .errors import InvalidWordError
+from .errors import IndexOutOfRangeError, InvalidWordError
 
 ALPHABET = frozenset("UD")
 
@@ -115,7 +115,7 @@ def face(word: str, i: int) -> str:
     if n < 1:
         raise ValueError("the 0-simplex has no faces")
     if not 0 <= i <= n:
-        raise IndexError(f"face index {i} out of range for dimension {n}")
+        raise IndexOutOfRangeError(f"face index {i} out of range for dimension {n}")
     return face_at(word, ups[i], downs[i])
 
 
@@ -124,7 +124,7 @@ def degeneracy(word: str, i: int) -> str:
     ups, downs = require_dyck(word)
     n = len(ups) - 1
     if not 0 <= i <= n:
-        raise IndexError(f"degeneracy index {i} out of range for dimension {n}")
+        raise IndexOutOfRangeError(f"degeneracy index {i} out of range for dimension {n}")
     return degeneracy_at(word, ups[i], downs[i])
 
 

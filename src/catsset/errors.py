@@ -13,6 +13,10 @@ class DegenerateWordError(CatssetError, ValueError):
     """An operation defined only on non-degenerate simplices got a degenerate one."""
 
 
+class IndexOutOfRangeError(CatssetError, IndexError):
+    """A face, degeneracy or level index lies outside the range of its object."""
+
+
 class RelationConditionError(CatssetError, ValueError):
     """A pair set violates the order or interval-closure conditions."""
 

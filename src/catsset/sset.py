@@ -19,7 +19,7 @@ from itertools import accumulate, chain, product, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, SchemaError, StructuralError
+from .errors import BudgetExceededError, IndexOutOfRangeError, SchemaError, StructuralError
 from .finmon import SCHEMA_VERSION, _require_keys, check_header, check_label, parse_json_text
 
 BoundaryTuple = tuple[str, ...]
@@ -112,7 +112,7 @@ class TruncatedSSet:
 
     def level(self, n: int) -> tuple[str, ...]:
         if not 0 <= n <= self.N:
-            raise IndexError(f"level {n} outside truncation 0..{self.N}")
+            raise IndexOutOfRangeError(f"level {n} outside truncation 0..{self.N}")
         return self.levels[n]
 
     def face(self, n: int, i: int, label: str) -> str:

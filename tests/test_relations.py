@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catsset import sset
-from catsset.dyck import degeneracy, enumerate_dyck, face
-from catsset.errors import BoundaryError, RelationConditionError
+from catsset.dyck import degeneracy, enumerate_dyck, face, require_dyck
+from catsset.errors import BoundaryError, CatssetError, RelationConditionError
 from catsset.relations import (
     EdgeRelation,
     enumerate_k_relations,
@@ -225,6 +225,100 @@ def test_relations_built_without_a_check_are_valid_up_to_dimension_12(data):
         return
     _assert_valid(got)
     assert [relation_face(got, i) for i in range(n + 1)] == swapped
+
+
+# The pair-set formulas that stored a relation as a frozenset of pairs,
+# kept as the reference for the reach-vector kernels.
+
+
+def _reference_to_relation(word):
+    _, downs = require_dyck(word)
+    return frozenset((i, j) for i, d in enumerate(downs) for j in range(i + 1, d - i))
+
+
+def _reference_face(pairs, k):
+    return frozenset((i - (i > k), j - (j > k)) for i, j in pairs if i != k and j != k)
+
+
+def _reference_degeneracy(pairs, n, i):
+    lift = [(x,) for x in range(i)] + [(i, i + 1)] + [(x + 1,) for x in range(i + 1, n + 1)]
+    return frozenset((a, b) for x, y in pairs for a in lift[x] for b in lift[y]) | {(i, i + 1)}
+
+
+def _reference_filler(facets):
+    return frozenset(
+        {(i + 1, j + 1) for i, j in facets[0]}
+        | {(0, j + 1) for i, j in facets[1] if i == 0}
+        | ({(0, 1)} & facets[2])
+    )
+
+
+def _assert_kernels_match_the_pair_sets(word):
+    """Every relation the kernels build from ``word`` against the reference formulas."""
+    n = len(word) // 2 - 1
+    rel, ref = to_relation(word), _reference_to_relation(word)
+    built = [(rel, n, ref)]
+    if n:
+        built += [(relation_face(rel, k), n - 1, _reference_face(ref, k)) for k in range(n + 1)]
+    built += [(relation_degeneracy(rel, i), n + 1, _reference_degeneracy(ref, n, i)) for i in range(n + 1)]
+    if n >= 3:
+        facets = built[1 : n + 2]
+        built.append((filler([f for f, _, _ in facets]), n, _reference_filler([p for _, _, p in facets])))
+    for got, m, pairs in built:
+        assert (got.n, got.pairs) == (m, pairs), (word, got.reach)
+        assert got.sorted_pairs() == [list(p) for p in sorted(pairs)]
+        checked = EdgeRelation(m, pairs)
+        assert got == checked and hash(got) == hash(checked)
+    for a, m, p in built:
+        for b, m2, p2 in built:
+            assert (a == b) == ((m, p) == (m2, p2)), (word, a.reach, b.reach)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_reach_kernels_match_the_pair_set_formulas(n):
+    for w in enumerate_dyck(n):
+        _assert_kernels_match_the_pair_sets(w)
+
+
+@given(_dyck_words(st.integers(0, 12)))
+def test_reach_kernels_match_the_pair_set_formulas_up_to_dimension_12(word):
+    _assert_kernels_match_the_pair_sets(word)
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_word_and_relation_kernels_refuse_an_index_alike(n):
+    for w in enumerate_dyck(n):
+        for i in range(-1, n + 3):
+            for word_op, rel_op in ((face, relation_face), (degeneracy, relation_degeneracy)):
+                want = _outcome(word_op, w, i)
+                if isinstance(want, str):
+                    want = to_relation(want)
+                assert _outcome(rel_op, to_relation(w), i) == want, (w, i, word_op.__name__)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: face("UUDD", 2),
+        lambda: degeneracy("UD", -1),
+        lambda: relation_face(to_relation("UUDD"), 2),
+        lambda: relation_degeneracy(to_relation("UD"), 1),
+        lambda: sset.catalan_sset(1).level(2),
+    ],
+    ids=["face", "degeneracy", "relation_face", "relation_degeneracy", "level"],
+)
+def test_index_out_of_range_is_a_package_error_and_an_index_error(call):
+    with pytest.raises(CatssetError) as info:
+        call()
+    assert isinstance(info.value, IndexError)
+    assert "out of range" in str(info.value) or "outside truncation" in str(info.value)
 
 
 def _reference_is_k_relation(pairs, n):
