@@ -22,9 +22,11 @@ as ``wall_s``.  ``ratios`` holds ``min_ratio``, the change's fastest run
 over the parent's (below 1 is faster), and ``round_ratios``, the
 quartiles of the change/parent ratios within one round.  When the host
 changes speed during a case, the two minima can come from different
-speeds and ``min_ratio`` falls outside the quartiles; ``ratios`` then
-records ``min_outside_rounds`` true and the case's line is marked, and
-the quartiles are the reading to trust.
+speeds and ``min_ratio`` falls outside the quartiles by more than 1.5
+interquartile distances, the fence past which a reading is an outlier
+rather than scatter; ``ratios`` then records ``min_outside_rounds`` true
+and the case's line is marked, and the quartiles are the reading to
+trust.
 A run against a revision equal to the checkout (an A/A run) shows the
 noise band.
 
@@ -229,6 +231,16 @@ def _surjections(api, n: int):
     return lambda: {"words_rebuilt": sum(dyck.apply_surjection(phi, core) == w for (phi, core), w in cases)}
 
 
+def _structure_library(api):
+    """``structure_library()``: the library's structures, each built from its tables and checked."""
+
+    def run() -> dict:
+        structures = api.library.structure_library().values()
+        return {"structures": len(structures), "morphisms": sum(len(m.category.morphisms) for m in structures)}
+
+    return run
+
+
 def _classify_library(api):
     """``classify_maps`` of each structure of the library."""
     structures = list(api.library.structure_library().values())
@@ -399,6 +411,7 @@ CASES = [
     ("relations", "from_relation", {"relations": "enumerate_k_relations(9)"}, _from_relations, 9),
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls, 200),
     ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections, 8),
+    ("finmon", "structure_library", {}, _structure_library),
     ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library),
     ("classify", "verify_classification", {"structures": "structure_library()"}, _verify_classification_library),
     ("classify", "classify job", {"structures": "structure_library()", "N": 4}, _classify_jobs),
@@ -555,7 +568,8 @@ def compare(layer: str, case: str, params: dict, got: dict, doc: dict) -> bool:
         rounds = [c / p for c, p in zip(change["times"], parent["times"])]
         min_ratio = round(min(change["times"]) / min(parent["times"]), 3)
         quartiles = [round(q, 3) for q in statistics.quantiles(rounds, n=4)]
-        outside = not quartiles[0] <= min_ratio <= quartiles[2]
+        fence = 1.5 * (quartiles[2] - quartiles[0])
+        outside = not quartiles[0] - fence <= min_ratio <= quartiles[2] + fence
         ratio.update(min_ratio=min_ratio, round_ratios=quartiles, min_outside_rounds=outside)
         before, after = parent["work"], change["work"]
         notes = ["MIN OUTSIDE ROUNDS"] * outside

@@ -9,7 +9,7 @@ reports so faults can be listed rather than swallowed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SchemaError, StructuralError
@@ -389,6 +389,12 @@ class FinMonoidalStructure:
         return cls.from_json_dict(parse_json_text(text))
 
 
+def _require_laws(problems: list[LawViolation]) -> None:
+    """Raise StructuralError naming the first of ``problems`` and their number, if there are any."""
+    if problems:
+        raise StructuralError(f"structure violates the laws: {problems[0]} ({len(problems)} total)")
+
+
 def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
     """Bifunctoriality, strict associativity/unitality and identity constraints.
 
@@ -457,9 +463,6 @@ class Poset:
                 if b2 == b and (a, c) not in self.leq:
                     raise StructuralError(f"order is not transitive via {b!r}")
 
-    def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
-
 
 def chain_poset(labels: Sequence[str]) -> Poset:
     """The total order on ``labels`` in the given sequence order."""
@@ -476,37 +479,25 @@ def antichain_poset(labels: Sequence[str]) -> Poset:
 
 @dataclass(frozen=True)
 class MonoidalPoset:
-    """A poset with a monotone, associative, strictly unital tensor."""
+    """A poset with a monotone, associative, strictly unital tensor.
+
+    Construction builds the thin category once, for :func:`poset_as_category`, and raises
+    StructuralError unless it is strict monoidal; a non-monotone table leaves some
+    (a <= b) (x) (c <= d) without a witness, which its constructor rejects.
+    """
 
     poset: Poset
     tensor: Mapping[tuple[str, str], str]
     unit: str
+    _structure: FinMonoidalStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tensor", dict(self.tensor))
-        elems = self.poset.elements
-        if self.unit not in elems:
-            raise StructuralError(f"unit {self.unit!r} is not an element")
-        for a in elems:
-            for b in elems:
-                if (a, b) not in self.tensor:
-                    raise StructuralError(f"tensor undefined on ({a!r}, {b!r})")
-                if self.tensor[(a, b)] not in elems:
-                    raise StructuralError(f"tensor hits unknown element on ({a!r}, {b!r})")
-        t = self.tensor
-        for a in elems:
-            if t[(self.unit, a)] != a or t[(a, self.unit)] != a:
-                raise StructuralError(f"tensor is not strictly unital at {a!r}")
-            for b in elems:
-                for c in elems:
-                    if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
-                        raise StructuralError("tensor is not associative")
-        for a, b in self.poset.leq:
-            for c in elems:
-                if not self.poset.le(t[(a, c)], t[(b, c)]):
-                    raise StructuralError("tensor is not monotone in the first argument")
-                if not self.poset.le(t[(c, a)], t[(c, b)]):
-                    raise StructuralError("tensor is not monotone in the second argument")
+        m = FinMonoidalStructure(
+            poset_category(self.poset), self.tensor, poset_mor_tensor(self.poset, self.tensor), self.unit
+        )
+        _require_laws(validate_strict_monoidal(m))
+        object.__setattr__(self, "_structure", m)
 
 
 def leq_label(a: str, b: str) -> str:
@@ -526,19 +517,18 @@ def poset_category(p: Poset) -> FinCategory:
 
 
 def poset_mor_tensor(p: Poset, tensor: Mapping[tuple[str, str], str]) -> dict[tuple[str, str], str]:
-    """The tensor on order witnesses: (a <= b) (x) (c <= d) is ac <= bd."""
+    """The tensor on order witnesses: (a <= b) (x) (c <= d) is ac <= bd, where both are defined."""
     return {
         (leq_label(a, b), leq_label(c, d)): leq_label(tensor[(a, c)], tensor[(b, d)])
         for a, b in p.leq
         for c, d in p.leq
+        if (a, c) in tensor and (b, d) in tensor
     }
 
 
 def poset_as_category(mp: MonoidalPoset) -> FinMonoidalStructure:
-    """A monoidal poset as a strict monoidal category by tables."""
-    return FinMonoidalStructure(
-        poset_category(mp.poset), mp.tensor, poset_mor_tensor(mp.poset, mp.tensor), mp.unit
-    )
+    """A monoidal poset as a strict monoidal category by tables, the one its construction checked."""
+    return mp._structure
 
 
 @dataclass(frozen=True)

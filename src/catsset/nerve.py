@@ -15,7 +15,7 @@ from itertools import compress
 from operator import eq
 
 from .errors import BudgetExceededError, StructuralError
-from .finmon import FinMonoidalStructure, validate_strict_monoidal
+from .finmon import FinMonoidalStructure, _require_laws, validate_strict_monoidal
 from .sset import TruncatedSSet, _add_level, _extended, _join, _take
 
 
@@ -38,21 +38,17 @@ def monoidal_nerve(
 ) -> TruncatedSSet:
     """The nerve of ``m`` truncated at dimension N.
 
-    The 3-truncation is built into table lists from a structure that is
-    checked first, and the levels above 3 are its coskeletal extension
-    (:func:`~catsset.sset._extended`), so the result is built unchecked,
-    keeps the filler indexes of its levels from 3 up and is marked
+    The 3-truncation is built into table lists from ``m`` once
+    :func:`~catsset.finmon.validate_strict_monoidal` passes it (StructuralError
+    names its first violation otherwise), and the levels above 3 are its
+    coskeletal extension (:func:`~catsset.sset._extended`), so the result is
+    built unchecked, keeps the filler indexes of its levels from 3 up and is marked
     coskeletal from level 4.  A size guard aborts construction when the
     result would hold more than ``max_simplices`` simplices in total.
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
-    problems = validate_strict_monoidal(m)
-    if problems:
-        raise StructuralError(
-            f"structure is not strict monoidal: {problems[0]} "
-            f"({len(problems)} violation(s))"
-        )
+    _require_laws(validate_strict_monoidal(m))
     cat = m.category
 
     levels: list[list[str]] = [["*"]]

@@ -84,3 +84,7 @@ def test_a_min_ratio_outside_the_round_quartiles_is_flagged():
     ratio, line = _compared(bench, [1.0, 1.1, 1.0, 1.2, 1.0, 1.0, 1.1], [0.8, 0.9, 0.8, 1.0, 0.8, 0.8, 0.9])
     assert ratio["round_ratios"][0] <= ratio["min_ratio"] <= ratio["round_ratios"][2]
     assert ratio["min_outside_rounds"] is False and "MIN OUTSIDE ROUNDS" not in line
+    # routine scatter: a minimum just below the quartiles lies inside the fence
+    ratio, line = _compared(bench, [1.0] * 7, [0.972, 0.974, 0.974, 1.0, 1.018, 1.018, 1.05])
+    assert ratio["min_ratio"] == 0.972 and ratio["round_ratios"][0] == 0.974 and ratio["round_ratios"][2] == 1.018
+    assert ratio["min_outside_rounds"] is False and "MIN OUTSIDE ROUNDS" not in line

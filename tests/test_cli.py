@@ -8,6 +8,7 @@ import pytest
 
 import catsset.classify
 import catsset.cli
+import catsset.finmon
 from catsset.cli import main
 from catsset.errors import SchemaError, StructuralError
 from catsset.finmon import FinCategory, FinMonoidalStructure
@@ -261,6 +262,23 @@ def test_classify_builds_the_nerve_once(capsys, monkeypatch):
     assert built == [3]
 
 
+def test_classify_checks_the_strict_laws_once(capsys, monkeypatch):
+    checked = []
+    real = catsset.finmon.validate_strict_monoidal
+
+    def counting(m):
+        checked.append(m)
+        return real(m)
+
+    # every module of the package that holds the validator calls the counting one
+    for name, module in list(sys.modules.items()):
+        if name.startswith("catsset.") and hasattr(module, "validate_strict_monoidal"):
+            monkeypatch.setattr(module, "validate_strict_monoidal", counting)
+    code, out, _ = run(capsys, "classify", str(EXAMPLES / "two-or.json"))
+    assert code == 0 and "three-way agreement: true" in out
+    assert len(checked) == 1
+
+
 def test_classify_shipped_examples(capsys):
     code, out, _ = run(capsys, "classify", "docs/examples/chain3-max.json")
     assert code == 0
@@ -356,25 +374,37 @@ def _square_the_unit_to_z(doc):
     doc["kappa"] = "1"
 
 
-# edits of docs/examples skew data whose category breaks the laws, and the first violation
+def _drop_a_composite(doc):
+    doc["compose"].remove(["top<=top", "bot<=top", "bot<=top"])
+
+
+# edits of docs/examples data whose category breaks the laws, the command given the file, and the
+# first violation; classify, like skew check, names it before any strict law is read
 BROKEN_CATEGORIES = {
     "non-composable": (
+        ["skew", "check"],
         "skew-two-or.json",
         _add_non_composable_entry,
         "composability at ('bot<=bot', 'top<=top'): table entry for a non-composable pair (1 total)",
     ),
-    "unit-squared": ("skew-kappa-z.json", _square_the_unit_to_z, "left identity at ('1',): id . 1 = z (2 total)"),
+    "unit-squared": (["skew", "check"], "skew-kappa-z.json", _square_the_unit_to_z, "left identity at ('1',): id . 1 = z (2 total)"),
+    "classify-missing-composite": (
+        ["classify"],
+        "two-or.json",
+        _drop_a_composite,
+        "composability at ('top<=top', 'bot<=top'): composable pair missing from table (2 total)",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_CATEGORIES))
 def test_skew_check_rejects_a_category_that_breaks_the_laws(tmp_path, capsys, case):
-    example, edit, violation = BROKEN_CATEGORIES[case]
+    command, example, edit, violation = BROKEN_CATEGORIES[case]
     doc = json.loads((EXAMPLES / example).read_text())
     edit(doc)
     bad = tmp_path / example
     bad.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "skew", "check", str(bad))
+    code, out, err = run(capsys, *command, str(bad))
     assert (code, out) == (2, "")
     assert err == f"error: structure violates the laws: {violation}\n"
 

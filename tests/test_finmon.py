@@ -8,6 +8,7 @@ from catsset.finmon import (
     FinMonoidalStructure,
     MonoidalPoset,
     Poset,
+    antichain_poset,
     chain_poset,
     enumerate_monoids,
     monoid_laws_hold,
@@ -129,6 +130,19 @@ def test_poset_validation():
     }
     with pytest.raises(StructuralError):
         MonoidalPoset(chain_poset(["0", "1"]), non_monotone, "x")
+    # one table per law, each with a valid unit
+    chain = chain_poset(["0", "1"])
+    unit_zero = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1"}
+    ab = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "a"}
+    for poset, tensor, unit in (
+        (chain, dict.fromkeys(unit_zero, "0") | {("1", "1"): "0"}, "0"),  # not unital
+        # not associative: (ba)b = bb = a, but b(ab) = ba = b
+        (antichain_poset(["a", "b", "e"]), ab | {(x, "e"): x for x in "abe"} | {("e", x): x for x in "abe"}, "e"),
+        (chain, unit_zero | {("1", "1"): "0"}, "0"),  # not monotone: (0 <= 1) (x) (1 <= 1) is 1 <= 0
+        (chain, unit_zero | {("1", "1"): "2"}, "0"),  # a value outside the poset
+    ):
+        with pytest.raises(StructuralError):
+            MonoidalPoset(poset, tensor, unit)
 
 
 def test_monoid_counts():
