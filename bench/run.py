@@ -326,6 +326,25 @@ def _strict_checks(api, carrier: str):
     return run
 
 
+def _library_checks(api):
+    """``skew_from_strict(m, kappa)``, then ``check_axioms`` and ``check_pentagons``, for each
+    library structure with identity kappa and with each other endomorphism of the unit."""
+    skew = api.skew
+    subjects = []
+    for m in api.library.structure_library().values():
+        unit_id = m.category.id_of(m.unit)
+        subjects += [(m, None)] + [(m, k) for k in m.category.hom(m.unit, m.unit) if k != unit_id]
+
+    def run() -> dict:
+        reports = []
+        for m, kappa in subjects:
+            d = skew.skew_from_strict(m, kappa)
+            reports += [skew.check_axioms(d), skew.check_pentagons(d)]
+        return {"reports": len(reports), "reports_hold": sum(r.all_hold for r in reports)}
+
+    return run
+
+
 def _skew_check_calls(api, files: list[str], rounds: int):
     """``rounds`` in-process ``catsset skew check FILE --json`` calls per file, tallied by exit code."""
 
@@ -403,6 +422,12 @@ CASES = [
     ),
     *(("skew", "sweep_equivalence", {"carrier": c}, _sweep, c) for c in SWEEP_CARRIERS),
     ("skew", "check_axioms+check_pentagons", {"structures": "strict on chain3"}, _strict_checks, "chain3"),
+    (
+        "skew",
+        "skew_from_strict+check_axioms+check_pentagons",
+        {"structures": "structure_library()", "kappa": "each endomorphism of the unit"},
+        _library_checks,
+    ),
     ("cli", "skew check", {"files": SKEW_DOCS, "rounds": 20}, _skew_check_calls, SKEW_DOCS, 20),
     ("relations", "filler", {"words": "enumerate_dyck(8)"}, _fillers, 8),
     ("relations", "relation_face", {"relations": "enumerate_k_relations(8)"}, _relation_faces, 8),

@@ -249,9 +249,11 @@ def tensor_violations(
 
     Checked in order: totality and dangling entries of the object table,
     then of the morphism table together with the typing of each entry,
-    then tensors of identities, then interchange.  The morphism table is
-    read only once the object table is total, and identities and
-    interchange only once the morphism table is total and typed.
+    then tensors of identities, then composable pairs missing from the
+    composition table, then interchange.  The morphism table is read only
+    once the object table is total, identities only once the morphism
+    table is total and typed, and interchange only once, in addition,
+    every composable pair has its composite.
     """
     objs = cat.objects
     objset = set(objs)
@@ -287,7 +289,12 @@ def tensor_violations(
             if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
                 detail = f"tensor of identities at {(a, b)!r} is not an identity"
                 yield LawViolation("identity tensor", (a, b), detail)
-    composites = [(g, f, cat.compose(g, f)) for g in mors for f in mors if cat.is_composable(g, f)]
+    composites = [(g, f, cat.composition.get((g, f))) for g in mors for f in mors if cat.is_composable(g, f)]
+    missing = [(g, f) for g, f, gf in composites if gf is None]
+    for pair in missing:
+        yield LawViolation("composability", pair, "composable pair missing from table")
+    if missing:
+        return
     for g, f, gf in composites:
         for g2, f2, g2f2 in composites:
             if mor_tensor[(gf, g2f2)] != cat.compose(mor_tensor[(g, g2)], mor_tensor[(f, f2)]):

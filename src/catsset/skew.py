@@ -9,7 +9,9 @@ Dyck-word simplicial set, and the two families agree exactly when kappa
 is the identity.
 
 Every condition is evaluated pointwise as an equation between edge-path
-composites read off the tables; nothing is normalized or rewritten.
+composites; nothing is normalized or rewritten.  The conditions read
+index rows, integer tables built once per check call or sweep pick, and
+labels appear only in reports.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class SkewData(FinMonoidalStructure):
         super().__init__(category, obj_tensor, mor_tensor, unit)
         violation = next(tensor_violations(category, self.obj_tensor, self.mor_tensor), None)
         if violation is not None:
-            raise StructuralError(violation.detail)
+            # a tensor violation names its cells in the detail, a missing composite in the subject
+            raise StructuralError(str(violation) if violation.law == "composability" else violation.detail)
         self.alpha = dict(alpha)
         self.lam = dict(lam)
         self.rho = dict(rho)
@@ -213,100 +216,105 @@ def _lambda_rho_naturality_violations(
             yield LawViolation("rho naturality", (f,), f"{left} != {right}")
 
 
-def _chain(cat: FinCategory, path: Sequence[str]) -> str:
-    """Composite of a path, first morphism applied first."""
-    out = path[0]
-    for f in path[1:]:
-        out = cat.composition[(f, out)]
-    return out
+class _Rows:
+    """Skew data as nested lists of indices into its sorted objects ``objs`` and morphisms ``mors``.
+
+    ``comp[g][f]`` is g after f, or -1 where they do not compose; ``ids``,
+    ``t``, ``tm``, ``alpha``, ``lam``, ``rho`` and ``unit`` are the
+    identities, the tensors, the components and the unit.  ``kappa`` is
+    set only on the pentagon route, so the axioms never read it.  Rows
+    live for one check call or sweep pick and are never stored.
+    """
+
+    __slots__ = ("objs", "mors", "comp", "ids", "t", "tm", "alpha", "lam", "rho", "unit", "kappa")
+
+    def __init__(self, d: SkewData, kappa: bool = False) -> None:
+        c = d.category
+        objs = self.objs = sorted(c.objects)
+        mors = self.mors = sorted(c.morphism_labels())
+        obj, mor = {a: k for k, a in enumerate(objs)}, {f: k for k, f in enumerate(mors)}
+        self.comp = [[-1] * len(mors) for _ in mors]
+        for (g, f), gf in c.composition.items():
+            self.comp[mor[g]][mor[f]] = mor[gf]
+        self.ids = [mor[c.identities[a]] for a in objs]
+        self.t = [[obj[d.obj_tensor[(a, b)]] for b in objs] for a in objs]
+        self.tm = [[mor[d.mor_tensor[(f, g)]] for g in mors] for f in mors]
+        self.alpha = [[[mor[d.alpha[(a, b, e)]] for e in objs] for b in objs] for a in objs]
+        self.lam, self.rho = [mor[d.lam[a]] for a in objs], [mor[d.rho[a]] for a in objs]
+        self.unit = obj[d.unit]
+        if kappa:
+            self.kappa = mor[d.kappa]
 
 
-# Each condition maps an object tuple to a (left path, right path) pair of
-# edge lists; the condition holds when the two composites agree.  The
-# tables and composites are read by subscript: SkewData construction, or
-# the search that drew the pick, has checked every entry they reach.
+# Each condition maps rows and an object index tuple to a (left path,
+# right path) pair of morphism index lists, first morphism applied first;
+# the condition holds when the two composites agree.  The rows are read
+# by subscript: SkewData construction, or the search that drew the pick,
+# has checked every entry they reach.
 
 
-def _pentagon_alpha(d: SkewData, A: str, B: str, C: str, D: str):
-    ids, t, tm, alpha = d.category.identities, d.obj_tensor, d.mor_tensor, d.alpha
-    top = [alpha[(t[(A, B)], C, D)], alpha[(A, B, t[(C, D)])]]
-    bottom = [
-        tm[(alpha[(A, B, C)], ids[D])],
-        alpha[(A, t[(B, C)], D)],
-        tm[(ids[A], alpha[(B, C, D)])],
-    ]
+def _pentagon_alpha(r: _Rows, A: int, B: int, C: int, D: int):
+    ids, t, tm, alpha = r.ids, r.t, r.tm, r.alpha
+    top = [alpha[t[A][B]][C][D], alpha[A][B][t[C][D]]]
+    bottom = [tm[alpha[A][B][C]][ids[D]], alpha[A][t[B][C]][D], tm[ids[A]][alpha[B][C][D]]]
     return top, bottom
 
 
-def _triangle_middle(d: SkewData, A: str, B: str):
-    ids, tm = d.category.identities, d.mor_tensor
-    top = [ids[d.obj_tensor[(A, B)]]]
-    bottom = [tm[(d.rho[A], ids[B])], d.alpha[(A, d.unit, B)], tm[(ids[A], d.lam[B])]]
-    return top, bottom
+def _triangle_middle(r: _Rows, A: int, B: int):
+    ids, tm = r.ids, r.tm
+    return [ids[r.t[A][B]]], [tm[r.rho[A]][ids[B]], r.alpha[A][r.unit][B], tm[ids[A]][r.lam[B]]]
 
 
-def _triangle_left(d: SkewData, A: str, B: str):
-    top = [d.alpha[(d.unit, A, B)], d.lam[d.obj_tensor[(A, B)]]]
-    bottom = [d.mor_tensor[(d.lam[A], d.category.identities[B])]]
-    return top, bottom
+def _triangle_left(r: _Rows, A: int, B: int):
+    return [r.alpha[r.unit][A][B], r.lam[r.t[A][B]]], [r.tm[r.lam[A]][r.ids[B]]]
 
 
-def _triangle_right(d: SkewData, A: str, B: str):
-    top = [d.rho[d.obj_tensor[(A, B)]], d.alpha[(A, B, d.unit)]]
-    bottom = [d.mor_tensor[(d.category.identities[A], d.rho[B])]]
-    return top, bottom
+def _triangle_right(r: _Rows, A: int, B: int):
+    return [r.rho[r.t[A][B]], r.alpha[A][B][r.unit]], [r.tm[r.ids[A]][r.rho[B]]]
 
 
-def _unit_loop(d: SkewData):
-    top = [d.rho[d.unit], d.lam[d.unit]]
-    bottom = [d.category.identities[d.unit]]
-    return top, bottom
+def _unit_loop(r: _Rows):
+    return [r.rho[r.unit], r.lam[r.unit]], [r.ids[r.unit]]
 
 
-def _pent_a2(d: SkewData, A: str, B: str):
-    top, bottom = _triangle_middle(d, A, B)
+def _pent_a2(r: _Rows, A: int, B: int):
+    top, bottom = _triangle_middle(r, A, B)
     return top * 2, bottom
 
 
-def _pent_a3(d: SkewData, A: str, B: str):
-    top, bottom = _triangle_left(d, A, B)
-    return top, bottom + [d.category.identities[d.obj_tensor[(A, B)]]] * 2
+def _pent_a3(r: _Rows, A: int, B: int):
+    top, bottom = _triangle_left(r, A, B)
+    return top, bottom + [r.ids[r.t[A][B]]] * 2
 
 
-def _pent_a4(d: SkewData, A: str, B: str):
-    top, bottom = _triangle_right(d, A, B)
-    return top, [d.category.identities[d.obj_tensor[(A, B)]]] * 2 + bottom
+def _pent_a4(r: _Rows, A: int, B: int):
+    top, bottom = _triangle_right(r, A, B)
+    return top, [r.ids[r.t[A][B]]] * 2 + bottom
 
 
-def _pent_a5(d: SkewData):
-    idu = d.category.identities[d.unit]
-    return [idu, idu], [idu, d.kappa, idu]
+def _pent_a5(r: _Rows):
+    idu = r.ids[r.unit]
+    return [idu, idu], [idu, r.kappa, idu]
 
 
-def _pent_a6(d: SkewData):
-    idu = d.category.identities[d.unit]
-    return [d.rho[d.unit], d.lam[d.unit]], [idu, d.kappa, idu]
+def _pent_a6(r: _Rows):
+    idu = r.ids[r.unit]
+    return [r.rho[r.unit], r.lam[r.unit]], [idu, r.kappa, idu]
 
 
-def _pent_a7(d: SkewData):
-    idu = d.category.identities[d.unit]
-    return [d.rho[d.unit], d.lam[d.unit]], [d.kappa, idu, d.kappa]
+def _pent_a7(r: _Rows):
+    idu = r.ids[r.unit]
+    return [r.rho[r.unit], r.lam[r.unit]], [r.kappa, idu, r.kappa]
 
 
-def _pent_a8(d: SkewData, A: str):
-    ids = d.category.identities
-    ai = ids[d.obj_tensor[(A, d.unit)]]
-    top = [d.rho[A], ai]
-    bottom = [d.rho[A], ai, d.mor_tensor[(ids[A], d.kappa)]]
-    return top, bottom
+def _pent_a8(r: _Rows, A: int):
+    ai = r.ids[r.t[A][r.unit]]
+    return [r.rho[A], ai], [r.rho[A], ai, r.tm[r.ids[A]][r.kappa]]
 
 
-def _pent_a9(d: SkewData, A: str):
-    ids = d.category.identities
-    ia = ids[d.obj_tensor[(d.unit, A)]]
-    top = [ia, d.lam[A]]
-    bottom = [d.mor_tensor[(d.kappa, ids[A])], ia, d.lam[A]]
-    return top, bottom
+def _pent_a9(r: _Rows, A: int):
+    ia = r.ids[r.t[r.unit][A]]
+    return [ia, r.lam[A]], [r.tm[r.kappa][r.ids[A]], ia, r.lam[A]]
 
 
 AXIOMS: tuple[tuple[str, int, object], ...] = (
@@ -330,27 +338,38 @@ PENTAGONS: tuple[tuple[str, int, object], ...] = (
 )
 
 
-def _evaluate(d: SkewData, table, known: Mapping = {}) -> ConditionReport:
-    """The report of ``table`` on d; a condition function in ``known`` takes its witness from there."""
+def _witness(r: _Rows, arity: int, fn) -> tuple[int, ...] | None:
+    """The first object index tuple, in ``product`` order, where fn's two paths differ, or None."""
+    comp = r.comp
+    for tup in product(range(len(r.objs)), repeat=arity):
+        left, right = fn(r, *tup)
+        x = left[0]
+        for f in left[1:]:
+            x = comp[f][x]
+        y = right[0]
+        for f in right[1:]:
+            y = comp[f][y]
+        if x != y:
+            return tup
+    return None
+
+
+def _evaluate(rows: _Rows, table, known: Mapping = {}) -> ConditionReport:
+    """The report of ``table`` on the rows; a condition function in ``known`` takes its witness from there."""
     results = []
-    objs = sorted(d.category.objects)
     for name, arity, fn in table:
         if fn in known:
-            results.append(ConditionResult(name, known[fn] is None, known[fn]))
-            continue
-        witness = None
-        for tup in product(objs, repeat=arity):
-            left, right = fn(d, *tup)
-            if _chain(d.category, left) != _chain(d.category, right):
-                witness = tup
-                break
+            witness = known[fn]
+        else:
+            found = _witness(rows, arity, fn)
+            witness = None if found is None else tuple(rows.objs[k] for k in found)
         results.append(ConditionResult(name, witness is None, witness))
     return ConditionReport(tuple(results))
 
 
 def check_axioms(d: SkewData) -> ConditionReport:
     """The five skew-monoidal axioms, evaluated pointwise over object tuples."""
-    return _evaluate(d, AXIOMS)
+    return _evaluate(_Rows(d), AXIOMS)
 
 
 def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> ConditionReport:
@@ -360,7 +379,7 @@ def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> Condi
     5.1) takes the axiom's result instead of being evaluated again.
     """
     known = {} if axioms is None else {fn: axioms.result(name).witness for name, _, fn in AXIOMS}
-    return _evaluate(d, PENTAGONS, known)
+    return _evaluate(_Rows(d, kappa=True), PENTAGONS, known)
 
 
 def equivalence_consistent(axioms: ConditionReport, pentagons: ConditionReport, identity_kappa: bool) -> bool:
@@ -627,8 +646,10 @@ def sweep_equivalence(
 ) -> SweepSummary:
     """Exhaustively verify the pentagon/axiom equivalence over a carrier.
 
-    Only natural candidates are built.  The axioms, which do not read
-    kappa, run once per pick, and the pentagons once per kappa.
+    Only natural candidates are evaluated, on rows built once per pick,
+    and only their verdicts are kept.  The axioms, which do not read
+    kappa, run once per pick, and the pentagons once per kappa, A1 taking
+    the verdict of 5.1.
     """
     candidates = 0
     natural = 0
@@ -642,15 +663,20 @@ def sweep_equivalence(
         if not is_natural:
             continue
         natural += len(kappas)
-        ds = [SkewData._over_bifunctor(cat, *tables, kappa) for kappa in kappas]
-        axioms = check_axioms(ds[0])
-        for d in ds:
-            identity_kappa = d.kappa == cat.identities[d.unit]
-            pentagons = check_pentagons(d, axioms)
-            equivalence &= equivalence_consistent(axioms, pentagons, identity_kappa)
-            a5_forces &= identity_kappa or not pentagons.result("A5").holds
-            a8_a9 &= not identity_kappa or pentagons.result("A8").holds and pentagons.result("A9").holds
-            structures += identity_kappa and axioms.all_hold
+        rows = _Rows(SkewData._over_bifunctor(cat, *tables, None))
+        axioms = {fn: _witness(rows, arity, fn) for _, arity, fn in AXIOMS}
+        axioms_hold = all(w is None for w in axioms.values())
+        for kappa in kappas:
+            rows.kappa = rows.mors.index(kappa)
+            identity_kappa = rows.kappa == rows.ids[rows.unit]
+            holds = {
+                name: (axioms[fn] if fn in axioms else _witness(rows, arity, fn)) is None
+                for name, arity, fn in PENTAGONS
+            }
+            equivalence &= all(holds.values()) == (axioms_hold and identity_kappa)
+            a5_forces &= identity_kappa or not holds["A5"]
+            a8_a9 &= not identity_kappa or holds["A8"] and holds["A9"]
+            structures += identity_kappa and axioms_hold
     return SweepSummary(
         candidates=candidates,
         natural_candidates=natural,

@@ -409,6 +409,17 @@ def test_skew_check_rejects_a_category_that_breaks_the_laws(tmp_path, capsys, ca
     assert err == f"error: structure violates the laws: {violation}\n"
 
 
+def test_skew_check_names_a_missing_composite(tmp_path, capsys):
+    # the skew data cannot be built, so the category's laws are never checked
+    doc = json.loads((EXAMPLES / "skew-two-or.json").read_text())
+    _drop_a_composite(doc)
+    bad = tmp_path / "skew-two-or.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "skew", "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: composability at ('top<=top', 'bot<=top'): composable pair missing from table\n"
+
+
 @pytest.mark.parametrize("table", ("obj_tensor", "mor_tensor", "alpha", "lambda", "rho"))
 def test_skew_check_rejects_unknown_labels(tmp_path, capsys, table):
     # a copy of the first row keyed on a label the category does not have

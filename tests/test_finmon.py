@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from catsset.errors import SchemaError, StructuralError
 from catsset.finmon import (
     FinCategory,
     FinMonoidalStructure,
+    LawViolation,
     MonoidalPoset,
     Poset,
     antichain_poset,
@@ -23,6 +26,7 @@ from catsset.library import (
     zmonoid,
     zmonoid_category,
 )
+from catsset.nerve import monoidal_nerve
 
 
 def test_zmonoid_category_is_lawful():
@@ -101,6 +105,21 @@ def test_validate_strict_monoidal_library(library):
     for name, m in library.items():
         assert validate_category(m.category) == [], name
         assert validate_strict_monoidal(m) == [], name
+
+
+def test_a_missing_composite_is_listed_before_interchange():
+    # docs/examples/two-or.json without its compose row (top<=top, bot<=top)
+    path = Path(__file__).resolve().parent.parent / "docs" / "examples" / "two-or.json"
+    doc = json.loads(path.read_text())
+    doc["compose"].remove(["top<=top", "bot<=top", "bot<=top"])
+    m = FinMonoidalStructure.from_json_dict(doc)
+    missing = LawViolation("composability", ("top<=top", "bot<=top"), "composable pair missing from table")
+    assert missing in validate_category(m.category)
+    assert validate_strict_monoidal(m) == [missing]
+    message = f"structure violates the laws: {missing} (1 total)"
+    with pytest.raises(StructuralError) as exc:
+        monoidal_nerve(m, 3)
+    assert str(exc.value) == message
 
 
 def test_validate_strict_monoidal_flags_bad_unit():

@@ -409,6 +409,14 @@ FLAG_CARRIERS = {
     "monoid-1ab": monoid_1ab,
 }
 
+#: FLAG_CARRIERS as a sweep takes them: a poset as a poset, whose thin category it searches.
+SWEPT_CARRIERS = {
+    **FLAG_CARRIERS,
+    "chain2": lambda: chain_poset(["0", "1"]),
+    "chain3": lambda: chain_poset(["0", "1", "2"]),
+    "antichain3": lambda: antichain_poset(["0", "1", "2"]),
+}
+
 
 @pytest.mark.parametrize("carrier_name", list(FLAG_CARRIERS))
 def test_search_naturality_flag_is_check_naturality(carrier_name):
@@ -493,6 +501,55 @@ def test_condition_reports_are_pinned(carrier_name):
     assert (count, h.hexdigest()) == REPORT_GOLDEN[carrier_name]
 
 
+def _summary_from_reports(cat: FinCategory) -> SweepSummary:
+    """The sweep summary from the public reports of every natural candidate, one candidate at a time."""
+    candidates = natural = structures = 0
+    equivalence = a5_forces = a8_a9 = True
+    for d, is_natural in _category_candidates(cat):
+        candidates += 1
+        if not is_natural:
+            continue
+        natural += 1
+        axioms, pentagons = check_axioms(d), check_pentagons(d)
+        identity_kappa = d.kappa == cat.id_of(d.unit)
+        equivalence &= pentagons.all_hold == (axioms.all_hold and identity_kappa)
+        a5_forces &= identity_kappa or not pentagons.result("A5").holds
+        a8_a9 &= not identity_kappa or pentagons.result("A8").holds and pentagons.result("A9").holds
+        structures += identity_kappa and axioms.all_hold
+    return SweepSummary(candidates, natural, equivalence, a5_forces, a8_a9, structures)
+
+
+@pytest.mark.parametrize("carrier_name", [*FLAG_CARRIERS, "isomorphic-pair"])
+def test_sweep_summary_is_the_reports_of_every_natural_candidate(carrier_name):
+    # the sweep reads verdicts once per the picks they depend on; the public
+    # reports of each candidate on its own must give the same summary
+    if carrier_name == "isomorphic-pair":
+        carrier, budget = isomorphic_pair(), 2**4 * 4**16
+    else:
+        carrier, budget = SWEPT_CARRIERS[carrier_name](), 1_000_000
+    summary = _summary_from_reports(skew._swept_category(carrier, budget))
+    assert sweep_equivalence(carrier, budget) == summary
+
+
+#: Condition evaluations of each sweep: five axioms per natural pick and,
+#: A1 taking 5.1's verdict, eight pentagons per natural candidate.
+SWEEP_EVALUATIONS = {
+    "chain2": 52, "chain3": 377, "antichain3": 429, "zmonoid": 378, "chain2-category": 52, "monoid-1ab": 6032,
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(SWEEP_EVALUATIONS))
+def test_sweep_evaluation_count_is_pinned(carrier_name, monkeypatch):
+    calls, results = [], []
+    witness, result = skew._witness, skew.ConditionResult
+    monkeypatch.setattr(skew, "_witness", lambda *args: calls.append(args) or witness(*args))
+    monkeypatch.setattr(skew, "ConditionResult", lambda *args: results.append(args) or result(*args))
+    summary = sweep_equivalence(SWEPT_CARRIERS[carrier_name]())
+    picks = len({id(rows) for rows, _, _ in calls})
+    assert len(calls) == SWEEP_EVALUATIONS[carrier_name] == 5 * picks + 8 * summary.natural_candidates
+    assert results == []
+
+
 class _KappaTrap(SkewData):
     """Skew data whose kappa cannot be read."""
 
@@ -530,8 +587,8 @@ def test_enumerated_structures_are_the_filtered_stream(carrier_name):
 def test_sweep_evaluates_a5_for_every_kappa(monkeypatch):
     # a planted A5 that ignores kappa holds for kappa = z, which the sweep
     # must see although it evaluates the axioms once per pick
-    def a5_without_kappa(d):
-        idu = d.category.id_of(d.unit)
+    def a5_without_kappa(r):
+        idu = r.ids[r.unit]
         return [idu, idu], [idu, idu, idu]
 
     planted = tuple(
@@ -627,6 +684,12 @@ def _with_identities(c: FinCategory, path, source: str) -> list[str]:
     return out
 
 
+def _hand_paths(rows, fn, args):
+    """The hand-written condition fn at the objects ``args``, its index paths mapped to labels."""
+    top, bottom = fn(rows, *(rows.objs.index(a) for a in args))
+    return [rows.mors[f] for f in top], [rows.mors[f] for f in bottom]
+
+
 def test_pentagons_biject_with_the_nondegenerate_4_simplices():
     words = {dyck_to_motzkin(x) for x in catalan_sset(4).nondegenerate(4)}
     assert words == set(PENTAGON_OF)
@@ -653,10 +716,10 @@ def test_pentagons_are_read_off_the_catalan_4_simplices():
     instances = 0
     for carrier in carriers:
         for d in skew_candidates(carrier):
-            objs = sorted(d.category.objects)
+            rows = skew._Rows(d, kappa=True)
             for name, (arity, condition) in derived.items():
-                for args in product(objs, repeat=arity):
-                    assert condition(d, *args) == hand[name][1](d, *args), (name, args)
+                for args in product(rows.objs, repeat=arity):
+                    assert condition(d, *args) == _hand_paths(rows, hand[name][1], args), (name, args)
                     instances += 1
     assert instances == 34354
 
@@ -686,13 +749,14 @@ def test_merged_edges_read_the_unit_where_the_unit_is_not_idempotent():
     candidates = list(skew_candidates(cat, budget))
     assert sum(d.obj_tensor[(d.unit, d.unit)] != d.unit for d in candidates) == 16
     hand = {name: fn for name, _, fn in PENTAGONS}
+    rows = [skew._Rows(d, kappa=True) for d in candidates]
     instances = 0
     for x in catalan_sset(4).nondegenerate(4):
         name = PENTAGON_OF[dyck_to_motzkin(x)]
         arity, condition = _pentagon_of_simplex(x)
-        for d in candidates:
+        for d, r in zip(candidates, rows):
             for args in product(sorted(cat.objects), repeat=arity):
-                assert condition(d, *args) == hand[name](d, *args), (name, args)
+                assert condition(d, *args) == _hand_paths(r, hand[name], args), (name, args)
                 instances += 1
     assert instances == 1120
 
