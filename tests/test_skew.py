@@ -257,9 +257,9 @@ MONOID_1AB = {
 }
 
 
-def monoid_1ab() -> FinCategory:
-    """One object; endomorphisms {1, a, b} with a idempotent and b absorbing."""
-    return FinCategory(["*"], [(e, "*", "*") for e in ("1", "a", "b")], {"*": "1"}, MONOID_1AB)
+def monoid_1ab(order=("1", "a", "b")) -> FinCategory:
+    """One object; endomorphisms {1, a, b} with a idempotent and b absorbing, declared in ``order``."""
+    return FinCategory(["*"], [(e, "*", "*") for e in order], {"*": "1"}, MONOID_1AB)
 
 
 def discrete_two() -> FinCategory:
@@ -275,6 +275,8 @@ SWEEP_CARRIERS = {
     "zmonoid": zmonoid_category,
     "discrete2": discrete_two,
     "monoid-1ab": monoid_1ab,
+    # declared order differs from label order: components follow the one, tensor cells the other
+    "monoid-1ba": lambda: monoid_1ab(("1", "b", "a")),
     "chain2-category": lambda: poset_category(chain_poset(["0", "1"])),
 }
 
@@ -324,7 +326,7 @@ def _brute_force_candidates(cat):
                                 )
 
 
-@pytest.mark.parametrize("carrier_name", ("zmonoid", "discrete2", "monoid-1ab"))
+@pytest.mark.parametrize("carrier_name", ("zmonoid", "discrete2", "monoid-1ab", "monoid-1ba"))
 def test_category_candidates_match_brute_force(carrier_name):
     cat = SWEEP_CARRIERS[carrier_name]()
     got = [
@@ -362,6 +364,7 @@ STREAM_GOLDEN = {
     "chain2-category": (4, "824dfa6f98e6e8f6292d0b854e5a5ca9a8373c471cd279e88932899d25a62d27"),
     "zmonoid": (64, "db48575ad393600e9bae7f4bec461c3f6a5a4c0323312c40619ecc840766c066"),
     "monoid-1ab": (2916, "a7e838b8a8c545370f27c95053539d2d350713501ccef88629759676ce948f9c"),
+    "monoid-1ba": (2916, "3b2d92ec6c4064f01a0b5ec3a6a82ae620a43d3c0ac5ee5a06214fa6d55664d9"),
 }
 
 STREAM_CARRIERS = {
@@ -373,6 +376,7 @@ STREAM_CARRIERS = {
     "chain2-category": SWEEP_CARRIERS["chain2-category"],
     "zmonoid": SWEEP_CARRIERS["zmonoid"],
     "monoid-1ab": SWEEP_CARRIERS["monoid-1ab"],
+    "monoid-1ba": SWEEP_CARRIERS["monoid-1ba"],
 }
 
 
@@ -446,6 +450,7 @@ def test_search_candidates_pass_the_public_constructor(carrier_name):
 NATURALITY_GOLDEN = {
     "zmonoid": (28, "23375a7de5148494601595a4967b8cdb9b4b08a094480a70d54decaa9b951cc4"),
     "monoid-1ab": (2292, "7d7df325f94acb71097fce4a673d5be2d3084bef71ba93c5bfca892a5659a5f5"),
+    "monoid-1ba": (2292, "fb3f8143cc7b169fb55c1508ced477c30e1a88cc9451c789760b2617dd3659f0"),
 }
 
 #: Reports of a few non-natural {1, a, b} candidates, by stream position.
