@@ -308,6 +308,18 @@ def _sweep(api, carrier: str):
     return run
 
 
+def _candidates(api, carrier: str):
+    """Every candidate of ``skew_candidates`` over the carrier, drawn and counted."""
+    built = SWEEP_CARRIERS[carrier](api)
+    return lambda: {"candidates": sum(1 for _ in api.skew.skew_candidates(built))}
+
+
+def _structures(api, carrier: str):
+    """``enumerate_skew_structures`` over the carrier."""
+    built = SWEEP_CARRIERS[carrier](api)
+    return lambda: {"structures": len(api.skew.enumerate_skew_structures(built))}
+
+
 def _strict_checks(api, carrier: str):
     """``check_axioms`` and ``check_pentagons`` of each strict structure among the skew
     structures on ``carrier``."""
@@ -421,6 +433,8 @@ CASES = [
         )
     ),
     *(("skew", "sweep_equivalence", {"carrier": c}, _sweep, c) for c in SWEEP_CARRIERS),
+    ("skew", "skew_candidates", {"carrier": "monoid-1ab"}, _candidates, "monoid-1ab"),
+    ("skew", "enumerate_skew_structures", {"carrier": "chain3"}, _structures, "chain3"),
     ("skew", "check_axioms+check_pentagons", {"structures": "strict on chain3"}, _strict_checks, "chain3"),
     (
         "skew",
@@ -452,16 +466,18 @@ FRONTIER_REPEATS = 3
 
 
 #: The work counts of :func:`work_counted`; each also has a ``*_by_level`` breakdown.
-WORK = ("joins", "tuples", "checked_cells", "filler_indexes")
+WORK = ("joins", "tuples", "checked_cells", "filler_indexes", "skew_tables")
 
 
 @contextlib.contextmanager
 def work_counted(api):
     """Count, inside the block, the boundary joins that tree runs and the tuples they return,
     the table cells its constructor checks (``TruncatedSSet._checked``) and the filler indexes
-    it builds, in all and by level.  The join is ``sset._join``, which returns columns, on a
-    tree that has it and ``sset._boundaries``, which returns tuples, on an older one.  The
-    timed runs call these functions unwrapped."""
+    it builds, in all and by level, and the object and morphism tensor tables the skew search
+    draws (``skew._fill``), by their number of cells.  The join is ``sset._join``, which returns
+    columns, on a tree that has it and ``sset._boundaries``, which returns tuples, on an older
+    one.  An ``api`` without ``skew`` counts no tables.  The timed runs call these functions
+    unwrapped."""
     work: dict = {key: 0 for key in WORK} | {f"{key}_by_level": {} for key in WORK}
 
     def tally(key: str, n: int, amount: int) -> None:
@@ -489,17 +505,29 @@ def work_counted(api):
             tally("filler_indexes", n, 1)
         return real_index(self, n)
 
+    skew = getattr(api, "skew", None)
+    real_fill = skew and skew._fill
+
+    def filled(domains, admits):
+        for table in real_fill(domains, admits):
+            tally("skew_tables", len(domains), 1)
+            yield table
+
     # the modules that call the join by this name: the engine and the nerve
     modules = (api.sset, api.nerve)
     for module in modules:
         setattr(module, join, counted)
     TruncatedSSet._checked, TruncatedSSet._filler_index = checked, indexed
+    if skew:
+        skew._fill = filled
     try:
         yield work
     finally:
         for module in modules:
             setattr(module, join, real_join)
         TruncatedSSet._checked, TruncatedSSet._filler_index = real_checked, real_index
+        if skew:
+            skew._fill = real_fill
 
 
 def measure(make, args, trees: dict, repeats: int = REPEATS) -> dict:

@@ -114,11 +114,6 @@ def to_relation(word: str) -> EdgeRelation:
     return EdgeRelation._trusted([max(i, d - i - 1) for i, d in enumerate(downs)])
 
 
-def reach_vector(rel: EdgeRelation) -> list[int]:
-    """reach[i] is the largest j related to i, or i itself when row i is empty."""
-    return list(rel.reach)
-
-
 def from_relation(rel: EdgeRelation) -> str:
     """The unique Dyck word whose relation is ``rel``.
 

@@ -9,9 +9,11 @@ Dyck-word simplicial set, and the two families agree exactly when kappa
 is the identity.
 
 Every condition is evaluated pointwise as an equation between edge-path
-composites; nothing is normalized or rewritten.  The conditions read
-index rows, integer tables built once per check call or sweep pick, and
-labels appear only in reports.
+composites; nothing is normalized or rewritten.  The candidate search,
+naturality and the conditions read index rows, integer tables over the
+sorted objects and morphisms; tensor cells range over morphisms in label
+order, components and naturality listings in declared order.  Labels
+appear only at the edge: in reports and in the skew data returned.
 """
 
 from __future__ import annotations
@@ -101,18 +103,6 @@ class SkewData(FinMonoidalStructure):
                 key = min(set(table) - keys, key=repr)
                 raise StructuralError(f"{name} entry at {key!r} is not at objects")
 
-    @classmethod
-    def _over_bifunctor(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa):
-        """A candidate of a :func:`_category_picks` pick, its tables stored as given and shared.
-
-        The search drew them typed and kept only bifunctors; a kappa of None is the unit's identity.
-        """
-        d = cls.__new__(cls)
-        d.category, d.obj_tensor, d.mor_tensor, d.unit = category, obj_tensor, mor_tensor, unit
-        d.alpha, d.lam, d.rho = alpha, lam, rho
-        d.kappa = kappa if kappa is not None else category.id_of(unit)
-        return d
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -171,72 +161,24 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def check_naturality(d: SkewData) -> list[LawViolation]:
-    """Naturality of alpha in three arguments and of lambda/rho in one, alpha's violations first.
-
-    The candidate search runs the two parts apart, each once per pick of
-    the tables it reads, and stops each at its first violation.
-    """
-    return [
-        *_alpha_naturality_violations(d.category, d.mor_tensor, d.alpha),
-        *_lambda_rho_naturality_violations(d.category, d.mor_tensor, d.unit, d.lam, d.rho),
-    ]
-
-
-def _alpha_naturality_violations(c: FinCategory, mor_tensor, alpha) -> Iterator[LawViolation]:
-    """The part of :func:`check_naturality` that reads only the tensor and alpha."""
-    mors, comp = c.morphism_labels(), c.composition
-    ends = {f: (c.src(f), c.tgt(f)) for f in mors}
-    for f in mors:
-        sf, tf = ends[f]
-        for g in mors:
-            sg, tg = ends[g]
-            fg = mor_tensor[(f, g)]
-            for h in mors:
-                sh, th = ends[h]
-                left = comp[(alpha[(tf, tg, th)], mor_tensor[(fg, h)])]
-                right = comp[(mor_tensor[(f, mor_tensor[(g, h)])], alpha[(sf, sg, sh)])]
-                if left != right:
-                    yield LawViolation("alpha naturality", (f, g, h), f"{left} != {right}")
-
-
-def _lambda_rho_naturality_violations(
-    c: FinCategory, mor_tensor, unit, lam, rho
-) -> Iterator[LawViolation]:
-    """The part of :func:`check_naturality` that reads the tensor, lambda and rho."""
-    idu, comp = c.id_of(unit), c.composition
-    for f in c.morphism_labels():
-        left = comp[(lam[c.tgt(f)], mor_tensor[(idu, f)])]
-        right = comp[(f, lam[c.src(f)])]
-        if left != right:
-            yield LawViolation("lambda naturality", (f,), f"{left} != {right}")
-        left = comp[(mor_tensor[(f, idu)], rho[c.src(f)])]
-        right = comp[(rho[c.tgt(f)], f)]
-        if left != right:
-            yield LawViolation("rho naturality", (f,), f"{left} != {right}")
-
-
 class _Rows:
     """Skew data as nested lists of indices into its sorted objects ``objs`` and morphisms ``mors``.
 
     ``comp[g][f]`` is g after f, or -1 where they do not compose; ``ids``,
-    ``t``, ``tm``, ``alpha``, ``lam``, ``rho`` and ``unit`` are the
-    identities, the tensors, the components and the unit.  ``kappa`` is
-    set only on the pentagon route, so the axioms never read it.  Rows
-    live for one check call or sweep pick and are never stored.
+    ``src``, ``tgt`` and ``declared`` (the morphisms in declared order)
+    come from the category, and ``t``, ``tm``, ``alpha``, ``lam``, ``rho``
+    and ``unit`` are the tensors, components and unit.  ``kappa`` is set
+    only on the pentagon route, so the axioms never read it.  ``_Rows(d)``
+    reads a structure for one check call; each search pick is a
+    :meth:`_pick` of its category's rows.  Rows are never stored.
     """
 
-    __slots__ = ("objs", "mors", "comp", "ids", "t", "tm", "alpha", "lam", "rho", "unit", "kappa")
+    __slots__ = ("objs", "mors", "comp", "ids", "src", "tgt", "declared",
+                 "t", "tm", "alpha", "lam", "rho", "unit", "kappa")
 
     def __init__(self, d: SkewData, kappa: bool = False) -> None:
-        c = d.category
-        objs = self.objs = sorted(c.objects)
-        mors = self.mors = sorted(c.morphism_labels())
-        obj, mor = {a: k for k, a in enumerate(objs)}, {f: k for k, f in enumerate(mors)}
-        self.comp = [[-1] * len(mors) for _ in mors]
-        for (g, f), gf in c.composition.items():
-            self.comp[mor[g]][mor[f]] = mor[gf]
-        self.ids = [mor[c.identities[a]] for a in objs]
+        obj, mor = self._over(d.category)
+        objs, mors = self.objs, self.mors
         self.t = [[obj[d.obj_tensor[(a, b)]] for b in objs] for a in objs]
         self.tm = [[mor[d.mor_tensor[(f, g)]] for g in mors] for f in mors]
         self.alpha = [[[mor[d.alpha[(a, b, e)]] for e in objs] for b in objs] for a in objs]
@@ -244,6 +186,66 @@ class _Rows:
         self.unit = obj[d.unit]
         if kappa:
             self.kappa = mor[d.kappa]
+
+    def _over(self, c: FinCategory) -> tuple[dict[str, int], dict[str, int]]:
+        """Set the fields of the category ``c``; the index of each object and each morphism label."""
+        objs = self.objs = sorted(c.objects)
+        mors = self.mors = sorted(c.morphism_labels())
+        obj, mor = {a: k for k, a in enumerate(objs)}, {f: k for k, f in enumerate(mors)}
+        self.comp = [[-1] * len(mors) for _ in mors]
+        for (g, f), gf in c.composition.items():
+            self.comp[mor[g]][mor[f]] = mor[gf]
+        self.ids = [mor[c.identities[a]] for a in objs]
+        self.src, self.tgt = [obj[c.src(f)] for f in mors], [obj[c.tgt(f)] for f in mors]
+        self.declared = [mor[f] for f in c.morphism_labels()]
+        return obj, mor
+
+    def _pick(self, t, tm, unit: int, alpha, lam, rho) -> "_Rows":
+        """Rows over this category's fields with the given tables, all shared, not copied."""
+        r = _Rows.__new__(_Rows)
+        r.objs, r.mors, r.comp, r.ids, r.src, r.tgt = self.objs, self.mors, self.comp, self.ids, self.src, self.tgt
+        r.declared, r.t, r.tm, r.unit, r.alpha, r.lam, r.rho = self.declared, t, tm, unit, alpha, lam, rho
+        return r
+
+
+def check_naturality(d: SkewData) -> list[LawViolation]:
+    """Naturality of alpha in three arguments and of lambda/rho in one, alpha's violations first.
+
+    The candidate search runs the two parts apart, each once per pick of
+    the tables it reads, and stops each at its first violation.
+    """
+    r = _Rows(d)
+    hits = (*_alpha_unnatural(r, r.tm, r.alpha), *_unitors_unnatural(r, r.tm, r.unit, r.lam, r.rho))
+    mors = r.mors
+    return [
+        LawViolation(f"{law} naturality", tuple(mors[f] for f in fs), f"{mors[left]} != {mors[right]}")
+        for law, fs, left, right in hits
+    ]
+
+
+def _alpha_unnatural(r: _Rows, tm, alpha) -> Iterator[tuple]:
+    """Each morphism triple, in declared order, where alpha is not natural, with the two composites."""
+    comp, src, tgt = r.comp, r.src, r.tgt
+    for f in r.declared:
+        for g in r.declared:
+            fg = tm[f][g]
+            for h in r.declared:
+                left = comp[alpha[tgt[f]][tgt[g]][tgt[h]]][tm[fg][h]]
+                right = comp[tm[f][tm[g][h]]][alpha[src[f]][src[g]][src[h]]]
+                if left != right:
+                    yield "alpha", (f, g, h), left, right
+
+
+def _unitors_unnatural(r: _Rows, tm, unit: int, lam, rho) -> Iterator[tuple]:
+    """Each morphism, in declared order, where lambda or rho is not natural, with the two composites."""
+    comp, src, tgt, idu = r.comp, r.src, r.tgt, r.ids[unit]
+    for f in r.declared:
+        left, right = comp[lam[tgt[f]]][tm[idu][f]], comp[f][lam[src[f]]]
+        if left != right:
+            yield "lambda", (f,), left, right
+        left, right = comp[tm[f][idu]][rho[src[f]]], comp[rho[tgt[f]]][f]
+        if left != right:
+            yield "rho", (f,), left, right
 
 
 # Each condition maps rows and an object index tuple to a (left path,
@@ -411,7 +413,7 @@ def is_monoidal(d: SkewData) -> bool:
 # -- candidate sweeps --------------------------------------------------
 
 
-def _fill(domains: Sequence[Sequence[str]], admits) -> Iterator[tuple[str, ...]]:
+def _fill(domains: Sequence[Sequence[int]], admits) -> Iterator[tuple[int, ...]]:
     """The tables with one value per cell from ``domains``, in the order of their product.
 
     Cells are set in order.  ``admits(k, values)`` is asked as soon as
@@ -420,7 +422,7 @@ def _fill(domains: Sequence[Sequence[str]], admits) -> Iterator[tuple[str, ...]]
     """
     last = len(domains) - 1
     picks = [-1] * len(domains)
-    values: list[str] = [""] * len(domains)
+    values = [0] * len(domains)
     k = 0
     while k >= 0:
         picks[k] += 1
@@ -436,153 +438,157 @@ def _fill(domains: Sequence[Sequence[str]], admits) -> Iterator[tuple[str, ...]]
                 k += 1
 
 
-def _object_tensors(
-    cat: FinCategory, typed: Mapping[tuple[str, str], tuple[str, ...]]
-) -> Iterator[tuple[dict[tuple[str, str], str], list[str]]]:
+def _object_tensors(r: _Rows, typed: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[list, list[int]]]:
     """The object tables of the raw product that admit a unit, in its order, with their units.
 
-    A pair of morphisms f: a -> b, g: c -> d types the morphism-tensor
-    cell (f, g) by an arrow a(x)c -> b(x)d; a table is dropped as soon as
-    both object cells of such an arrow are set and its hom-set is empty,
-    because no morphism tensor exists over it.  For a poset this is
-    monotonicity.  An object u can be the unit only if each set cell
-    (u, a) has an arrow u(x)a -> a for lambda and each set cell (a, u) an
-    arrow a -> a(x)u for rho; a table is dropped as soon as no object can,
-    so an empty carrier has no tables at all.
+    ``typed[s][t]`` is the hom-set s -> t.  Morphisms f: a -> b, g: c -> d
+    type the morphism-tensor cell (f, g) by an arrow a(x)c -> b(x)d; a
+    table is dropped as soon as both object cells of such an arrow are set
+    and its hom-set is empty, because no morphism tensor exists over it.
+    For a poset this is monotonicity.  An object u can be the unit only if
+    each set cell (u, a) has an arrow u(x)a -> a for lambda and each set
+    cell (a, u) an arrow a -> a(x)u for rho; a table is dropped as soon as
+    no object can, so an empty carrier has no tables at all.
     """
-    objs = sorted(cat.objects)
-    if not objs:
+    n, mors = len(r.objs), range(len(r.mors))
+    if not n:
         return
-    obj_pairs = [(a, b) for a in objs for b in objs]
-    cell = {pair: k for k, pair in enumerate(obj_pairs)}
-    arrows = {
-        (cell[(cat.src(f), cat.src(g))], cell[(cat.tgt(f), cat.tgt(g))])
-        for f in cat.morphism_labels()
-        for g in cat.morphism_labels()
-    }
-    # an endomorphism cell always holds the identity, so only arrows
-    # between two cells are checked, at the later of the two
-    checks: list[list[tuple[int, int]]] = [[] for _ in obj_pairs]
+    # cell a * n + b holds a(x)b; an endomorphism cell always holds the
+    # identity, so only arrows between two cells are checked, at the later
+    arrows = {(r.src[f] * n + r.src[g], r.tgt[f] * n + r.tgt[g]) for f in mors for g in mors}
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n * n)]
     for i, j in arrows:
         if i != j:
             checks[max(i, j)].append((i, j))
-    # units as bit sets over objs: keep[k][v] clears the objects that
-    # value v in cell k rules out, and alive[k] holds the objects that can
-    # still be the unit once cells 0 .. k are set (alive[-1]: before any)
-    bit = {a: 1 << u for u, a in enumerate(objs)}
-    everyone = (1 << len(objs)) - 1
+    # units as bit sets over the objects: keep[k][v] clears the objects
+    # that value v in cell k rules out, and alive[k] holds the objects that
+    # can still be the unit once cells 0 .. k are set (alive[-1]: before any)
+    everyone = (1 << n) - 1
     keep = [
-        {
-            v: everyone
-            & ~(0 if typed[(v, b)] else bit[a])
-            & ~(0 if typed[(a, v)] else bit[b])
-            for v in objs
-        }
-        for a, b in obj_pairs
+        [everyone & ~(0 if typed[v][b] else 1 << a) & ~(0 if typed[a][v] else 1 << b) for v in range(n)]
+        for a in range(n)
+        for b in range(n)
     ]
-    alive = [0] * len(obj_pairs) + [everyone]
-    last = len(obj_pairs) - 1
+    alive = [0] * (n * n) + [everyone]
 
-    def admits(k: int, values: list[str]) -> bool:
+    def admits(k: int, values: list[int]) -> bool:
         alive[k] = alive[k - 1] & keep[k][values[k]]
-        return bool(alive[k]) and all(typed[(values[i], values[j])] for i, j in checks[k])
+        return bool(alive[k]) and all(typed[values[i]][values[j]] for i, j in checks[k])
 
-    for values in _fill([objs] * len(obj_pairs), admits):
-        yield dict(zip(obj_pairs, values)), [a for a in objs if alive[last] & bit[a]]
+    for values in _fill([range(n)] * (n * n), admits):
+        yield [values[a * n : a * n + n] for a in range(n)], [u for u in range(n) if alive[n * n - 1] >> u & 1]
 
 
-def _interchange_checks(
-    cat: FinCategory, mor_pairs: Sequence[tuple[str, str]]
-) -> list[list[tuple[int, int, int]]]:
+def _interchange_checks(r: _Rows) -> list[list[tuple[int, int, int]]]:
     """Per morphism-tensor cell, the interchange instances whose last cell it is.
 
-    The instance (g o f)(x)(g' o f') = (g(x)g') o (f(x)f') is the cell
-    triple ((g, g'), (f, f'), (g o f, g' o f')), checked once all three
-    are set.
+    Cell f * m + g holds f(x)g.  The instance (g o f)(x)(g' o f') = (g(x)g') o (f(x)f')
+    is the cell triple ((g, g'), (f, f'), (g o f, g' o f')), checked once all three are set.
     """
-    cell = {pair: k for k, pair in enumerate(mor_pairs)}
-    mors = cat.morphism_labels()
-    composites = [(g, f, cat.compose(g, f)) for g in mors for f in mors if cat.is_composable(g, f)]
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in mor_pairs]
+    m = len(r.mors)
+    composites = [(g, f, r.comp[g][f]) for g in r.declared for f in r.declared if r.tgt[f] == r.src[g]]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(m * m)]
     for g, f, gf in composites:
+        if gf < 0:
+            raise StructuralError(f"no composite for ({r.mors[g]!r} after {r.mors[f]!r})")
         for g2, f2, g2f2 in composites:
-            instance = (cell[(g, g2)], cell[(f, f2)], cell[(gf, g2f2)])
+            instance = (g * m + g2, f * m + f2, gf * m + g2f2)
             checks[max(instance)].append(instance)
     return checks
 
 
-def _category_picks(cat: FinCategory) -> Iterator[tuple]:
+def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]:
     """All skew data over a small category by table search, as picks with their naturality.
 
-    Each pick is ``(obj_tensor, mor_tensor, unit, alpha, lam, rho,
-    kappas, natural)``.  Its candidates are the pick with each kappa in
-    ``kappas``, the endomorphisms of the unit, in order; they share the
-    flag, since naturality does not read kappa.  Object tensors,
-    bifunctorial morphism tensors, units and components are enumerated.
-    Each morphism-tensor cell only ranges over the morphisms of the type
-    the object tensor forces on it, a pair of identities only over the
-    identity of its tensor, and a partial table is dropped at the last
-    cell of an interchange instance it breaks, so the tables left are
-    exactly the bifunctors of the raw product, in its order, and none is
-    checked again.  An object tensor with no unit, or with no alpha
-    component for some triple, is skipped before its morphism tables.
-    Each check runs once, at the stage whose picks fix its inputs: alpha
-    naturality once per alpha pick of a morphism tensor, lambda and rho
-    naturality once per (lambda, rho) pick of a unit, and a candidate is
-    natural when both parts hold.
+    Each pick is ``(rows, kappas, natural)``: its own :class:`_Rows`,
+    sharing its lists with the stage that drew them, and the endomorphisms
+    of the unit, one candidate each, sharing the flag, since naturality
+    does not read kappa.  Each morphism-tensor cell ranges, in label
+    order, over the morphisms of the type the object tensor forces on it,
+    a pair of identities only over the identity of its tensor, and a
+    partial table is dropped at the last cell of an interchange instance
+    it breaks, so the tables left are exactly the bifunctors of the raw
+    product, in its order, and none is checked again.  Components and
+    kappa are chosen in declared order.  An object tensor with no unit,
+    or with no alpha component for some triple, is skipped before its
+    morphism tables.  Each check runs once, at the stage whose picks fix
+    its inputs: alpha naturality once per alpha pick of a morphism tensor,
+    lambda and rho naturality once per (lambda, rho) pick of a unit.
     """
-    objs = sorted(cat.objects)
-    mors = sorted(cat.morphism_labels())
-    mor_pairs = [(f, g) for f in mors for g in mors]
-    triples = [(a, b, c) for a in objs for b in objs for c in objs]
-    typed = {(s, t): tuple(sorted(cat.hom(s, t))) for s in objs for t in objs}
-    object_of = {cat.id_of(a): a for a in objs}
-    interchange = _interchange_checks(cat, mor_pairs)
-    comp = cat.composition
+    r = _Rows.__new__(_Rows)
+    r._over(cat)
+    n, m = len(r.objs), len(r.mors)
+    src, tgt, comp, ids = r.src, r.tgt, r.comp, r.ids
+    typed = [[[f for f in range(m) if (src[f], tgt[f]) == (a, b)] for b in range(n)] for a in range(n)]
+    hom = [[[f for f in r.declared if (src[f], tgt[f]) == (a, b)] for b in range(n)] for a in range(n)]
+    object_of = {f: a for a, f in enumerate(ids)}
+    interchange = _interchange_checks(r)
 
-    def bifunctorial(k: int, values: list[str]) -> bool:
-        return all(comp[(values[i], values[j])] == values[ij] for i, j, ij in interchange[k])
+    def bifunctorial(k: int, values: list[int]) -> bool:
+        return all(comp[values[i]][values[j]] == values[ij] for i, j, ij in interchange[k])
 
-    for obj_tensor, units in _object_tensors(cat, typed):
-        alpha_choices = [
-            cat.hom(obj_tensor[(obj_tensor[(a, b)], c)], obj_tensor[(a, obj_tensor[(b, c)])])
-            for a, b, c in triples
-        ]
+    for t, units in _object_tensors(r, typed):
+        alpha_choices = [hom[t[t[a][b]][c]][t[a][t[b][c]]] for a, b, c in product(range(n), repeat=3)]
         if not all(alpha_choices):
             continue
         cells = [
-            (cat.id_of(obj_tensor[(object_of[f], object_of[g])]),)
-            if f in object_of and g in object_of
-            else typed[(obj_tensor[(cat.src(f), cat.src(g))], obj_tensor[(cat.tgt(f), cat.tgt(g))])]
-            for f, g in mor_pairs
+            (ids[t[object_of[f]][object_of[g]]],) if f in object_of and g in object_of
+            else typed[t[src[f]][src[g]]][t[tgt[f]][tgt[g]]]
+            for f in range(m) for g in range(m)
         ]
-        for mor_values in _fill(cells, bifunctorial):
-            mor_tensor = dict(zip(mor_pairs, mor_values))
+        for values in _fill(cells, bifunctorial):
+            tm = [values[f * m : f * m + m] for f in range(m)]
             alphas = []
             for pick in product(*alpha_choices):
-                alpha = dict(zip(triples, pick))
-                violations = _alpha_naturality_violations(cat, mor_tensor, alpha)
-                alphas.append((alpha, next(violations, None) is None))
+                alpha = [[pick[k : k + n] for k in range(a * n * n, a * n * n + n * n, n)] for a in range(n)]
+                alphas.append((alpha, next(_alpha_unnatural(r, tm, alpha), None) is None))
             for unit in units:
-                lam_choices = [cat.hom(obj_tensor[(unit, a)], a) for a in objs]
-                rho_choices = [cat.hom(a, obj_tensor[(a, unit)]) for a in objs]
-                lam_rhos = []
-                for lam_pick, rho_pick in product(product(*lam_choices), product(*rho_choices)):
-                    lam, rho = dict(zip(objs, lam_pick)), dict(zip(objs, rho_pick))
-                    violations = _lambda_rho_naturality_violations(cat, mor_tensor, unit, lam, rho)
-                    lam_rhos.append((lam, rho, next(violations, None) is None))
-                kappas = cat.hom(unit, unit)
+                lam_choices = [hom[t[unit][a]][a] for a in range(n)]
+                rho_choices = [hom[a][t[a][unit]] for a in range(n)]
+                lam_rhos = [
+                    (lam, rho, next(_unitors_unnatural(r, tm, unit, lam, rho), None) is None)
+                    for lam, rho in product(product(*lam_choices), product(*rho_choices))
+                ]
                 for alpha, alpha_natural in alphas:
-                    for lam, rho, lam_rho_natural in lam_rhos:
-                        natural = alpha_natural and lam_rho_natural
-                        yield obj_tensor, mor_tensor, unit, alpha, lam, rho, kappas, natural
+                    for lam, rho, unitors_natural in lam_rhos:
+                        yield r._pick(t, tm, unit, alpha, lam, rho), hom[unit][unit], alpha_natural and unitors_natural
+
+
+def _as_skew_data(cat: FinCategory, picks) -> Iterator[tuple[SkewData, bool]]:
+    """Each ``(rows, kappas, natural)`` pick as skew data over ``cat``, one per kappa, with its flag.
+
+    Rows turn into label tables here only: the candidates of a pick share
+    its tables, and a rows list is converted once while the picks share it.
+    """
+    objs, mors = sorted(cat.objects), sorted(cat.morphism_labels())
+    # per table: its rows field, nesting depth, label keys and value labels
+    tables = (
+        ("t", 1, list(product(objs, repeat=2)), objs),
+        ("tm", 1, list(product(mors, repeat=2)), mors),
+        ("alpha", 2, list(product(objs, repeat=3)), mors),
+        ("lam", 0, objs, mors),
+        ("rho", 0, objs, mors),
+    )
+    held = {name: ((), {}) for name, *_ in tables}  # the rows list last converted and its labels
+    for r, kappas, natural in picks:
+        for name, depth, keys, names in tables:
+            table = getattr(r, name)
+            if held[name][0] is not table:
+                flat = table
+                for _ in range(depth):
+                    flat = [v for row in flat for v in row]
+                held[name] = (table, dict(zip(keys, [names[v] for v in flat])))
+        labels = [labelled for _, labelled in held.values()]
+        for kappa in kappas:
+            d = SkewData.__new__(SkewData)
+            d.category, d.unit, d.kappa = cat, objs[r.unit], mors[kappa]
+            d.obj_tensor, d.mor_tensor, d.alpha, d.lam, d.rho = labels
+            yield d, natural
 
 
 def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:
     """The candidates of :func:`_category_picks`, one per kappa, each with its naturality."""
-    for *tables, kappas, natural in _category_picks(cat):
-        for kappa in kappas:
-            yield SkewData._over_bifunctor(cat, *tables, kappa), natural
+    return _as_skew_data(cat, _category_picks(cat))
 
 
 def _swept_category(carrier: "Poset | FinCategory", budget: int) -> FinCategory:
@@ -627,8 +633,9 @@ def enumerate_skew_structures(
 ) -> list[SkewData]:
     """All candidates with identity kappa passing naturality and the axioms."""
     cat = _swept_category(carrier, budget)
-    picks = (SkewData._over_bifunctor(cat, *t, None) for *t, _, natural in _category_picks(cat) if natural)
-    return [d for d in picks if check_axioms(d).all_hold]
+    picks = ((r, [r.ids[r.unit]], True) for r, _, natural in _category_picks(cat)
+             if natural and all(_witness(r, arity, fn) is None for _, arity, fn in AXIOMS))
+    return [d for d, _ in _as_skew_data(cat, picks)]
 
 
 @dataclass(frozen=True)
@@ -646,29 +653,24 @@ def sweep_equivalence(
 ) -> SweepSummary:
     """Exhaustively verify the pentagon/axiom equivalence over a carrier.
 
-    Only natural candidates are evaluated, on rows built once per pick,
+    Only natural candidates are evaluated, on the rows of their pick,
     and only their verdicts are kept.  The axioms, which do not read
     kappa, run once per pick, and the pentagons once per kappa, A1 taking
     the verdict of 5.1.
     """
-    candidates = 0
-    natural = 0
-    equivalence = True
-    a5_forces = True
-    a8_a9 = True
-    structures = 0
+    candidates = natural = structures = 0
+    equivalence = a5_forces = a8_a9 = True
     cat = _swept_category(carrier, budget)
-    for *tables, kappas, is_natural in _category_picks(cat):
+    for rows, kappas, is_natural in _category_picks(cat):
         candidates += len(kappas)
         if not is_natural:
             continue
         natural += len(kappas)
-        rows = _Rows(SkewData._over_bifunctor(cat, *tables, None))
         axioms = {fn: _witness(rows, arity, fn) for _, arity, fn in AXIOMS}
         axioms_hold = all(w is None for w in axioms.values())
         for kappa in kappas:
-            rows.kappa = rows.mors.index(kappa)
-            identity_kappa = rows.kappa == rows.ids[rows.unit]
+            rows.kappa = kappa
+            identity_kappa = kappa == rows.ids[rows.unit]
             holds = {
                 name: (axioms[fn] if fn in axioms else _witness(rows, arity, fn)) is None
                 for name, arity, fn in PENTAGONS
