@@ -506,7 +506,7 @@ def work_counted(api):
         return real_index(self, n)
 
     skew = getattr(api, "skew", None)
-    real_fill = skew and skew._fill
+    real_fill = getattr(skew, "_fill", None)
 
     def filled(domains, admits):
         for table in real_fill(domains, admits):

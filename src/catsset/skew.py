@@ -450,12 +450,12 @@ def _object_tensors(r: _Rows, typed: Sequence[Sequence[Sequence[int]]]) -> Itera
     cell (a, u) an arrow a -> a(x)u for rho; a table is dropped as soon as
     no object can, so an empty carrier has no tables at all.
     """
-    n, mors = len(r.objs), range(len(r.mors))
+    n, m = len(r.objs), len(r.mors)
     if not n:
         return
     # cell a * n + b holds a(x)b; an endomorphism cell always holds the
     # identity, so only arrows between two cells are checked, at the later
-    arrows = {(r.src[f] * n + r.src[g], r.tgt[f] * n + r.tgt[g]) for f in mors for g in mors}
+    arrows = {(r.src[f] * n + r.src[g], r.tgt[f] * n + r.tgt[g]) for f in range(m) for g in range(m)}
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n * n)]
     for i, j in arrows:
         if i != j:
@@ -519,8 +519,8 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     r._over(cat)
     n, m = len(r.objs), len(r.mors)
     src, tgt, comp, ids = r.src, r.tgt, r.comp, r.ids
-    typed = [[[f for f in range(m) if (src[f], tgt[f]) == (a, b)] for b in range(n)] for a in range(n)]
     hom = [[[f for f in r.declared if (src[f], tgt[f]) == (a, b)] for b in range(n)] for a in range(n)]
+    typed = [[sorted(fs) for fs in row] for row in hom]  # in label order
     object_of = {f: a for a, f in enumerate(ids)}
     interchange = _interchange_checks(r)
 
@@ -557,32 +557,25 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
 def _as_skew_data(cat: FinCategory, picks) -> Iterator[tuple[SkewData, bool]]:
     """Each ``(rows, kappas, natural)`` pick as skew data over ``cat``, one per kappa, with its flag.
 
-    Rows turn into label tables here only: the candidates of a pick share
-    its tables, and a rows list is converted once while the picks share it.
+    Rows turn into label tables here only.  The candidates of a pick share
+    its tables, and a tensor or alpha table is converted once for as long
+    as the picks share its rows list; nothing mutates them.
     """
     objs, mors = sorted(cat.objects), sorted(cat.morphism_labels())
-    # per table: its rows field, nesting depth, label keys and value labels
-    tables = (
-        ("t", 1, list(product(objs, repeat=2)), objs),
-        ("tm", 1, list(product(mors, repeat=2)), mors),
-        ("alpha", 2, list(product(objs, repeat=3)), mors),
-        ("lam", 0, objs, mors),
-        ("rho", 0, objs, mors),
-    )
-    held = {name: ((), {}) for name, *_ in tables}  # the rows list last converted and its labels
+    pairs, mor_pairs, triples = list(product(objs, objs)), list(product(mors, mors)), list(product(objs, objs, objs))
+    seen_t = seen_tm = seen_alpha = None  # the rows lists last converted
     for r, kappas, natural in picks:
-        for name, depth, keys, names in tables:
-            table = getattr(r, name)
-            if held[name][0] is not table:
-                flat = table
-                for _ in range(depth):
-                    flat = [v for row in flat for v in row]
-                held[name] = (table, dict(zip(keys, [names[v] for v in flat])))
-        labels = [labelled for _, labelled in held.values()]
+        if r.t is not seen_t:
+            seen_t, obj_tensor = r.t, dict(zip(pairs, [objs[v] for row in r.t for v in row]))
+        if r.tm is not seen_tm:
+            seen_tm, mor_tensor = r.tm, dict(zip(mor_pairs, [mors[v] for row in r.tm for v in row]))
+        if r.alpha is not seen_alpha:
+            seen_alpha, alpha = r.alpha, dict(zip(triples, [mors[v] for rows in r.alpha for row in rows for v in row]))
+        lam, rho = dict(zip(objs, [mors[v] for v in r.lam])), dict(zip(objs, [mors[v] for v in r.rho]))
         for kappa in kappas:
             d = SkewData.__new__(SkewData)
             d.category, d.unit, d.kappa = cat, objs[r.unit], mors[kappa]
-            d.obj_tensor, d.mor_tensor, d.alpha, d.lam, d.rho = labels
+            d.obj_tensor, d.mor_tensor, d.alpha, d.lam, d.rho = obj_tensor, mor_tensor, alpha, lam, rho
             yield d, natural
 
 
@@ -658,8 +651,12 @@ def sweep_equivalence(
     kappa, run once per pick, and the pentagons once per kappa, A1 taking
     the verdict of 5.1.
     """
-    candidates = natural = structures = 0
-    equivalence = a5_forces = a8_a9 = True
+    candidates = 0
+    natural = 0
+    equivalence = True
+    a5_forces = True
+    a8_a9 = True
+    structures = 0
     cat = _swept_category(carrier, budget)
     for rows, kappas, is_natural in _category_picks(cat):
         candidates += len(kappas)
