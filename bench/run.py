@@ -14,11 +14,13 @@ that cannot be extracted exits 2.
 Each case takes one tree's modules (``api.sset``, ``api.cli``, ...),
 builds its inputs from that tree, untimed, and returns the run to time:
 each tree prepares its own inputs, because one tree's objects are not
-instances of the other's classes.  Both trees run the case once to warm
-up, then at least ``REPEATS`` rounds that time each tree once, the
-parent first in even rounds and the change first in odd ones, with
-``gc.collect()`` before each timing.  ``sides`` holds each tree's median
-as ``wall_s``.  ``ratios`` holds ``min_ratio``, the change's fastest run
+instances of the other's classes.  Both trees run every case once to
+warm up.  Then each round times each tree once on each case that runs
+at least ``REPEATS`` rounds, or more while short (``MAX_ROUNDS``); even
+rounds take the cases in order and the parent first, odd ones the cases
+in reverse and the change first, so that no case always runs after the
+same neighbour.  ``gc.collect()`` runs before each timing.  ``sides``
+holds each tree's median as ``wall_s``.  ``ratios`` holds ``min_ratio``, the change's fastest run
 over the parent's (below 1 is faster), and ``round_ratios``, the
 quartiles of the change/parent ratios within one round.  When the host
 changes speed during a case, the two minima can come from different
@@ -39,7 +41,8 @@ name the other tree lacks), which is recorded as that side's ``error``.
 CLI cases call the tree's ``cli.main`` in-process with ``--json``.
 
 Three sections are recorded per tree and not compared: ``frontier``
-(:func:`frontier`), ``source`` (:func:`source_lines`) and ``work``,
+(:func:`frontier`: the verify suites by dimension and ``classify`` by
+chain size), ``source`` (:func:`source_lines`) and ``work``,
 what each case's warm-up did (:func:`work_counted`), which a change may
 lower and so is not a counter.
 """
@@ -377,8 +380,10 @@ def _command(api, argv: list[str]):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = api.cli.main([*argv, "--json"])
-        doc = json.loads(out.getvalue())
         counters = {"exit_code": code}
+        if not out.getvalue():  # an error, reported on stderr alone
+            return counters
+        doc = json.loads(out.getvalue())
         if doc["command"] == "verify":
             checks = doc["checks"]
             counters["checks"] = len(checks)
@@ -463,6 +468,8 @@ FRONTIER_FROM = 4
 #: The wall-time limit of the frontier, and the runs whose median is held against it.
 FRONTIER_S = 1.0
 FRONTIER_REPEATS = 3
+#: The sizes of the n-chains with max that the frontier classifies, in the order searched.
+FRONTIER_CHAINS = (14, 18, 22, 26, 30)
 
 
 #: The work counts of :func:`work_counted`; each also has a ``*_by_level`` breakdown.
@@ -530,58 +537,92 @@ def work_counted(api):
             skew._fill = real_fill
 
 
-def measure(make, args, trees: dict, repeats: int = REPEATS) -> dict:
-    """Per tree, the case ``make(api, *args)``: its run times over at least ``repeats`` rounds after
-    one warm-up, its counters and the warm-up's work (:func:`work_counted`), or the error it raised.
+def measure(cases: list, trees: dict, repeats: int = REPEATS) -> list[dict]:
+    """Per case ``(make, args)``, per tree, the case ``make(api, *args)``: its run times over at least
+    ``repeats`` rounds after one warm-up, its counters and the warm-up's work (:func:`work_counted`),
+    or the error it raised.
 
-    Every round times each tree once, in turn, and odd rounds take the trees in reverse order.
+    Every case is warmed up first.  Then every round times each tree of each case once, in turn:
+    even rounds take the cases, and each case's trees, in order, and odd rounds take both in
+    reverse, so that no case always runs after the same neighbour.
     """
-    runs, got, warm = {}, {}, 0.0
-    for side, api in trees.items():
-        try:
-            run = make(api, *args)
-            start = time.perf_counter()
-            with work_counted(api) as work:
-                counters = run()
-            warm = max(warm, time.perf_counter() - start)
-        except Exception as exc:  # a name the case calls may be missing from this tree
-            traceback.print_exc()
-            got[side] = {"error": f"{type(exc).__name__}: {exc}"}
-            continue
-        runs[side] = run
-        got[side] = {"times": [], "counters": counters, "work": work}
-    for r in range(max(repeats, min(MAX_ROUNDS, int(ROUNDS_S / max(warm, 1e-9))))):
-        for side in reversed(runs) if r % 2 else runs:
-            gc.collect()
-            start = time.perf_counter()
-            counters = runs[side]()
-            got[side]["times"].append(time.perf_counter() - start)
-            if counters != got[side]["counters"]:
-                raise SystemExit(f"{side}: counters changed between runs: {got[side]['counters']} then {counters}")
+    runs: list[dict] = []
+    got: list[dict] = []
+    rounds = []
+    for make, args in cases:
+        case_runs, case_got, warm = {}, {}, 0.0
+        for side, api in trees.items():
+            try:
+                run = make(api, *args)
+                start = time.perf_counter()
+                with work_counted(api) as work:
+                    counters = run()
+                warm = max(warm, time.perf_counter() - start)
+            except Exception as exc:  # a name the case calls may be missing from this tree
+                traceback.print_exc()
+                case_got[side] = {"error": f"{type(exc).__name__}: {exc}"}
+                continue
+            case_runs[side] = run
+            case_got[side] = {"times": [], "counters": counters, "work": work}
+        runs.append(case_runs)
+        got.append(case_got)
+        rounds.append(max(repeats, min(MAX_ROUNDS, int(ROUNDS_S / max(warm, 1e-9)))))
+    for r in range(max(rounds, default=0)):
+        order = [k for k, last in enumerate(rounds) if r < last]
+        for k in reversed(order) if r % 2 else order:
+            for side in reversed(runs[k]) if r % 2 else runs[k]:
+                gc.collect()
+                start = time.perf_counter()
+                counters = runs[k][side]()
+                got[k][side]["times"].append(time.perf_counter() - start)
+                if counters != got[k][side]["counters"]:
+                    raise SystemExit(f"{side}: counters changed between runs: {got[k][side]['counters']} then {counters}")
     return got
 
 
-def frontier(api) -> list[dict]:
-    """Per suite, the largest ``--max-dim`` whose median wall time on this tree is under ``FRONTIER_S``.
+def _chain_file(api, n: int, directory: str) -> str:
+    """The n-chain with max as tensor and its bottom as unit, written by the tree as a
+    ``classify`` file in ``directory``; its path."""
+    labels = [str(k) for k in range(n)]
+    tensor = {(a, b): labels[max(int(a), int(b))] for a in labels for b in labels}
+    structure = api.finmon.poset_as_category(api.finmon.MonoidalPoset(api.finmon.chain_poset(labels), tensor, "0"))
+    path = os.path.join(directory, f"chain{n}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(structure.to_json_text())
+    return path
 
-    Each entry holds that case's wall time and counters, and ``over``, the first dimension past
-    it with its wall time, or None when the search reached the dyck cap.
-    """
-    found = []
-    for suite in FRONTIER_SUITES:
-        entry: dict = {"suite": suite, "max_dim": None, "wall_s": None, "counters": None, "over": None}
-        for dim in range(FRONTIER_FROM, api.cli.DEFAULT_CAPS["dyck"] + 1):
-            argv = ["verify", "--suite", suite, "--max-dim", str(dim)]
-            got = measure(_command, [argv], {"tree": api}, FRONTIER_REPEATS)["tree"]
-            if "error" in got:
-                entry["error"] = got["error"]
-                break
-            wall = statistics.median(got["times"])
-            if wall >= FRONTIER_S:
-                entry["over"] = {"max_dim": dim, "wall_s": round(wall, 4)}
-                break
-            entry.update(max_dim=dim, wall_s=round(wall, 4), counters=got["counters"])
-        found.append(entry)
+
+def _largest(api, entry: dict, key: str, sizes, argv_of) -> dict:
+    """``entry`` with the largest of ``sizes`` whose command ``argv_of(size)`` exits 0 with a median
+    wall time on this tree under ``FRONTIER_S``, its wall time and counters, and ``over``, the first
+    size past it with its wall time and exit code, or None when every size passed."""
+    entry |= {key: None, "wall_s": None, "counters": None, "over": None}
+    for size in sizes:
+        got = measure([(_command, [argv_of(size)])], {"tree": api}, FRONTIER_REPEATS)[0]["tree"]
+        if "error" in got:
+            entry["error"] = got["error"]
+            break
+        wall = round(statistics.median(got["times"]), 4)
+        if wall >= FRONTIER_S or got["counters"]["exit_code"]:
+            entry["over"] = {key: size, "wall_s": wall, "exit_code": got["counters"]["exit_code"]}
+            break
+        entry.update({key: size, "wall_s": wall, "counters": got["counters"]})
+    return entry
+
+
+def frontier(api) -> list[dict]:
+    """Per verify suite, the largest ``--max-dim`` up to the dyck cap, and for ``classify`` the
+    largest n-chain with max of ``FRONTIER_CHAINS``, that exits 0 with a median wall time on this
+    tree under ``FRONTIER_S`` (:func:`_largest`)."""
+    dims = range(FRONTIER_FROM, api.cli.DEFAULT_CAPS["dyck"] + 1)
+    found = [
+        _largest(api, {"suite": suite}, "max_dim", dims, lambda dim: ["verify", "--suite", suite, "--max-dim", str(dim)])
+        for suite in FRONTIER_SUITES
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        found.append(
+            _largest(api, {"command": "classify"}, "chain", FRONTIER_CHAINS, lambda n: ["classify", _chain_file(api, n, tmp)])
+        )
     return found
 
 
@@ -651,8 +692,9 @@ def main() -> int:
         doc: dict = {"against": args.against, "repeats": REPEATS, "ratios": []}
         doc |= {section: {side: [] for side in trees} for section in ("sides", "work")}
         status = 0
-        for layer, case, params, make, *case_args in CASES:
-            status |= not compare(layer, case, params, measure(make, case_args, trees), doc)
+        results = measure([(make, case_args) for _, _, _, make, *case_args in CASES], trees)
+        for (layer, case, params, *_), got in zip(CASES, results):
+            status |= not compare(layer, case, params, got, doc)
         doc["frontier"] = {side: frontier(api) for side, api in trees.items()}
         doc["source"] = {side: source_lines(os.path.dirname(api.sset.__file__)) for side, api in trees.items()}
     for section in ("frontier", "source"):

@@ -10,22 +10,26 @@ The maps themselves come from one search of the engine; the conditions
 are an independent route to their generator images.
 
 A monoidal nerve is 3-coskeletal, so a map C_4 -> N(m)_4 is the same as
-a map C_3 -> N(m)_3: the search runs on the 3-truncations, and a
-record's level 4 is built only when its map is read, each 4-simplex
-going to the one filler of its image boundary.
+a map C_3 -> N(m)_3.  The search runs from C_3 into the nerve's levels
+0..3 read off the structure as it goes (``nerve._ImplicitNerve``), so it
+costs what the structure costs, not what its nerve does.  No nerve is
+built until a record's map or index components are read; then one
+``monoidal_nerve(m, 4)`` serves all the records of the classification,
+each 4-simplex going to the one filler of its image boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable
 
 from .dyck import FREE_EDGE
 from .errors import StructuralError
-from .finmon import FinMonoidalStructure, MonoidObject, enumerate_monoids
-from .nerve import monoidal_nerve, two_simplex_data
-from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _extended, _labelled_map, _take, catalan_sset
+from .finmon import FinMonoidalStructure, MonoidObject, _require_laws, enumerate_monoids, validate_strict_monoidal
+from .nerve import _ImplicitNerve, monoidal_nerve, two_label, two_simplex_data
+from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _labelled_map, _take, catalan_sset
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
 MUL_TRIANGLE = "UDUDUD"
@@ -43,35 +47,49 @@ _MUL, _UNIT = map(_CATALAN3.levels[2].index, (MUL_TRIANGLE, UNIT_TRIANGLE))
 class ClassificationRecord:
     """A classified map together with the monoid it corresponds to.
 
-    ``components[n][x]`` is the index in level n of the nerve of
-    ``structure`` of the image of simplex x of C_3, for n 0..3.
-    ``eta_prime`` is the image of the unit-shaped 2-simplex; with the
-    strict tensor it coincides with ``monoid.eta``, but both sides of the
-    correspondence are kept.  ``nerve4`` returns the nerve of ``structure``
-    at 4, ``monoidal_nerve(structure, 4)``; it extends the searched
-    3-truncation on its first call, once for all the records of one
-    classification.  Records compare and hash by their components, monoid
-    and eta'; the structure and the nerve do not enter.
+    ``_images[n][x]`` is the image of simplex x of C_3 in the nerve of
+    ``structure``, for n 0..3, named by its data as in
+    ``nerve._ImplicitNerve``: 0, an object, (A12, A02, A01, f) or the
+    four faces.  ``eta_prime`` is the image of the unit-shaped 2-simplex;
+    with the strict tensor it coincides with ``monoid.eta``, but both
+    sides of the correspondence are kept.  ``nerve4`` returns
+    ``monoidal_nerve(structure, 4)``, built on its first call, once for
+    all the records of one classification; ``components`` and ``map``
+    read it.  Records compare and hash by their images, monoid and eta';
+    the structure and the nerve do not enter.
     """
 
-    components: tuple[tuple[int, ...], ...]
+    _images: tuple[tuple, ...]
     monoid: MonoidObject
     eta_prime: str
     structure: FinMonoidalStructure = field(compare=False, repr=False)
     nerve4: Callable[[], TruncatedSSet] = field(compare=False, repr=False)
 
     @cached_property
-    def map(self) -> SimplicialMap:
-        """The map C_4 -> N(m)_4, extended from level 3 on first read: each 4-simplex goes to
-        the one filler of its image boundary."""
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """``components[n][x]``, the index in level n of the nerve at 4 of the image of simplex x
+        of C_3; each 3-simplex goes to the one filler of its image boundary."""
         T = self.nerve4()
-        below, index = self.components[3], T._filler_index(4)
-        boundaries = zip(*(_take(below, face) for face in _CATALAN4.faces[4]))
-        top = [y for (y,) in map(index.__getitem__, boundaries)]
-        return _labelled_map(_CATALAN4, T, (*self.components, top))
+        points, edges, triangles, _ = self._images
+        # the nerve lists its objects and its 2-simplex labels sorted
+        below = tuple(bisect_left(T.levels[2], two_label(*x)) for x in triangles)
+        return (points, tuple(bisect_left(T.levels[1], a) for a in edges), below, _filled(T, below, 3))
+
+    @cached_property
+    def map(self) -> SimplicialMap:
+        """The map C_4 -> N(m)_4, extended from level 3 on first read."""
+        T = self.nerve4()
+        return _labelled_map(_CATALAN4, T, (*self.components, _filled(T, self.components[3], 4)))
 
     def triple(self) -> tuple[str, str, str]:
         return (self.monoid.carrier, self.monoid.mu, self.eta_prime)
+
+
+def _filled(T: TruncatedSSet, below: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The images of C_4's level n in T, given those of level n - 1: each n-simplex goes to the one
+    simplex of T on its image boundary."""
+    boundaries = zip(*(_take(below, face) for face in _CATALAN4.faces[n]))
+    return tuple(y for (y,) in map(T._filler_index(n).__getitem__, boundaries))
 
 
 def _condition_associativity(m: FinMonoidalStructure, a: str, mu: str, etap: str) -> bool:
@@ -160,20 +178,17 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
 def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
     """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
-    Record triples come from the square conditions, monoid triples from
-    :func:`enumerate_monoids` and engine triples from the search; a
-    record takes only its components from the search.
+    The structure is validated once; the search runs against the
+    implicit nerve of ``m``.  Record triples come from the square
+    conditions, monoid triples from :func:`enumerate_monoids` and engine
+    triples from the search; a record takes only its images from the
+    search.
     """
-    T = monoidal_nerve(m, 3)
-    maps = _enumerate_level_maps(_CATALAN3, T, 3, bijective=False)
-    edges, triangles = T.levels[1], T.levels[2]
-    # each map's generator images (A, mu, eta'), read off its components
-    by_triple = {
-        (edges[c[1][_EDGE]], *(two_simplex_data(triangles[c[2][k]])[3] for k in (_MUL, _UNIT))): tuple(map(tuple, c))
-        for c in maps
-    }
-    # the level 4 that monoidal_nerve(m, 4) adds to the same 3-truncation, within its default budget
-    nerve4 = cache(partial(_extended, T, 4, 1_000_000))
+    _require_laws(validate_strict_monoidal(m))
+    maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
+    # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms
+    by_triple = {(c[1][_EDGE], c[2][_MUL][3], c[2][_UNIT][3]): tuple(map(tuple, c)) for c in maps}
+    nerve4 = cache(partial(monoidal_nerve, m, 4))
     records = []
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):

@@ -335,7 +335,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
     m = FinMonoidalStructure.from_json_text(text)
-    # the strict laws are checked where the classification builds the nerve
+    # the strict laws are checked once, by the classification before its map search
     _require_laws(validate_category(m.category))
     records, verdict = _classification(m)
     triples = sorted(r.triple() for r in records)

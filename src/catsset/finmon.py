@@ -240,6 +240,11 @@ def validate_category(c: FinCategory) -> list[LawViolation]:
     return bad
 
 
+def _thin(cat: FinCategory) -> bool:
+    """Whether every hom-set of ``cat`` has at most one morphism."""
+    return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
+
+
 def tensor_violations(
     cat: FinCategory,
     obj_tensor: Mapping[tuple[str, str], str],
@@ -253,7 +258,9 @@ def tensor_violations(
     composition table, then interchange.  The morphism table is read only
     once the object table is total, identities only once the morphism
     table is total and typed, and interchange only once, in addition,
-    every composable pair has its composite.
+    every composable pair has its composite.  Interchange is skipped
+    where it cannot fail: in a thin category whose composites are all
+    typed.
     """
     objs = cat.objects
     objset = set(objs)
@@ -294,6 +301,10 @@ def tensor_violations(
     for pair in missing:
         yield LawViolation("composability", pair, "composable pair missing from table")
     if missing:
+        return
+    # both sides of an interchange cell are parallel once every composite is typed, so in a
+    # thin category no cell can fail (nor can an identity tensor above)
+    if _thin(cat) and all(ends[gf] == (ends[f][0], ends[g][1]) for g, f, gf in composites):
         return
     for g, f, gf in composites:
         for g2, f2, g2f2 in composites:
@@ -406,7 +417,9 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
     """Bifunctoriality, strict associativity/unitality and identity constraints.
 
     Every bifunctor violation is listed; the strict laws are read off the
-    tables only once the tensor is a bifunctor.
+    tables only once the tensor is a bifunctor.  The morphism-level laws
+    are skipped where they cannot fail: in a thin category, with no
+    violation found before them.
     """
     c = m.category
     bad = list(tensor_violations(c, m.obj_tensor, m.mor_tensor))
@@ -425,16 +438,17 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
                         LawViolation("strict associativity", (a, b, cc), "object tensor")
                     )
     unit_id = c.id_of(m.unit)
-    for f in mors:
-        if tm[unit_id, f] != f or tm[f, unit_id] != f:
-            bad.append(LawViolation("strict unit", (f,), "unit identity does not act trivially"))
-        for g in mors:
-            fg = tm[f, g]
-            for h in mors:
-                if tm[fg, h] != tm[f, tm[g, h]]:
-                    bad.append(
-                        LawViolation("strict associativity", (f, g, h), "morphism tensor")
-                    )
+    # once the object laws hold, both sides of a morphism-law cell are parallel, so in a
+    # thin category no cell can fail
+    if bad or not _thin(c):
+        for f in mors:
+            if tm[unit_id, f] != f or tm[f, unit_id] != f:
+                bad.append(LawViolation("strict unit", (f,), "unit identity does not act trivially"))
+            for g in mors:
+                fg = tm[f, g]
+                for h in mors:
+                    if tm[fg, h] != tm[f, tm[g, h]]:
+                        bad.append(LawViolation("strict associativity", (f, g, h), "morphism tensor"))
     components = [("alpha", key, f) for key, f in m.alpha.items()]
     components += [("lambda", (a,), f) for a, f in m.lam.items()]
     components += [("rho", (a,), f) for a, f in m.rho.items()]

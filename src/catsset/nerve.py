@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from itertools import compress
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import BudgetExceededError, StructuralError
 from .finmon import FinMonoidalStructure, _require_laws, validate_strict_monoidal
@@ -99,3 +99,66 @@ def monoidal_nerve(
         fillers[3] = _add_level(levels, faces, degens, [tuple(compress(c, keep)) for c in cols], max_simplices)
     # level 3 keeps only the commuting boundaries, so the 3-truncation marks no level
     return _extended(TruncatedSSet._trusted(levels, faces, degens, fillers, len(levels)), N, max_simplices)
+
+
+class _Lazy(dict):
+    """A table whose entries ``fill`` computes on first read, by subscript or by ``get``;
+    ``get`` takes no default, since a filler index's ``fill`` returns () for no fillers."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key]
+
+
+class _ImplicitNerve:
+    """The nerve of a validated strict monoidal ``m`` on levels 0..3, read off ``m`` on demand.
+
+    It serves :func:`~catsset.sset._enumerate_level_maps` as its target,
+    so the search runs at the size of ``m``, not of its nerve.  A simplex
+    is named by its data: the 0-simplex is 0, a 1-simplex an object, a
+    2-simplex (A12, A02, A01, f) and a 3-simplex its faces (x0, x1, x2, x3).
+    Level 1's one boundary is filled by the sorted objects; a 2-boundary
+    (A12, A02, A01) by each f in hom(A12 (x) A01, A02); and a 3-boundary by
+    itself when :func:`monoidal_nerve`'s square commutes,
+    x2 . (x0 (x) id A01(x3)) = x1 . (id A12(x0) (x) x3).  Degeneracies
+    follow the simplicial identities, as in :func:`~catsset.sset._add_level`.
+    """
+
+    N = 3
+
+    def __init__(self, m: FinMonoidalStructure) -> None:
+        cat, unit, t = m.category, m.unit, m.obj_tensor
+        ids, compose, tensor = cat.identities, cat.composition, m.mor_tensor
+        objs = tuple(sorted(cat.objects))
+        s0 = {a: (a, a, unit, ids[a]) for a in objs}
+        s1 = {a: (unit, a, a, ids[a]) for a in objs}
+
+        def square(x):
+            x0, x1, x2, x3 = x
+            return (x,) if compose[x2[3], tensor[x0[3], ids[x3[2]]]] == compose[x1[3], tensor[ids[x0[0]], x3[3]]] else ()
+
+        self.levels = (("*",),)
+        self._fillers = {
+            1: {(0, 0): objs},
+            2: _Lazy(lambda key: tuple((*key, f) for f in cat.hom(t[key[0], key[2]], key[1]))),
+            3: _Lazy(square),
+        }
+        self.faces = ((), (dict.fromkeys(objs, 0),) * 2, *(tuple(_Lazy(itemgetter(i)) for i in range(n)) for n in (3, 4)))
+        self.degens = (
+            ({0: unit},),
+            (s0, s1),
+            (
+                _Lazy(lambda x: (x, x, s0[x[1]], s0[x[2]])),
+                _Lazy(lambda x: (s0[x[0]], x, x, s1[x[2]])),
+                _Lazy(lambda x: (s1[x[0]], s1[x[1]], x, x)),
+            ),
+        )
+
+    def _filler_index(self, n: int):
+        return self._fillers[n]

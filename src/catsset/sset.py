@@ -620,6 +620,10 @@ def _enumerate_level_maps(S: TruncatedSSet, T: TruncatedSSet, k: int, bijective:
     take forced images through their smallest witness.  Components are
     index lists: ``comps[n][x]`` is the image of simplex x.  Only the
     candidates that commute with every face and degeneracy are returned.
+    T is read only through ``N``, the size of level 0, ``_filler_index(n).get``
+    and its ``faces`` and ``degens`` by subscript, so the classification's
+    implicit nerve (``nerve._ImplicitNerve``), whose simplices are their data
+    rather than indices, serves as T too.
     """
     if k > min(S.N, T.N):
         raise ValueError("level bound exceeds a truncation")

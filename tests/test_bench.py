@@ -88,3 +88,23 @@ def test_a_min_ratio_outside_the_round_quartiles_is_flagged():
     ratio, line = _compared(bench, [1.0] * 7, [0.972, 0.974, 0.974, 1.0, 1.018, 1.018, 1.05])
     assert ratio["min_ratio"] == 0.972 and ratio["round_ratios"][0] == 0.974 and ratio["round_ratios"][2] == 1.018
     assert ratio["min_outside_rounds"] is False and "MIN OUTSIDE ROUNDS" not in line
+
+
+def test_odd_rounds_take_the_cases_and_trees_in_reverse():
+    bench = load_bench()
+    bench.MAX_ROUNDS = 2
+    calls = []
+
+    def make(api, name):
+        def run():
+            calls.append((name, api.tag))
+            return {"n": 1}
+
+        return run
+
+    trees = {tag: SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve, tag=tag) for tag in ("parent", "change")}
+    got = bench.measure([(make, ["a"]), (make, ["b"])], trees, repeats=2)
+    warm_ups = [("a", "parent"), ("a", "change"), ("b", "parent"), ("b", "change")]
+    # each case after a different neighbour in the two rounds
+    assert calls == warm_ups + warm_ups + warm_ups[::-1]
+    assert [len(case[side]["times"]) for case in got for side in trees] == [2] * 4

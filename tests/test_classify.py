@@ -6,6 +6,7 @@ import re
 import pytest
 
 import catsset.classify
+import catsset.nerve
 from catsset.classify import (
     MUL_TRIANGLE,
     UNIT_TRIANGLE,
@@ -17,10 +18,10 @@ from catsset.classify import (
 )
 from catsset.dyck import FREE_EDGE
 from catsset.errors import StructuralError
-from catsset.finmon import enumerate_monoids
+from catsset.finmon import MonoidalPoset, Poset, enumerate_monoids, poset_as_category
 from catsset.library import boolean_or, chain3_max
-from catsset.nerve import monoidal_nerve
-from catsset.sset import catalan_sset, is_simplicial_map, simplicial_maps
+from catsset.nerve import _ImplicitNerve, monoidal_nerve, two_simplex_data
+from catsset.sset import _enumerate_level_maps, catalan_sset, is_simplicial_map, simplicial_maps
 
 EXPECTED_COUNTS = {
     "two-or": 2,
@@ -112,9 +113,10 @@ def test_records_hash_and_compare_by_value(library):
 
 
 def test_record_fields_are_tuples_and_the_context_does_not_compare(library):
+    # records compare by their images, as data; the index components are read from the nerve
     compared = {f.name: f.compare for f in dataclasses.fields(ClassificationRecord)}
     assert compared == {
-        "components": True,
+        "_images": True,
         "monoid": True,
         "eta_prime": True,
         "structure": False,
@@ -122,37 +124,101 @@ def test_record_fields_are_tuples_and_the_context_does_not_compare(library):
     }
     for m in library.values():
         for record in classify_maps(m):
-            assert len(record.components) == 4
-            assert type(record.components) is tuple
-            assert all(type(c) is tuple for c in record.components)
+            for images in (record._images, record.components):
+                assert len(images) == 4
+                assert type(images) is tuple
+                assert all(type(c) is tuple for c in images)
+            assert [len(c) for c in record._images] == [len(c) for c in record.components]
+
+
+def _counting_nerves(monkeypatch):
+    """The nerves built from here on, by dimension: each ``monoidal_nerve`` call of the
+    classification, and each coskeletal extension that builds a nerve's levels above 3."""
+    built = []
+    real_nerve, real_extended = catsset.classify.monoidal_nerve, catsset.nerve._extended
+
+    def nerve(m, n):
+        built.append(("monoidal_nerve", n))
+        return real_nerve(m, n)
+
+    def extended(S, n, max_simplices):
+        built.append(("_extended", n))
+        return real_extended(S, n, max_simplices)
+
+    monkeypatch.setattr(catsset.classify, "monoidal_nerve", nerve)
+    monkeypatch.setattr(catsset.nerve, "_extended", extended)
+    return built
+
+
+#: The one nerve a classification builds when a record's map or components are read.
+ONE_NERVE = [("monoidal_nerve", 4), ("_extended", 4)]
 
 
 @pytest.mark.parametrize("make", (boolean_or, chain3_max))
 def test_record_maps_share_one_level_four_nerve(make, monkeypatch):
-    # the nerves the classification builds, by dimension: monoidal_nerve and
-    # the coskeletal extension of its 3-truncation, which is the nerve at 4
-    built = []
-    real_nerve, real_extended = catsset.classify.monoidal_nerve, catsset.classify._extended
-
-    def nerve(m, n):
-        built.append(n)
-        return real_nerve(m, n)
-
-    def extended(S, n, max_simplices):
-        built.append(n)
-        return real_extended(S, n, max_simplices)
-
-    monkeypatch.setattr(catsset.classify, "monoidal_nerve", nerve)
-    monkeypatch.setattr(catsset.classify, "_extended", extended)
+    built = _counting_nerves(monkeypatch)
     m = make()
     records = classify_maps(m)
-    assert len(records) > 1 and built == [3]
+    assert len(records) > 1 and built == []
     maps = [r.map for r in records]
     # the first read builds the level-4 nerve for every record; reading again builds nothing
-    assert built == [3, 4]
-    assert [r.map for r in records] == maps and built == [3, 4]
+    assert built == ONE_NERVE
+    assert [r.map for r in records] == maps and built == ONE_NERVE
     assert all(f.target is maps[0].target for f in maps)
-    assert maps[0].target.to_json_text() == real_nerve(m, 4).to_json_text()
+    assert maps[0].target.to_json_text() == monoidal_nerve(m, 4).to_json_text()
+
+
+def test_classification_builds_no_nerve_until_a_record_is_read(library, monkeypatch):
+    built = _counting_nerves(monkeypatch)
+    for name, m in library.items():
+        records, verdict = catsset.classify._classification(m)
+        assert verdict and records and built == [], name
+        # the components read the nerve at 4, and the maps read the same one
+        components = [r.components for r in records]
+        assert built == ONE_NERVE, name
+        assert [r.map.target for r in records] == [records[0].nerve4()] * len(records), name
+        assert [r.components for r in records] == components and built == ONE_NERVE, name
+        built.clear()
+
+
+def _as_data(T, comps):
+    """Index components into a materialized nerve T, each image named by its data as the
+    implicit nerve names it: 0, an object, (A12, A02, A01, f) or its four faces."""
+    triangles = [two_simplex_data(label) for label in T.levels[2]]
+    return (
+        tuple(comps[0]),
+        tuple(T.levels[1][y] for y in comps[1]),
+        tuple(triangles[y] for y in comps[2]),
+        tuple(tuple(triangles[face[y]] for face in T.faces[3]) for y in comps[3]),
+    )
+
+
+#: Two non-commutative strict tensors on 3-element posets that are not antichains:
+#: the 3-chain with unit 1 and x (x) y = x on {0, 2}, and the vee 0 < 1, 0 < 2 with
+#: unit 2 and x (x) y = y on {0, 1}.
+NON_COMMUTATIVE = {
+    "chain3-left-zero": (["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")], "1", {("0", "2"): "0", ("2", "0"): "2"}),
+    "vee-right-zero": (["0", "1", "2"], [("0", "1"), ("0", "2")], "2", {("0", "1"): "1", ("1", "0"): "0"}),
+}
+
+
+def _non_commutative(elems, strict, unit, cross):
+    tensor = {(x, unit): x for x in elems} | {(unit, x): x for x in elems}
+    tensor |= {(x, x): x for x in elems} | cross
+    poset = Poset(tuple(elems), frozenset({(x, x) for x in elems} | set(strict)))
+    return poset_as_category(MonoidalPoset(poset, tensor, unit))
+
+
+def test_implicit_search_is_the_search_on_the_nerve(library, left_zero_antichain):
+    structures = dict(library) | {"left-zero-antichain": left_zero_antichain}
+    structures |= {name: _non_commutative(*spec) for name, spec in NON_COMMUTATIVE.items()}
+    for name, m in structures.items():
+        T = monoidal_nerve(m, 3)
+        want = [_as_data(T, comps) for comps in _enumerate_level_maps(catalan_sset(3), T, 3, False)]
+        got = [tuple(map(tuple, comps)) for comps in _enumerate_level_maps(catalan_sset(3), _ImplicitNerve(m), 3, False)]
+        assert want and len(set(want)) == len(want), name
+        assert sorted(got) == sorted(want), name
+    assert any(m.obj_tensor[a, b] != m.obj_tensor[b, a] for m in structures.values() for a, b in m.obj_tensor)
 
 
 def test_shared_catalan_set_is_left_unchanged(library):

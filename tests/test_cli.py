@@ -11,7 +11,7 @@ import catsset.cli
 import catsset.finmon
 from catsset.cli import main
 from catsset.errors import SchemaError, StructuralError
-from catsset.finmon import FinCategory, FinMonoidalStructure
+from catsset.finmon import FinCategory, FinMonoidalStructure, MonoidalPoset, chain_poset, poset_as_category
 from catsset.library import boolean_or, zmonoid
 from catsset.skew import SkewData, skew_from_strict
 from catsset.sset import catalan_sset
@@ -247,7 +247,7 @@ def test_classify_files(tmp_path, capsys):
     assert lines[-1] == "three-way agreement: true"
 
 
-def test_classify_builds_the_nerve_once(capsys, monkeypatch):
+def test_classify_builds_no_nerve(capsys, monkeypatch):
     built = []
     real = catsset.classify.monoidal_nerve
 
@@ -258,8 +258,8 @@ def test_classify_builds_the_nerve_once(capsys, monkeypatch):
     monkeypatch.setattr(catsset.classify, "monoidal_nerve", counting)
     code, out, _ = run(capsys, "classify", str(EXAMPLES / "two-or.json"))
     assert code == 0 and "three-way agreement: true" in out
-    # one nerve, the 3-truncation the search runs on; the CLI reads no record's map
-    assert built == [3]
+    # the search reads the nerve off the structure, and the CLI reads no record's map
+    assert built == []
 
 
 def test_classify_checks_the_strict_laws_once(capsys, monkeypatch):
@@ -283,6 +283,26 @@ def test_classify_shipped_examples(capsys):
     code, out, _ = run(capsys, "classify", "docs/examples/chain3-max.json")
     assert code == 0
     assert "count: 3" in out
+
+
+def test_classify_runs_the_22_chain_with_max(tmp_path):
+    # 253 morphisms: the nerve's level 3 alone would pass the default budget of a million simplices
+    labels = [str(k) for k in range(22)]
+    tensor = {(a, b): labels[max(int(a), int(b))] for a in labels for b in labels}
+    chain = tmp_path / "chain22.json"
+    chain.write_text(poset_as_category(MonoidalPoset(chain_poset(labels), tensor, "0")).to_json_text())
+    done = subprocess.run(
+        [sys.executable, "-m", "catsset.cli", "classify", str(chain), "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=False,
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    doc = json.loads(done.stdout)
+    assert len(doc["records"]) == doc["count"] == 22
+    assert doc["three_way_agreement"] is True
 
 
 def test_classify_malformed_file(tmp_path, capsys):

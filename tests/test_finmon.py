@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,10 +13,13 @@ from catsset.finmon import (
     LawViolation,
     MonoidalPoset,
     Poset,
+    _require_laws,
     antichain_poset,
     chain_poset,
     enumerate_monoids,
     monoid_laws_hold,
+    poset_category,
+    poset_mor_tensor,
     validate_category,
     validate_strict_monoidal,
 )
@@ -83,6 +88,36 @@ def _strict_law_violations(m):
     return out
 
 
+def _interchange_violations(m):
+    """The interchange failures as (law, subject), one method call per composite and tensor."""
+    c = m.category
+    mors = c.morphism_labels()
+    pairs = [(g, f) for g in mors for f in mors if c.is_composable(g, f)]
+    return [
+        ("interchange", (g, f, g2, f2))
+        for g, f in pairs
+        for g2, f2 in pairs
+        if m.tensor_mor(c.compose(g, f), c.compose(g2, f2)) != c.compose(m.tensor_mor(g, g2), m.tensor_mor(f, f2))
+    ]
+
+
+def _law_violations(m):
+    """Every violation of a structure whose tensor tables are total and typed, with identity
+    tensors and every composite: interchange, or else the strict laws."""
+    return _interchange_violations(m) or _strict_law_violations(m)
+
+
+def _assert_matches_the_oracle(m, label):
+    got = validate_strict_monoidal(m)
+    want = _law_violations(m)
+    assert [(v.law, v.subject) for v in got] == want, label
+    if want:
+        # the message every law check raises: the first violation and their number
+        with pytest.raises(StructuralError, match=re.escape(f"({len(want)} total)")) as exc:
+            _require_laws(got)
+        assert str(exc.value).startswith(f"structure violates the laws: {want[0][0]} at {want[0][1]}"), label
+
+
 def test_strict_laws_match_the_method_call_oracle():
     # any object tensor on a discrete category is a bifunctor, so seeded tables on three
     # objects reach the strict unit and associativity loops with failures in every order
@@ -93,7 +128,39 @@ def test_strict_laws_match_the_method_call_oracle():
     for _ in range(300):
         t = {(x, y): rng.choice(objs) for x in objs for y in objs}
         m = FinMonoidalStructure(cat, t, {(ids[x], ids[y]): ids[v] for (x, y), v in t.items()}, rng.choice(objs))
-        assert [(v.law, v.subject) for v in validate_strict_monoidal(m)] == _strict_law_violations(m), t
+        _assert_matches_the_oracle(m, t)
+    # every monotone tensor on the 3-chain, with each unit, is a bifunctor on a thin category
+    # with morphisms between distinct objects; most fail the object laws, so the morphism
+    # loops must run in full
+    chain = chain_poset(["0", "1", "2"])
+    monotone = 0
+    for values in product("012", repeat=9):
+        t = dict(zip(product("012", repeat=2), values))
+        if any(t[a, b] > t[c, d] for a, c in chain.leq for b, d in chain.leq):
+            continue
+        monotone += 1
+        for unit in "012":
+            m = FinMonoidalStructure(poset_category(chain), t, poset_mor_tensor(chain, t), unit)
+            _assert_matches_the_oracle(m, (t, unit))
+            want = _law_violations(m)
+            if want:
+                with pytest.raises(StructuralError, match=re.escape(f"({len(want)} total)")):
+                    MonoidalPoset(chain, t, unit)
+    assert monotone > 100
+    # the 3-chain with max, with one composite relabelled to a morphism of the wrong type:
+    # the category is still thin, but interchange can now fail
+    m = chain3_max()
+    compose = dict(m.category.composition)
+    compose[("1<=2", "0<=1")] = "0<=1"
+    cat = FinCategory(m.category.objects, m.category.morphisms, m.category.identities, compose)
+    broken = FinMonoidalStructure(cat, m.obj_tensor, m.mor_tensor, m.unit)
+    assert _interchange_violations(broken)
+    _assert_matches_the_oracle(broken, "chain3-max with an ill-typed composite")
+    # zmonoid is not thin: every morphism tensor on {1, z} that keeps 1 (x) 1 = 1
+    z = zmonoid()
+    for values in product("1z", repeat=3):
+        tm = {("1", "1"): "1"} | dict(zip((("1", "z"), ("z", "1"), ("z", "z")), values))
+        _assert_matches_the_oracle(FinMonoidalStructure(z.category, z.obj_tensor, tm, z.unit), tm)
 
 
 def test_dangling_references_raise():
