@@ -10,12 +10,12 @@ The maps themselves come from one search of the engine; the conditions
 are an independent route to their generator images.
 
 A monoidal nerve is 3-coskeletal, so a map C_4 -> N(m)_4 is the same as
-a map C_3 -> N(m)_3.  The search runs from C_3 into the nerve's levels
-0..3 read off the structure as it goes (``nerve._ImplicitNerve``), so it
-costs what the structure costs, not what its nerve does.  No nerve is
-built until a record's map or index components are read; then one
-``monoidal_nerve(m, 4)`` serves all the records of the classification,
-each 4-simplex going to the one filler of its image boundary.
+a map C_3 -> N(m)_3.  The search runs from C_3 into ``nerve._ImplicitNerve``,
+the one definition of the nerve's levels 0..3, read off the structure as
+it goes, so it costs what the structure costs, not what its nerve does.
+No nerve is built until a record's map or components are read; then that
+implicit nerve, materialized at 4, serves all the records, each 4-simplex
+going to the one filler of its image boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 from .dyck import FREE_EDGE
 from .errors import StructuralError
 from .finmon import FinMonoidalStructure, MonoidObject, _require_laws, enumerate_monoids, validate_strict_monoidal
-from .nerve import _ImplicitNerve, monoidal_nerve, two_label, two_simplex_data
+from .nerve import _ImplicitNerve, two_label, two_simplex_data
 from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _labelled_map, _take, catalan_sset
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
@@ -52,11 +52,11 @@ class ClassificationRecord:
     ``nerve._ImplicitNerve``: 0, an object, (A12, A02, A01, f) or the
     four faces.  ``eta_prime`` is the image of the unit-shaped 2-simplex;
     with the strict tensor it coincides with ``monoid.eta``, but both
-    sides of the correspondence are kept.  ``nerve4`` returns
-    ``monoidal_nerve(structure, 4)``, built on its first call, once for
-    all the records of one classification; ``components`` and ``map``
-    read it.  Records compare and hash by their images, monoid and eta';
-    the structure and the nerve do not enter.
+    sides of the correspondence are kept.  ``nerve4`` returns the
+    classification's implicit nerve materialized at 4, built on its first
+    call, once for all the records of one classification; ``components``
+    and ``map`` read it.  Records compare and hash by their images,
+    monoid and eta'; the structure and the nerve do not enter.
     """
 
     _images: tuple[tuple, ...]
@@ -179,16 +179,17 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
     """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
     The structure is validated once; the search runs against the
-    implicit nerve of ``m``.  Record triples come from the square
-    conditions, monoid triples from :func:`enumerate_monoids` and engine
-    triples from the search; a record takes only its images from the
-    search.
+    implicit nerve of ``m``, which the records materialize unvalidated.
+    Record triples come from the square conditions, monoid triples from
+    :func:`enumerate_monoids` and engine triples from the search; a
+    record takes only its images from the search.
     """
     _require_laws(validate_strict_monoidal(m))
-    maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
+    nerve = _ImplicitNerve(m)
+    maps = _enumerate_level_maps(_CATALAN3, nerve, 3, bijective=False)
     # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms
     by_triple = {(c[1][_EDGE], c[2][_MUL][3], c[2][_UNIT][3]): tuple(map(tuple, c)) for c in maps}
-    nerve4 = cache(partial(monoidal_nerve, m, 4))
+    nerve4 = cache(partial(nerve.materialized, 4))
     records = []
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):

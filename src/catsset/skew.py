@@ -19,6 +19,7 @@ appear only at the edge: in reports and in the skew data returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -49,6 +50,8 @@ class SkewData(FinMonoidalStructure):
 
     KIND = "skew_data"
 
+    _rows = cached_property(lambda self: _Rows(self))
+
     def __init__(
         self,
         category: FinCategory,
@@ -73,17 +76,13 @@ class SkewData(FinMonoidalStructure):
         objs = c.objects
         morset = set(c.morphism_labels())
         t = self.obj_tensor
-        for a in objs:
-            for b in objs:
-                for d in objs:
-                    f = self.alpha.get((a, b, d))
-                    if f is None:
-                        raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
-                    ends = (t[(t[(a, b)], d)], t[(a, t[(b, d)])])
-                    if f not in morset or (c.src(f), c.tgt(f)) != ends:
-                        raise StructuralError(
-                            f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed"
-                        )
+        for a, b, d in product(objs, repeat=3):
+            f = self.alpha.get((a, b, d))
+            if f is None:
+                raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
+            ends = (t[(t[(a, b)], d)], t[(a, t[(b, d)])])
+            if f not in morset or (c.src(f), c.tgt(f)) != ends:
+                raise StructuralError(f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed")
         for a in objs:
             f = self.lam.get(a)
             if f is None or f not in morset or c.src(f) != t[(self.unit, a)] or c.tgt(f) != a:
@@ -168,15 +167,15 @@ class _Rows:
     ``src``, ``tgt`` and ``declared`` (the morphisms in declared order)
     come from the category, and ``t``, ``tm``, ``alpha``, ``lam``, ``rho``
     and ``unit`` are the tensors, components and unit.  ``kappa`` is set
-    only on the pentagon route, so the axioms never read it.  ``_Rows(d)``
-    reads a structure for one check call; each search pick is a
-    :meth:`_pick` of its category's rows.  Rows are never stored.
+    only on the pentagon route, so the axioms never read it.  The checks
+    of a structure share the rows its first check builds (``_rows``); each
+    search pick is a :meth:`_pick` of its category's rows.
     """
 
     __slots__ = ("objs", "mors", "comp", "ids", "src", "tgt", "declared",
                  "t", "tm", "alpha", "lam", "rho", "unit", "kappa")
 
-    def __init__(self, d: SkewData, kappa: bool = False) -> None:
+    def __init__(self, d: SkewData) -> None:
         obj, mor = self._over(d.category)
         objs, mors = self.objs, self.mors
         self.t = [[obj[d.obj_tensor[(a, b)]] for b in objs] for a in objs]
@@ -184,8 +183,6 @@ class _Rows:
         self.alpha = [[[mor[d.alpha[(a, b, e)]] for e in objs] for b in objs] for a in objs]
         self.lam, self.rho = [mor[d.lam[a]] for a in objs], [mor[d.rho[a]] for a in objs]
         self.unit = obj[d.unit]
-        if kappa:
-            self.kappa = mor[d.kappa]
 
     def _over(self, c: FinCategory) -> tuple[dict[str, int], dict[str, int]]:
         """Set the fields of the category ``c``; the index of each object and each morphism label."""
@@ -214,7 +211,7 @@ def check_naturality(d: SkewData) -> list[LawViolation]:
     The candidate search runs the two parts apart, each once per pick of
     the tables it reads, and stops each at its first violation.
     """
-    r = _Rows(d)
+    r = d._rows
     hits = (*_alpha_unnatural(r, r.tm, r.alpha), *_unitors_unnatural(r, r.tm, r.unit, r.lam, r.rho))
     mors = r.mors
     return [
@@ -371,7 +368,7 @@ def _evaluate(rows: _Rows, table, known: Mapping = {}) -> ConditionReport:
 
 def check_axioms(d: SkewData) -> ConditionReport:
     """The five skew-monoidal axioms, evaluated pointwise over object tuples."""
-    return _evaluate(_Rows(d), AXIOMS)
+    return _evaluate(d._rows, AXIOMS)
 
 
 def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> ConditionReport:
@@ -381,7 +378,9 @@ def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> Condi
     5.1) takes the axiom's result instead of being evaluated again.
     """
     known = {} if axioms is None else {fn: axioms.result(name).witness for name, _, fn in AXIOMS}
-    return _evaluate(_Rows(d, kappa=True), PENTAGONS, known)
+    r = d._rows
+    r.kappa = r.mors.index(d.kappa)
+    return _evaluate(r, PENTAGONS, known)
 
 
 def equivalence_consistent(axioms: ConditionReport, pentagons: ConditionReport, identity_kappa: bool) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from catsset.finmon import MonoidalPoset, antichain_poset, poset_as_category
+from catsset.finmon import MonoidalPoset, Poset, antichain_poset, poset_as_category
 from catsset.library import boolean_or, structure_library
 from catsset.nerve import monoidal_nerve
 from catsset.sset import catalan_sset
@@ -52,3 +52,25 @@ def left_zero_antichain():
     tensor = {(x, "e"): x for x in "abe"} | {("e", x): x for x in "abe"}
     tensor |= {(x, y): x for x in "ab" for y in "ab"}
     return poset_as_category(MonoidalPoset(antichain_poset(["a", "b", "e"]), tensor, "e"))
+
+
+#: Two non-commutative strict tensors on 3-element posets that are not antichains:
+#: the 3-chain with unit 1 and x (x) y = x on {0, 2}, and the vee 0 < 1, 0 < 2 with
+#: unit 2 and x (x) y = y on {0, 1}.
+NON_COMMUTATIVE = {
+    "chain3-left-zero": (["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")], "1", {("0", "2"): "0", ("2", "0"): "2"}),
+    "vee-right-zero": (["0", "1", "2"], [("0", "1"), ("0", "2")], "2", {("0", "1"): "1", ("1", "0"): "0"}),
+}
+
+
+def _non_commutative(elems, strict, unit, cross):
+    tensor = {(x, unit): x for x in elems} | {(unit, x): x for x in elems}
+    tensor |= {(x, x): x for x in elems} | cross
+    poset = Poset(tuple(elems), frozenset({(x, x) for x in elems} | set(strict)))
+    return poset_as_category(MonoidalPoset(poset, tensor, unit))
+
+
+@pytest.fixture(scope="session")
+def non_commutative():
+    """The structures of ``NON_COMMUTATIVE`` by name."""
+    return {name: _non_commutative(*spec) for name, spec in NON_COMMUTATIVE.items()}

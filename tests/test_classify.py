@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
 import catsset.classify
+import catsset.finmon
 import catsset.nerve
 from catsset.classify import (
     MUL_TRIANGLE,
@@ -18,7 +20,7 @@ from catsset.classify import (
 )
 from catsset.dyck import FREE_EDGE
 from catsset.errors import StructuralError
-from catsset.finmon import MonoidalPoset, Poset, enumerate_monoids, poset_as_category
+from catsset.finmon import enumerate_monoids
 from catsset.library import boolean_or, chain3_max
 from catsset.nerve import _ImplicitNerve, monoidal_nerve, two_simplex_data
 from catsset.sset import _enumerate_level_maps, catalan_sset, is_simplicial_map, simplicial_maps
@@ -132,26 +134,27 @@ def test_record_fields_are_tuples_and_the_context_does_not_compare(library):
 
 
 def _counting_nerves(monkeypatch):
-    """The nerves built from here on, by dimension: each ``monoidal_nerve`` call of the
-    classification, and each coskeletal extension that builds a nerve's levels above 3."""
+    """The nerves built from here on, by dimension: each materialization of an implicit nerve,
+    which a record's nerve at 4 is, and each coskeletal extension that builds a nerve's levels
+    above 3."""
     built = []
-    real_nerve, real_extended = catsset.classify.monoidal_nerve, catsset.nerve._extended
+    real_materialized, real_extended = catsset.nerve._ImplicitNerve.materialized, catsset.nerve._extended
 
-    def nerve(m, n):
-        built.append(("monoidal_nerve", n))
-        return real_nerve(m, n)
+    def materialized(self, n, max_simplices=1_000_000):
+        built.append(("materialized", n))
+        return real_materialized(self, n, max_simplices)
 
     def extended(S, n, max_simplices):
         built.append(("_extended", n))
         return real_extended(S, n, max_simplices)
 
-    monkeypatch.setattr(catsset.classify, "monoidal_nerve", nerve)
+    monkeypatch.setattr(catsset.nerve._ImplicitNerve, "materialized", materialized)
     monkeypatch.setattr(catsset.nerve, "_extended", extended)
     return built
 
 
 #: The one nerve a classification builds when a record's map or components are read.
-ONE_NERVE = [("monoidal_nerve", 4), ("_extended", 4)]
+ONE_NERVE = [("materialized", 4), ("_extended", 4)]
 
 
 @pytest.mark.parametrize("make", (boolean_or, chain3_max))
@@ -181,6 +184,25 @@ def test_classification_builds_no_nerve_until_a_record_is_read(library, monkeypa
         built.clear()
 
 
+def test_reading_every_record_validates_the_structure_once(library, monkeypatch):
+    checked = []
+    real = catsset.finmon.validate_strict_monoidal
+
+    def counting(m):
+        checked.append(m)
+        return real(m)
+
+    # every module of the package that holds the validator calls the counting one
+    for name, module in list(sys.modules.items()):
+        if name.startswith("catsset.") and hasattr(module, "validate_strict_monoidal"):
+            monkeypatch.setattr(module, "validate_strict_monoidal", counting)
+    for name, m in library.items():
+        checked.clear()
+        records = classify_maps(m)
+        assert records and [r.map for r in records] and [r.components for r in records], name
+        assert checked == [m], name
+
+
 def _as_data(T, comps):
     """Index components into a materialized nerve T, each image named by its data as the
     implicit nerve names it: 0, an object, (A12, A02, A01, f) or its four faces."""
@@ -193,25 +215,8 @@ def _as_data(T, comps):
     )
 
 
-#: Two non-commutative strict tensors on 3-element posets that are not antichains:
-#: the 3-chain with unit 1 and x (x) y = x on {0, 2}, and the vee 0 < 1, 0 < 2 with
-#: unit 2 and x (x) y = y on {0, 1}.
-NON_COMMUTATIVE = {
-    "chain3-left-zero": (["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")], "1", {("0", "2"): "0", ("2", "0"): "2"}),
-    "vee-right-zero": (["0", "1", "2"], [("0", "1"), ("0", "2")], "2", {("0", "1"): "1", ("1", "0"): "0"}),
-}
-
-
-def _non_commutative(elems, strict, unit, cross):
-    tensor = {(x, unit): x for x in elems} | {(unit, x): x for x in elems}
-    tensor |= {(x, x): x for x in elems} | cross
-    poset = Poset(tuple(elems), frozenset({(x, x) for x in elems} | set(strict)))
-    return poset_as_category(MonoidalPoset(poset, tensor, unit))
-
-
-def test_implicit_search_is_the_search_on_the_nerve(library, left_zero_antichain):
-    structures = dict(library) | {"left-zero-antichain": left_zero_antichain}
-    structures |= {name: _non_commutative(*spec) for name, spec in NON_COMMUTATIVE.items()}
+def test_implicit_search_is_the_search_on_the_nerve(library, left_zero_antichain, non_commutative):
+    structures = dict(library) | {"left-zero-antichain": left_zero_antichain} | non_commutative
     for name, m in structures.items():
         T = monoidal_nerve(m, 3)
         want = [_as_data(T, comps) for comps in _enumerate_level_maps(catalan_sset(3), T, 3, False)]

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-import catsset.classify
 import catsset.cli
 import catsset.finmon
+import catsset.nerve
+import catsset.skew
 from catsset.cli import main
 from catsset.errors import SchemaError, StructuralError
 from catsset.finmon import FinCategory, FinMonoidalStructure, MonoidalPoset, chain_poset, poset_as_category
@@ -249,13 +250,13 @@ def test_classify_files(tmp_path, capsys):
 
 def test_classify_builds_no_nerve(capsys, monkeypatch):
     built = []
-    real = catsset.classify.monoidal_nerve
+    real = catsset.nerve._ImplicitNerve.materialized
 
-    def counting(m, n):
+    def counting(self, n, max_simplices=1_000_000):
         built.append(n)
-        return real(m, n)
+        return real(self, n, max_simplices)
 
-    monkeypatch.setattr(catsset.classify, "monoidal_nerve", counting)
+    monkeypatch.setattr(catsset.nerve._ImplicitNerve, "materialized", counting)
     code, out, _ = run(capsys, "classify", str(EXAMPLES / "two-or.json"))
     assert code == 0 and "three-way agreement: true" in out
     # the search reads the nerve off the structure, and the CLI reads no record's map
@@ -319,6 +320,23 @@ def test_classify_rejects_top_level_array(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 2
     assert "JSON object" in err
+
+
+def test_skew_check_builds_the_rows_of_a_structure_once(capsys, monkeypatch):
+    built = []
+    real = catsset.skew._Rows.__init__
+
+    def counting(self, d):
+        built.append(d)
+        real(self, d)
+
+    monkeypatch.setattr(catsset.skew._Rows, "__init__", counting)
+    for name in ("skew-two-or.json", "skew-kappa-z.json"):
+        built.clear()
+        code, out, _ = run(capsys, "skew", "check", str(EXAMPLES / name), "--json")
+        assert code in (0, 1) and json.loads(out)["command"] == "skew-check"
+        # naturality, the axioms and the pentagons read one build
+        assert len(built) == 1, name
 
 
 def test_skew_check_rejects_short_tensor_row(tmp_path, capsys):

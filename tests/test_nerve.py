@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import catsset.nerve
 from catsset.errors import BudgetExceededError, StructuralError
 from catsset.finmon import (
     FinCategory,
@@ -106,7 +107,7 @@ def _commutative_monoid(table):
     return FinMonoidalStructure(cat, {("*", "*"): "*"}, table, "*")
 
 
-def test_level_three_is_the_commuting_boundaries(library, left_zero_antichain):
+def test_level_three_is_the_commuting_boundaries(library, left_zero_antichain, non_commutative):
     z3 = {(a, b): "1gh"[("1gh".index(a) + "1gh".index(b)) % 3] for a in "1gh" for b in "1gh"}
     one_ab = {("1", x): x for x in "1ab"} | {(x, "1"): x for x in "1ab"}
     one_ab |= {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"}
@@ -114,6 +115,7 @@ def test_level_three_is_the_commuting_boundaries(library, left_zero_antichain):
     structures |= {"chain2-min": _chain_min(["0", "1"]), "chain3-min": _chain_min(["0", "1", "2"])}
     structures |= {"z3": _commutative_monoid(z3), "monoid-1ab": _commutative_monoid(one_ab)}
     structures["left-zero-antichain"] = left_zero_antichain
+    structures |= non_commutative
     dropped = {}
     for name, m in structures.items():
         T = monoidal_nerve(m, 3)
@@ -189,9 +191,24 @@ def test_relabeling_induces_isomorphism(nerve_two4):
     assert len(isomorphisms(nerve_two4, other)) == 1
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceededError):
         monoidal_nerve(chain3_max(), 4, max_simplices=10)
+    m = chain3_max()
+    sizes = [len(level) for level in monoidal_nerve(m, 3).levels]
+    below = sum(sizes[:3])
+    joined = []
+    real_join = catsset.nerve._join
+    monkeypatch.setattr(catsset.nerve, "_join", lambda *args: joined.append(args[2]) or real_join(*args))
+    # levels 0..2 alone exceed the budget: the check before the level-3 join raises
+    with pytest.raises(BudgetExceededError, match=f"level 2 needs more than {below - 1} "):
+        monoidal_nerve(m, 4, max_simplices=below - 1)
+    assert joined == []
+    # levels 0..2 fit and level 3 does not: adding level 3 raises, after its join
+    with pytest.raises(BudgetExceededError, match=f"level 3 needs more than {below + sizes[3] - 1} "):
+        monoidal_nerve(m, 4, max_simplices=below + sizes[3] - 1)
+    assert joined == [3]
+    assert monoidal_nerve(m, 3, max_simplices=below + sizes[3]).size() == below + sizes[3]
 
 
 def test_invalid_structure_rejected():

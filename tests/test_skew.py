@@ -689,6 +689,12 @@ def _with_identities(c: FinCategory, path, source: str) -> list[str]:
     return out
 
 
+def _pentagon_rows(d):
+    """The index rows of ``d`` as the pentagon route reads them, kappa included."""
+    check_pentagons(d)
+    return d._rows
+
+
 def _hand_paths(rows, fn, args):
     """The hand-written condition fn at the objects ``args``, its index paths mapped to labels."""
     top, bottom = fn(rows, *(rows.objs.index(a) for a in args))
@@ -721,7 +727,7 @@ def test_pentagons_are_read_off_the_catalan_4_simplices():
     instances = 0
     for carrier in carriers:
         for d in skew_candidates(carrier):
-            rows = skew._Rows(d, kappa=True)
+            rows = _pentagon_rows(d)
             for name, (arity, condition) in derived.items():
                 for args in product(rows.objs, repeat=arity):
                     assert condition(d, *args) == _hand_paths(rows, hand[name][1], args), (name, args)
@@ -754,7 +760,7 @@ def test_merged_edges_read_the_unit_where_the_unit_is_not_idempotent():
     candidates = list(skew_candidates(cat, budget))
     assert sum(d.obj_tensor[(d.unit, d.unit)] != d.unit for d in candidates) == 16
     hand = {name: fn for name, _, fn in PENTAGONS}
-    rows = [skew._Rows(d, kappa=True) for d in candidates]
+    rows = [_pentagon_rows(d) for d in candidates]
     instances = 0
     for x in catalan_sset(4).nondegenerate(4):
         name = PENTAGON_OF[dyck_to_motzkin(x)]
