@@ -13,16 +13,17 @@ A monoidal nerve is 3-coskeletal, so a map C_4 -> N(m)_4 is the same as
 a map C_3 -> N(m)_3.  The search runs from C_3 into ``nerve._ImplicitNerve``,
 the one definition of the nerve's levels 0..3, read off the structure as
 it goes, so it costs what the structure costs, not what its nerve does.
-No nerve is built until a record's map or components are read; then that
-implicit nerve, materialized at 4, serves all the records, each 4-simplex
-going to the one filler of its image boundary.
+No nerve is built until a record's map or components are read; then an
+implicit nerve of the structure, materialized at 4 with no second
+validation, serves all the records, each 4-simplex going to the one
+filler of its image boundary.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable
 
 from .dyck import FREE_EDGE
@@ -53,7 +54,7 @@ class ClassificationRecord:
     four faces.  ``eta_prime`` is the image of the unit-shaped 2-simplex;
     with the strict tensor it coincides with ``monoid.eta``, but both
     sides of the correspondence are kept.  ``nerve4`` returns the
-    classification's implicit nerve materialized at 4, built on its first
+    structure's implicit nerve materialized at 4, built on its first
     call, once for all the records of one classification; ``components``
     and ``map`` read it.  Records compare and hash by their images,
     monoid and eta'; the structure and the nerve do not enter.
@@ -179,17 +180,17 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
     """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
     The structure is validated once; the search runs against the
-    implicit nerve of ``m``, which the records materialize unvalidated.
+    implicit nerve of ``m``; the records materialize another, unvalidated.
     Record triples come from the square conditions, monoid triples from
     :func:`enumerate_monoids` and engine triples from the search; a
     record takes only its images from the search.
     """
     _require_laws(validate_strict_monoidal(m))
-    nerve = _ImplicitNerve(m)
-    maps = _enumerate_level_maps(_CATALAN3, nerve, 3, bijective=False)
+    maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
     # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms
     by_triple = {(c[1][_EDGE], c[2][_MUL][3], c[2][_UNIT][3]): tuple(map(tuple, c)) for c in maps}
-    nerve4 = cache(partial(nerve.materialized, 4))
+    # a fresh implicit nerve, so the records do not keep the entries the search filled in
+    nerve4 = cache(lambda: _ImplicitNerve(m).materialized(4))
     records = []
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):

@@ -65,7 +65,7 @@ def _commuting(m: FinMonoidalStructure, boundaries) -> list[bool]:
 
 class _Lazy(dict):
     """A table whose entries ``fill`` computes on first read, by subscript or by ``get``;
-    ``get`` takes no default, since a filler index's ``fill`` returns an empty sequence for no fillers."""
+    ``get`` takes no default, since a filler index's ``fill`` returns () for no fillers."""
 
     def __init__(self, fill) -> None:
         self.fill = fill
@@ -102,7 +102,7 @@ class _ImplicitNerve:
         self.levels = (("*",),)
         self._fillers = {
             1: {(0, 0): objs},
-            2: _Lazy(lambda key: [(*key, f) for f in hom(t[key[0], key[2]], key[1])]),
+            2: _Lazy(lambda key: tuple((*key, f) for f in hom(t[key[0], key[2]], key[1]))),
             3: _Lazy(lambda x: (x,) if _commuting(m, (x,))[0] else ()),
         }
         self.faces = ((), (dict.fromkeys(objs, 0),) * 2, *(tuple(_Lazy(itemgetter(i)) for i in range(n)) for n in (3, 4)))

@@ -76,13 +76,17 @@ class SkewData(FinMonoidalStructure):
         objs = c.objects
         morset = set(c.morphism_labels())
         t = self.obj_tensor
-        for a, b, d in product(objs, repeat=3):
-            f = self.alpha.get((a, b, d))
-            if f is None:
-                raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
-            ends = (t[(t[(a, b)], d)], t[(a, t[(b, d)])])
-            if f not in morset or (c.src(f), c.tgt(f)) != ends:
-                raise StructuralError(f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed")
+        for a in objs:
+            for b in objs:
+                for d in objs:
+                    f = self.alpha.get((a, b, d))
+                    if f is None:
+                        raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
+                    ends = (t[(t[(a, b)], d)], t[(a, t[(b, d)])])
+                    if f not in morset or (c.src(f), c.tgt(f)) != ends:
+                        raise StructuralError(
+                            f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed"
+                        )
         for a in objs:
             f = self.lam.get(a)
             if f is None or f not in morset or c.src(f) != t[(self.unit, a)] or c.tgt(f) != a:
@@ -167,7 +171,7 @@ class _Rows:
     ``src``, ``tgt`` and ``declared`` (the morphisms in declared order)
     come from the category, and ``t``, ``tm``, ``alpha``, ``lam``, ``rho``
     and ``unit`` are the tensors, components and unit.  ``kappa`` is set
-    only on the pentagon route, so the axioms never read it.  The checks
+    only on the pentagon route's copy, so the axioms never read it.  The checks
     of a structure share the rows its first check builds (``_rows``); each
     search pick is a :meth:`_pick` of its category's rows.
     """
@@ -379,6 +383,7 @@ def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> Condi
     """
     known = {} if axioms is None else {fn: axioms.result(name).witness for name, _, fn in AXIOMS}
     r = d._rows
+    r = r._pick(r.t, r.tm, r.unit, r.alpha, r.lam, r.rho)  # kappa goes on a copy, never on the shared rows
     r.kappa = r.mors.index(d.kappa)
     return _evaluate(r, PENTAGONS, known)
 
