@@ -483,18 +483,19 @@ FRONTIER_CHAINS = (14, 18, 22, 26, 30)
 
 
 #: The work counts of :func:`work_counted`; each also has a ``*_by_level`` breakdown.
-WORK = ("joins", "tuples", "checked_cells", "filler_indexes", "skew_tables")
+WORK = ("joins", "tuples", "checked_cells", "filler_indexes", "skew_tables", "skew_conditions")
 
 
 @contextlib.contextmanager
 def work_counted(api):
     """Count, inside the block, the boundary joins that tree runs and the tuples they return,
     the table cells its constructor checks (``TruncatedSSet._checked``) and the filler indexes
-    it builds, in all and by level, and the object and morphism tensor tables the skew search
-    draws (``skew._fill``), by their number of cells.  The join is ``sset._join``, which returns
-    columns, on a tree that has it and ``sset._boundaries``, which returns tuples, on an older
-    one.  An ``api`` without ``skew`` counts no tables.  The timed runs call these functions
-    unwrapped."""
+    it builds, in all and by level, the object and morphism tensor tables the skew search
+    draws (``skew._fill``), by their number of cells, and the skew conditions it evaluates
+    (``skew._witness``), by their arity.  The join is ``sset._join``, which returns columns, on
+    a tree that has it and ``sset._boundaries``, which returns tuples, on an older one.  An
+    ``api`` without ``skew`` counts no tables and no conditions.  The timed runs call these
+    functions unwrapped."""
     work: dict = {key: 0 for key in WORK} | {f"{key}_by_level": {} for key in WORK}
 
     def tally(key: str, n: int, amount: int) -> None:
@@ -523,12 +524,16 @@ def work_counted(api):
         return real_index(self, n)
 
     skew = getattr(api, "skew", None)
-    real_fill = getattr(skew, "_fill", None)
+    real_fill, real_witness = getattr(skew, "_fill", None), getattr(skew, "_witness", None)
 
     def filled(domains, admits):
         for table in real_fill(domains, admits):
             tally("skew_tables", len(domains), 1)
             yield table
+
+    def witnessed(r, arity, fn):
+        tally("skew_conditions", arity, 1)
+        return real_witness(r, arity, fn)
 
     # the modules that call the join by this name: the engine and the nerve
     modules = (api.sset, api.nerve)
@@ -536,7 +541,7 @@ def work_counted(api):
         setattr(module, join, counted)
     TruncatedSSet._checked, TruncatedSSet._filler_index = checked, indexed
     if skew:
-        skew._fill = filled
+        skew._fill, skew._witness = filled, witnessed
     try:
         yield work
     finally:
@@ -544,7 +549,7 @@ def work_counted(api):
             setattr(module, join, real_join)
         TruncatedSSet._checked, TruncatedSSet._filler_index = real_checked, real_index
         if skew:
-            skew._fill = real_fill
+            skew._fill, skew._witness = real_fill, real_witness
 
 
 def measure(cases: list, trees: dict, repeats: int = REPEATS) -> list[dict]:

@@ -388,8 +388,7 @@ def cmd_skew(args: argparse.Namespace) -> int:
             d = SkewData.from_json_text(handle.read())
         _require_laws(validate_category(d.category))
         naturality = check_naturality(d)
-        axioms = check_axioms(d)
-        pentagons = check_pentagons(d, axioms)
+        axioms, pentagons = check_axioms(d), check_pentagons(d)
         equivalent = equivalence_consistent(axioms, pentagons, d.kappa == d.category.id_of(d.unit))
         ok = not naturality and axioms.all_hold and pentagons.all_hold
         fields = {

@@ -172,12 +172,13 @@ class _Rows:
     come from the category, and ``t``, ``tm``, ``alpha``, ``lam``, ``rho``
     and ``unit`` are the tensors, components and unit.  ``kappa`` is set
     only on the pentagon route's copy, so the axioms never read it.  The checks
-    of a structure share the rows its first check builds (``_rows``); each
-    search pick is a :meth:`_pick` of its category's rows.
+    of a structure share the rows its first check builds (``_rows``) and the
+    witnesses of the kappa-free conditions kept on them (``kept``, by condition
+    function); each search pick is a :meth:`_pick` of its category's rows.
     """
 
     __slots__ = ("objs", "mors", "comp", "ids", "src", "tgt", "declared",
-                 "t", "tm", "alpha", "lam", "rho", "unit", "kappa")
+                 "t", "tm", "alpha", "lam", "rho", "unit", "kappa", "kept")
 
     def __init__(self, d: SkewData) -> None:
         obj, mor = self._over(d.category)
@@ -186,7 +187,7 @@ class _Rows:
         self.tm = [[mor[d.mor_tensor[(f, g)]] for g in mors] for f in mors]
         self.alpha = [[[mor[d.alpha[(a, b, e)]] for e in objs] for b in objs] for a in objs]
         self.lam, self.rho = [mor[d.lam[a]] for a in objs], [mor[d.rho[a]] for a in objs]
-        self.unit = obj[d.unit]
+        self.unit, self.kept = obj[d.unit], {}
 
     def _over(self, c: FinCategory) -> tuple[dict[str, int], dict[str, int]]:
         """Set the fields of the category ``c``; the index of each object and each morphism label."""
@@ -339,6 +340,7 @@ PENTAGONS: tuple[tuple[str, int, object], ...] = (
     ("A8", 1, _pent_a8),
     ("A9", 1, _pent_a9),
 )
+_KAPPA_FREE = 4  # A1-A4, the pentagons that read no kappa, come first
 
 
 def _witness(r: _Rows, arity: int, fn) -> tuple[int, ...] | None:
@@ -357,35 +359,36 @@ def _witness(r: _Rows, arity: int, fn) -> tuple[int, ...] | None:
     return None
 
 
-def _evaluate(rows: _Rows, table, known: Mapping = {}) -> ConditionReport:
-    """The report of ``table`` on the rows; a condition function in ``known`` takes its witness from there."""
+def _evaluate(rows: _Rows, table, kept: dict) -> list[ConditionResult]:
+    """The results of ``table`` on the rows, in its order.  ``kept`` maps condition functions to their
+    witnesses on these rows: one found there is not evaluated again, and one evaluated here is added."""
     results = []
     for name, arity, fn in table:
-        if fn in known:
-            witness = known[fn]
-        else:
-            found = _witness(rows, arity, fn)
-            witness = None if found is None else tuple(rows.objs[k] for k in found)
+        if fn not in kept:
+            kept[fn] = _witness(rows, arity, fn)
+        found = kept[fn]
+        witness = None if found is None else tuple(rows.objs[k] for k in found)
         results.append(ConditionResult(name, witness is None, witness))
-    return ConditionReport(tuple(results))
+    return results
 
 
 def check_axioms(d: SkewData) -> ConditionReport:
-    """The five skew-monoidal axioms, evaluated pointwise over object tuples."""
-    return _evaluate(d._rows, AXIOMS)
+    """The five skew-monoidal axioms, evaluated pointwise over object tuples, each once per structure."""
+    return ConditionReport(tuple(_evaluate(d._rows, AXIOMS, d._rows.kept)))
 
 
-def check_pentagons(d: SkewData, axioms: ConditionReport | None = None) -> ConditionReport:
+def check_pentagons(d: SkewData) -> ConditionReport:
     """The nine pentagon conditions, kappa included, evaluated pointwise.
 
-    Given ``check_axioms(d)``, a condition that is also an axiom (A1 is
-    5.1) takes the axiom's result instead of being evaluated again.
+    A1-A4 read no kappa and keep their witnesses on the structure's rows
+    with the axioms', so A1, which is 5.1, is evaluated once for this and
+    :func:`check_axioms` in either order; A5-A9 read a copy with kappa.
     """
-    known = {} if axioms is None else {fn: axioms.result(name).witness for name, _, fn in AXIOMS}
     r = d._rows
-    r = r._pick(r.t, r.tm, r.unit, r.alpha, r.lam, r.rho)  # kappa goes on a copy, never on the shared rows
-    r.kappa = r.mors.index(d.kappa)
-    return _evaluate(r, PENTAGONS, known)
+    kappa_rows = r._pick(r.t, r.tm, r.unit, r.alpha, r.lam, r.rho)  # a copy, never the kept rows
+    kappa_rows.kappa = r.mors.index(d.kappa)
+    results = _evaluate(r, PENTAGONS[:_KAPPA_FREE], r.kept) + _evaluate(kappa_rows, PENTAGONS[_KAPPA_FREE:], {})
+    return ConditionReport(tuple(results))
 
 
 def equivalence_consistent(axioms: ConditionReport, pentagons: ConditionReport, identity_kappa: bool) -> bool:
@@ -395,9 +398,7 @@ def equivalence_consistent(axioms: ConditionReport, pentagons: ConditionReport, 
 
 def verify_equivalence(d: SkewData) -> bool:
     """Pentagons all hold iff the axioms hold and kappa is the identity."""
-    axioms = check_axioms(d)
-    identity_kappa = d.kappa == d.category.id_of(d.unit)
-    return equivalence_consistent(axioms, check_pentagons(d, axioms), identity_kappa)
+    return equivalence_consistent(check_axioms(d), check_pentagons(d), d.kappa == d.category.id_of(d.unit))
 
 
 def is_monoidal(d: SkewData) -> bool:
@@ -651,9 +652,9 @@ def sweep_equivalence(
     """Exhaustively verify the pentagon/axiom equivalence over a carrier.
 
     Only natural candidates are evaluated, on the rows of their pick,
-    and only their verdicts are kept.  The axioms, which do not read
-    kappa, run once per pick, and the pentagons once per kappa, A1 taking
-    the verdict of 5.1.
+    and only their verdicts are kept.  Each condition runs once per input
+    it reads: the axioms and A1-A4, which do not read kappa, once per
+    pick, A1 being 5.1, before kappa is set on the rows; A5-A9 once per kappa.
     """
     candidates = 0
     natural = 0
@@ -662,21 +663,21 @@ def sweep_equivalence(
     a8_a9 = True
     structures = 0
     cat = _swept_category(carrier, budget)
+    kappa_free, with_kappa = PENTAGONS[:_KAPPA_FREE], PENTAGONS[_KAPPA_FREE:]
+    once_per_pick = {fn: arity for _, arity, fn in AXIOMS + kappa_free}  # A1 is 5.1: one entry
     for rows, kappas, is_natural in _category_picks(cat):
         candidates += len(kappas)
         if not is_natural:
             continue
         natural += len(kappas)
-        axioms = {fn: _witness(rows, arity, fn) for _, arity, fn in AXIOMS}
-        axioms_hold = all(w is None for w in axioms.values())
+        pick_holds = {fn: _witness(rows, arity, fn) is None for fn, arity in once_per_pick.items()}
+        axioms_hold = all([pick_holds[fn] for _, _, fn in AXIOMS])
+        kappa_free_hold = all([pick_holds[fn] for _, _, fn in kappa_free])
         for kappa in kappas:
             rows.kappa = kappa
             identity_kappa = kappa == rows.ids[rows.unit]
-            holds = {
-                name: (axioms[fn] if fn in axioms else _witness(rows, arity, fn)) is None
-                for name, arity, fn in PENTAGONS
-            }
-            equivalence &= all(holds.values()) == (axioms_hold and identity_kappa)
+            holds = {name: _witness(rows, arity, fn) is None for name, arity, fn in with_kappa}
+            equivalence &= (kappa_free_hold and all(holds.values())) == (axioms_hold and identity_kappa)
             a5_forces &= identity_kappa or not holds["A5"]
             a8_a9 &= not identity_kappa or holds["A8"] and holds["A9"]
             structures += identity_kappa and axioms_hold

@@ -60,6 +60,20 @@ def test_work_counts_the_level_joins_the_builders_run():
     assert len(_boundaries(T.levels, T.faces, 3)) == len(T.levels[3])
 
 
+def test_work_counts_the_skew_conditions_a_check_evaluates():
+    bench = load_bench()
+    witness = catsset.skew._witness
+    api = SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve, skew=catsset.skew)
+    with bench.work_counted(api) as work:
+        d = catsset.skew.skew_from_strict(boolean_or())
+        catsset.skew.check_axioms(d)
+        catsset.skew.check_pentagons(d)
+    assert catsset.skew._witness is witness
+    # A1 is 5.1, kept from the axioms: one arity-4 condition, 5.2-5.4 and A2-A4, 5.5 and A5-A7, A8-A9
+    assert work["skew_conditions"] == 13
+    assert work["skew_conditions_by_level"] == {"4": 1, "2": 6, "0": 4, "1": 2}
+
+
 def _compared(bench, parent_times, change_times):
     """The ``ratios`` entry and printed line of one case read off the given run times."""
     work = {key: 0 for key in bench.WORK}

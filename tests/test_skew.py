@@ -536,10 +536,11 @@ def test_sweep_summary_is_the_reports_of_every_natural_candidate(carrier_name):
     assert sweep_equivalence(carrier, budget) == summary
 
 
-#: Condition evaluations of each sweep: five axioms per natural pick and,
-#: A1 taking 5.1's verdict, eight pentagons per natural candidate.
+#: Condition evaluations of each sweep: the five axioms and A2-A4, which
+#: read no kappa, per natural pick (A1 is 5.1) and the five pentagons
+#: A5-A9 per natural candidate, one per kappa.
 SWEEP_EVALUATIONS = {
-    "chain2": 52, "chain3": 377, "antichain3": 429, "zmonoid": 378, "chain2-category": 52, "monoid-1ab": 6032,
+    "chain2": 52, "chain3": 377, "antichain3": 429, "zmonoid": 324, "chain2-category": 52, "monoid-1ab": 4784,
 }
 
 
@@ -551,29 +552,80 @@ def test_sweep_evaluation_count_is_pinned(carrier_name, monkeypatch):
     monkeypatch.setattr(skew, "ConditionResult", lambda *args: results.append(args) or result(*args))
     summary = sweep_equivalence(SWEPT_CARRIERS[carrier_name]())
     picks = len({id(rows) for rows, _, _ in calls})
-    assert len(calls) == SWEEP_EVALUATIONS[carrier_name] == 5 * picks + 8 * summary.natural_candidates
+    assert len(calls) == SWEEP_EVALUATIONS[carrier_name] == 8 * picks + 5 * summary.natural_candidates
     assert results == []
 
 
+@pytest.mark.parametrize("axioms_first", (True, False))
+def test_the_checks_of_a_structure_evaluate_13_conditions(axioms_first, monkeypatch):
+    # A1 is 5.1, evaluated once for both reports, whichever runs first
+    calls = []
+    witness = skew._witness
+    monkeypatch.setattr(skew, "_witness", lambda r, arity, fn: calls.append(arity) or witness(r, arity, fn))
+    d = skew_from_strict(zmonoid(), kappa="z")
+    if axioms_first:
+        axioms = check_axioms(d)
+        pentagons = check_pentagons(d)
+    else:
+        pentagons = check_pentagons(d)
+        axioms = check_axioms(d)
+    assert len(calls) == 13
+    assert sorted(calls) == sorted(arity for _, arity, _ in skew.AXIOMS + skew.PENTAGONS[1:])
+    assert pentagons.result("A1").witness is axioms.result("5.1").witness is None
+    assert not pentagons.result("A5").holds
+    # the axioms are kept on the structure's rows; a second report evaluates none of them
+    check_axioms(d)
+    assert len(calls) == 13
+
+
+def test_a1_is_the_5_1_of_the_structure_itself():
+    # A1 once copied 5.1's witness from whatever axiom report it was handed
+    candidates = [d for d, _ in _category_candidates(monoid_1ab())]
+    holds, fails = candidates[0], candidates[432]
+    fails_axioms = check_axioms(fails)
+    assert fails_axioms.result("5.1").witness == ("*", "*", "*", "*")
+    assert check_axioms(holds).result("5.1").holds
+    assert check_pentagons(holds).result("A1").holds
+    assert check_pentagons(fails).result("A1") == skew.ConditionResult("A1", False, ("*", "*", "*", "*"))
+    with pytest.raises(TypeError):
+        check_pentagons(holds, fails_axioms)
+
+
 class _KappaTrap(SkewData):
-    """Skew data whose kappa cannot be read."""
+    """Skew data whose kappa cannot be read, not even one in its instance dict, which the property overrides."""
 
     @property
     def kappa(self):
         raise AssertionError("kappa was read")
 
 
+def _unchecked_copy(d: SkewData, cls=SkewData) -> SkewData:
+    """A copy of ``d`` as ``cls`` without its kept rows, which its first check builds afresh."""
+    copy = cls.__new__(cls)
+    copy.__dict__.update({k: v for k, v in vars(d).items() if k != "_rows"})
+    return copy
+
+
 @pytest.mark.parametrize("carrier_name", ("zmonoid", "monoid-1ab"))
 def test_axioms_do_not_read_kappa(carrier_name):
-    # the sweep evaluates the axioms once per pick of every table but kappa
+    # the checks keep the axioms and A1-A4 on a structure's rows and the
+    # sweep evaluates them once per pick of every table but kappa
+    kappa_free = {"A1", "A2", "A3", "A4"}
+    assert {name for name, _, _ in PENTAGONS[: skew._KAPPA_FREE]} == kappa_free
     for d, natural in _category_candidates(FLAG_CARRIERS[carrier_name]()):
         axioms = check_axioms(d)
-        assert check_pentagons(d, axioms) == check_pentagons(d)
-        trapped = _KappaTrap.__new__(_KappaTrap)
-        trapped.__dict__.update({k: v for k, v in vars(d).items() if k not in ("kappa", "_rows")})
+        assert check_pentagons(d) == check_pentagons(_unchecked_copy(d))
+        trapped = _unchecked_copy(d, _KappaTrap)
         assert check_axioms(trapped) == axioms
         with pytest.raises(AssertionError, match="kappa was read"):
-            check_pentagons(trapped, axioms)
+            check_pentagons(trapped)
+        rows = skew._Rows(trapped)
+        for name, arity, fn in PENTAGONS:
+            if name in kappa_free:
+                skew._witness(rows, arity, fn)
+            else:
+                with pytest.raises(AttributeError, match="kappa"):
+                    skew._witness(rows, arity, fn)
 
 
 @pytest.mark.parametrize("carrier_name", list(STREAM_CARRIERS))
