@@ -23,7 +23,9 @@ from .finmon import SCHEMA_VERSION, FinCategory, FinMonoidalStructure, Poset, _r
 from .library import boolean_or, zmonoid_category
 from .nerve import monoidal_nerve
 from .relations import to_relation
-from .skew import SkewData, check_axioms, check_naturality, check_pentagons, equivalence_consistent, sweep_equivalence
+from .skew import (
+    SkewData, _poset_raw_tables, check_axioms, check_naturality, check_pentagons, equivalence_consistent, sweep_equivalence
+)
 from .sset import (
     catalan_sset,
     check_simplicial_identities,
@@ -95,9 +97,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.form == "motzkin":
         items = motzkin.enumerate_motzkin(args.dim)
     else:
-        words = dyck.enumerate_dyck(args.dim)
-        if args.nondegenerate:
-            words = [w for w in words if not dyck.is_degenerate(w)]
+        words = (dyck.nondegenerate_dyck if args.nondegenerate else dyck.enumerate_dyck)(args.dim)
         if args.form == "dyck":
             items = words
         else:
@@ -203,8 +203,7 @@ def _suite_coskeletal(r: int, max_dim: int) -> list[Check]:
             f"unique fillers in dimensions {r + 1}..{max_dim}",
         )
     )
-    low = catalan_sset(min(4, max_dim))
-    not_one = not is_r_coskeletal_up_to(low, 1, min(4, max_dim))
+    not_one = not is_r_coskeletal_up_to(S, 1, min(4, max_dim))
     checks.append(
         (
             "not-1-coskeletal",
@@ -367,6 +366,7 @@ def _carrier(name: str) -> Poset | FinCategory:
     if name.startswith("chain") and size.isdigit():
         if int(size) == 0:
             raise ValueError(f"carrier {name!r} is empty, so no object can be the unit")
+        _poset_raw_tables(int(size))  # the sweep's cap, checked before the order is built
         return chain_poset([str(k) for k in range(int(size))])
     raise ValueError(f"unknown carrier {name!r}; choose zmonoid or chainN")
 

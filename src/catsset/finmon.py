@@ -245,34 +245,29 @@ def _thin(cat: FinCategory) -> bool:
     return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
 
 
-def tensor_violations(
-    cat: FinCategory,
-    obj_tensor: Mapping[tuple[str, str], str],
-    mor_tensor: Mapping[tuple[str, str], str],
-) -> Iterator[LawViolation]:
-    """The ways the tensor tables fail to be a bifunctor, lazily, in check order.
+def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
+    """The ways the tensor tables of ``m`` fail to be a bifunctor, lazily, in check order.
 
-    Checked in order: totality and dangling entries of the object table,
-    then of the morphism table together with the typing of each entry,
-    then tensors of identities, then composable pairs missing from the
-    composition table, then interchange.  The morphism table is read only
-    once the object table is total, identities only once the morphism
-    table is total and typed, and interchange only once, in addition,
-    every composable pair has its composite.  Interchange is skipped
-    where it cannot fail: in a thin category whose composites are all
-    typed.
+    Construction of ``m`` has rejected labels outside its category, so
+    an entry is only ever missing or ill-typed.  Checked in order:
+    totality of the object table, then totality and typing of the
+    morphism table, then tensors of identities, then composable pairs
+    missing from the composition table, then interchange.  The morphism
+    table is read only once the object table is total, identities only
+    once the morphism table is total and typed, and interchange only
+    once, in addition, every composable pair has its composite.
+    Interchange is skipped where it cannot fail: in a thin category
+    whose composites are all typed.
     """
+    cat, obj_tensor, mor_tensor = m.category, m.obj_tensor, m.mor_tensor
     objs = cat.objects
-    objset = set(objs)
     mors = cat.morphism_labels()
     clean = True
     for a in objs:
         for b in objs:
-            v = obj_tensor.get((a, b))
-            if v is None or v not in objset:
+            if (a, b) not in obj_tensor:
                 clean = False
-                what = "undefined" if v is None else "dangles"
-                yield LawViolation("tensor totality", (a, b), f"object tensor {what} on {(a, b)!r}")
+                yield LawViolation("tensor totality", (a, b), f"object tensor undefined on {(a, b)!r}")
     if not clean:
         return
     ends = {f: (cat.src(f), cat.tgt(f)) for f in mors}
@@ -281,8 +276,8 @@ def tensor_violations(
         for g in mors:
             sg, tg = ends[g]
             v = mor_tensor.get((f, g))
-            if v is None or v not in ends:
-                law, what = "tensor totality", "undefined" if v is None else "dangles"
+            if v is None:
+                law, what = "tensor totality", "undefined"
             elif ends[v] != (obj_tensor[(sf, sg)], obj_tensor[(tf, tg)]):
                 law, what = "tensor typing", "ill-typed"
             else:
@@ -422,7 +417,7 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
     violation found before them.
     """
     c = m.category
-    bad = list(tensor_violations(c, m.obj_tensor, m.mor_tensor))
+    bad = list(tensor_violations(m))
     if bad:
         return bad
     # both tensors are total and typed now, so the laws read them by subscript

@@ -30,10 +30,12 @@ from .finmon import (
     LawViolation,
     Poset,
     _require_keys,
+    _require_laws,
     check_label,
     poset_category,
     table_rows,
     tensor_violations,
+    validate_category,
 )
 
 
@@ -43,8 +45,8 @@ class SkewData(FinMonoidalStructure):
     The constraint tables take the place of the identity constraints of
     :class:`FinMonoidalStructure`.  Construction validates the structural invariants: tables are total
     and well-typed, the tensor is a bifunctor (identities and
-    interchange), and every constraint component has the stated
-    endpoints.  Whether the axioms hold is a separate question answered
+    interchange), and every constraint component is in the hom-set
+    of its stated endpoints.  Whether the axioms hold is a separate question answered
     by the checkers.
     """
 
@@ -64,7 +66,7 @@ class SkewData(FinMonoidalStructure):
         kappa: str | None = None,
     ) -> None:
         super().__init__(category, obj_tensor, mor_tensor, unit)
-        violation = next(tensor_violations(category, self.obj_tensor, self.mor_tensor), None)
+        violation = next(tensor_violations(self), None)
         if violation is not None:
             # a tensor violation names its cells in the detail, a missing composite in the subject
             raise StructuralError(str(violation) if violation.law == "composability" else violation.detail)
@@ -74,7 +76,6 @@ class SkewData(FinMonoidalStructure):
         self.kappa = kappa if kappa is not None else self.category.id_of(self.unit)
         c = self.category
         objs = c.objects
-        morset = set(c.morphism_labels())
         t = self.obj_tensor
         for a in objs:
             for b in objs:
@@ -82,19 +83,16 @@ class SkewData(FinMonoidalStructure):
                     f = self.alpha.get((a, b, d))
                     if f is None:
                         raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
-                    ends = (t[(t[(a, b)], d)], t[(a, t[(b, d)])])
-                    if f not in morset or (c.src(f), c.tgt(f)) != ends:
+                    if f not in c.hom(t[(t[(a, b)], d)], t[(a, t[(b, d)])]):
                         raise StructuralError(
                             f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed"
                         )
         for a in objs:
-            f = self.lam.get(a)
-            if f is None or f not in morset or c.src(f) != t[(self.unit, a)] or c.tgt(f) != a:
+            if self.lam.get(a) not in c.hom(t[(self.unit, a)], a):
                 raise StructuralError(f"lambda component at {a!r} is missing or ill-typed")
-            f = self.rho.get(a)
-            if f is None or f not in morset or c.src(f) != a or c.tgt(f) != t[(a, self.unit)]:
+            if self.rho.get(a) not in c.hom(a, t[(a, self.unit)]):
                 raise StructuralError(f"rho component at {a!r} is missing or ill-typed")
-        if self.kappa not in morset or c.src(self.kappa) != self.unit or c.tgt(self.kappa) != self.unit:
+        if self.kappa not in c.hom(self.unit, self.unit):
             raise StructuralError("kappa must be an endomorphism of the unit")
         # every key at objects is present by now, so a longer table has a stray key
         for name, table, keys in (
@@ -485,7 +483,7 @@ def _object_tensors(r: _Rows, typed: Sequence[Sequence[Sequence[int]]]) -> Itera
 
 
 def _interchange_checks(r: _Rows) -> list[list[tuple[int, int, int]]]:
-    """Per morphism-tensor cell, the interchange instances whose last cell it is.
+    """Per morphism-tensor cell of a lawful category's rows, the interchange instances whose last cell it is.
 
     Cell f * m + g holds f(x)g.  The instance (g o f)(x)(g' o f') = (g(x)g') o (f(x)f')
     is the cell triple ((g, g'), (f, f'), (g o f, g' o f')), checked once all three are set.
@@ -494,8 +492,6 @@ def _interchange_checks(r: _Rows) -> list[list[tuple[int, int, int]]]:
     composites = [(g, f, r.comp[g][f]) for g in r.declared for f in r.declared if r.tgt[f] == r.src[g]]
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(m * m)]
     for g, f, gf in composites:
-        if gf < 0:
-            raise StructuralError(f"no composite for ({r.mors[g]!r} after {r.mors[f]!r})")
         for g2, f2, g2f2 in composites:
             instance = (g * m + g2, f * m + f2, gf * m + g2f2)
             checks[max(instance)].append(instance)
@@ -521,10 +517,10 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     lambda and rho naturality once per (lambda, rho) pick of a unit.
     """
     r = _Rows.__new__(_Rows)
-    r._over(cat)
+    mor = r._over(cat)[1]
     n, m = len(r.objs), len(r.mors)
     src, tgt, comp, ids = r.src, r.tgt, r.comp, r.ids
-    hom = [[[f for f in r.declared if (src[f], tgt[f]) == (a, b)] for b in range(n)] for a in range(n)]
+    hom = [[[mor[f] for f in cat.hom(a, b)] for b in r.objs] for a in r.objs]
     typed = [[sorted(fs) for fs in row] for row in hom]  # in label order
     object_of = {f: a for a, f in enumerate(ids)}
     interchange = _interchange_checks(r)
@@ -589,13 +585,17 @@ def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:
     return _as_skew_data(cat, _category_picks(cat))
 
 
+def _poset_raw_tables(n: int) -> int:
+    """The raw tensor tables of a sweep over a poset of ``n`` elements; BudgetExceededError past its cap."""
+    if n > 3:
+        raise BudgetExceededError("poset sweeps are capped at 3 elements")
+    return n ** (n * n)
+
+
 def _swept_category(carrier: "Poset | FinCategory", budget: int) -> FinCategory:
-    """The category a sweep over ``carrier`` searches, once it is inside the caps and the budget."""
+    """The lawful category a sweep over ``carrier`` searches, once it is inside the caps and the budget."""
     if isinstance(carrier, Poset):
-        n = len(carrier.elements)
-        if n > 3:
-            raise BudgetExceededError("poset sweeps are capped at 3 elements")
-        raw = n ** (n * n)
+        raw = _poset_raw_tables(len(carrier.elements))
         carrier = poset_category(carrier)
     elif isinstance(carrier, FinCategory):
         n, m = len(carrier.objects), len(carrier.morphisms)
@@ -603,6 +603,7 @@ def _swept_category(carrier: "Poset | FinCategory", budget: int) -> FinCategory:
             raise BudgetExceededError(
                 "category sweeps are capped at 2 objects and 6 morphisms"
             )
+        _require_laws(validate_category(carrier))
         raw = n ** (n * n) * m ** (m * m)
     else:
         raise TypeError(f"unsupported carrier type {type(carrier).__name__}")

@@ -11,9 +11,11 @@ import catsset.finmon
 import catsset.nerve
 import catsset.skew
 from catsset.cli import main
+from catsset.dyck import enumerate_dyck, is_degenerate
 from catsset.errors import SchemaError, StructuralError
 from catsset.finmon import FinCategory, FinMonoidalStructure, MonoidalPoset, chain_poset, poset_as_category
 from catsset.library import boolean_or, zmonoid
+from catsset.relations import to_relation
 from catsset.skew import SkewData, skew_from_strict
 from catsset.sset import catalan_sset
 
@@ -38,6 +40,15 @@ def test_enumerate_nondegenerate_dim4(capsys):
     code, out, _ = run(capsys, "enumerate", "--dim", "4", "--nondegenerate")
     assert code == 0
     assert out.strip().splitlines()[-1] == "count: 9"
+
+
+@pytest.mark.parametrize("form", ["dyck", "relation"])
+def test_enumerate_nondegenerate_keeps_the_words_no_degeneracy_reaches(capsys, form):
+    for dim in range(7):
+        code, out, _ = run(capsys, "enumerate", "--dim", str(dim), "--nondegenerate", "--as", form, "--json")
+        words = [w for w in enumerate_dyck(dim) if not is_degenerate(w)]
+        items = words if form == "dyck" else [json.dumps(to_relation(w).sorted_pairs()) for w in words]
+        assert code == 0 and json.loads(out)["items"] == sorted(items), dim
 
 
 def test_enumerate_dim0(capsys):
@@ -549,6 +560,16 @@ def test_skew_sweep(capsys):
 def test_skew_sweep_budget(capsys):
     code, _, err = run(capsys, "skew", "sweep", "--carrier", "chain4")
     assert code == 3
+
+
+@pytest.mark.parametrize("carrier", ["chain320", "chain100000"])
+def test_skew_sweep_caps_a_chain_before_building_it(capsys, monkeypatch, carrier):
+    # the order of chainN has N(N+1)/2 pairs, and its check runs over pairs of pairs
+    built = []
+    monkeypatch.setattr(catsset.cli, "chain_poset", built.append)
+    code, out, err = run(capsys, "skew", "sweep", "--carrier", carrier)
+    assert (code, out, built) == (3, "", [])
+    assert "poset sweeps are capped at 3 elements" in err
 
 
 def test_skew_sweep_poset_budget(tmp_path, capsys):

@@ -354,6 +354,44 @@ def test_category_sweep_budget_counts_raw_tables():
         list(skew_candidates(SWEEP_CARRIERS["chain2-category"](), budget=314927))
 
 
+def non_associative_1ab() -> FinCategory:
+    """One object; endomorphisms {1, a, b} with (a.a).a = b.a = a but a.(a.a) = a.b = 1."""
+    compose = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("1", "b"): "b", ("b", "1"): "b"}
+    compose.update({("a", "a"): "b", ("a", "b"): "1", ("b", "a"): "a", ("b", "b"): "b"})
+    return FinCategory(["*"], [(e, "*", "*") for e in ("1", "a", "b")], {"*": "1"}, compose)
+
+
+def zmonoid_without_zz() -> FinCategory:
+    compose = dict(zmonoid_category().composition)
+    del compose[("z", "z")]
+    return FinCategory(["*"], [("1", "*", "*"), ("z", "*", "*")], {"*": "1"}, compose)
+
+
+#: Category carriers that break the category laws, with the message every sweep raises:
+#: the first violation validate_category lists, and their number.
+LAWLESS_CARRIERS = {
+    "non-associative-1ab": (
+        non_associative_1ab,
+        "structure violates the laws: associativity at ('a', 'a', 'a'): (h.g).f = a, h.(g.f) = 1 (5 total)",
+    ),
+    "zmonoid-without-zz": (
+        zmonoid_without_zz,
+        "structure violates the laws: composability at ('z', 'z'): composable pair missing from table (1 total)",
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", ["sweep_equivalence", "skew_candidates", "enumerate_skew_structures"])
+@pytest.mark.parametrize("carrier_name", list(LAWLESS_CARRIERS))
+def test_sweeps_reject_a_lawless_category(carrier_name, sweep):
+    # the search reads composites only where it needs them, so on the non-associative
+    # table it would sweep all 243 candidates to a passing summary
+    make, message = LAWLESS_CARRIERS[carrier_name]
+    with pytest.raises(StructuralError) as exc:
+        list(getattr(skew, sweep)(make()))  # skew_candidates is lazy
+    assert str(exc.value) == message
+
+
 #: Candidate count and digest of the candidate stream, in stream order.
 STREAM_GOLDEN = {
     "chain1": (1, "0a95d48596a99d41dae26e83331b6b25eca8ae0907aa55d280931a77ed6912e7"),
