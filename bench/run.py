@@ -146,6 +146,17 @@ def _coskeletal(api, r: int, N: int):
     return run
 
 
+def _nondegenerate(api, N: int):
+    S = api.sset.catalan_sset(N)
+
+    def run() -> dict:
+        # each run starts from no degeneracy witnesses, as on a freshly built set
+        S._witness_cache.clear()
+        return {"nondegenerate": sum(len(S.nondegenerate(n)) for n in range(N + 1))}
+
+    return run
+
+
 def _nerve(api, n: int):
     return lambda: {"simplices_built": api.nerve.monoidal_nerve(api.library.boolean_or(), n).size()}
 
@@ -425,9 +436,11 @@ CASES = [
         True,
     ),
     ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal, 2, 7),
+    ("sset", "nondegenerate", {"set": "catalan_sset(9)", "levels": "0..9"}, _nondegenerate, 9),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve, 9),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 10}, _nerve, 10),
     ("nerve", "monoidal_nerve", {"structure": "12-chain with max", "N": 3}, _chain_nerve, 12, 3),
+    ("nerve", "monoidal_nerve", {"structures": "structure_library()", "N": 4}, _library_nerves, 4),
     ("nerve", "monoidal_nerve", {"structures": "structure_library()", "N": 5}, _library_nerves, 5),
     (
         "nerve",

@@ -68,8 +68,10 @@ class SkewData(FinMonoidalStructure):
         super().__init__(category, obj_tensor, mor_tensor, unit)
         violation = next(tensor_violations(self), None)
         if violation is not None:
-            # a tensor violation names its cells in the detail, a missing composite in the subject
-            raise StructuralError(str(violation) if violation.law == "composability" else violation.detail)
+            # a missing composite breaks the category, whose laws validate_category reports
+            if violation.law == "composability":
+                _require_laws(validate_category(self.category))
+            raise StructuralError(violation.detail)
         self.alpha = dict(alpha)
         self.lam = dict(lam)
         self.rho = dict(rho)

@@ -15,8 +15,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, product, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, compress, product, repeat
+from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, IndexOutOfRangeError, SchemaError, StructuralError
@@ -135,13 +135,15 @@ class TruncatedSSet:
         return tuple(x for x, w in zip(self.level(n), self._witnesses(n)) if w is None)
 
     def _witnesses(self, n: int) -> tuple[int | None, ...]:
-        """Per simplex x of level n, the smallest i with s_i d_i x = x, or None."""
+        """Per simplex x of level n, the smallest i with s_i d_i x = x, or None, read off
+        whole columns from i = n - 1 down to 0, so that a smaller i overwrites a larger one."""
         if n not in self._witness_cache:
-            faces, below = self.faces[n], self.degens[n - 1]
-            self._witness_cache[n] = tuple(
-                next((i for i in range(n) if below[i][faces[i][x]] == x), None)
-                for x in range(len(self.levels[n]))
-            )
+            xs = range(len(self.levels[n]))
+            found: list[int | None] = [None] * len(xs)
+            for i in reversed(range(n)):
+                for x in compress(xs, map(eq, _take(self.degens[n - 1][i], self.faces[n][i]), xs)):
+                    found[x] = i
+            self._witness_cache[n] = tuple(found)
         return self._witness_cache[n]
 
     def _filler_index(self, n: int) -> dict[_Indices, _Indices]:
@@ -397,7 +399,9 @@ def _join(
     in it and maps the columns back at the end.  The tables may be a
     :class:`TruncatedSSet`'s or lists one is being built from.  Each step
     looks up the keys of every partial tuple at once, ``cols[i][p]``
-    being facet i of partial p.
+    being facet i of partial p.  The columns are copied only when some
+    partial has no hit or several: by ``compress`` when none has several,
+    else through one list naming the partial behind each new tuple.
     """
     lower = range(len(levels[n - 1]))
     if n == 1:
@@ -410,10 +414,12 @@ def _join(
             face = tables[m - 1]
             hits = list(map(index.get, zip(*(_take(face, c) for c in cols)), repeat(())))
             found = tuple(chain.from_iterable(hits))
-            # the columns are copied only when some partial has no hit or several
-            if len(found) != len(hits) or not all(hits):
-                keep = tuple(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
+            dropped = hits.count(())
+            if len(found) > len(hits) - dropped:
+                keep = [p for p, h in enumerate(hits) for _ in h]
                 cols = [_take(c, keep) for c in cols]
+            elif dropped:
+                cols = [tuple(compress(c, hits)) for c in cols]
             cols.append(found)
     return cols if order is None else [_take(order, c) for c in cols]
 
@@ -492,7 +498,7 @@ def _add_level(
             raise StructuralError(f"degenerate boundary at level {m} is not compatible")
     degens[m] = images
     degens.append([])
-    levels.append(list(map(f"s{n}:".__add__, map(str, range(size)))))
+    levels.append([f"s{n}:{k}" for k in range(size)])
     faces.append(cols)
     return index
 

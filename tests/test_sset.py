@@ -558,6 +558,88 @@ def test_join_in_label_order_is_the_rank_sort(library, left_zero_antichain):
             assert list(zip(*_join(S.levels, S.faces, n, None))) == _boundaries(S.levels, S.faces, n)
 
 
+def _join_by_backtracking(S, n, order, steps):
+    """The facet tuples over level n - 1 of S, lexicographic in ``order``, as n + 1 columns.
+
+    A depth-first search extends a partial tuple x_0 .. x_{m-1} by each x,
+    taken in ``order``, with d_i x = d_{m-1} x_i for every i < m, the faces
+    read one label at a time by ``S.face``.  ``steps[m]`` gets the number of
+    extensions of each partial tuple of length m.
+    """
+    below = S.levels[n - 1]
+    faces_of = [tuple(S.face(n - 1, i, x) for i in range(n)) for x in below]
+    # the candidates for x_m, by the face d_0 x_m = d_{m-1} x_0 that pins them first
+    by_first = {}
+    for x in order:
+        by_first.setdefault(faces_of[x][0], []).append(x)
+    found = []
+
+    def extend(xs):
+        m = len(xs)
+        if m == n + 1:
+            found.append(xs)
+            return
+        pinned = by_first.get(faces_of[xs[0]][m - 1], ())
+        grown = [x for x in pinned if all(faces_of[x][i] == faces_of[xs[i]][m - 1] for i in range(1, m))]
+        steps[m].append(len(grown))
+        for x in grown:
+            extend((*xs, x))
+
+    for x in order:
+        extend((x,))
+    return [tuple(c) for c in zip(*found)] or [()] * (n + 1)
+
+
+def _identities_broken_at_two():
+    """Levels v; e, f; t with d_0 t = d_2 t = e and d_1 t = f, built by the constructor: the
+    identities fail, and the 3-join keeps x_1 = t after x_0 = t but finds no x_2 with d_0 x_2 = f."""
+    return TruncatedSSet([["v"], ["e", "f"], ["t"]], [[], [[0, 0], [0, 0]], [[0], [1], [0]]], [[[0]], [[0, 0], [0, 0]], []])
+
+
+def test_join_matches_a_backtracking_enumerator(library, left_zero_antichain, catalan6):
+    cases = [(f"nerve-{name}-5", monoidal_nerve(m, 5), (4, 5)) for name, m in library.items()]
+    cases.append(("nerve-left-zero-antichain-4", monoidal_nerve(left_zero_antichain, 4), (4,)))
+    cases.append(("catalan-6", catalan6, (4, 5, 6)))
+    cases.append(("identities-broken-at-2", _identities_broken_at_two(), (2, 3)))
+    assert check_simplicial_identities(cases[-1][1])
+    # per join step, how its partial tuples fared: the join drops some by compress when none
+    # branches, copies through the partial behind each tuple when one does, and may keep none
+    seen = set()
+    for name, S, dims in cases:
+        for n in dims:
+            lower = S.levels[n - 1]
+            for order in (None, sorted(range(len(lower)), key=lower.__getitem__)):
+                steps = {m: [] for m in range(1, n + 1)}
+                want = _join_by_backtracking(S, n, order or range(len(lower)), steps)
+                assert [tuple(c) for c in _join(S.levels, S.faces, n, order)] == want, (name, n, order is None)
+                for hits in filter(None, steps.values()):
+                    seen.add("branch" if max(hits) > 1 else "empty" if not any(hits) else "drop" if not all(hits) else "one")
+    assert seen == {"one", "drop", "branch", "empty"}
+
+
+def _witnesses_by_definition(S, n):
+    """Per simplex x of level n, the smallest i with s_i d_i x = x, or None."""
+    return tuple(
+        next((i for i in range(n) if S.degens[n - 1][i][S.faces[n][i][x]] == x), None) for x in range(len(S.levels[n]))
+    )
+
+
+def test_witnesses_match_their_definition(library, left_zero_antichain):
+    sets = [catalan_sset(7), monoidal_nerve(left_zero_antichain, 4), *(monoidal_nerve(m, 5) for m in library.values())]
+    for S in sets:
+        for n in range(S.N + 1):
+            assert S._witnesses(n) == _witnesses_by_definition(S, n)
+            assert S.nondegenerate(n) == tuple(x for x, w in zip(S.levels[n], _witnesses_by_definition(S, n)) if w is None)
+    # x: s_0 d_0 x = s_1 d_1 x = x, and the smaller index wins; y: s_0 only; z: s_1 only; b: none
+    edited = TruncatedSSet(
+        [["v"], ["a", "b"], ["x", "y", "z"]],
+        [[], [[0, 0], [0, 0]], [[0, 1, 0], [0, 0, 1], [1, 1, 1]]],
+        [[[0]], [[0, 1], [0, 2]], []],
+    )
+    want = [(None,), (0, None), (0, 0, 1)]
+    assert [edited._witnesses(n) for n in range(3)] == [_witnesses_by_definition(edited, n) for n in range(3)] == want
+
+
 def _unique_fillers_by_brute_force(S, n):
     """Whether every boundary at level n is the face vector of exactly one simplex."""
     index = _grouped_by_brute_force(S, n)
