@@ -301,13 +301,25 @@ def monoid_1ab(api):
     return api.finmon.FinCategory(["*"], [(e, "*", "*") for e in "1ab"], {"*": "1"}, table)
 
 
+def isomorphic_pair(api):
+    """Objects I and X with inverse isomorphisms f: I -> X and g: X -> I; thin, not a poset."""
+    table = {("1I", "1I"): "1I", ("1X", "1X"): "1X", ("f", "1I"): "f", ("1X", "f"): "f"}
+    table |= {("g", "1X"): "g", ("1I", "g"): "g", ("g", "f"): "1I", ("f", "g"): "1X"}
+    morphisms = [("1I", "I", "I"), ("1X", "X", "X"), ("f", "I", "X"), ("g", "X", "I")]
+    return api.finmon.FinCategory(["I", "X"], morphisms, {"I": "1I", "X": "1X"}, table)
+
+
 #: The carriers of the sweep cases, by name, each built from a tree's modules.
 SWEEP_CARRIERS = {
     "chain3": lambda api: api.finmon.chain_poset(["0", "1", "2"]),
     "antichain3": lambda api: api.finmon.antichain_poset(["0", "1", "2"]),
     "zmonoid": lambda api: api.library.zmonoid_category(),
     "monoid-1ab": monoid_1ab,
+    "chain2-category": lambda api: api.finmon.poset_category(api.finmon.chain_poset(["0", "1"])),
+    "isomorphic-pair": isomorphic_pair,
 }
+#: The sweep budget of a carrier whose raw tensor tables exceed the default one.
+SWEEP_BUDGETS = {"isomorphic-pair": 2**4 * 4**16}
 
 
 #: The docs examples of ``catsset skew check``.
@@ -318,7 +330,7 @@ def _sweep(api, carrier: str):
     built = SWEEP_CARRIERS[carrier](api)
 
     def run() -> dict:
-        s = api.skew.sweep_equivalence(built)
+        s = api.skew.sweep_equivalence(built, SWEEP_BUDGETS.get(carrier, 1_000_000))
         return {
             "candidates": s.candidates,
             "natural_candidates": s.natural_candidates,

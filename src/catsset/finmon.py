@@ -245,6 +245,13 @@ def _thin(cat: FinCategory) -> bool:
     return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
 
 
+def _thin_typed(cat: FinCategory) -> bool:
+    """Whether ``cat`` is thin and each composite in its table has the ends of its pair,
+    so that any two composites with the same ends are equal, whether or not ``cat`` is lawful."""
+    src, tgt = cat._src, cat._tgt
+    return _thin(cat) and all(src[gf] == src[f] and tgt[gf] == tgt[g] for (g, f), gf in cat.composition.items())
+
+
 def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
     """The ways the tensor tables of ``m`` fail to be a bifunctor, lazily, in check order.
 
@@ -299,7 +306,7 @@ def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
         return
     # both sides of an interchange cell are parallel once every composite is typed, so in a
     # thin category no cell can fail (nor can an identity tensor above)
-    if _thin(cat) and all(ends[gf] == (ends[f][0], ends[g][1]) for g, f, gf in composites):
+    if _thin_typed(cat):
         return
     for g, f, gf in composites:
         for g2, f2, g2f2 in composites:
@@ -472,12 +479,14 @@ class Poset:
         for a in elems:
             if (a, a) not in self.leq:
                 raise StructuralError(f"order is not reflexive at {a!r}")
+        up = {a: set() for a in elems}
+        for a, b in self.leq:
+            up[a].add(b)
         for a, b in self.leq:
             if a != b and (b, a) in self.leq:
                 raise StructuralError(f"order is not antisymmetric on ({a!r}, {b!r})")
-            for b2, c in self.leq:
-                if b2 == b and (a, c) not in self.leq:
-                    raise StructuralError(f"order is not transitive via {b!r}")
+            if not up[b] <= up[a]:
+                raise StructuralError(f"order is not transitive via {b!r}")
 
 
 def chain_poset(labels: Sequence[str]) -> Poset:

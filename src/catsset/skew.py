@@ -31,6 +31,7 @@ from .finmon import (
     Poset,
     _require_keys,
     _require_laws,
+    _thin,
     check_label,
     poset_category,
     table_rows,
@@ -517,6 +518,17 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     morphism tables.  Each check runs once, at the stage whose picks fix
     its inputs: alpha naturality once per alpha pick of a morphism tensor,
     lambda and rho naturality once per (lambda, rho) pick of a unit.
+
+    On a thin ``cat`` (:func:`~catsset.finmon._thin`) these checks hold by
+    rule and none runs.  ``cat`` is lawful, and in a lawful category a
+    composite is typed: were g o f = k with the wrong target, (id o g) o f
+    = k would differ from id o k, which the exact table leaves undefined,
+    and associativity would fail (dually for the source).  So every
+    naturality square and interchange instance equates two parallel
+    morphisms, and a thin category has at most one.  Each typed cell holds
+    exactly one morphism, since the object tables with an empty hom-set
+    are dropped, so the one morphism tensor is read off the cells, and
+    every pick is natural.
     """
     r = _Rows.__new__(_Rows)
     mor = r._over(cat)[1]
@@ -526,30 +538,32 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     typed = [[sorted(fs) for fs in row] for row in hom]  # in label order
     object_of = {f: a for a, f in enumerate(ids)}
     interchange = _interchange_checks(r)
+    thin = _thin(cat)
+    triples = list(product(range(n), repeat=3))
 
     def bifunctorial(k: int, values: list[int]) -> bool:
         return all(comp[values[i]][values[j]] == values[ij] for i, j, ij in interchange[k])
 
     for t, units in _object_tensors(r, typed):
-        alpha_choices = [hom[t[t[a][b]][c]][t[a][t[b][c]]] for a, b, c in product(range(n), repeat=3)]
-        if not all(alpha_choices):
+        if not all(hom[t[t[a][b]][c]][t[a][t[b][c]]] for a, b, c in triples):
             continue
+        alpha_choices = [hom[t[t[a][b]][c]][t[a][t[b][c]]] for a, b, c in triples]
         cells = [
             (ids[t[object_of[f]][object_of[g]]],) if f in object_of and g in object_of
             else typed[t[src[f]][src[g]]][t[tgt[f]][tgt[g]]]
             for f in range(m) for g in range(m)
         ]
-        for values in _fill(cells, bifunctorial):
+        for values in [[fs[0] for fs in cells]] if thin else _fill(cells, bifunctorial):
             tm = [values[f * m : f * m + m] for f in range(m)]
             alphas = []
             for pick in product(*alpha_choices):
                 alpha = [[pick[k : k + n] for k in range(a * n * n, a * n * n + n * n, n)] for a in range(n)]
-                alphas.append((alpha, next(_alpha_unnatural(r, tm, alpha), None) is None))
+                alphas.append((alpha, thin or next(_alpha_unnatural(r, tm, alpha), None) is None))
             for unit in units:
                 lam_choices = [hom[t[unit][a]][a] for a in range(n)]
                 rho_choices = [hom[a][t[a][unit]] for a in range(n)]
                 lam_rhos = [
-                    (lam, rho, next(_unitors_unnatural(r, tm, unit, lam, rho), None) is None)
+                    (lam, rho, thin or next(_unitors_unnatural(r, tm, unit, lam, rho), None) is None)
                     for lam, rho in product(product(*lam_choices), product(*rho_choices))
                 ]
                 for alpha, alpha_natural in alphas:
@@ -632,10 +646,16 @@ def skew_candidates(
 def enumerate_skew_structures(
     carrier: "Poset | FinCategory", budget: int = 1_000_000
 ) -> list[SkewData]:
-    """All candidates with identity kappa passing naturality and the axioms."""
+    """All candidates with identity kappa passing naturality and the axioms.
+
+    On a thin carrier every natural pick is kept without evaluating its
+    axioms: each equates two parallel morphisms of a lawful category, so
+    it holds (:func:`_category_picks`), and kappa is the identity.
+    """
     cat = _swept_category(carrier, budget)
+    thin = _thin(cat)
     picks = ((r, [r.ids[r.unit]], True) for r, _, natural in _category_picks(cat)
-             if natural and all(_witness(r, arity, fn) is None for _, arity, fn in AXIOMS))
+             if natural and (thin or all(_witness(r, arity, fn) is None for _, arity, fn in AXIOMS)))
     return [d for d, _ in _as_skew_data(cat, picks)]
 
 
@@ -658,6 +678,13 @@ def sweep_equivalence(
     and only their verdicts are kept.  Each condition runs once per input
     it reads: the axioms and A1-A4, which do not read kappa, once per
     pick, A1 being 5.1, before kappa is set on the rows; A5-A9 once per kappa.
+
+    On a thin carrier none is evaluated.  hom(I, I) holds only the
+    identity, so each pick has one kappa, the identity, and every
+    condition equates two parallel morphisms of a lawful category, so it
+    holds (:func:`_category_picks`): each natural pick counts as one skew
+    structure and every flag stays true.  The public ``check_*`` functions
+    take no such rule, since their data's category has not been validated.
     """
     candidates = 0
     natural = 0
@@ -666,6 +693,7 @@ def sweep_equivalence(
     a8_a9 = True
     structures = 0
     cat = _swept_category(carrier, budget)
+    thin = _thin(cat)
     kappa_free, with_kappa = PENTAGONS[:_KAPPA_FREE], PENTAGONS[_KAPPA_FREE:]
     once_per_pick = {fn: arity for _, arity, fn in AXIOMS + kappa_free}  # A1 is 5.1: one entry
     for rows, kappas, is_natural in _category_picks(cat):
@@ -673,6 +701,9 @@ def sweep_equivalence(
         if not is_natural:
             continue
         natural += len(kappas)
+        if thin:  # its one kappa is the identity, and every condition holds
+            structures += 1
+            continue
         pick_holds = {fn: _witness(rows, arity, fn) is None for fn, arity in once_per_pick.items()}
         axioms_hold = all([pick_holds[fn] for _, _, fn in AXIOMS])
         kappa_free_hold = all([pick_holds[fn] for _, _, fn in kappa_free])

@@ -231,6 +231,18 @@ def test_poset_validation():
             MonoidalPoset(poset, tensor, unit)
 
 
+def test_an_order_that_is_not_transitive_names_the_middle_element():
+    leq = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}
+    with pytest.raises(StructuralError, match="^order is not transitive via 'b'$"):
+        Poset(("a", "b", "c"), frozenset(leq))
+
+
+def test_a_long_chain_builds():
+    # transitivity is checked on successor sets, not on every pair of order pairs
+    labels = [str(k) for k in range(200)]
+    assert len(chain_poset(labels).leq) == 200 * 201 // 2
+
+
 def test_monoid_counts():
     assert len(enumerate_monoids(boolean_or())) == 2
     assert len(enumerate_monoids(chain3_max())) == 3

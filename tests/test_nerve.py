@@ -134,6 +134,28 @@ def test_level_three_is_the_commuting_boundaries(library, left_zero_antichain, n
     assert dropped["zmonoid"] > 0
 
 
+def test_only_squares_that_can_fail_are_evaluated(monkeypatch):
+    # the two composites of a square are parallel in a thin category whose
+    # composites are typed, so its level 3 is every boundary, unevaluated
+    squares = []
+    commuting = catsset.nerve._commuting
+    monkeypatch.setattr(catsset.nerve, "_commuting", lambda m, bs: squares.append(m) or commuting(m, bs))
+    monoidal_nerve(boolean_or(), 4)
+    monoidal_nerve(_chain_min(["0", "1", "2"]), 3)
+    assert squares == []
+    # a thin category with an ill-typed composite passes the strict laws, which do not
+    # check the category, and its squares are evaluated
+    ill_typed = FinCategory(
+        ["x", "y"], [("1x", "x", "x"), ("1y", "y", "y")], {"x": "1x", "y": "1y"},
+        {("1x", "1x"): "1x", ("1y", "1y"): "1x"},
+    )
+    tensor = {("x", "x"): "x", ("x", "y"): "y", ("y", "x"): "y", ("y", "y"): "x"}
+    mor_tensor = {(f, g): "1" + tensor[f[1], g[1]] for f in ("1x", "1y") for g in ("1x", "1y")}
+    for m in (zmonoid(), FinMonoidalStructure(ill_typed, tensor, mor_tensor, "x")):
+        monoidal_nerve(m, 3)
+        assert squares.pop() is m
+
+
 def test_maps_from_catalan_restrict_bijectively_to_level_three(library, catalan4, left_zero_antichain):
     # a nerve is 3-coskeletal, so maps C_4 -> N(m)_4 are maps C_3 -> N(m)_3:
     # restricting to levels 0..3 is one-to-one and onto

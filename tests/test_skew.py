@@ -11,6 +11,7 @@ from catsset.finmon import (
     FinCategory,
     FinMonoidalStructure,
     MonoidalPoset,
+    Poset,
     antichain_poset,
     chain_poset,
     poset_as_category,
@@ -562,36 +563,76 @@ def _summary_from_reports(cat: FinCategory) -> SweepSummary:
     return SweepSummary(candidates, natural, equivalence, a5_forces, a8_a9, structures)
 
 
-@pytest.mark.parametrize("carrier_name", [*FLAG_CARRIERS, "isomorphic-pair"])
+@pytest.mark.parametrize("carrier_name", [*FLAG_CARRIERS, "isomorphic-pair", "discrete2"])
 def test_sweep_summary_is_the_reports_of_every_natural_candidate(carrier_name):
     # the sweep reads verdicts once per the picks they depend on; the public
     # reports of each candidate on its own must give the same summary
     if carrier_name == "isomorphic-pair":
         carrier, budget = isomorphic_pair(), 2**4 * 4**16
+    elif carrier_name == "discrete2":
+        carrier, budget = discrete_two(), 1_000_000
     else:
         carrier, budget = SWEPT_CARRIERS[carrier_name](), 1_000_000
     summary = _summary_from_reports(skew._swept_category(carrier, budget))
     assert sweep_equivalence(carrier, budget) == summary
 
 
-#: Condition evaluations of each sweep: the five axioms and A2-A4, which
-#: read no kappa, per natural pick (A1 is 5.1) and the five pentagons
-#: A5-A9 per natural candidate, one per kappa.
-SWEEP_EVALUATIONS = {
-    "chain2": 52, "chain3": 377, "antichain3": 429, "zmonoid": 324, "chain2-category": 52, "monoid-1ab": 4784,
-}
+#: Condition evaluations of each sweep over a carrier that is not thin:
+#: the five axioms and A2-A4, which read no kappa, per natural pick (A1 is
+#: 5.1) and the five pentagons A5-A9 per natural candidate, one per kappa.
+#: A thin carrier's sweep evaluates none.
+SWEEP_EVALUATIONS = {"zmonoid": 324, "monoid-1ab": 4784}
 
 
-@pytest.mark.parametrize("carrier_name", list(SWEEP_EVALUATIONS))
+@pytest.mark.parametrize("carrier_name", list(FLAG_CARRIERS))
 def test_sweep_evaluation_count_is_pinned(carrier_name, monkeypatch):
-    calls, results = [], []
+    calls, results, unnatural = [], [], []
     witness, result = skew._witness, skew.ConditionResult
     monkeypatch.setattr(skew, "_witness", lambda *args: calls.append(args) or witness(*args))
     monkeypatch.setattr(skew, "ConditionResult", lambda *args: results.append(args) or result(*args))
+    for name in ("_alpha_unnatural", "_unitors_unnatural"):
+        real = getattr(skew, name)
+        monkeypatch.setattr(skew, name, lambda *args, real=real: unnatural.append(args) or real(*args))
     summary = sweep_equivalence(SWEPT_CARRIERS[carrier_name]())
-    picks = len({id(rows) for rows, _, _ in calls})
-    assert len(calls) == SWEEP_EVALUATIONS[carrier_name] == 8 * picks + 5 * summary.natural_candidates
+    if carrier_name in SWEEP_EVALUATIONS:
+        picks = len({id(rows) for rows, _, _ in calls})
+        assert len(calls) == SWEEP_EVALUATIONS[carrier_name] == 8 * picks + 5 * summary.natural_candidates
+        assert unnatural
+    else:
+        # a thin carrier's squares and conditions hold by rule: each natural pick is a skew structure
+        assert calls == unnatural == []
+        assert summary.candidates == summary.natural_candidates == summary.skew_structure_count
     assert results == []
+
+
+def boolean_lattice():
+    """The 2x2 Boolean lattice: pairs of bits ordered componentwise."""
+    elements = ["00", "01", "10", "11"]
+    return Poset(elements, frozenset((a, b) for a in elements for b in elements if all(map(str.__le__, a, b))))
+
+
+#: Thin carriers within the sweep caps or past them, with their candidate counts.
+THIN_CARRIERS = {
+    "chain4": (lambda: poset_category(chain_poset(["0", "1", "2", "3"])), 298),
+    "boolean-lattice": (lambda: poset_category(boolean_lattice()), 240),
+    "discrete2": (discrete_two, 4),
+    "isomorphic-pair": (lambda: isomorphic_pair(), 32),
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(THIN_CARRIERS))
+def test_thin_carriers_pass_every_condition(carrier_name):
+    # the sweeps take a thin carrier's naturality, axioms and pentagons by
+    # rule; the public checks, which take no rule, evaluate each in full
+    make, count = THIN_CARRIERS[carrier_name]
+    cat = make()
+    assert skew._thin(cat)
+    candidates = list(_category_candidates(cat))
+    assert len(candidates) == count
+    for d, natural in candidates:
+        assert natural
+        assert check_naturality(d) == []
+        assert check_axioms(d).all_hold and check_pentagons(d).all_hold
 
 
 @pytest.mark.parametrize("axioms_first", (True, False))
