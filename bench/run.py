@@ -268,14 +268,15 @@ def _classify_library(api):
 
 
 def _verify_classification_library(api):
-    """``verify_classification`` of each structure of the library, from the records and verdict it reads."""
+    """``verify_classification`` of each structure of the library, from the records and verdict it reads;
+    ``maps`` counts the distinct records, each a map by its images on C_3."""
     structures = list(api.library.structure_library().values())
 
     def run() -> dict:
         results = [api.classify._classification(m) for m in structures]
         return {
             "records": sum(len(records) for records, _ in results),
-            "maps": sum(len({r.map for r in records}) for records, _ in results),
+            "maps": sum(len(set(records)) for records, _ in results),
             "agreements": sum(verdict for _, verdict in results),
         }
 

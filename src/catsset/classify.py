@@ -10,35 +10,29 @@ The maps themselves come from one search of the engine; the conditions
 are an independent route to their generator images.
 
 A monoidal nerve is 3-coskeletal, so a map C_4 -> N(m)_4 is the same as
-a map C_3 -> N(m)_3.  The search runs from C_3 into ``nerve._ImplicitNerve``,
-the one definition of the nerve's levels 0..3, read off the structure as
-it goes, so it costs what the structure costs, not what its nerve does.
-No nerve is built until a record's map or components are read; then an
-implicit nerve of the structure, materialized at 4 with no second
-validation, serves all the records, each 4-simplex going to the one
-filler of its image boundary.
+a map C_3 -> N(m)_3, and a record is that map's images on C_3.  The
+search runs from C_3 into ``nerve._ImplicitNerve``, the one definition
+of the nerve's levels 0..3, read off the structure as it goes, so it
+costs what the structure costs, not what its nerve does.  No nerve is
+built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 from .dyck import FREE_EDGE
 from .errors import StructuralError
 from .finmon import FinMonoidalStructure, MonoidObject, _require_laws, enumerate_monoids, validate_strict_monoidal
-from .nerve import _ImplicitNerve, two_label, two_simplex_data
-from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, _labelled_map, _take, catalan_sset
+from .nerve import _ImplicitNerve, two_simplex_data
+from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, catalan_sset
 
 #: The non-degenerate 2-simplex with all edges free (multiplication shape).
 MUL_TRIANGLE = "UDUDUD"
 #: The non-degenerate 2-simplex with two degenerate edges (unit shape).
 UNIT_TRIANGLE = "UUDUDD"
-#: C_3, the source of the classification's map search, and C_4, the source of a record's map;
-#: neither depends on the structure, and C_3's tables are those of C_4 on levels 0..3.
-_CATALAN3, _CATALAN4 = catalan_sset(3), catalan_sset(4)
+#: C_3, the source of the classification's map search; it does not depend on the structure.
+_CATALAN3 = catalan_sset(3)
 #: The indices of the free edge and of the two non-degenerate triangles in C_3.
 _EDGE = _CATALAN3.levels[1].index(FREE_EDGE)
 _MUL, _UNIT = map(_CATALAN3.levels[2].index, (MUL_TRIANGLE, UNIT_TRIANGLE))
@@ -49,48 +43,23 @@ class ClassificationRecord:
     """A classified map together with the monoid it corresponds to.
 
     ``_images[n][x]`` is the image of simplex x of C_3 in the nerve of
-    ``structure``, for n 0..3, named by its data as in
+    the structure, for n 0..3, named by its data as in
     ``nerve._ImplicitNerve``: 0, an object, (A12, A02, A01, f) or the
-    four faces.  ``eta_prime`` is the image of the unit-shaped 2-simplex;
-    with the strict tensor it coincides with ``monoid.eta``, but both
-    sides of the correspondence are kept.  ``nerve4`` returns the
-    structure's implicit nerve materialized at 4, built on its first
-    call, once for all the records of one classification; ``components``
-    and ``map`` read it.  Records compare and hash by their images,
-    monoid and eta'; the structure and the nerve do not enter.
+    four faces.  The nerve is 3-coskeletal, so these images are the map;
+    as a ``SimplicialMap`` it is the map of
+    ``simplicial_maps(catalan_sset(4), monoidal_nerve(m, 4), 3)`` whose
+    :func:`map_triple` is :meth:`triple`.  ``eta_prime`` is the image of
+    the unit-shaped 2-simplex; with the strict tensor it coincides with
+    ``monoid.eta``, but both sides of the correspondence are kept.
+    Records compare and hash by all three fields.
     """
 
     _images: tuple[tuple, ...]
     monoid: MonoidObject
     eta_prime: str
-    structure: FinMonoidalStructure = field(compare=False, repr=False)
-    nerve4: Callable[[], TruncatedSSet] = field(compare=False, repr=False)
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """``components[n][x]``, the index in level n of the nerve at 4 of the image of simplex x
-        of C_3; each 3-simplex goes to the one filler of its image boundary."""
-        T = self.nerve4()
-        points, edges, triangles, _ = self._images
-        # the nerve lists its objects and its 2-simplex labels sorted
-        below = tuple(bisect_left(T.levels[2], two_label(*x)) for x in triangles)
-        return (points, tuple(bisect_left(T.levels[1], a) for a in edges), below, _filled(T, below, 3))
-
-    @cached_property
-    def map(self) -> SimplicialMap:
-        """The map C_4 -> N(m)_4, extended from level 3 on first read."""
-        T = self.nerve4()
-        return _labelled_map(_CATALAN4, T, (*self.components, _filled(T, self.components[3], 4)))
 
     def triple(self) -> tuple[str, str, str]:
         return (self.monoid.carrier, self.monoid.mu, self.eta_prime)
-
-
-def _filled(T: TruncatedSSet, below: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The images of C_4's level n in T, given those of level n - 1: each n-simplex goes to the one
-    simplex of T on its image boundary."""
-    boundaries = zip(*(_take(below, face) for face in _CATALAN4.faces[n]))
-    return tuple(y for (y,) in map(T._filler_index(n).__getitem__, boundaries))
 
 
 def _condition_associativity(m: FinMonoidalStructure, a: str, mu: str, etap: str) -> bool:
@@ -148,7 +117,11 @@ def check_fk_automatic(m: FinMonoidalStructure) -> bool:
 
 
 def map_triple(T: TruncatedSSet, f: SimplicialMap) -> tuple[str, str, str]:
-    """Generator images (A, mu, eta') read off an engine-enumerated map."""
+    """Generator images (A, mu, eta') read off an engine-enumerated map.
+
+    ``T`` is not read: the map's labels carry the images.  The parameter
+    stays because perfbench's classify job calls it with the map's target.
+    """
     a = f(1, FREE_EDGE)
     mu = two_simplex_data(f(2, MUL_TRIANGLE))[3]
     etap = two_simplex_data(f(2, UNIT_TRIANGLE))[3]
@@ -160,9 +133,9 @@ def classify_maps(m: FinMonoidalStructure) -> list[ClassificationRecord]:
 
     Candidates (A, mu, eta') are kept when the four 3-simplex conditions
     evaluate to commuting squares; each survivor pairs with the monoid
-    (A, mu, eta = eta') and with the map whose generator images are
-    (A, mu, eta'), taken on levels 0..3 from the engine's map search and
-    extended to level 4 when the record's map is first read.
+    (A, mu, eta = eta') and with the images on C_3 of the map whose
+    generator images are (A, mu, eta'), taken from the engine's map
+    search.  No nerve is built.
     """
     return _classification(m)[0]
 
@@ -179,9 +152,9 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
 def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
     """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
-    The structure is validated once; the search runs against the
-    implicit nerve of ``m``; the records materialize another, unvalidated.
-    Record triples come from the square conditions, monoid triples from
+    The structure is validated once and the search runs against the
+    implicit nerve of ``m``; no nerve is materialized.  Record triples
+    come from the square conditions, monoid triples from
     :func:`enumerate_monoids` and engine triples from the search; a
     record takes only its images from the search.
     """
@@ -189,8 +162,6 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
     maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
     # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms
     by_triple = {(c[1][_EDGE], c[2][_MUL][3], c[2][_UNIT][3]): tuple(map(tuple, c)) for c in maps}
-    # a fresh implicit nerve, so the records do not keep the entries the search filled in
-    nerve4 = cache(lambda: _ImplicitNerve(m).materialized(4))
     records = []
     for a, mu, etap in _candidates(m):
         if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
@@ -203,7 +174,7 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
         # eta is eta' composed with the unit constraint, an identity here,
         # evaluated from the table rather than assumed
         eta = m.category.compose(etap, m.category.id_of(m.unit))
-        records.append(ClassificationRecord(by_triple[(a, mu, etap)], MonoidObject(a, mu, eta), etap, m, nerve4))
+        records.append(ClassificationRecord(by_triple[(a, mu, etap)], MonoidObject(a, mu, eta), etap))
     monoids = enumerate_monoids(m)
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}

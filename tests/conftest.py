@@ -1,9 +1,10 @@
 import pytest
 
+from catsset.classify import map_triple
 from catsset.finmon import MonoidalPoset, Poset, antichain_poset, poset_as_category
 from catsset.library import boolean_or, structure_library
 from catsset.nerve import monoidal_nerve
-from catsset.sset import catalan_sset
+from catsset.sset import catalan_sset, simplicial_maps
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,22 @@ def nerve_two4():
 @pytest.fixture(scope="session")
 def nerve_two5():
     return monoidal_nerve(boolean_or(), 5)
+
+
+@pytest.fixture(scope="session")
+def record_maps(catalan4):
+    """``record_maps(m, records)``: the map C_4 -> N(m)_4 of each record, taken from the engine
+    leg as the map of ``simplicial_maps(catalan_sset(4), monoidal_nerve(m, 4), 3)`` whose
+    ``map_triple`` is the record's triple."""
+
+    def record_maps(m, records):
+        T = monoidal_nerve(m, 4)
+        maps = simplicial_maps(catalan4, T, 3)
+        by_triple = {map_triple(T, f): f for f in maps}
+        assert len(by_triple) == len(maps)
+        return [by_triple[r.triple()] for r in records]
+
+    return record_maps
 
 
 @pytest.fixture(scope="session")

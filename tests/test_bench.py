@@ -48,6 +48,18 @@ def test_a_copied_tree_loads_its_own_modules(tmp_path):
             del sys.modules[name]
 
 
+def test_every_case_runs_on_this_tree(monkeypatch):
+    # each case once, untimed, on this checkout's modules: a case that reads a name the tree
+    # lacks fails here rather than in a run against a parent
+    bench = load_bench()
+    api = SimpleNamespace(**{name: importlib.import_module(f"catsset.{name}") for name in bench.MODULES})
+    monkeypatch.chdir(ROOT)
+    for layer, case, params, make, *args in bench.CASES:
+        counters = make(api, *args)()
+        assert counters and all(type(v) is int for v in counters.values()), (layer, case, params)
+        assert counters.get("exit_code", 0) == 0, (layer, case, params)
+
+
 def test_work_counts_the_level_joins_the_builders_run():
     bench = load_bench()
     join = catsset.sset._join

@@ -21,9 +21,8 @@ from catsset.classify import (
 from catsset.dyck import FREE_EDGE
 from catsset.errors import StructuralError
 from catsset.finmon import enumerate_monoids
-from catsset.library import boolean_or, chain3_max
 from catsset.nerve import _ImplicitNerve, monoidal_nerve, two_simplex_data
-from catsset.sset import _enumerate_level_maps, catalan_sset, is_simplicial_map, simplicial_maps
+from catsset.sset import _enumerate_level_maps, _indexed, catalan_sset, simplicial_maps
 
 EXPECTED_COUNTS = {
     "two-or": 2,
@@ -73,18 +72,45 @@ def test_records_carry_monoids(library):
         assert record.triple() in monoid_triples
 
 
-def test_record_maps_are_maps(catalan4, library):
-    for name, m in library.items():
+def _as_data(T, comps):
+    """Index components into a materialized nerve T, each image named by its data as the
+    implicit nerve names it: 0, an object, (A12, A02, A01, f) or its four faces."""
+    triangles = [two_simplex_data(label) for label in T.levels[2]]
+    return (
+        tuple(comps[0]),
+        tuple(T.levels[1][y] for y in comps[1]),
+        tuple(triangles[y] for y in comps[2]),
+        tuple(tuple(triangles[face[y]] for face in T.faces[3]) for y in comps[3]),
+    )
+
+
+#: The names of ``structures``.
+STRUCTURES = (*sorted(EXPECTED_COUNTS), "left-zero-antichain", "chain3-left-zero", "vee-right-zero")
+
+
+@pytest.fixture(scope="module")
+def structures(library, left_zero_antichain, non_commutative):
+    """The library, the non-commutative antichain and the ``non_commutative`` structures by name."""
+    found = dict(library) | {"left-zero-antichain": left_zero_antichain} | non_commutative
+    assert sorted(found) == sorted(STRUCTURES)
+    return found
+
+
+def test_record_maps_are_maps(catalan4, structures, record_maps):
+    # a record's images on C_3 are those of the engine's map with its triple, levels 0..3
+    for name, m in structures.items():
         T = monoidal_nerve(m, 4)
-        for record in classify_maps(m):
-            comps = [record.map.level_map(n) for n in range(5)]
-            assert is_simplicial_map(catalan4, T, comps), name
-            assert map_triple(T, record.map) == record.triple(), name
+        records = classify_maps(m)
+        assert records, name
+        for record, f in zip(records, record_maps(m, records)):
+            comps = _indexed(catalan4, T, [f.level_map(n) for n in range(4)])
+            assert record._images == _as_data(T, comps), name
 
 
 #: sha256 of each library structure's records (triple, eta and map
 #: components, in triple order), first 16 hex digits; taken while the
 #: records still built their maps from the generator images by hand.
+#: Each record's map is the engine map with its triple.
 RECORD_DIGESTS = {
     "two-or": "131fba982aa6f6fd",
     "chain3-max": "4c2069a48b69af0f",
@@ -95,11 +121,12 @@ RECORD_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
-def test_record_digests(name, library):
-    records = sorted(classify_maps(library[name]), key=ClassificationRecord.triple)
+def test_record_digests(name, library, record_maps):
+    m = library[name]
+    records = sorted(classify_maps(m), key=ClassificationRecord.triple)
     doc = [
-        [list(r.triple()), r.monoid.eta, [[list(p) for p in c] for c in r.map.components]]
-        for r in records
+        [list(r.triple()), r.monoid.eta, [[list(p) for p in c] for c in f.components]]
+        for r, f in zip(records, record_maps(m, records))
     ]
     text = json.dumps(doc, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == RECORD_DIGESTS[name]
@@ -114,29 +141,20 @@ def test_records_hash_and_compare_by_value(library):
         assert {hash(r) for r in classify_maps(m)} == {hash(r) for r in records}, name
 
 
-def test_record_fields_are_tuples_and_the_context_does_not_compare(library):
-    # records compare by their images, as data; the index components are read from the nerve
+def test_record_fields_are_its_images_monoid_and_eta_prime(structures):
+    # a record is its images on C_3, as data, its monoid and eta'; all of them compare
     compared = {f.name: f.compare for f in dataclasses.fields(ClassificationRecord)}
-    assert compared == {
-        "_images": True,
-        "monoid": True,
-        "eta_prime": True,
-        "structure": False,
-        "nerve4": False,
-    }
-    for m in library.values():
+    assert compared == {"_images": True, "monoid": True, "eta_prime": True}
+    sizes = [len(level) for level in catalan_sset(3).levels]
+    for name, m in structures.items():
         for record in classify_maps(m):
-            for images in (record._images, record.components):
-                assert len(images) == 4
-                assert type(images) is tuple
-                assert all(type(c) is tuple for c in images)
-            assert [len(c) for c in record._images] == [len(c) for c in record.components]
+            assert type(record._images) is tuple and all(type(c) is tuple for c in record._images), name
+            assert [len(c) for c in record._images] == sizes, name
 
 
 def _counting_nerves(monkeypatch):
     """The nerves built from here on, by dimension: each materialization of an implicit nerve,
-    which a record's nerve at 4 is, and each coskeletal extension that builds a nerve's levels
-    above 3."""
+    and each coskeletal extension that builds a nerve's levels above 3."""
     built = []
     real_materialized, real_extended = catsset.nerve._ImplicitNerve.materialized, catsset.nerve._extended
 
@@ -153,38 +171,10 @@ def _counting_nerves(monkeypatch):
     return built
 
 
-#: The one nerve a classification builds when a record's map or components are read.
-ONE_NERVE = [("materialized", 4), ("_extended", 4)]
-
-
-@pytest.mark.parametrize("make", (boolean_or, chain3_max))
-def test_record_maps_share_one_level_four_nerve(make, monkeypatch):
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_classification_builds_no_nerve_and_validates_once(name, structures, monkeypatch):
+    m = structures[name]
     built = _counting_nerves(monkeypatch)
-    m = make()
-    records = classify_maps(m)
-    assert len(records) > 1 and built == []
-    maps = [r.map for r in records]
-    # the first read builds the level-4 nerve for every record; reading again builds nothing
-    assert built == ONE_NERVE
-    assert [r.map for r in records] == maps and built == ONE_NERVE
-    assert all(f.target is maps[0].target for f in maps)
-    assert maps[0].target.to_json_text() == monoidal_nerve(m, 4).to_json_text()
-
-
-def test_classification_builds_no_nerve_until_a_record_is_read(library, monkeypatch):
-    built = _counting_nerves(monkeypatch)
-    for name, m in library.items():
-        records, verdict = catsset.classify._classification(m)
-        assert verdict and records and built == [], name
-        # the components read the nerve at 4, and the maps read the same one
-        components = [r.components for r in records]
-        assert built == ONE_NERVE, name
-        assert [r.map.target for r in records] == [records[0].nerve4()] * len(records), name
-        assert [r.components for r in records] == components and built == ONE_NERVE, name
-        built.clear()
-
-
-def test_reading_every_record_validates_the_structure_once(library, monkeypatch):
     checked = []
     real = catsset.finmon.validate_strict_monoidal
 
@@ -193,30 +183,17 @@ def test_reading_every_record_validates_the_structure_once(library, monkeypatch)
         return real(m)
 
     # every module of the package that holds the validator calls the counting one
-    for name, module in list(sys.modules.items()):
-        if name.startswith("catsset.") and hasattr(module, "validate_strict_monoidal"):
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("catsset.") and hasattr(module, "validate_strict_monoidal"):
             monkeypatch.setattr(module, "validate_strict_monoidal", counting)
-    for name, m in library.items():
-        checked.clear()
-        records = classify_maps(m)
-        assert records and [r.map for r in records] and [r.components for r in records], name
-        assert checked == [m], name
+    records, verdict = catsset.classify._classification(m)
+    assert verdict and records and checked == [m]
+    checked.clear()
+    assert classify_maps(m) == records and checked == [m]
+    assert built == []
 
 
-def _as_data(T, comps):
-    """Index components into a materialized nerve T, each image named by its data as the
-    implicit nerve names it: 0, an object, (A12, A02, A01, f) or its four faces."""
-    triangles = [two_simplex_data(label) for label in T.levels[2]]
-    return (
-        tuple(comps[0]),
-        tuple(T.levels[1][y] for y in comps[1]),
-        tuple(triangles[y] for y in comps[2]),
-        tuple(tuple(triangles[face[y]] for face in T.faces[3]) for y in comps[3]),
-    )
-
-
-def test_implicit_search_is_the_search_on_the_nerve(library, left_zero_antichain, non_commutative):
-    structures = dict(library) | {"left-zero-antichain": left_zero_antichain} | non_commutative
+def test_implicit_search_is_the_search_on_the_nerve(structures):
     for name, m in structures.items():
         T = monoidal_nerve(m, 3)
         want = [_as_data(T, comps) for comps in _enumerate_level_maps(catalan_sset(3), T, 3, False)]
@@ -226,18 +203,14 @@ def test_implicit_search_is_the_search_on_the_nerve(library, left_zero_antichain
     assert any(m.obj_tensor[a, b] != m.obj_tensor[b, a] for m in structures.values() for a, b in m.obj_tensor)
 
 
-def test_shared_catalan_set_is_left_unchanged(library):
-    # every classification searches from the one module-level C_3, and every record map leaves C_4
-    for m in library.values():
-        [r.map for r in classify_maps(m)]
-    c3, c4 = catsset.classify._CATALAN3, catsset.classify._CATALAN4
-    for N, shared in ((3, c3), (4, c4)):
-        fresh = catalan_sset(N)
-        assert shared.levels == fresh.levels
-        assert shared.faces == fresh.faces
-        assert shared.degens == fresh.degens
-    # a record's level-3 components index C_4 as they index C_3
-    assert c3.levels == c4.levels[:4] and c3.faces == c4.faces[:4] and c3.degens[:3] == c4.degens[:3]
+def test_shared_catalan_set_is_left_unchanged(structures):
+    # every classification searches from the one module-level C_3
+    for m in structures.values():
+        classify_maps(m)
+    shared, fresh = catsset.classify._CATALAN3, catalan_sset(3)
+    assert shared.levels == fresh.levels
+    assert shared.faces == fresh.faces
+    assert shared.degens == fresh.degens
 
 
 def test_maps_are_determined_by_generator_images(catalan4, library):

@@ -270,7 +270,7 @@ def test_classify_builds_no_nerve(capsys, monkeypatch):
     monkeypatch.setattr(catsset.nerve._ImplicitNerve, "materialized", counting)
     code, out, _ = run(capsys, "classify", str(EXAMPLES / "two-or.json"))
     assert code == 0 and "three-way agreement: true" in out
-    # the search reads the nerve off the structure, and the CLI reads no record's map
+    # the search reads the nerve off the structure, and a record is its images: no nerve is built
     assert built == []
 
 
