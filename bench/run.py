@@ -135,6 +135,20 @@ def _identities(api, N: int, planted: bool = False):
     return lambda: {"violations": len(api.sset.check_simplicial_identities(S))}
 
 
+def _identities_job(api, N: int, nerve_N: int):
+    """perfbench's verify ``identities:N`` job: ``catalan_sset(N)`` and its identities, then the
+    library's two-or nerve at ``nerve_N`` and its identities, both sets built in the timed run."""
+    two = api.library.structure_library()["two-or"]
+    check = api.sset.check_simplicial_identities
+
+    def run() -> dict:
+        S = api.sset.catalan_sset(N)
+        T = api.nerve.monoidal_nerve(two, nerve_N)
+        return {"simplices_built": S.size() + T.size(), "violations": len(check(S)) + len(check(T))}
+
+    return run
+
+
 def _coskeletal(api, r: int, N: int):
     S = api.sset.catalan_sset(N)
 
@@ -261,15 +275,10 @@ def _structure_library(api):
     return run
 
 
-def _classify_library(api):
-    """``classify_maps`` of each structure of the library."""
-    structures = list(api.library.structure_library().values())
-    return lambda: {"records": sum(len(api.classify.classify_maps(m)) for m in structures)}
-
-
-def _verify_classification_library(api):
-    """``verify_classification`` of each structure of the library, from the records and verdict it reads;
-    ``maps`` counts the distinct records, each a map by its images on C_3."""
+def _classification_library(api):
+    """``classify._classification`` of each structure of the library, the one call behind
+    ``classify_maps`` (its records) and ``verify_classification`` (its verdict); ``maps``
+    counts the distinct records, each a map by its images on C_3."""
     structures = list(api.library.structure_library().values())
 
     def run() -> dict:
@@ -448,6 +457,14 @@ CASES = [
         8,
         True,
     ),
+    (
+        "sset",
+        "catalan_sset+check_simplicial_identities",
+        {"job": "perfbench verify identities:7", "N": 7, "nerve": "two-or at 5"},
+        _identities_job,
+        7,
+        5,
+    ),
     ("sset", "is_r_coskeletal_up_to", {"set": "catalan_sset(7)", "r": 2, "maxdim": 7}, _coskeletal, 2, 7),
     ("sset", "nondegenerate", {"set": "catalan_sset(9)", "levels": "0..9"}, _nondegenerate, 9),
     ("nerve", "monoidal_nerve", {"structure": "boolean_or", "N": 9}, _nerve, 9),
@@ -492,8 +509,7 @@ CASES = [
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls, 200),
     ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections, 8),
     ("finmon", "structure_library", {}, _structure_library),
-    ("classify", "classify_maps", {"structures": "structure_library()"}, _classify_library),
-    ("classify", "verify_classification", {"structures": "structure_library()"}, _verify_classification_library),
+    ("classify", "_classification", {"structures": "structure_library()"}, _classification_library),
     ("classify", "classify job", {"structures": "structure_library()", "N": 4}, _classify_jobs),
 ]
 
@@ -509,16 +525,17 @@ FRONTIER_CHAINS = (14, 18, 22, 26, 30)
 
 
 #: The work counts of :func:`work_counted`; each also has a ``*_by_level`` breakdown.
-WORK = ("joins", "tuples", "checked_cells", "filler_indexes", "skew_tables", "skew_conditions")
+WORK = ("joins", "tuples", "checked_cells", "filler_indexes", "identity_cells", "skew_tables", "skew_conditions")
 
 
 @contextlib.contextmanager
 def work_counted(api):
     """Count, inside the block, the boundary joins that tree runs and the tuples they return,
-    the table cells its constructor checks (``TruncatedSSet._checked``) and the filler indexes
-    it builds, in all and by level, the object and morphism tensor tables the skew search
-    draws (``skew._fill``), by their number of cells, and the skew conditions it evaluates
-    (``skew._witness``), by their arity.  The join is ``sset._join``, which returns columns, on
+    the table cells its constructor checks (``TruncatedSSet._checked``), the filler indexes
+    it builds and the cells of the identity columns it composes (``sset._identity_columns``,
+    both sides of each instance the identity check reads), in all and by level, the object
+    and morphism tensor tables the skew search draws (``skew._fill``), by their number of
+    cells, and the skew conditions it evaluates (``skew._witness``), by their arity.  The join is ``sset._join``, which returns columns, on
     a tree that has it and ``sset._boundaries``, which returns tuples, on an older one.  An
     ``api`` without ``skew`` counts no tables and no conditions.  The timed runs call these
     functions unwrapped."""
@@ -538,6 +555,13 @@ def work_counted(api):
         tally("joins", n, 1)
         tally("tuples", n, len(found[0]) if join == "_join" else len(found))
         return found
+
+    real_columns = api.sset._identity_columns
+
+    def columns(S, *rows):
+        for instance in real_columns(S, *rows):
+            tally("identity_cells", instance[1], len(instance[4]) + len(instance[5]))
+            yield instance
 
     def checked(self, tables, n, step):
         out = real_checked(self, tables, n, step)
@@ -566,6 +590,7 @@ def work_counted(api):
     for module in modules:
         setattr(module, join, counted)
     TruncatedSSet._checked, TruncatedSSet._filler_index = checked, indexed
+    api.sset._identity_columns = columns
     if skew:
         skew._fill, skew._witness = filled, witnessed
     try:
@@ -574,6 +599,7 @@ def work_counted(api):
         for module in modules:
             setattr(module, join, real_join)
         TruncatedSSet._checked, TruncatedSSet._filler_index = real_checked, real_index
+        api.sset._identity_columns = real_columns
         if skew:
             skew._fill, skew._witness = real_fill, real_witness
 

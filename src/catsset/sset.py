@@ -15,8 +15,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, product, repeat
-from operator import add, eq, itemgetter
+from itertools import accumulate, chain, compress, filterfalse, product, repeat
+from operator import add, eq, itemgetter, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, IndexOutOfRangeError, SchemaError, StructuralError
@@ -115,18 +115,32 @@ class TruncatedSSet:
             raise IndexOutOfRangeError(f"level {n} outside truncation 0..{self.N}")
         return self.levels[n]
 
+    def _located(self, n: int, label: str, low: int, high: int, i: int = 0) -> int:
+        """The index of ``label`` at level n, for a level in low..high and an index i in 0..n."""
+        if not low <= n <= high:
+            raise IndexOutOfRangeError(f"level {n} outside {low}..{high}")
+        if not 0 <= i <= n:
+            raise IndexOutOfRangeError(f"index {i} outside 0..{n} at level {n}")
+        k = self._position[n].get(label)
+        if k is None:
+            raise StructuralError(f"unknown label {label!r} at level {n}")
+        return k
+
     def face(self, n: int, i: int, label: str) -> str:
-        return self.levels[n - 1][self.faces[n][i][self._position[n][label]]]
+        k = self._located(n, label, 1, self.N, i)
+        return self.levels[n - 1][self.faces[n][i][k]]
 
     def degeneracy(self, n: int, i: int, label: str) -> str:
-        return self.levels[n + 1][self.degens[n][i][self._position[n][label]]]
+        k = self._located(n, label, 0, self.N - 1, i)
+        return self.levels[n + 1][self.degens[n][i][k]]
 
     def face_vector(self, n: int, label: str) -> BoundaryTuple:
-        k = self._position[n][label]
+        k = self._located(n, label, 0, self.N)
         return tuple(self.levels[n - 1][table[k]] for table in self.faces[n])
 
     def degeneracy_witness(self, n: int, label: str) -> int | None:
-        return self._witnesses(n)[self._position[n][label]]
+        k = self._located(n, label, 0, self.N)
+        return self._witnesses(n)[k]
 
     def is_degenerate(self, n: int, label: str) -> bool:
         return self.degeneracy_witness(n, label) is not None
@@ -203,13 +217,6 @@ def _grouped(keys: Sequence[_Indices]) -> dict[_Indices, _Indices]:
     return index
 
 
-def _shifted(a: Sequence[int], c: Sequence[int], m: int, sign: int) -> Iterator[_Indices]:
-    """Per i < m, the column c + sign * [a <= i < a + c], read off a table of the pairs (a, c) below m + 2."""
-    keys = [x * (m + 2) + k for x, k in zip(a, c)]
-    pairs = list(product(range(m + 2), repeat=2))
-    return (_take([k + sign * (x <= i < x + k) for x, k in pairs], keys) for i in range(m))
-
-
 def _children(
     start: Sequence[int],
     tables: Sequence[Sequence[int]],
@@ -220,9 +227,10 @@ def _children(
     """Per table, each word's child ``params`` of the image of its parent, as a sorted index.
 
     ``start`` holds the child-order index of the first child of each word
-    the tables reach, and ``rank`` the sorted index of each child.
+    the tables reach, and is composed with each table on that smaller
+    level; ``rank`` holds the sorted index of each child.
     """
-    return [_take(rank, list(map(add, _take(start, _take(t, parent)), p))) for t, p in zip(tables, params)]
+    return [_take(rank, list(map(add, _take(_take(start, t), parent), p))) for t, p in zip(tables, params)]
 
 
 def catalan_sset(N: int) -> TruncatedSSet:
@@ -230,61 +238,62 @@ def catalan_sset(N: int) -> TruncatedSSet:
 
     Each level is built from the one below by recurrence on the last
     face.  A word w of dimension n >= 1 is the child (P, c) of P = d_n w:
-    with t the number of P's trailing D's and 0 <= c <= t, w puts a U
-    after the first c of them and appends a D.  Listed by parent, then c,
-    the children of P form a block from ``start[P]``.  By the simplicial
-    identities d_i w is a child of d_i P and s_i w one of s_i P for
-    i < n, and s_n w is the child (w, 0).  With a = n - t, only the child
-    parameter is computed:
+    with t the number of P's trailing D's and 0 <= c <= t, w is P
+    without those D's followed by D^c U D^(t-c+1).  Listed by parent,
+    then c, the children of P form a block from ``start[P]``.  By the
+    simplicial identities d_i w is a child of d_i P and s_i w one of
+    s_i P for i < n, and s_n w is the child (w, 0).  With a = n - t, only
+    the child parameter is computed:
 
     - c - [a <= i < a + c] for d_i, i < n - 1;
-    - a - a(P) + c - [n - 1 < a + c] for d_{n-1}, n >= 2;
+    - a - a(P) + c - [c = t] for d_{n-1}, n >= 2;
     - c + [a <= i < a + c] for s_i, i < n.
 
-    So each table composes whole columns of the level below.  Each word
-    is built once, and one sort per level puts the tables in
-    lexicographic order.
+    Each of these, each word's suffix and its own trailing D's are a
+    function of the key (t, c), read off a table of the pairs.  So each
+    table composes whole columns of the level below.  Each word is built
+    once, and one sort per level gives the label order, the order of
+    ``enumerate_dyck``: the level's parent and key columns are permuted
+    by it once, so every table is built with its columns in label order,
+    and ``rank``, the sorted index of each child, maps its values there.
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
-    # the top level so far in child order: its words' trailing D's, the columns parent, c, a,
-    # the order that sorts its words and the sorted index of each
-    words, trail, parent, c, a, order, rank = [["UD"]], [1], (), (), (), [0], [0]
-    orders = [order]
-    # each table maps child order to the sorted order of the level it reaches;
-    # degens opens with level -1, which has no degeneracies
-    faces, degens, lifted = [[]], [[]], []
+    # the top level so far, in label order: its words, their trailing D's, the columns parent
+    # and key t * (n + 1) + c and the pairs (t, c) in key order; then the child-order index in
+    # it of the first child of each word of the level below, the order that sorts its words
+    # and the sorted index of each
+    words, trail, parent, keys, pairs, start, order, rank = [("UD",)], [1], (), (), (), (), [0], [0]
+    # each table maps label order to label order; degens opens with level -1, which has none
+    faces, degens = [[]], [[]]
     for n in range(1, N + 1):
-        sizes = [t + 1 for t in trail]
-        start = list(accumulate(sizes, initial=0))[:-1]
-        # per sorted word of level n - 1, the child-order index of its first child
-        lifted_below, lifted = lifted, _take(start, order)
-        parent_below, c_below, a_below, rank_below = parent, c, a, rank
-        parent = list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
-        c = list(chain.from_iterable(map(range, sizes)))
-        t = _take(trail, parent)
-        a = [n - x for x in t]
-        parents = _take(words[-1], parent)
-        words.append([P[: 2 * n - x + k] + "U" + "D" * (x - k + 1) for P, x, k in zip(parents, t, c)])
-        trail = [x - k + 1 for x, k in zip(t, c)]
-        order = sorted(range(len(parents)), key=words[-1].__getitem__)
+        sizes = [x + 1 for x in trail]
+        start_below, start = start, list(accumulate(sizes, initial=0))[:-1]
+        parent_below, keys_below, pairs_below, rank_below = parent, keys, pairs, rank
+        pairs = list(product(range(n + 1), repeat=2))
+        # the parents' indices as the ints of rank, which the tables into their level hold
+        parent = list(chain.from_iterable(map(repeat, _take(rank, order), sizes)))
+        keys = list(map(add, map(mul, _take(trail, parent), repeat(n + 1)), chain.from_iterable(map(range, sizes))))
+        # each word in child order: its parent without the trailing D's, then D^c U D^(t-c+1)
+        stems = map(str.rstrip, words[-1], repeat("D"))
+        suffixes = _take(["D" * c + "U" + "D" * (t - c + 1) for t, c in pairs], keys)
+        level = list(map(add, _take(list(stems), parent), suffixes))
+        order = sorted(range(len(level)), key=level.__getitem__)
         # the inverse of order, sorted from order's own entries so that the two share their ints
         rank = sorted(order, key=order.__getitem__)
-        orders.append(order)
-        ups = _shifted(a_below, c_below, n - 1, 1)
-        degens.append(_children(lifted, degens[-1], parent_below, ups, rank) + [_take(rank, start)])
+        words.append(_take(level, order))
+        parent, keys = _take(parent, order), _take(keys, order)
+        trail = _take([t - c + 1 for t, c in pairs], keys)
+        ups = (_take([c + (n - 1 - t <= i < n - 1 - t + c) for t, c in pairs_below], keys_below) for i in range(n - 1))
+        degens.append(_children(start, degens[-1], parent_below, ups, rank) + [_take(rank, start)])
         if n == 1:
             faces.append([parent, parent])
         else:
-            last = [x - y + k - (n - 1 < x + k) for x, y, k in zip(a, _take(a_below, parent), c)]
-            downs = chain(_shifted(a, c, n - 1, -1), [last])
-            faces.append(_children(lifted_below, faces[-1], parent, downs, rank_below))
-            faces[-1].append(_take(rank_below, parent))
-    degens = [*degens[1:], []]
-    # then the sources, a level at a time, so that the tables are never all held twice
-    for tables, o in chain(zip(faces, orders), zip(degens, orders)):
-        tables[:] = map(_take, tables, repeat(o))
-    return TruncatedSSet._trusted([_take(w, o) for w, o in zip(words, orders)], faces, degens, {}, N + 1)
+            downs = [_take([c - (n - t <= i < n - t + c) for t, c in pairs], keys) for i in range(n - 1)]
+            a_parent = _take([n - 1 - t for t, _ in pairs_below], _take(keys_below, parent))
+            downs.append(list(map(sub, _take([n - t + c - (c == t) for t, c in pairs], keys), a_parent)))
+            faces.append(_children(start_below, faces[-1], parent, downs, rank_below) + [parent])
+    return TruncatedSSet._trusted(words, faces, [*degens[1:], []], {}, N + 1)
 
 
 def point_sset(N: int) -> TruncatedSSet:
@@ -317,17 +326,22 @@ class SimplicialViolation:
 _IDENTITIES = ("d_i d_j = d_{j-1} d_i", "s_i s_j = s_{j+1} s_i", "d_i s_j")
 
 
-def _identity_columns(S: TruncatedSSet) -> Iterator[tuple[int, int, int, int, _Indices, _Indices]]:
+def _identity_columns(
+    S: TruncatedSSet, rows: Sequence[Sequence[int]] | None = None
+) -> Iterator[tuple[int, int, int, int, _Indices, _Indices]]:
     """Each identity instance as (family, n, j, i, left, right).
 
     ``left`` and ``right`` are its two sides composed as whole columns,
-    one entry per simplex of level n.
+    one entry per simplex of level n.  If ``rows`` is given, the
+    face-face family reads at level n only the simplices ``rows[n]``, one
+    entry per row; the other two families read every simplex.
     """
     F, D = S.faces, S.degens
     for n in range(2, S.N + 1):
+        cols = F[n] if rows is None else [_take(t, rows[n]) for t in F[n]]
         for j in range(n + 1):
             for i in range(j):
-                yield 0, n, j, i, _take(F[n - 1][i], F[n][j]), _take(F[n - 1][j - 1], F[n][i])
+                yield 0, n, j, i, _take(F[n - 1][i], cols[j]), _take(F[n - 1][j - 1], cols[i])
     for n in range(S.N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
@@ -348,9 +362,28 @@ def _identity_columns(S: TruncatedSSet) -> Iterator[tuple[int, int, int, int, _I
 def check_simplicial_identities(S: TruncatedSSet) -> list[SimplicialViolation]:
     """Every violated identity instance within the truncation; empty means pass.
 
-    Only columns that differ are read off simplex by simplex.  Violations
-    are listed by identity, then dimension, simplex x, j and i.
+    A first pass reads the d_i s_j and s_i s_j families on every simplex,
+    but the face-face family at level n only on the simplices that no
+    degeneracy s_k of level n - 1 reaches.  That decides the verdict: if
+    it finds no difference, the face-face identities hold at every
+    reached x = s_k y as well, by induction on n.  Rewriting both sides
+    of d_i d_j x = d_{j-1} d_i x by d_i s_j at y (level n - 1), then at a
+    face of y (level n - 2), gives in each case of i, j and k either the
+    same face of y on both sides, or s_m of the two sides of a face-face
+    identity at y, which holds at level n - 1; at n = 2 only the first
+    case occurs (May, Simplicial Objects in Algebraic Topology, 1967,
+    section 1).  Only when something differs is every instance evaluated,
+    and only columns that differ are read off simplex by simplex, so a
+    failing set gets its full listing, the same as without the first
+    pass.  Violations are listed by identity, then dimension, simplex x,
+    j and i.
     """
+    unreached = [
+        list(filterfalse(set().union(*tables).__contains__, range(len(lv))))
+        for lv, tables in zip(S.levels, ((), *S.degens))
+    ]
+    if all(left == right for *_, left, right in _identity_columns(S, unreached)):
+        return []
     hits = [
         (family, n, x, j, i)
         for family, n, j, i, left, right in _identity_columns(S)

@@ -86,6 +86,28 @@ def test_work_counts_the_skew_conditions_a_check_evaluates():
     assert work["skew_conditions_by_level"] == {"4": 1, "2": 6, "0": 4, "1": 2}
 
 
+
+def test_work_counts_the_identity_cells_a_check_composes():
+    bench = load_bench()
+    columns = catsset.sset._identity_columns
+    S, planted = catsset.sset.catalan_sset(5), bench._planted(catsset.sset.catalan_sset(5))
+    with bench.work_counted(SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve)) as work:
+        assert catsset.sset.check_simplicial_identities(S) == []
+    assert catsset.sset._identity_columns is columns
+    size = [len(level) for level in S.levels]
+    nondegenerate = [len(S.nondegenerate(n)) for n in range(6)]
+    # both sides of each instance: d_i d_j on the non-degenerate simplices of levels 2..5, s_i s_j
+    # on every simplex of levels 0..3 and d_i s_j on every simplex of levels 0..4
+    face_face = sum(n * (n + 1) * nondegenerate[n] for n in range(2, 6))
+    degeneracy = sum((n + 1) * (n + 2) * size[n] for n in range(4))
+    face_degeneracy = sum(2 * (n + 1) * (n + 2) * size[n] for n in range(5))
+    assert work["identity_cells"] == face_face + degeneracy + face_degeneracy
+    # a failing set is read once more in full
+    with bench.work_counted(SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve)) as failing:
+        assert catsset.sset.check_simplicial_identities(planted)
+    everything = sum(n * (n + 1) * size[n] for n in range(2, 6)) + degeneracy + face_degeneracy
+    assert everything < failing["identity_cells"] <= everything + work["identity_cells"]
+
 def _compared(bench, parent_times, change_times):
     """The ``ratios`` entry and printed line of one case read off the given run times."""
     work = {key: 0 for key in bench.WORK}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catsset.dyck import enumerate_dyck
-from catsset.errors import BudgetExceededError, SchemaError, StructuralError
+from catsset.errors import BudgetExceededError, IndexOutOfRangeError, SchemaError, StructuralError
 from catsset.library import boolean_or, zmonoid
 from catsset.nerve import monoidal_nerve
 from catsset.sset import (
@@ -41,6 +41,43 @@ def test_level_sizes(catalan6):
     single = catalan_sset(0)
     assert single.levels == (("UD",),)
 
+
+
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        pytest.param(lambda S: S.face(-1, 0, "UDUDUDUD"), IndexOutOfRangeError, id="face-negative-level"),
+        pytest.param(lambda S: S.face(0, 0, "UD"), IndexOutOfRangeError, id="face-of-a-vertex"),
+        pytest.param(lambda S: S.face(4, 0, "UDUDUDUDUD"), IndexOutOfRangeError, id="face-above-top"),
+        pytest.param(lambda S: S.face(3, 4, "UDUDUDUD"), IndexOutOfRangeError, id="face-index-too-large"),
+        pytest.param(lambda S: S.face(3, -1, "UDUDUDUD"), IndexOutOfRangeError, id="face-negative-index"),
+        pytest.param(lambda S: S.face(3, 0, "UDUDUD"), StructuralError, id="face-unknown-label"),
+        pytest.param(lambda S: S.degeneracy(3, 0, "UDUDUDUD"), IndexOutOfRangeError, id="degeneracy-of-the-top"),
+        pytest.param(lambda S: S.degeneracy(-1, 0, "UDUDUDUD"), IndexOutOfRangeError, id="degeneracy-negative-level"),
+        pytest.param(lambda S: S.degeneracy(1, 2, "UDUD"), IndexOutOfRangeError, id="degeneracy-index-too-large"),
+        pytest.param(lambda S: S.degeneracy(1, 0, "UD"), StructuralError, id="degeneracy-unknown-label"),
+        pytest.param(lambda S: S.face_vector(-1, "UDUDUDUD"), IndexOutOfRangeError, id="face-vector-negative-level"),
+        pytest.param(lambda S: S.face_vector(2, "UDUD"), StructuralError, id="face-vector-unknown-label"),
+        pytest.param(lambda S: S.degeneracy_witness(4, "UD"), IndexOutOfRangeError, id="witness-above-top"),
+        pytest.param(lambda S: S.degeneracy_witness(2, "UUDD"), StructuralError, id="witness-unknown-label"),
+        pytest.param(lambda S: S.is_degenerate(-1, "UUDDUDUD"), IndexOutOfRangeError, id="degenerate-negative-level"),
+        pytest.param(lambda S: S.is_degenerate(0, "UUDD"), StructuralError, id="degenerate-unknown-label"),
+    ],
+)
+def test_label_queries_reject_bad_levels_indices_and_labels(query, error):
+    # a negative level used to read the top level, and the rest raised bare IndexError or KeyError
+    with pytest.raises(error):
+        query(catalan_sset(3))
+
+
+def test_label_queries_in_range():
+    S = catalan_sset(3)
+    assert S.face(3, 0, "UDUDUDUD") == "UDUDUD"
+    assert S.degeneracy(0, 0, "UD") == "UUDD"
+    assert S.face_vector(0, "UD") == ()
+    assert S.face_vector(2, "UUDDUD") == ("UDUD", "UDUD", "UUDD")
+    assert S.degeneracy_witness(2, "UUDDUD") == 0 and S.is_degenerate(2, "UUDDUD")
+    assert not S.is_degenerate(3, "UDUDUDUD")
 
 def test_identities_pass(catalan8, nerve_two5):
     assert check_simplicial_identities(catalan8) == []
@@ -133,6 +170,76 @@ def test_column_identities_match_the_scalar_check(name, request):
     # so the order across simplices is compared too
     assert all(reports)
     assert sum(len({v.simplex for v in r}) > 1 for r in reports) > 40
+
+
+#: The sets the identity properties rewrite, built once.
+REWRITE_BASES = {
+    "catalan-3": catalan_sset(3),
+    "catalan-4": catalan_sset(4),
+    "two-or-nerve-4": monoidal_nerve(boolean_or(), 4),
+    "zmonoid-nerve-3": monoidal_nerve(zmonoid(), 3),
+}
+
+
+@st.composite
+def multi_cell_rewrites(draw):
+    """A set of :data:`REWRITE_BASES` with one to four table cells pointed elsewhere.
+
+    A third of the draws rewrite only face cells of degenerate simplices,
+    which the first pass of the identity check reads through d_i s_j
+    alone, and a third only face cells of non-degenerate ones; the rest
+    rewrite any face or degeneracy cell.
+    """
+    S = REWRITE_BASES[draw(st.sampled_from(sorted(REWRITE_BASES)))]
+    cells = [
+        (key, n, i, x)
+        for key, tables, step in ((1, S.faces, -1), (2, S.degens, 1))
+        for n in range(S.N + 1)
+        if tables[n] and len(S.levels[n + step]) > 1
+        for i in range(len(tables[n]))
+        for x in range(len(S.levels[n]))
+    ]
+    kind = draw(st.sampled_from(["any cell", "degenerate faces", "non-degenerate faces"]))
+    if kind != "any cell":
+        degenerate = kind == "degenerate faces"
+        cells = [c for c in cells if c[0] == 1 and (S._witnesses(c[1])[c[3]] is not None) == degenerate]
+    edited = _editable_tables(S)
+    for key, n, i, x in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True)):
+        size = len(S.levels[n - 1 if key == 1 else n + 1])
+        edited[key][n][i][x] = (edited[key][n][i][x] + draw(st.integers(1, size - 1))) % size
+    return TruncatedSSet(*edited)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_cell_rewrites())
+def test_identity_check_matches_the_scalar_check_on_rewrites(T):
+    assert check_simplicial_identities(T) == _scalar_identities(T)
+
+
+@pytest.mark.parametrize(
+    "family, key, n, i, cell, at",
+    [
+        # d_2 of the 3-simplex s_0 s_0 UDUD, which d_i s_j also reads at s_0 UDUD
+        pytest.param("d_i d_j = d_{j-1} d_i", 1, 3, 2, "UUUDDDUD", "UUUDDDUD", id="d_i d_j"),
+        # s_1 of the 2-simplex s_0 s_0 UD, which s_i s_j also reads at s_0 UD
+        pytest.param("s_i s_j = s_{j+1} s_i", 2, 2, 1, "UUUDDD", "UUUDDD", id="s_i s_j"),
+        # d_3 of the top simplex s_0 y, y = s_0 UDUDUD, read by d_i s_j at y and by d_i d_j
+        pytest.param("d_i s_j", 1, 4, 3, "UUUDDDUDUD", "UUDDUDUD", id="d_i s_j"),
+    ],
+)
+def test_faults_at_degenerate_simplices_are_found_and_listed(family, key, n, i, cell, at):
+    # every instance the rewritten cell breaks sits at a degenerate simplex:
+    # the face-face ones are not read by the check's first pass
+    C = REWRITE_BASES["catalan-4"]
+    edited = _editable_tables(C)
+    x = C.levels[n].index(cell)
+    size = len(C.levels[n - 1 if key == 1 else n + 1])
+    edited[key][n][i][x] = (edited[key][n][i][x] + 1) % size
+    T = TruncatedSSet(*edited)
+    report = check_simplicial_identities(T)
+    assert report == _scalar_identities(T)
+    assert any(v.identity == family and v.simplex == at for v in report)
+    assert all(C.is_degenerate(v.dimension, v.simplex) for v in report)
 
 
 def test_take_composes_columns():
