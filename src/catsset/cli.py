@@ -334,8 +334,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
     m = FinMonoidalStructure.from_json_text(text)
-    # the strict laws are checked once, by the classification before its map search
-    _require_laws(validate_category(m.category))
+    # the category and strict laws are checked once, by the classification before its map search
     records, verdict = _classification(m)
     triples = sorted(r.triple() for r in records)
     fields = {
@@ -359,11 +358,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _carrier(name: str) -> Poset | FinCategory:
-    """The zmonoid category, or for ``chainN`` with N >= 1 the chain poset on 0 .. N-1."""
+    """The zmonoid category, or for ``chainN`` with N >= 1 the chain poset on 0 .. N-1.
+
+    N is written in ASCII digits without a leading zero, so each carrier has one name.
+    """
     if name == "zmonoid":
         return zmonoid_category()
     size = name.removeprefix("chain")
-    if name.startswith("chain") and size.isdigit():
+    if name.startswith("chain") and size.isascii() and size.isdigit() and size == str(int(size)):
         if int(size) == 0:
             raise ValueError(f"carrier {name!r} is empty, so no object can be the unit")
         _poset_raw_tables(int(size))  # the sweep's cap, checked before the order is built

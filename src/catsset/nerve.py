@@ -18,7 +18,7 @@ from itertools import chain, compress, product
 from operator import itemgetter
 
 from .errors import BudgetExceededError, StructuralError
-from .finmon import FinMonoidalStructure, _require_laws, _thin_typed, validate_strict_monoidal
+from .finmon import FinMonoidalStructure, _require_laws, _thin, validate_category, validate_strict_monoidal
 from .sset import TruncatedSSet, _add_level, _extended, _join, _take
 
 
@@ -41,12 +41,14 @@ def monoidal_nerve(
 ) -> TruncatedSSet:
     """The nerve of ``m`` truncated at dimension N, :meth:`_ImplicitNerve.materialized`.
 
-    ``m`` is validated once, by :func:`~catsset.finmon.validate_strict_monoidal`
-    (StructuralError names its first violation), and the result holds at
+    ``m`` is validated once, its category by :func:`~catsset.finmon.validate_category`
+    and then its tensor by :func:`~catsset.finmon.validate_strict_monoidal`
+    (StructuralError names the first violation), and the result holds at
     most ``max_simplices`` simplices in total (BudgetExceededError).
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
+    _require_laws(validate_category(m.category))
     _require_laws(validate_strict_monoidal(m))
     return _ImplicitNerve(m).materialized(N, max_simplices)
 
@@ -125,10 +127,9 @@ class _ImplicitNerve:
         Levels 0..2 list these fillers, level 2 in :func:`two_label` order,
         with these degeneracies.  Level 3 is the boundary tuples over level 2
         whose square commutes (:func:`~catsset.sset._add_level`); on a thin
-        category whose composites are typed that is every one, unevaluated,
-        since the two composites of a square are parallel
-        (:func:`~catsset.finmon._thin_typed`).  The levels above are its
-        coskeletal extension
+        category that is every one, unevaluated, since the two composites of
+        a square are parallel in a lawful category (:func:`monoidal_nerve`
+        validates it).  The levels above are its coskeletal extension
         (:func:`~catsset.sset._extended`), kept with their filler indexes and
         marked from level 4.  BudgetExceededError is raised when levels 0..2,
         or the set, would hold more than ``max_simplices`` simplices.
@@ -154,7 +155,7 @@ class _ImplicitNerve:
         if N >= 3:
             # level 2's labels are sorted, so the join in index order is in label order
             cols = _join(levels, faces, 3, None)
-            if not _thin_typed(self.m.category):
+            if not _thin(self.m.category):
                 keep = _commuting(self.m, zip(*(_take(data, c) for c in cols)))
                 cols = [tuple(compress(c, keep)) for c in cols]
             fillers[3] = _add_level(levels, faces, degens, cols, max_simplices)

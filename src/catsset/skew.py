@@ -427,25 +427,23 @@ def _fill(domains: Sequence[Sequence[int]], admits) -> Iterator[tuple[int, ...]]
     every table that extends that prefix.  ``domains`` is not empty.
     """
     last = len(domains) - 1
-    picks = [-1] * len(domains)
     values = [0] * len(domains)
-    k = 0
-    while k >= 0:
-        picks[k] += 1
-        if picks[k] == len(domains[k]):
-            picks[k] = -1
-            k -= 1
-            continue
-        values[k] = domains[k][picks[k]]
-        if admits(k, values):
-            if k == last:
-                yield tuple(values)
-            else:
-                k += 1
+    untried = [iter(domains[0])]  # per set cell, the values it has still to take
+    while untried:
+        k = len(untried) - 1
+        for values[k] in untried[k]:
+            if admits(k, values):
+                if k == last:
+                    yield tuple(values)
+                else:
+                    untried.append(iter(domains[k + 1]))
+                    break
+        else:
+            untried.pop()
 
 
 def _object_tensors(r: _Rows, typed: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[list, list[int]]]:
-    """The object tables of the raw product that admit a unit, in its order, with their units.
+    """The object tables of the raw product that carry skew data, in its order, with their units.
 
     ``typed[s][t]`` is the hom-set s -> t.  Morphisms f: a -> b, g: c -> d
     type the morphism-tensor cell (f, g) by an arrow a(x)c -> b(x)d; a
@@ -454,7 +452,12 @@ def _object_tensors(r: _Rows, typed: Sequence[Sequence[Sequence[int]]]) -> Itera
     For a poset this is monotonicity.  An object u can be the unit only if
     each set cell (u, a) has an arrow u(x)a -> a for lambda and each set
     cell (a, u) an arrow a -> a(x)u for rho; a table is dropped as soon as
-    no object can, so an empty carrier has no tables at all.
+    no object can, so an empty carrier has no tables at all.  alpha needs
+    an arrow (a(x)b)(x)c -> a(x)(b(x)c) for every triple; the cells it
+    reads lie in rows a, b and a(x)b, so a table is dropped at the last
+    cell of the latest of those rows when the hom-set is empty.  Each rule
+    drops only prefixes all of whose tables break it, so the tables left
+    are those of the raw product that keep all three, in its order.
     """
     n, m = len(r.objs), len(r.mors)
     if not n:
@@ -476,10 +479,31 @@ def _object_tensors(r: _Rows, typed: Sequence[Sequence[Sequence[int]]]) -> Itera
         for b in range(n)
     ]
     alive = [0] * (n * n) + [everyone]
+    # the associator hom-set of (a, b, c) reads rows a, b and a(x)b, so it is
+    # checked at the last cell of the latest of them: completes[k] is the row
+    # whose last cell k is (-1: none), and pairs[row] holds each (a, b) with
+    # rows a and b set by then, with the cell of a(x)b and max(a, b)
+    completes = [k // n if k % n == n - 1 else -1 for k in range(n * n)]
+    pairs = [[(a, b, a * n + b, max(a, b)) for a in range(row + 1) for b in range(row + 1)] for row in range(n)]
+    objects = range(n)
 
     def admits(k: int, values: list[int]) -> bool:
-        alive[k] = alive[k - 1] & keep[k][values[k]]
-        return bool(alive[k]) and all(typed[values[i]][values[j]] for i, j in checks[k])
+        alive[k] = live = alive[k - 1] & keep[k][values[k]]
+        if not live:
+            return False
+        for i, j in checks[k]:
+            if not typed[values[i]][values[j]]:
+                return False
+        row = completes[k]
+        if row < 0:
+            return True
+        for a, b, cell, top in pairs[row]:
+            ab = values[cell]
+            if (ab if ab > top else top) == row:
+                for c in objects:
+                    if not typed[values[ab * n + c]][values[a * n + values[b * n + c]]]:
+                        return False
+        return True
 
     for values in _fill([range(n)] * (n * n), admits):
         yield [values[a * n : a * n + n] for a in range(n)], [u for u in range(n) if alive[n * n - 1] >> u & 1]
@@ -514,10 +538,11 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     it breaks, so the tables left are exactly the bifunctors of the raw
     product, in its order, and none is checked again.  Components and
     kappa are chosen in declared order.  An object tensor with no unit,
-    or with no alpha component for some triple, is skipped before its
-    morphism tables.  Each check runs once, at the stage whose picks fix
-    its inputs: alpha naturality once per alpha pick of a morphism tensor,
-    lambda and rho naturality once per (lambda, rho) pick of a unit.
+    or with no alpha component for some triple, is never drawn
+    (:func:`_object_tensors`).  Each check runs once, at the stage whose
+    picks fix its inputs: alpha naturality once per alpha pick of a
+    morphism tensor, lambda and rho naturality once per (lambda, rho)
+    pick of a unit.
 
     On a thin ``cat`` (:func:`~catsset.finmon._thin`) these checks hold by
     rule and none runs.  ``cat`` is lawful, and in a lawful category a
@@ -525,10 +550,10 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     = k would differ from id o k, which the exact table leaves undefined,
     and associativity would fail (dually for the source).  So every
     naturality square and interchange instance equates two parallel
-    morphisms, and a thin category has at most one.  Each typed cell holds
-    exactly one morphism, since the object tables with an empty hom-set
-    are dropped, so the one morphism tensor is read off the cells, and
-    every pick is natural.
+    morphisms, and a thin category has at most one.  Each hom-set the
+    tables type holds exactly one morphism, since the object tables with
+    an empty one are never drawn, so the morphism tensor, alpha, lambda
+    and rho are read off the object table, and every pick is natural.
     """
     r = _Rows.__new__(_Rows)
     mor = r._over(cat)[1]
@@ -537,15 +562,24 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     hom = [[[mor[f] for f in cat.hom(a, b)] for b in r.objs] for a in r.objs]
     typed = [[sorted(fs) for fs in row] for row in hom]  # in label order
     object_of = {f: a for a, f in enumerate(ids)}
-    interchange = _interchange_checks(r)
     thin = _thin(cat)
     triples = list(product(range(n), repeat=3))
+    if thin:  # the one morphism of each hom-set, -1 where there is none
+        one = [[fs[0] if fs else -1 for fs in row] for row in hom]
+        cell_ends = [[(src[f], src[g], tgt[f], tgt[g]) for g in range(m)] for f in range(m)]
+    else:
+        interchange = _interchange_checks(r)
 
     def bifunctorial(k: int, values: list[int]) -> bool:
         return all(comp[values[i]][values[j]] == values[ij] for i, j, ij in interchange[k])
 
     for t, units in _object_tensors(r, typed):
-        if not all(hom[t[t[a][b]][c]][t[a][t[b][c]]] for a, b, c in triples):
+        if thin:  # every table is read off t
+            tm = [[one[t[a][b]][t[c][d]] for a, b, c, d in row] for row in cell_ends]
+            alpha = [[[one[t[ab][c]][t[a][t[b][c]]] for c in range(n)] for b, ab in enumerate(t[a])] for a in range(n)]
+            for unit in units:
+                lam, rho = [one[t[unit][a]][a] for a in range(n)], [one[a][t[a][unit]] for a in range(n)]
+                yield r._pick(t, tm, unit, alpha, lam, rho), hom[unit][unit], True
             continue
         alpha_choices = [hom[t[t[a][b]][c]][t[a][t[b][c]]] for a, b, c in triples]
         cells = [
@@ -553,17 +587,17 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
             else typed[t[src[f]][src[g]]][t[tgt[f]][tgt[g]]]
             for f in range(m) for g in range(m)
         ]
-        for values in [[fs[0] for fs in cells]] if thin else _fill(cells, bifunctorial):
+        for values in _fill(cells, bifunctorial):
             tm = [values[f * m : f * m + m] for f in range(m)]
             alphas = []
             for pick in product(*alpha_choices):
                 alpha = [[pick[k : k + n] for k in range(a * n * n, a * n * n + n * n, n)] for a in range(n)]
-                alphas.append((alpha, thin or next(_alpha_unnatural(r, tm, alpha), None) is None))
+                alphas.append((alpha, next(_alpha_unnatural(r, tm, alpha), None) is None))
             for unit in units:
                 lam_choices = [hom[t[unit][a]][a] for a in range(n)]
                 rho_choices = [hom[a][t[a][unit]] for a in range(n)]
                 lam_rhos = [
-                    (lam, rho, thin or next(_unitors_unnatural(r, tm, unit, lam, rho), None) is None)
+                    (lam, rho, next(_unitors_unnatural(r, tm, unit, lam, rho), None) is None)
                     for lam, rho in product(product(*lam_choices), product(*rho_choices))
                 ]
                 for alpha, alpha_natural in alphas:
@@ -673,6 +707,11 @@ def sweep_equivalence(
     carrier: "Poset | FinCategory", budget: int = 1_000_000
 ) -> SweepSummary:
     """Exhaustively verify the pentagon/axiom equivalence over a carrier.
+
+    The search draws only the object tables over which some skew data
+    exists: typed, with a unit and with every alpha hom-set non-empty
+    (:func:`_object_tensors`), so on a thin carrier each table drawn
+    gives one candidate per unit it admits.
 
     Only natural candidates are evaluated, on the rows of their pick,
     and only their verdicts are kept.  Each condition runs once per input

@@ -8,6 +8,8 @@ import shutil
 import sys
 from types import SimpleNamespace
 
+import pytest
+
 import catsset
 from catsset.library import boolean_or
 from catsset.nerve import monoidal_nerve
@@ -85,6 +87,17 @@ def test_work_counts_the_skew_conditions_a_check_evaluates():
     assert work["skew_conditions"] == 13
     assert work["skew_conditions_by_level"] == {"4": 1, "2": 6, "0": 4, "1": 2}
 
+
+@pytest.mark.parametrize("poset, tables", (("chain_poset", 29), ("antichain_poset", 33)))
+def test_work_counts_the_object_tables_a_sweep_draws(poset, tables):
+    # a thin carrier draws no morphism tables, and the search drops an object table as soon
+    # as an alpha hom-set is empty: each table drawn is one unit's candidate here
+    bench = load_bench()
+    api = SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve, skew=catsset.skew)
+    with bench.work_counted(api) as work:
+        summary = catsset.skew.sweep_equivalence(getattr(catsset.finmon, poset)(["0", "1", "2"]))
+    assert work["skew_tables"] == summary.candidates == tables
+    assert work["skew_tables_by_level"] == {"9": tables}
 
 
 def test_work_counts_the_identity_cells_a_check_composes():

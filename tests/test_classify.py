@@ -20,7 +20,7 @@ from catsset.classify import (
 )
 from catsset.dyck import FREE_EDGE
 from catsset.errors import StructuralError
-from catsset.finmon import enumerate_monoids
+from catsset.finmon import FinCategory, FinMonoidalStructure, enumerate_monoids, validate_strict_monoidal
 from catsset.nerve import _ImplicitNerve, monoidal_nerve, two_simplex_data
 from catsset.sset import _enumerate_level_maps, _indexed, catalan_sset, simplicial_maps
 
@@ -32,6 +32,22 @@ EXPECTED_COUNTS = {
     "antichain2": 1,
     "zmonoid": 1,
 }
+
+
+def test_a_lawless_category_is_rejected_before_the_map_search():
+    # identities only, with 1y . 1y = 1x: the strict laws read composability, not typing,
+    # so they pass, and the category check, run first, names the broken identity law
+    cat = FinCategory(
+        ["x", "y"], [("1x", "x", "x"), ("1y", "y", "y")], {"x": "1x", "y": "1y"},
+        {("1x", "1x"): "1x", ("1y", "1y"): "1x"},
+    )
+    tensor = {("x", "x"): "x", ("x", "y"): "y", ("y", "x"): "y", ("y", "y"): "x"}
+    mor_tensor = {(f, g): "1" + tensor[f[1], g[1]] for f in ("1x", "1y") for g in ("1x", "1y")}
+    m = FinMonoidalStructure(cat, tensor, mor_tensor, "x")
+    assert validate_strict_monoidal(m) == []
+    for run in (classify_maps, verify_classification):
+        with pytest.raises(StructuralError, match=r"left identity at \('1y',\): id \. 1y = 1x \(2 total\)"):
+            run(m)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_COUNTS))

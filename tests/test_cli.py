@@ -587,6 +587,14 @@ def test_skew_unknown_carrier(capsys):
     assert code == 2
 
 
+# a leading zero or a non-ASCII digit: int() reads both, as chain1 and chain3
+@pytest.mark.parametrize("carrier", ("chain01", "chain\u0663"))
+def test_skew_sweep_takes_only_canonical_chain_names(capsys, carrier):
+    code, out, err = run(capsys, "skew", "sweep", "--carrier", carrier)
+    assert (code, out) == (2, "")
+    assert f"unknown carrier {carrier!r}; choose zmonoid or chainN" in err and "Traceback" not in err
+
+
 def test_skew_sweep_rejects_the_empty_chain(capsys):
     # an empty carrier has no candidates, so a sweep over it would pass vacuously
     code, out, err = run(capsys, "skew", "sweep", "--carrier", "chain0")

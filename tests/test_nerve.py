@@ -11,6 +11,7 @@ from catsset.finmon import (
     MonoidalPoset,
     chain_poset,
     poset_as_category,
+    validate_strict_monoidal,
 )
 from catsset.library import boolean_or, chain3_max, zmonoid
 from catsset.nerve import monoidal_nerve, two_label, two_simplex_data
@@ -143,17 +144,22 @@ def test_only_squares_that_can_fail_are_evaluated(monkeypatch):
     monoidal_nerve(boolean_or(), 4)
     monoidal_nerve(_chain_min(["0", "1", "2"]), 3)
     assert squares == []
+    m = zmonoid()
+    monoidal_nerve(m, 3)
+    assert squares.pop() is m
     # a thin category with an ill-typed composite passes the strict laws, which do not
-    # check the category, and its squares are evaluated
+    # check the category; the category check rejects it before any square is evaluated
     ill_typed = FinCategory(
         ["x", "y"], [("1x", "x", "x"), ("1y", "y", "y")], {"x": "1x", "y": "1y"},
         {("1x", "1x"): "1x", ("1y", "1y"): "1x"},
     )
     tensor = {("x", "x"): "x", ("x", "y"): "y", ("y", "x"): "y", ("y", "y"): "x"}
     mor_tensor = {(f, g): "1" + tensor[f[1], g[1]] for f in ("1x", "1y") for g in ("1x", "1y")}
-    for m in (zmonoid(), FinMonoidalStructure(ill_typed, tensor, mor_tensor, "x")):
+    m = FinMonoidalStructure(ill_typed, tensor, mor_tensor, "x")
+    assert validate_strict_monoidal(m) == []
+    with pytest.raises(StructuralError, match=r"left identity at \('1y',\): id \. 1y = 1x"):
         monoidal_nerve(m, 3)
-        assert squares.pop() is m
+    assert squares == []
 
 
 def test_maps_from_catalan_restrict_bijectively_to_level_three(library, catalan4, left_zero_antichain):

@@ -337,6 +337,53 @@ def test_category_candidates_match_brute_force(carrier_name):
     assert got == list(_brute_force_candidates(cat))
 
 
+def _brute_force_object_tensors(cat):
+    """Every object table of the raw label product whose cells type every morphism tensor
+    cell, with a unit and a morphism for every alpha component, with its units, in order."""
+    objs = sorted(cat.objects)
+    pairs = list(product(objs, objs))
+    arrows = {(s, t) for _, s, t in cat.morphisms}
+    mors = cat.morphism_labels()
+    cell_types = {((cat.src(f), cat.src(g)), (cat.tgt(f), cat.tgt(g))) for f, g in product(mors, repeat=2)}
+    for values in product(objs, repeat=len(pairs)):
+        ot = dict(zip(pairs, values))
+        if not all((ot[s], ot[t]) in arrows for s, t in cell_types):
+            continue
+        units = [u for u in objs if all((ot[(u, a)], a) in arrows and (a, ot[(a, u)]) in arrows for a in objs)]
+        associators = all((ot[(ot[(a, b)], c)], ot[(a, ot[(b, c)])]) in arrows for a, b, c in product(objs, repeat=3))
+        if units and associators:
+            yield ot, units
+
+
+#: The carriers whose object tables the search is held against the raw product on.
+OBJECT_TABLE_CARRIERS = {
+    "chain1": lambda: poset_category(chain_poset(["0"])),
+    "chain2": lambda: poset_category(chain_poset(["0", "1"])),
+    "chain3": lambda: poset_category(chain_poset(["0", "1", "2"])),
+    "antichain2": lambda: poset_category(antichain_poset(["a", "b"])),
+    "antichain3": lambda: poset_category(antichain_poset(["a", "b", "c"])),
+    "chain2-category": SWEEP_CARRIERS["chain2-category"],
+    "discrete2": discrete_two,
+    "isomorphic-pair": lambda: isomorphic_pair(),
+}
+
+
+@pytest.mark.parametrize("carrier_name", list(OBJECT_TABLE_CARRIERS))
+def test_object_tensors_are_the_filtered_raw_product(carrier_name):
+    # the search prunes partial tables; what it yields must be the full tables the three
+    # rules keep, in the order of the raw product, each with every unit it admits
+    cat = OBJECT_TABLE_CARRIERS[carrier_name]()
+    r = skew._Rows.__new__(skew._Rows)
+    mor = r._over(cat)[1]
+    typed = [[sorted(mor[f] for f in cat.hom(a, b)) for b in r.objs] for a in r.objs]
+    objs = r.objs
+    got = [
+        ({(objs[a], objs[b]): objs[v] for a, row in enumerate(t) for b, v in enumerate(row)}, [objs[u] for u in units])
+        for t, units in skew._object_tensors(r, typed)
+    ]
+    assert got and got == list(_brute_force_object_tensors(cat))
+
+
 @pytest.mark.parametrize(
     "carrier_name, expected",
     (
