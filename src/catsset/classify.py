@@ -28,7 +28,6 @@ from .finmon import (
     MonoidObject,
     _require_laws,
     enumerate_monoids,
-    validate_category,
     validate_strict_monoidal,
 )
 from .nerve import _ImplicitNerve, two_simplex_data
@@ -159,13 +158,12 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
 def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
     """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
-    The structure is validated once, its category first, and the search
-    runs against the implicit nerve of ``m``; no nerve is materialized.
+    The tensor is validated once (the category is lawful by construction),
+    and the search runs against the implicit nerve of ``m``; no nerve is materialized.
     Record triples come from the square conditions, monoid triples from
     :func:`enumerate_monoids` and engine triples from the search; a
     record takes only its images from the search.
     """
-    _require_laws(validate_category(m.category))
     _require_laws(validate_strict_monoidal(m))
     maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
     # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms

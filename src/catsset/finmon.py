@@ -2,8 +2,8 @@
 
 Everything is label-driven: objects and morphisms are strings, and
 composition/tensor are explicit dicts.  Structural problems (unknown
-labels, ill-typed entries) raise; law violations are collected into
-reports so faults can be listed rather than swallowed.
+labels, ill-typed entries) and broken category laws raise; a tensor's
+law violations are collected into reports so faults can be listed.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class LawViolation:
 class FinCategory:
     """A finite category: objects, typed morphisms, identities, composition.
 
-    ``compose[(g, f)]`` is g after f and should be defined exactly on the
-    composable pairs; gaps and law failures are reported by
-    :func:`validate_category`, not silently repaired.
+    ``compose[(g, f)]`` is g after f.  Construction raises StructuralError on
+    labels it cannot place and on any law :func:`validate_category` lists, naming
+    the first violation and their number, so every FinCategory is lawful.
     """
 
     def __init__(
@@ -91,13 +91,25 @@ class FinCategory:
         identities: Mapping[str, str],
         compose: Mapping[tuple[str, str], str],
     ) -> None:
+        self._fill(objects, morphisms, identities, compose)
+        self._validate_structure()
+        _require_laws(validate_category(self))
+
+    @classmethod
+    def _trusted(cls, objects, morphisms, identities, compose) -> "FinCategory":
+        """A category from tables that are lawful by construction, left unchecked."""
+        c = cls.__new__(cls)
+        c._fill(objects, morphisms, identities, compose)
+        return c
+
+    def _fill(self, objects, morphisms, identities, compose) -> None:
+        """Set the tables and the caches as given, unchecked."""
         self.objects = tuple(objects)
         self.morphisms = tuple((str(l), str(s), str(t)) for l, s, t in morphisms)
         self.identities = dict(identities)
         self.composition = dict(compose)
         self._src = {l: s for l, s, _ in self.morphisms}
         self._tgt = {l: t for l, _, t in self.morphisms}
-        self._validate_structure()
         self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def _validate_structure(self) -> None:
@@ -189,67 +201,69 @@ class FinCategory:
         for a, f in identities.items():
             check_label(f, f"identities[{a!r}]")
         compose = {(g, f): h for g, f, h in table_rows(doc, "compose", "[g, f, gof]")}
-        try:
-            return cls(objects, morphisms, identities, compose)
-        except StructuralError as exc:
-            raise SchemaError(f"category block invalid: {exc}") from exc
+        return cls(objects, morphisms, identities, compose)
+
+
+def _into(c: FinCategory) -> dict[str, list[str]]:
+    """The morphisms into each object of ``c``, in declared order."""
+    into = {a: [] for a in c.objects}
+    for f, _, t in c.morphisms:
+        into[t].append(f)
+    return into
 
 
 def validate_category(c: FinCategory) -> list[LawViolation]:
-    """Identity and associativity laws plus exactness of the composition table."""
+    """Identity and associativity laws plus exactness of the composition table.
+
+    Only composable pairs are visited: each g meets the morphisms into its source, in declared order.
+    """
     bad: list[LawViolation] = []
-    mors = c.morphism_labels()
-    for (g, f) in c.composition:
+    comp, mors, into = c.composition, c.morphism_labels(), _into(c)
+    for (g, f) in comp:
         if not c.is_composable(g, f):
             bad.append(
                 LawViolation("composability", (g, f), "table entry for a non-composable pair")
             )
     for g in mors:
-        for f in mors:
-            if c.is_composable(g, f) and (g, f) not in c.composition:
+        for f in into[c.src(g)]:
+            if (g, f) not in comp:
                 bad.append(
                     LawViolation("composability", (g, f), "composable pair missing from table")
                 )
     for f in mors:
-        left = c.composition.get((c.id_of(c.tgt(f)), f))
-        right = c.composition.get((f, c.id_of(c.src(f))))
+        left = comp.get((c.id_of(c.tgt(f)), f))
+        right = comp.get((f, c.id_of(c.src(f))))
         if left != f:
             bad.append(LawViolation("left identity", (f,), f"id . {f} = {left}"))
         if right != f:
             bad.append(LawViolation("right identity", (f,), f"{f} . id = {right}"))
     for h in mors:
-        for g in mors:
-            if not c.is_composable(h, g):
+        for g in into[c.src(h)]:
+            hg = comp.get((h, g))
+            if hg is None:
                 continue
-            hg = c.composition.get((h, g))
-            for f in mors:
-                if not c.is_composable(g, f):
+            for f in into[c.src(g)]:
+                gf = comp.get((g, f))
+                if gf is None:
                     continue
-                gf = c.composition.get((g, f))
-                if hg is None or gf is None:
-                    continue
-                if c.composition.get((hg, f)) != c.composition.get((h, gf)):
+                left, right = comp.get((hg, f)), comp.get((h, gf))
+                if left != right:
                     bad.append(
-                        LawViolation(
-                            "associativity",
-                            (h, g, f),
-                            f"(h.g).f = {c.composition.get((hg, f))}, "
-                            f"h.(g.f) = {c.composition.get((h, gf))}",
-                        )
+                        LawViolation("associativity", (h, g, f), f"(h.g).f = {left}, h.(g.f) = {right}")
                     )
     return bad
 
 
 def _thin(cat: FinCategory) -> bool:
-    """Whether every hom-set of ``cat`` has at most one morphism."""
+    """Whether every hom-set of ``cat`` has at most one morphism.
+
+    If so, an equation between two composites with the same ends holds
+    unevaluated.  Every FinCategory is lawful, so its composites are typed:
+    were g o f = k with the wrong target, (id o g) o f = k would differ from
+    id o k, which the exact table leaves undefined (dually for the source),
+    so the two sides are parallel, and a thin category has one such morphism.
+    """
     return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
-
-
-def _thin_typed(cat: FinCategory) -> bool:
-    """Whether ``cat`` is thin and each composite in its table has the ends of its pair,
-    so that any two composites with the same ends are equal, whether or not ``cat`` is lawful."""
-    src, tgt = cat._src, cat._tgt
-    return _thin(cat) and all(src[gf] == src[f] and tgt[gf] == tgt[g] for (g, f), gf in cat.composition.items())
 
 
 def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
@@ -258,13 +272,12 @@ def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
     Construction of ``m`` has rejected labels outside its category, so
     an entry is only ever missing or ill-typed.  Checked in order:
     totality of the object table, then totality and typing of the
-    morphism table, then tensors of identities, then composable pairs
-    missing from the composition table, then interchange.  The morphism
-    table is read only once the object table is total, identities only
-    once the morphism table is total and typed, and interchange only
-    once, in addition, every composable pair has its composite.
-    Interchange is skipped where it cannot fail: in a thin category
-    whose composites are all typed.
+    morphism table, then tensors of identities, then interchange.  The
+    morphism table is read only once the object table is total, and the
+    rest only once the morphism table is total and typed.  The category
+    is lawful, so every composable pair has its composite, and
+    interchange is skipped where it cannot fail: in a thin category
+    (:func:`_thin`).
     """
     cat, obj_tensor, mor_tensor = m.category, m.obj_tensor, m.mor_tensor
     objs = cat.objects
@@ -298,19 +311,15 @@ def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
             if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
                 detail = f"tensor of identities at {(a, b)!r} is not an identity"
                 yield LawViolation("identity tensor", (a, b), detail)
-    composites = [(g, f, cat.composition.get((g, f))) for g in mors for f in mors if cat.is_composable(g, f)]
-    missing = [(g, f) for g, f, gf in composites if gf is None]
-    for pair in missing:
-        yield LawViolation("composability", pair, "composable pair missing from table")
-    if missing:
+    # both sides of an interchange cell are parallel, so in a thin category no cell can fail
+    # (nor can an identity tensor above)
+    if _thin(cat):
         return
-    # both sides of an interchange cell are parallel once every composite is typed, so in a
-    # thin category no cell can fail (nor can an identity tensor above)
-    if _thin_typed(cat):
-        return
+    into, comp = _into(cat), cat.composition
+    composites = [(g, f, comp[g, f]) for g in mors for f in into[cat.src(g)]]
     for g, f, gf in composites:
         for g2, f2, g2f2 in composites:
-            if mor_tensor[(gf, g2f2)] != cat.compose(mor_tensor[(g, g2)], mor_tensor[(f, f2)]):
+            if mor_tensor[(gf, g2f2)] != comp[mor_tensor[(g, g2)], mor_tensor[(f, f2)]]:
                 detail = f"interchange fails on {(g, f)!r} x {(g2, f2)!r}"
                 yield LawViolation("interchange", (g, f, g2, f2), detail)
 
@@ -420,8 +429,8 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
 
     Every bifunctor violation is listed; the strict laws are read off the
     tables only once the tensor is a bifunctor.  The morphism-level laws
-    are skipped where they cannot fail: in a thin category, with no
-    violation found before them.
+    are skipped where they cannot fail: in a thin category (:func:`_thin`),
+    with no violation found before them.
     """
     c = m.category
     bad = list(tensor_violations(m))
@@ -530,7 +539,8 @@ def leq_label(a: str, b: str) -> str:
 
 
 def poset_category(p: Poset) -> FinCategory:
-    """The category with one morphism a -> b for each a <= b."""
+    """The category with one morphism a -> b for each a <= b, built unchecked: an order's
+    reflexivity and transitivity give its identities and composites, which are lawful."""
     morphisms = [(leq_label(a, b), a, b) for a, b in sorted(p.leq)]
     identities = {a: leq_label(a, a) for a in p.elements}
     compose = {}
@@ -538,7 +548,7 @@ def poset_category(p: Poset) -> FinCategory:
         for a, b2 in sorted(p.leq):
             if b2 == b:
                 compose[(leq_label(b, c), leq_label(a, b))] = leq_label(a, c)
-    return FinCategory(sorted(p.elements), morphisms, identities, compose)
+    return FinCategory._trusted(sorted(p.elements), morphisms, identities, compose)
 
 
 def poset_mor_tensor(p: Poset, tensor: Mapping[tuple[str, str], str]) -> dict[tuple[str, str], str]:

@@ -18,7 +18,7 @@ from itertools import chain, compress, product
 from operator import itemgetter
 
 from .errors import BudgetExceededError, StructuralError
-from .finmon import FinMonoidalStructure, _require_laws, _thin, validate_category, validate_strict_monoidal
+from .finmon import FinMonoidalStructure, _require_laws, _thin, validate_strict_monoidal
 from .sset import TruncatedSSet, _add_level, _extended, _join, _take
 
 
@@ -41,14 +41,13 @@ def monoidal_nerve(
 ) -> TruncatedSSet:
     """The nerve of ``m`` truncated at dimension N, :meth:`_ImplicitNerve.materialized`.
 
-    ``m`` is validated once, its category by :func:`~catsset.finmon.validate_category`
-    and then its tensor by :func:`~catsset.finmon.validate_strict_monoidal`
+    The category of ``m`` is lawful by construction; its tensor is
+    validated once, by :func:`~catsset.finmon.validate_strict_monoidal`
     (StructuralError names the first violation), and the result holds at
     most ``max_simplices`` simplices in total (BudgetExceededError).
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
-    _require_laws(validate_category(m.category))
     _require_laws(validate_strict_monoidal(m))
     return _ImplicitNerve(m).materialized(N, max_simplices)
 
@@ -127,9 +126,8 @@ class _ImplicitNerve:
         Levels 0..2 list these fillers, level 2 in :func:`two_label` order,
         with these degeneracies.  Level 3 is the boundary tuples over level 2
         whose square commutes (:func:`~catsset.sset._add_level`); on a thin
-        category that is every one, unevaluated, since the two composites of
-        a square are parallel in a lawful category (:func:`monoidal_nerve`
-        validates it).  The levels above are its coskeletal extension
+        category that is every one, unevaluated (:func:`~catsset.finmon._thin`).
+        The levels above are its coskeletal extension
         (:func:`~catsset.sset._extended`), kept with their filler indexes and
         marked from level 4.  BudgetExceededError is raised when levels 0..2,
         or the set, would hold more than ``max_simplices`` simplices.

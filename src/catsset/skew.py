@@ -30,13 +30,11 @@ from .finmon import (
     LawViolation,
     Poset,
     _require_keys,
-    _require_laws,
     _thin,
     check_label,
     poset_category,
     table_rows,
     tensor_violations,
-    validate_category,
 )
 
 
@@ -69,9 +67,6 @@ class SkewData(FinMonoidalStructure):
         super().__init__(category, obj_tensor, mor_tensor, unit)
         violation = next(tensor_violations(self), None)
         if violation is not None:
-            # a missing composite breaks the category, whose laws validate_category reports
-            if violation.law == "composability":
-                _require_laws(validate_category(self.category))
             raise StructuralError(violation.detail)
         self.alpha = dict(alpha)
         self.lam = dict(lam)
@@ -544,13 +539,9 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     morphism tensor, lambda and rho naturality once per (lambda, rho)
     pick of a unit.
 
-    On a thin ``cat`` (:func:`~catsset.finmon._thin`) these checks hold by
-    rule and none runs.  ``cat`` is lawful, and in a lawful category a
-    composite is typed: were g o f = k with the wrong target, (id o g) o f
-    = k would differ from id o k, which the exact table leaves undefined,
-    and associativity would fail (dually for the source).  So every
-    naturality square and interchange instance equates two parallel
-    morphisms, and a thin category has at most one.  Each hom-set the
+    On a thin ``cat`` these checks hold by rule and none runs: every
+    naturality square and interchange instance equates two composites
+    with the same ends (:func:`~catsset.finmon._thin`).  Each hom-set the
     tables type holds exactly one morphism, since the object tables with
     an empty one are never drawn, so the morphism tensor, alpha, lambda
     and rho are read off the object table, and every pick is natural.
@@ -653,7 +644,6 @@ def _swept_category(carrier: "Poset | FinCategory", budget: int) -> FinCategory:
             raise BudgetExceededError(
                 "category sweeps are capped at 2 objects and 6 morphisms"
             )
-        _require_laws(validate_category(carrier))
         raw = n ** (n * n) * m ** (m * m)
     else:
         raise TypeError(f"unsupported carrier type {type(carrier).__name__}")
@@ -683,8 +673,8 @@ def enumerate_skew_structures(
     """All candidates with identity kappa passing naturality and the axioms.
 
     On a thin carrier every natural pick is kept without evaluating its
-    axioms: each equates two parallel morphisms of a lawful category, so
-    it holds (:func:`_category_picks`), and kappa is the identity.
+    axioms: each equates two composites with the same ends, so it holds
+    (:func:`~catsset.finmon._thin`), and kappa is the identity.
     """
     cat = _swept_category(carrier, budget)
     thin = _thin(cat)
@@ -720,10 +710,10 @@ def sweep_equivalence(
 
     On a thin carrier none is evaluated.  hom(I, I) holds only the
     identity, so each pick has one kappa, the identity, and every
-    condition equates two parallel morphisms of a lawful category, so it
-    holds (:func:`_category_picks`): each natural pick counts as one skew
+    condition equates two composites with the same ends, so it holds
+    (:func:`~catsset.finmon._thin`): each natural pick counts as one skew
     structure and every flag stays true.  The public ``check_*`` functions
-    take no such rule, since their data's category has not been validated.
+    take no such rule and evaluate every condition.
     """
     candidates = 0
     natural = 0

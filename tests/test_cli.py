@@ -564,7 +564,11 @@ def test_skew_sweep_budget(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("carrier", ["chain320", "chain100000"])
+#: A size past Python's 4,300-digit limit on converting a string to an integer.
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("carrier", ["chain320", "chain100000", pytest.param("chain" + ONES, id="chain-5000-ones")])
 def test_skew_sweep_caps_a_chain_before_building_it(capsys, monkeypatch, carrier):
     # the order of chainN has N(N+1)/2 pairs, and its check runs over pairs of pairs
     built = []
@@ -588,7 +592,7 @@ def test_skew_unknown_carrier(capsys):
 
 
 # a leading zero or a non-ASCII digit: int() reads both, as chain1 and chain3
-@pytest.mark.parametrize("carrier", ("chain01", "chain\u0663"))
+@pytest.mark.parametrize("carrier", ("chain01", "chain\u0663", pytest.param("chain0" + ONES, id="chain0-5000-ones")))
 def test_skew_sweep_takes_only_canonical_chain_names(capsys, carrier):
     code, out, err = run(capsys, "skew", "sweep", "--carrier", carrier)
     assert (code, out) == (2, "")

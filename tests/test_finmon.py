@@ -5,6 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catsset.errors import SchemaError, StructuralError
 from catsset.finmon import (
@@ -31,7 +32,6 @@ from catsset.library import (
     zmonoid,
     zmonoid_category,
 )
-from catsset.nerve import monoidal_nerve
 
 
 def test_zmonoid_category_is_lawful():
@@ -52,24 +52,134 @@ def test_validate_category_flags_broken_associativity():
         compose[("1", x)] = x
         compose[(x, "1")] = x
     compose.update({("a", "a"): "b", ("a", "b"): "1", ("b", "a"): "a", ("b", "b"): "b"})
-    cat = FinCategory(
-        ["*"],
-        [("1", "*", "*"), ("a", "*", "*"), ("b", "*", "*")],
-        {"*": "1"},
-        compose,
-    )
-    report = validate_category(cat)
+    tables = (["*"], [("1", "*", "*"), ("a", "*", "*"), ("b", "*", "*")], {"*": "1"}, compose)
+    report = validate_category(FinCategory._trusted(*tables))
     assert any(v.law == "associativity" for v in report)
+    message = "structure violates the laws: associativity at ('a', 'a', 'a'): (h.g).f = a, h.(g.f) = 1 (5 total)"
+    with pytest.raises(StructuralError) as exc:
+        FinCategory(*tables)
+    assert str(exc.value) == message
 
 
 def test_validate_category_flags_missing_composites():
     compose = dict(zmonoid_category().composition)
     del compose[("z", "z")]
-    cat = FinCategory(
-        ["*"], [("1", "*", "*"), ("z", "*", "*")], {"*": "1"}, compose
-    )
-    report = validate_category(cat)
+    tables = (["*"], [("1", "*", "*"), ("z", "*", "*")], {"*": "1"}, compose)
+    report = validate_category(FinCategory._trusted(*tables))
     assert any(v.law == "composability" for v in report)
+    message = "structure violates the laws: composability at ('z', 'z'): composable pair missing from table (1 total)"
+    with pytest.raises(StructuralError) as exc:
+        FinCategory(*tables)
+    assert str(exc.value) == message
+
+
+def _all_pairs_violations(c):
+    """The category laws' violations, visiting every pair and triple of morphisms."""
+    bad = []
+    mors = c.morphism_labels()
+    for (g, f) in c.composition:
+        if not c.is_composable(g, f):
+            bad.append(LawViolation("composability", (g, f), "table entry for a non-composable pair"))
+    for g in mors:
+        for f in mors:
+            if c.is_composable(g, f) and (g, f) not in c.composition:
+                bad.append(LawViolation("composability", (g, f), "composable pair missing from table"))
+    for f in mors:
+        left = c.composition.get((c.id_of(c.tgt(f)), f))
+        right = c.composition.get((f, c.id_of(c.src(f))))
+        if left != f:
+            bad.append(LawViolation("left identity", (f,), f"id . {f} = {left}"))
+        if right != f:
+            bad.append(LawViolation("right identity", (f,), f"{f} . id = {right}"))
+    for h in mors:
+        for g in mors:
+            if not c.is_composable(h, g):
+                continue
+            hg = c.composition.get((h, g))
+            for f in mors:
+                if not c.is_composable(g, f):
+                    continue
+                gf = c.composition.get((g, f))
+                if hg is None or gf is None:
+                    continue
+                left, right = c.composition.get((hg, f)), c.composition.get((h, gf))
+                if left != right:
+                    bad.append(LawViolation("associativity", (h, g, f), f"(h.g).f = {left}, h.(g.f) = {right}"))
+    return bad
+
+
+@st.composite
+def category_tables(draw):
+    """Tables on one or two objects and up to four morphisms, identities included, whose
+    composition entries may be missing, ill-typed, or set on non-composable pairs.
+
+    A composable pair mostly takes the value the identity laws force, or else a morphism of
+    the right type, and a non-composable pair mostly none, so lawful tables are common and
+    most lawless ones break a single law; every label is one the tables declare.
+    """
+    objs = ["x", "y"][: draw(st.integers(1, 2))]
+    ids = {a: f"1{a}" for a in objs}
+    morphisms = [(ids[a], a, a) for a in objs]
+    for k in range(draw(st.integers(0, 4 - len(objs)))):
+        morphisms.append((f"m{k}", draw(st.sampled_from(objs)), draw(st.sampled_from(objs))))
+    labels = [l for l, _, _ in morphisms]
+    src, tgt = {l: s for l, s, _ in morphisms}, {l: t for l, _, t in morphisms}
+    compose = {}
+    for g, f in product(labels, repeat=2):
+        if tgt[f] == src[g]:
+            forced = [f] if g in ids.values() else [g] if f in ids.values() else []
+            good = forced or [l for l in labels if (src[l], tgt[l]) == (src[f], tgt[g])]
+            value = draw(st.sampled_from(good if draw(st.integers(0, 5)) else [None, *labels]))
+        else:
+            value = draw(st.sampled_from(labels)) if draw(st.integers(0, 5)) == 0 else None
+        if value is not None:
+            compose[(g, f)] = value
+    return objs, morphisms, ids, compose
+
+
+@settings(max_examples=200, deadline=None)
+@given(category_tables())
+def test_a_category_is_built_exactly_when_it_is_lawful(tables):
+    want = _all_pairs_violations(FinCategory._trusted(*tables))
+    assert validate_category(FinCategory._trusted(*tables)) == want
+    if want:
+        with pytest.raises(StructuralError) as exc:
+            FinCategory(*tables)
+        assert str(exc.value) == f"structure violates the laws: {want[0]} ({len(want)} total)"
+    else:
+        FinCategory(*tables)
+
+
+#: One poset per isomorphism class on at most three elements, then the 4-chain and the
+#: 2 x 2 Boolean lattice, each as its strict order pairs.
+POSETS = {
+    "empty": ("", ()),
+    "point": ("a", ()),
+    "antichain2": ("ab", ()),
+    "chain2": ("ab", ("ab",)),
+    "antichain3": ("abc", ()),
+    "chain2-and-point": ("abc", ("ab",)),
+    "vee": ("abc", ("ab", "ac")),
+    "wedge": ("abc", ("ac", "bc")),
+    "chain3": ("abc", ("ab", "bc", "ac")),
+    "chain4": ("abcd", ("ab", "ac", "ad", "bc", "bd", "cd")),
+    "boolean2x2": ("abcd", ("ab", "ac", "ad", "bd", "cd")),
+}
+
+
+@pytest.mark.parametrize("name", list(POSETS))
+def test_poset_categories_are_built_lawful(name):
+    # poset_category builds its tables unchecked; the checking constructor accepts the same
+    # tables and makes the same category of them
+    elems, strict = POSETS[name]
+    p = Poset(tuple(elems), frozenset({(a, a) for a in elems} | {tuple(pair) for pair in strict}))
+    c = poset_category(p)
+    checked = FinCategory(c.objects, c.morphisms, c.identities, c.composition)
+    assert (c.objects, c.morphisms, c.identities, c.composition) == (
+        checked.objects, checked.morphisms, checked.identities, checked.composition
+    )
+    assert len(c.morphisms) == len(p.leq)
+    assert validate_category(c) == []
 
 
 def _strict_law_violations(m):
@@ -148,14 +258,14 @@ def test_strict_laws_match_the_method_call_oracle():
                     MonoidalPoset(chain, t, unit)
     assert monotone > 100
     # the 3-chain with max, with one composite relabelled to a morphism of the wrong type:
-    # the category is still thin, but interchange can now fail
+    # the category is still thin, but breaks associativity, so it cannot be built
     m = chain3_max()
     compose = dict(m.category.composition)
     compose[("1<=2", "0<=1")] = "0<=1"
-    cat = FinCategory(m.category.objects, m.category.morphisms, m.category.identities, compose)
-    broken = FinMonoidalStructure(cat, m.obj_tensor, m.mor_tensor, m.unit)
-    assert _interchange_violations(broken)
-    _assert_matches_the_oracle(broken, "chain3-max with an ill-typed composite")
+    with pytest.raises(StructuralError) as exc:
+        FinCategory(m.category.objects, m.category.morphisms, m.category.identities, compose)
+    violation = "associativity at ('2<=2', '1<=2', '0<=1'): (h.g).f = 0<=1, h.(g.f) = None"
+    assert str(exc.value) == f"structure violates the laws: {violation} (1 total)"
     # zmonoid is not thin: every morphism tensor on {1, z} that keeps 1 (x) 1 = 1
     z = zmonoid()
     for values in product("1z", repeat=3):
@@ -179,14 +289,15 @@ def test_a_missing_composite_is_listed_before_interchange():
     path = Path(__file__).resolve().parent.parent / "docs" / "examples" / "two-or.json"
     doc = json.loads(path.read_text())
     doc["compose"].remove(["top<=top", "bot<=top", "bot<=top"])
-    m = FinMonoidalStructure.from_json_dict(doc)
     missing = LawViolation("composability", ("top<=top", "bot<=top"), "composable pair missing from table")
-    assert validate_category(m.category)[0] == missing
-    assert validate_strict_monoidal(m) == [missing]
-    # the nerve checks the category first, so it names the line `catsset classify` does
-    message = f"structure violates the laws: {missing} ({len(validate_category(m.category))} total)"
-    with pytest.raises(StructuralError) as exc:
-        monoidal_nerve(m, 3)
+    morphisms = [(e["label"], e["src"], e["tgt"]) for e in doc["morphisms"]]
+    compose = {(g, f): h for g, f, h in doc["compose"]}
+    problems = validate_category(FinCategory._trusted(doc["objects"], morphisms, doc["identities"], compose))
+    assert problems[0] == missing
+    # the loader checks the category before any tensor law, so it names the line `catsset classify` does
+    message = f"structure violates the laws: {missing} ({len(problems)} total)"
+    with pytest.raises(SchemaError) as exc:
+        FinMonoidalStructure.from_json_dict(doc)
     assert str(exc.value) == message
 
 

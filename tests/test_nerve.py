@@ -148,17 +148,17 @@ def test_only_squares_that_can_fail_are_evaluated(monkeypatch):
     monoidal_nerve(m, 3)
     assert squares.pop() is m
     # a thin category with an ill-typed composite passes the strict laws, which do not
-    # check the category; the category check rejects it before any square is evaluated
-    ill_typed = FinCategory(
+    # check the category; its constructor rejects it, so no nerve of it has squares to evaluate
+    ill_typed = (
         ["x", "y"], [("1x", "x", "x"), ("1y", "y", "y")], {"x": "1x", "y": "1y"},
         {("1x", "1x"): "1x", ("1y", "1y"): "1x"},
     )
     tensor = {("x", "x"): "x", ("x", "y"): "y", ("y", "x"): "y", ("y", "y"): "x"}
     mor_tensor = {(f, g): "1" + tensor[f[1], g[1]] for f in ("1x", "1y") for g in ("1x", "1y")}
-    m = FinMonoidalStructure(ill_typed, tensor, mor_tensor, "x")
+    m = FinMonoidalStructure(FinCategory._trusted(*ill_typed), tensor, mor_tensor, "x")
     assert validate_strict_monoidal(m) == []
     with pytest.raises(StructuralError, match=r"left identity at \('1y',\): id \. 1y = 1x"):
-        monoidal_nerve(m, 3)
+        FinCategory(*ill_typed)
     assert squares == []
 
 

@@ -415,7 +415,7 @@ def zmonoid_without_zz() -> FinCategory:
     return FinCategory(["*"], [("1", "*", "*"), ("z", "*", "*")], {"*": "1"}, compose)
 
 
-#: Category carriers that break the category laws, with the message every sweep raises:
+#: Category tables that break the category laws, with the message their constructor raises:
 #: the first violation validate_category lists, and their number.
 LAWLESS_CARRIERS = {
     "non-associative-1ab": (
@@ -433,7 +433,8 @@ LAWLESS_CARRIERS = {
 @pytest.mark.parametrize("carrier_name", list(LAWLESS_CARRIERS))
 def test_sweeps_reject_a_lawless_category(carrier_name, sweep):
     # the search reads composites only where it needs them, so on the non-associative
-    # table it would sweep all 243 candidates to a passing summary
+    # table it would sweep all 243 candidates to a passing summary; the tables never
+    # become a carrier, since the category's constructor raises
     make, message = LAWLESS_CARRIERS[carrier_name]
     with pytest.raises(StructuralError) as exc:
         list(getattr(skew, sweep)(make()))  # skew_candidates is lazy
