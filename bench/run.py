@@ -362,13 +362,22 @@ def _structures(api, carrier: str):
     return lambda: {"structures": len(api.skew.enumerate_skew_structures(built))}
 
 
+def _identity_constraints(d) -> bool:
+    """Whether every alpha, lambda and rho component of the skew data ``d``, and its kappa, is an identity."""
+    ids = set(d.category.identities.values())
+    return all(f in ids for f in (*d.alpha.values(), *d.lam.values(), *d.rho.values(), d.kappa))
+
+
 def _strict_checks(api, carrier: str):
     """``check_axioms`` and ``check_pentagons`` of each strict structure among the skew
-    structures on ``carrier``.  Each run checks structures whose index rows are not built
-    yet, as freshly loaded ones, on a tree whose checks keep them on the structure."""
+    structures on ``carrier``: a strict tensor (``validate_strict_monoidal`` lists nothing)
+    and identity constraints.  Both are tested here, so the selection is the same on a tree
+    whose validator also reads the constraints and on one whose does not.  Each run checks
+    structures whose index rows are not built yet, as freshly loaded ones, on a tree whose
+    checks keep them on the structure."""
     skew = api.skew
     structures = skew.enumerate_skew_structures(SWEEP_CARRIERS[carrier](api))
-    strict = [d for d in structures if not api.finmon.validate_strict_monoidal(d)]
+    strict = [d for d in structures if not api.finmon.validate_strict_monoidal(d) and _identity_constraints(d)]
 
     def run() -> dict:
         for d in strict:

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 from .dyck import FREE_EDGE
 from .errors import StructuralError
-from .finmon import (
-    FinMonoidalStructure,
-    MonoidObject,
-    _require_laws,
-    enumerate_monoids,
-    validate_strict_monoidal,
-)
+from .finmon import FinMonoidalStructure, MonoidObject, enumerate_monoids
 from .nerve import _ImplicitNerve, two_simplex_data
 from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, catalan_sset
 
@@ -158,13 +152,13 @@ def verify_classification(m: FinMonoidalStructure) -> bool:
 def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord], bool]:
     """The records and the three-way verdict, from one map search C_3 -> N(m)_3.
 
-    The tensor is validated once (the category is lawful by construction),
+    ``m`` is strict monoidal by construction, so nothing is checked again
+    (skew data is refused by ``nerve._ImplicitNerve`` with StructuralError),
     and the search runs against the implicit nerve of ``m``; no nerve is materialized.
     Record triples come from the square conditions, monoid triples from
     :func:`enumerate_monoids` and engine triples from the search; a
     record takes only its images from the search.
     """
-    _require_laws(validate_strict_monoidal(m))
     maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
     # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms
     by_triple = {(c[1][_EDGE], c[2][_MUL][3], c[2][_UNIT][3]): tuple(map(tuple, c)) for c in maps}

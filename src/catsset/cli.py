@@ -334,7 +334,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
     m = FinMonoidalStructure.from_json_text(text)
-    # the loader checked the category's laws, and the classification checks the strict laws before its map search
+    # the loader checked the category's laws and the strict laws, so the classification checks nothing again
     records, verdict = _classification(m)
     triples = sorted(r.triple() for r in records)
     fields = {

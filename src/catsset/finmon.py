@@ -2,8 +2,10 @@
 
 Everything is label-driven: objects and morphisms are strings, and
 composition/tensor are explicit dicts.  Structural problems (unknown
-labels, ill-typed entries) and broken category laws raise; a tensor's
-law violations are collected into reports so faults can be listed.
+labels, ill-typed entries), broken category laws and, for a strict
+monoidal structure, broken strict laws raise on construction; the
+validators behind those checks list every violation, so faults can be
+listed.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def _thin(cat: FinCategory) -> bool:
     return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
 
 
-def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
+def tensor_violations(m: _TensorData) -> Iterator[LawViolation]:
     """The ways the tensor tables of ``m`` fail to be a bifunctor, lazily, in check order.
 
     Construction of ``m`` has rejected labels outside its category, so
@@ -324,17 +326,17 @@ def tensor_violations(m: FinMonoidalStructure) -> Iterator[LawViolation]:
                 yield LawViolation("interchange", (g, f, g2, f2), detail)
 
 
-class FinMonoidalStructure:
-    """A finite category with a tensor and unit, all by tables.
+class _TensorData:
+    """A finite category with a tensor and unit, all by tables, whatever laws they keep.
 
-    The constraints ``alpha``, ``lam``, ``rho`` and ``kappa`` are
-    identities here, as strictness has it; skew data replaces them with
-    tables of its own.  Construction rejects labels outside the category;
-    whether the tensor is a strict monoidal one is answered by
-    :func:`validate_strict_monoidal`.
+    The body that :class:`FinMonoidalStructure` and ``skew.SkewData`` share:
+    construction rejects labels outside the category, and each subclass
+    checks the laws of its own kind, totality of both tensors included, so
+    the accessors read by subscript; both documents read and write the
+    shared keys with this code.
     """
 
-    KIND = "strict_monoidal"
+    KIND: str
 
     def __init__(
         self,
@@ -357,33 +359,12 @@ class FinMonoidalStructure:
         for (f, g), v in self.mor_tensor.items():
             if f not in morset or g not in morset or v not in morset:
                 raise StructuralError(f"morphism tensor dangles on ({f!r}, {g!r})")
-        # identity constraints wherever the object tensor defines them; plain
-        # attributes, not lazy descriptors, since skew data overwrites them and
-        # a class-level descriptor under its table names slows every read
-        t = self.obj_tensor
-        objs = category.objects
-        self.alpha = {
-            (a, b, d): category.id_of(t[(t[(a, b)], d)])
-            for a in objs
-            for b in objs
-            for d in objs
-            if (t.get((a, b)), d) in t
-        }
-        self.lam = dict(category.identities)
-        self.rho = dict(category.identities)
-        self.kappa = category.id_of(unit)
 
     def tensor_obj(self, a: str, b: str) -> str:
-        try:
-            return self.obj_tensor[(a, b)]
-        except KeyError:
-            raise StructuralError(f"object tensor undefined on ({a!r}, {b!r})") from None
+        return self.obj_tensor[(a, b)]
 
     def tensor_mor(self, f: str, g: str) -> str:
-        try:
-            return self.mor_tensor[(f, g)]
-        except KeyError:
-            raise StructuralError(f"morphism tensor undefined on ({f!r}, {g!r})") from None
+        return self.mor_tensor[(f, g)]
 
     def to_json_dict(self) -> dict:
         doc = {"schema_version": SCHEMA_VERSION, "kind": self.KIND}
@@ -406,7 +387,7 @@ class FinMonoidalStructure:
         return category, obj_tensor, mor_tensor, check_label(doc["unit"], "unit")
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "FinMonoidalStructure":
+    def from_json_dict(cls, doc: Mapping) -> "_TensorData":
         check_header(doc, cls.KIND)
         try:
             return cls(*cls._fields_from_json(doc))
@@ -414,8 +395,31 @@ class FinMonoidalStructure:
             raise SchemaError(str(exc)) from exc
 
     @classmethod
-    def from_json_text(cls, text: str) -> "FinMonoidalStructure":
+    def from_json_text(cls, text: str) -> "_TensorData":
         return cls.from_json_dict(parse_json_text(text))
+
+
+class FinMonoidalStructure(_TensorData):
+    """A finite strict monoidal category by tables; its constraints are identities.
+
+    Construction raises StructuralError on labels outside the category and
+    on any law :func:`validate_strict_monoidal` lists, naming the first
+    violation and their number, so every FinMonoidalStructure is strict
+    monoidal and no later reader checks it again.  A loader raises the same
+    message as a SchemaError.
+    """
+
+    KIND = "strict_monoidal"
+
+    def __init__(
+        self,
+        category: FinCategory,
+        obj_tensor: Mapping[tuple[str, str], str],
+        mor_tensor: Mapping[tuple[str, str], str],
+        unit: str,
+    ) -> None:
+        super().__init__(category, obj_tensor, mor_tensor, unit)
+        _require_laws(validate_strict_monoidal(self))
 
 
 def _require_laws(problems: list[LawViolation]) -> None:
@@ -424,13 +428,15 @@ def _require_laws(problems: list[LawViolation]) -> None:
         raise StructuralError(f"structure violates the laws: {problems[0]} ({len(problems)} total)")
 
 
-def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
-    """Bifunctoriality, strict associativity/unitality and identity constraints.
+def validate_strict_monoidal(m: _TensorData) -> list[LawViolation]:
+    """Bifunctoriality and strict associativity/unitality of the tensor data ``m``.
 
-    Every bifunctor violation is listed; the strict laws are read off the
-    tables only once the tensor is a bifunctor.  The morphism-level laws
-    are skipped where they cannot fail: in a thin category (:func:`_thin`),
-    with no violation found before them.
+    Its one caller in the package is the :class:`FinMonoidalStructure`
+    constructor, which raises on the first violation listed, so on a built
+    structure this returns [].  Every bifunctor violation is listed; the
+    strict laws are read off the tables only once the tensor is a
+    bifunctor.  The morphism-level laws are skipped where they cannot fail:
+    in a thin category (:func:`_thin`), with no violation found before them.
     """
     c = m.category
     bad = list(tensor_violations(m))
@@ -460,14 +466,6 @@ def validate_strict_monoidal(m: FinMonoidalStructure) -> list[LawViolation]:
                 for h in mors:
                     if tm[fg, h] != tm[f, tm[g, h]]:
                         bad.append(LawViolation("strict associativity", (f, g, h), "morphism tensor"))
-    components = [("alpha", key, f) for key, f in m.alpha.items()]
-    components += [("lambda", (a,), f) for a, f in m.lam.items()]
-    components += [("rho", (a,), f) for a, f in m.rho.items()]
-    components.append(("kappa", (m.unit,), m.kappa))
-    for name, subject, f in components:
-        if f != c.id_of(c.src(f)):
-            detail = f"{name} component {f!r} is not an identity"
-            bad.append(LawViolation("strict constraints", subject, detail))
     return bad
 
 
@@ -515,9 +513,9 @@ def antichain_poset(labels: Sequence[str]) -> Poset:
 class MonoidalPoset:
     """A poset with a monotone, associative, strictly unital tensor.
 
-    Construction builds the thin category once, for :func:`poset_as_category`, and raises
-    StructuralError unless it is strict monoidal; a non-monotone table leaves some
-    (a <= b) (x) (c <= d) without a witness, which its constructor rejects.
+    Construction builds the strict structure once, for :func:`poset_as_category`, whose
+    constructor raises StructuralError unless it is strict monoidal; a non-monotone table
+    leaves some (a <= b) (x) (c <= d) without a witness, which it rejects.
     """
 
     poset: Poset
@@ -530,7 +528,6 @@ class MonoidalPoset:
         m = FinMonoidalStructure(
             poset_category(self.poset), self.tensor, poset_mor_tensor(self.poset, self.tensor), self.unit
         )
-        _require_laws(validate_strict_monoidal(m))
         object.__setattr__(self, "_structure", m)
 
 

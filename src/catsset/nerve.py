@@ -18,7 +18,7 @@ from itertools import chain, compress, product
 from operator import itemgetter
 
 from .errors import BudgetExceededError, StructuralError
-from .finmon import FinMonoidalStructure, _require_laws, _thin, validate_strict_monoidal
+from .finmon import FinMonoidalStructure, _thin
 from .sset import TruncatedSSet, _add_level, _extended, _join, _take
 
 
@@ -41,14 +41,13 @@ def monoidal_nerve(
 ) -> TruncatedSSet:
     """The nerve of ``m`` truncated at dimension N, :meth:`_ImplicitNerve.materialized`.
 
-    The category of ``m`` is lawful by construction; its tensor is
-    validated once, by :func:`~catsset.finmon.validate_strict_monoidal`
-    (StructuralError names the first violation), and the result holds at
-    most ``max_simplices`` simplices in total (BudgetExceededError).
+    ``m`` is strict monoidal by construction, so nothing is checked again;
+    skew data is refused with StructuralError (:class:`_ImplicitNerve`).
+    The result holds at most ``max_simplices`` simplices in total
+    (BudgetExceededError).
     """
     if N < 0:
         raise ValueError("truncation dimension must be non-negative")
-    _require_laws(validate_strict_monoidal(m))
     return _ImplicitNerve(m).materialized(N, max_simplices)
 
 
@@ -80,7 +79,10 @@ class _Lazy(dict):
 
 
 class _ImplicitNerve:
-    """The nerve of a validated strict monoidal ``m`` on levels 0..3, read off ``m`` on demand.
+    """The nerve of a strict monoidal ``m`` on levels 0..3, read off ``m`` on demand.
+
+    Anything but a :class:`~catsset.finmon.FinMonoidalStructure`, skew data
+    included, is refused with StructuralError.
 
     It serves :func:`~catsset.sset._enumerate_level_maps` as its target,
     so the search runs at the size of ``m``, not of its nerve.  A simplex
@@ -95,6 +97,8 @@ class _ImplicitNerve:
     N = 3
 
     def __init__(self, m: FinMonoidalStructure) -> None:
+        if not isinstance(m, FinMonoidalStructure):
+            raise StructuralError(f"{type(m).__name__} is not a strict monoidal structure")
         cat, unit, t, ids, hom = m.category, m.unit, m.obj_tensor, m.category.identities, m.category.hom
         objs = tuple(sorted(cat.objects))
         s0 = {a: (a, a, unit, ids[a]) for a in objs}

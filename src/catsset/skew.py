@@ -29,6 +29,7 @@ from .finmon import (
     FinMonoidalStructure,
     LawViolation,
     Poset,
+    _TensorData,
     _require_keys,
     _thin,
     check_label,
@@ -38,15 +39,14 @@ from .finmon import (
 )
 
 
-class SkewData(FinMonoidalStructure):
+class SkewData(_TensorData):
     """Tensor data with explicit, possibly non-invertible constraints.
 
-    The constraint tables take the place of the identity constraints of
-    :class:`FinMonoidalStructure`.  Construction validates the structural invariants: tables are total
-    and well-typed, the tensor is a bifunctor (identities and
-    interchange), and every constraint component is in the hom-set
-    of its stated endpoints.  Whether the axioms hold is a separate question answered
-    by the checkers.
+    A sibling of :class:`~catsset.finmon.FinMonoidalStructure`, whose tensor need not
+    be strict.  Construction validates the structural invariants: tables are total
+    and well-typed, the tensor is a bifunctor (identities and interchange), and every
+    constraint component is in the hom-set of its stated endpoints.  Whether the
+    axioms hold is a separate question answered by the checkers.
     """
 
     KIND = "skew_data"
@@ -102,6 +102,14 @@ class SkewData(FinMonoidalStructure):
                 key = min(set(table) - keys, key=repr)
                 raise StructuralError(f"{name} entry at {key!r} is not at objects")
 
+    @classmethod
+    def _trusted(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa) -> "SkewData":
+        """Skew data from tables that are valid by construction, left unchecked and shared, not copied."""
+        d = cls.__new__(cls)
+        d.category, d.obj_tensor, d.mor_tensor, d.unit = category, obj_tensor, mor_tensor, unit
+        d.alpha, d.lam, d.rho, d.kappa = alpha, lam, rho, kappa
+        return d
+
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -126,8 +134,14 @@ class SkewData(FinMonoidalStructure):
 
 
 def skew_from_strict(m: FinMonoidalStructure, kappa: str | None = None) -> SkewData:
-    """A strict structure viewed as skew data with identity constraints."""
-    return SkewData(m.category, m.obj_tensor, m.mor_tensor, m.unit, m.alpha, m.lam, m.rho, kappa)
+    """A strict structure as skew data with identity constraints, built checking ``kappa`` alone:
+    ``m`` is strict monoidal by construction, so its tables pass the other checks of :class:`SkewData`."""
+    c, t, ids = m.category, m.obj_tensor, m.category.identities
+    kappa = ids[m.unit] if kappa is None else kappa
+    if kappa not in c.hom(m.unit, m.unit):
+        raise StructuralError("kappa must be an endomorphism of the unit")
+    alpha = {(a, b, d): ids[t[t[a, b], d]] for a, b, d in product(c.objects, repeat=3)}
+    return SkewData._trusted(c, t, m.mor_tensor, m.unit, alpha, dict(ids), dict(ids), kappa)
 
 
 # -- reports -----------------------------------------------------------
@@ -615,10 +629,7 @@ def _as_skew_data(cat: FinCategory, picks) -> Iterator[tuple[SkewData, bool]]:
             seen_alpha, alpha = r.alpha, dict(zip(triples, [mors[v] for rows in r.alpha for row in rows for v in row]))
         lam, rho = dict(zip(objs, [mors[v] for v in r.lam])), dict(zip(objs, [mors[v] for v in r.rho]))
         for kappa in kappas:
-            d = SkewData.__new__(SkewData)
-            d.category, d.unit, d.kappa = cat, objs[r.unit], mors[kappa]
-            d.obj_tensor, d.mor_tensor, d.alpha, d.lam, d.rho = obj_tensor, mor_tensor, alpha, lam, rho
-            yield d, natural
+            yield SkewData._trusted(cat, obj_tensor, mor_tensor, objs[r.unit], alpha, lam, rho, mors[kappa]), natural
 
 
 def _category_candidates(cat: FinCategory) -> Iterator[tuple[SkewData, bool]]:

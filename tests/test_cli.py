@@ -471,6 +471,51 @@ def test_skew_check_names_a_missing_composite(tmp_path, capsys):
     assert got == [(2, "", f"error: structure violates the laws: {violation}\n")] * 2
 
 
+def _unit_top(doc):
+    doc["unit"] = "top"
+
+
+def _drop_a_tensor_cell(doc):
+    doc["mor_tensor"].remove(["bot<=bot", "bot<=bot", "bot<=bot"])
+
+
+# edits of docs/examples data whose tensor breaks a law, the command given the file, and the whole
+# line on stderr: a strict structure names the first strict-law violation and their number, skew
+# data the first way its tensor fails to be a bifunctor
+BROKEN_TENSORS = {
+    "classify-unit": (
+        ["classify"],
+        "two-or.json",
+        _unit_top,
+        "structure violates the laws: strict unit at ('bot',): unit does not act trivially (3 total)",
+    ),
+    "classify-tensor-hole": (
+        ["classify"],
+        "two-or.json",
+        _drop_a_tensor_cell,
+        "structure violates the laws: tensor totality at ('bot<=bot', 'bot<=bot'): "
+        "morphism tensor undefined on ('bot<=bot', 'bot<=bot') (1 total)",
+    ),
+    "skew-tensor-hole": (
+        ["skew", "check"],
+        "skew-two-or.json",
+        _drop_a_tensor_cell,
+        "morphism tensor undefined on ('bot<=bot', 'bot<=bot')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TENSORS))
+@pytest.mark.parametrize("json_flag", ([], ["--json"]))
+def test_a_lawless_tensor_exits_2_with_its_line(tmp_path, capsys, case, json_flag):
+    command, example, edit, message = BROKEN_TENSORS[case]
+    doc = json.loads((EXAMPLES / example).read_text())
+    edit(doc)
+    bad = tmp_path / example
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, *command, str(bad), *json_flag) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("table", ("obj_tensor", "mor_tensor", "alpha", "lambda", "rho"))
 def test_skew_check_rejects_unknown_labels(tmp_path, capsys, table):
     # a copy of the first row keyed on a label the category does not have

@@ -14,7 +14,7 @@ from catsset.finmon import (
     LawViolation,
     MonoidalPoset,
     Poset,
-    _require_laws,
+    _TensorData,
     antichain_poset,
     chain_poset,
     enumerate_monoids,
@@ -217,15 +217,20 @@ def _law_violations(m):
     return _interchange_violations(m) or _strict_law_violations(m)
 
 
-def _assert_matches_the_oracle(m, label):
-    got = validate_strict_monoidal(m)
-    want = _law_violations(m)
+def _assert_matches_the_oracle(tables, label):
+    """The validator lists the oracle's violations over the tables left unchecked, and the
+    constructor raises exactly when there are any, naming the first and their number."""
+    got = validate_strict_monoidal(_TensorData(*tables))
+    want = _law_violations(_TensorData(*tables))
     assert [(v.law, v.subject) for v in got] == want, label
-    if want:
-        # the message every law check raises: the first violation and their number
-        with pytest.raises(StructuralError, match=re.escape(f"({len(want)} total)")) as exc:
-            _require_laws(got)
-        assert str(exc.value).startswith(f"structure violates the laws: {want[0][0]} at {want[0][1]}"), label
+    if not want:
+        assert validate_strict_monoidal(FinMonoidalStructure(*tables)) == [], label
+        return
+    with pytest.raises(StructuralError) as exc:
+        FinMonoidalStructure(*tables)
+    message = str(exc.value)
+    assert message.startswith(f"structure violates the laws: {want[0][0]} at {want[0][1]}: "), label
+    assert message.endswith(f" ({len(want)} total)"), label
 
 
 def test_strict_laws_match_the_method_call_oracle():
@@ -237,8 +242,7 @@ def test_strict_laws_match_the_method_call_oracle():
     rng = random.Random(31)
     for _ in range(300):
         t = {(x, y): rng.choice(objs) for x in objs for y in objs}
-        m = FinMonoidalStructure(cat, t, {(ids[x], ids[y]): ids[v] for (x, y), v in t.items()}, rng.choice(objs))
-        _assert_matches_the_oracle(m, t)
+        _assert_matches_the_oracle((cat, t, {(ids[x], ids[y]): ids[v] for (x, y), v in t.items()}, rng.choice(objs)), t)
     # every monotone tensor on the 3-chain, with each unit, is a bifunctor on a thin category
     # with morphisms between distinct objects; most fail the object laws, so the morphism
     # loops must run in full
@@ -250,9 +254,9 @@ def test_strict_laws_match_the_method_call_oracle():
             continue
         monotone += 1
         for unit in "012":
-            m = FinMonoidalStructure(poset_category(chain), t, poset_mor_tensor(chain, t), unit)
-            _assert_matches_the_oracle(m, (t, unit))
-            want = _law_violations(m)
+            tables = (poset_category(chain), t, poset_mor_tensor(chain, t), unit)
+            _assert_matches_the_oracle(tables, (t, unit))
+            want = _law_violations(_TensorData(*tables))
             if want:
                 with pytest.raises(StructuralError, match=re.escape(f"({len(want)} total)")):
                     MonoidalPoset(chain, t, unit)
@@ -270,7 +274,63 @@ def test_strict_laws_match_the_method_call_oracle():
     z = zmonoid()
     for values in product("1z", repeat=3):
         tm = {("1", "1"): "1"} | dict(zip((("1", "z"), ("z", "1"), ("z", "z")), values))
-        _assert_matches_the_oracle(FinMonoidalStructure(z.category, z.obj_tensor, tm, z.unit), tm)
+        _assert_matches_the_oracle((z.category, z.obj_tensor, tm, z.unit), tm)
+
+
+def _typed_object_tensors(cat):
+    """Every object tensor over ``cat`` under which each pair of morphisms has a typed tensor cell."""
+    objs, mors = cat.objects, cat.morphisms
+    tensors = [dict(zip(product(objs, repeat=2), values)) for values in product(objs, repeat=len(objs) ** 2)]
+    return [t for t in tensors if all(cat.hom(t[s, s2], t[d, d2]) for _, s, d in mors for _, s2, d2 in mors)]
+
+
+def _one_object(table):
+    """The one-object category of a monoid given by its multiplication table, 1 its unit."""
+    elems = sorted({x for x, _ in table})
+    return FinCategory(["*"], [(x, "*", "*") for x in elems], {"*": "1"}, table)
+
+
+#: Lawful categories with their typed object tensors: thin ones (discrete, the 2-chain), and
+#: ones with parallel morphisms (the monoids {1, z} and Z/3, and a parallel pair x => y),
+#: where interchange can fail.
+TENSOR_CARRIERS = [
+    (cat, _typed_object_tensors(cat))
+    for cat in (
+        poset_category(antichain_poset(["x", "y"])),
+        poset_category(chain_poset(["x", "y"])),
+        zmonoid_category(),
+        _one_object({(x, y): "1ab"[("1ab".index(x) + "1ab".index(y)) % 3] for x in "1ab" for y in "1ab"}),
+        FinCategory(
+            ["x", "y"], [("1x", "x", "x"), ("1y", "y", "y"), ("f", "x", "y"), ("g", "x", "y")], {"x": "1x", "y": "1y"},
+            {("1x", "1x"): "1x", ("1y", "1y"): "1y", ("f", "1x"): "f", ("g", "1x"): "g", ("1y", "f"): "f", ("1y", "g"): "g"},
+        ),
+    )
+]
+
+
+@st.composite
+def tensor_tables(draw):
+    """The tables the oracle reads: over a category of TENSOR_CARRIERS, a typed object tensor, a
+    morphism tensor drawn from the typed cells that takes identities to identities, and any unit.
+
+    Some are strict monoidal, most break a strict law, and some over parallel morphisms break
+    interchange.
+    """
+    cat, tensors = draw(st.sampled_from(TENSOR_CARRIERS))
+    t = draw(st.sampled_from(tensors))
+    ids = set(cat.identities.values())
+    mor_tensor = {}
+    for f, s, d in cat.morphisms:
+        for g, s2, d2 in cat.morphisms:
+            cell = [cat.id_of(t[s, s2])] if f in ids and g in ids else cat.hom(t[s, s2], t[d, d2])
+            mor_tensor[f, g] = draw(st.sampled_from(cell))
+    return cat, t, mor_tensor, draw(st.sampled_from(cat.objects))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_tables())
+def test_a_strict_structure_is_built_exactly_when_it_is_lawful(tables):
+    _assert_matches_the_oracle(tables, tables)
 
 
 def test_dangling_references_raise():
@@ -303,9 +363,12 @@ def test_a_missing_composite_is_listed_before_interchange():
 
 def test_validate_strict_monoidal_flags_bad_unit():
     m = boolean_or()
-    broken = FinMonoidalStructure(m.category, m.obj_tensor, m.mor_tensor, "top")
-    report = validate_strict_monoidal(broken)
+    tables = (m.category, m.obj_tensor, m.mor_tensor, "top")
+    report = validate_strict_monoidal(_TensorData(*tables))
     assert any(v.law == "strict unit" for v in report)
+    with pytest.raises(StructuralError) as exc:
+        FinMonoidalStructure(*tables)
+    assert str(exc.value) == f"structure violates the laws: {report[0]} ({len(report)} total)"
 
 
 def test_poset_as_category_counts():

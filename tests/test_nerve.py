@@ -9,6 +9,7 @@ from catsset.finmon import (
     FinCategory,
     FinMonoidalStructure,
     MonoidalPoset,
+    _TensorData,
     chain_poset,
     poset_as_category,
     validate_strict_monoidal,
@@ -240,7 +241,11 @@ def test_budget_guard(monkeypatch):
 
 
 def test_invalid_structure_rejected():
+    # no strict structure has a unit that acts non-trivially, and the nerve refuses the tables
+    # left unchecked, so such a unit never reaches a nerve
     m = boolean_or()
-    broken = FinMonoidalStructure(m.category, m.obj_tensor, m.mor_tensor, "top")
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="strict unit"):
+        FinMonoidalStructure(m.category, m.obj_tensor, m.mor_tensor, "top")
+    broken = _TensorData(m.category, m.obj_tensor, m.mor_tensor, "top")
+    with pytest.raises(StructuralError, match="_TensorData is not a strict monoidal structure"):
         monoidal_nerve(broken, 2)

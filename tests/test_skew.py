@@ -12,6 +12,7 @@ from catsset.finmon import (
     FinMonoidalStructure,
     MonoidalPoset,
     Poset,
+    _TensorData,
     antichain_poset,
     chain_poset,
     poset_as_category,
@@ -45,6 +46,24 @@ def test_strict_boolean_structure_passes_everything():
     assert check_axioms(d).all_hold
     assert check_pentagons(d).all_hold
     assert verify_equivalence(d)
+
+
+def test_skew_from_strict_is_the_checked_skew_data(library):
+    # the trusted build gives the tables the checking constructor accepts, with identity
+    # constraints, for every kappa in hom(I, I), and rejects any other kappa as the constructor does
+    for name, m in library.items():
+        c, t = m.category, m.obj_tensor
+        alpha = {(a, b, e): c.id_of(t[t[a, b], e]) for a in c.objects for b in c.objects for e in c.objects}
+        for kappa in (None, *c.hom(m.unit, m.unit)):
+            d = skew_from_strict(m, kappa)
+            checked = SkewData(c, t, m.mor_tensor, m.unit, alpha, c.identities, c.identities, kappa)
+            assert type(d) is SkewData and d.category is c, (name, kappa)
+            assert _fields(d) == _fields(checked), (name, kappa)
+            assert d.to_json_text() == checked.to_json_text(), (name, kappa)
+        for kappa in (*(f for f in c.morphism_labels() if f not in c.hom(m.unit, m.unit)), "ghost"):
+            with pytest.raises(StructuralError) as exc:
+                skew_from_strict(m, kappa)
+            assert str(exc.value) == "kappa must be an endomorphism of the unit", (name, kappa)
 
 
 def test_chain3_min_with_top_unit_is_skew_and_monoidal():
@@ -1025,7 +1044,7 @@ STRUCTURAL_FAILURES = {
 
 
 # the failures in the category, tensor tables and unit alone, and those of
-# them that FinMonoidalStructure rejects on construction
+# them that the label checks reject, before any law is read
 TENSOR_FAILURES = {
     "unit", "object tensor undefined", "object tensor dangles", "morphism tensor undefined",
     "morphism tensor dangles", "ill-typed", "non-identity", "interchange",
@@ -1045,21 +1064,25 @@ def test_structural_error_messages(failure):
     assert str(exc.value) == message
     if failure not in TENSOR_FAILURES:
         return
-    # the same tables as a strict structure fail with the same message,
-    # on construction or as the first violation the validator lists
+    # the same tables as a strict structure fail on construction, with the same message or,
+    # past the label checks, with the first violation the validator lists over them and their number
     tables = {k: fields[k] for k in ("category", "obj_tensor", "mor_tensor", "unit")}
+    with pytest.raises(StructuralError) as exc:
+        FinMonoidalStructure(**tables)
     if failure in CONSTRUCTOR_FAILURES:
-        with pytest.raises(StructuralError) as exc:
-            FinMonoidalStructure(**tables)
         assert str(exc.value) == message
     else:
-        assert validate_strict_monoidal(FinMonoidalStructure(**tables))[0].detail == message
+        problems = validate_strict_monoidal(_TensorData(**tables))
+        assert problems[0].detail == message
+        assert str(exc.value) == f"structure violates the laws: {problems[0]} ({len(problems)} total)"
 
 
 def test_lax_skew_data_is_not_strict():
+    # its tensor is zmonoid's strict one, but skew data is not a strict structure, whatever its
+    # constraints: the nerve and the classification refuse it by its type
     d = skew_from_strict(zmonoid(), kappa="z")
-    assert [v.law for v in validate_strict_monoidal(d)] == ["strict constraints"]
-    with pytest.raises(StructuralError, match="kappa component 'z' is not an identity"):
+    assert validate_strict_monoidal(d) == [] and not isinstance(d, FinMonoidalStructure)
+    with pytest.raises(StructuralError, match="SkewData is not a strict monoidal structure"):
         monoidal_nerve(d, 3)
-    with pytest.raises(StructuralError, match="strict constraints"):
+    with pytest.raises(StructuralError, match="SkewData is not a strict monoidal structure"):
         classify_maps(d)
