@@ -374,7 +374,9 @@ def _strict_checks(api, carrier: str):
     and identity constraints.  Both are tested here, so the selection is the same on a tree
     whose validator also reads the constraints and on one whose does not.  Each run checks
     structures whose index rows are not built yet, as freshly loaded ones, on a tree whose
-    checks keep them on the structure."""
+    checks keep them on the structure.  A poset's structures are thin, so on a tree whose
+    checks decide thin data by rule this times the rule alone (:func:`_candidate_checks`
+    times the evaluation)."""
     skew = api.skew
     structures = skew.enumerate_skew_structures(SWEEP_CARRIERS[carrier](api))
     strict = [d for d in structures if not api.finmon.validate_strict_monoidal(d) and _identity_constraints(d)]
@@ -387,6 +389,27 @@ def _strict_checks(api, carrier: str):
             "structures": len(reports),
             "axioms_hold": sum(a.all_hold for a, _ in reports),
             "pentagons_hold": sum(p.all_hold for _, p in reports),
+        }
+
+    return run
+
+
+def _candidate_checks(api, carrier: str):
+    """``check_naturality``, ``check_axioms`` and ``check_pentagons`` of every candidate of
+    ``skew_candidates`` over ``carrier``, each run on index rows not built yet, as freshly loaded
+    data: on a carrier that is not thin, where every tree evaluates the conditions."""
+    skew = api.skew
+    candidates = list(skew.skew_candidates(SWEEP_CARRIERS[carrier](api)))
+
+    def run() -> dict:
+        for d in candidates:
+            vars(d).pop("_rows", None)
+        reports = [(skew.check_naturality(d), skew.check_axioms(d), skew.check_pentagons(d)) for d in candidates]
+        return {
+            "candidates": len(reports),
+            "natural": sum(not n for n, _, _ in reports),
+            "axioms_hold": sum(a.all_hold for _, a, _ in reports),
+            "pentagons_hold": sum(p.all_hold for _, _, p in reports),
         }
 
     return run
@@ -503,6 +526,13 @@ CASES = [
     ("skew", "skew_candidates", {"carrier": "monoid-1ab"}, _candidates, "monoid-1ab"),
     ("skew", "enumerate_skew_structures", {"carrier": "chain3"}, _structures, "chain3"),
     ("skew", "check_axioms+check_pentagons", {"structures": "strict on chain3"}, _strict_checks, "chain3"),
+    (
+        "skew",
+        "check_naturality+check_axioms+check_pentagons",
+        {"structures": "skew_candidates of zmonoid"},
+        _candidate_checks,
+        "zmonoid",
+    ),
     (
         "skew",
         "skew_from_strict+check_axioms+check_pentagons",

@@ -264,6 +264,11 @@ def _thin(cat: FinCategory) -> bool:
     were g o f = k with the wrong target, (id o g) o f = k would differ from
     id o k, which the exact table leaves undefined (dually for the source),
     so the two sides are parallel, and a thin category has one such morphism.
+    Every check of a law that equates parallel composites reads this rule:
+    the interchange of :func:`tensor_violations`, the nerve's level 3, the
+    skew sweeps and the public skew checks, whose typed input makes each
+    naturality square, axiom and pentagon such an equation
+    (:func:`~catsset.skew.check_naturality`).
     """
     return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
 

@@ -225,7 +225,20 @@ def check_naturality(d: SkewData) -> list[LawViolation]:
 
     The candidate search runs the two parts apart, each once per pick of
     the tables it reads, and stops each at its first violation.
+
+    Thin data is decided by rule, and nothing is built or evaluated: this
+    check returns no violation, and :func:`check_axioms` and
+    :func:`check_pentagons` their passing reports.  Every ``SkewData`` is
+    typed: its constructor checks the tensor through ``tensor_violations``
+    and each of alpha, lambda, rho and kappa against its hom-set, and the
+    trusted builders (:func:`skew_from_strict`, the sweeps' converter) take
+    tables typed by construction.  So every naturality square, axiom and
+    pentagon equates two parallel composites, and a thin category has one
+    (:func:`~catsset.finmon._thin`); hom(I, I) = {id}, so kappa is the
+    identity.  Other data is evaluated in full.
     """
+    if _thin(d.category):
+        return []
     r = d._rows
     hits = (*_alpha_unnatural(r, r.tm, r.alpha), *_unitors_unnatural(r, r.tm, r.unit, r.lam, r.rho))
     mors = r.mors
@@ -352,6 +365,12 @@ PENTAGONS: tuple[tuple[str, int, object], ...] = (
 )
 _KAPPA_FREE = 4  # A1-A4, the pentagons that read no kappa, come first
 
+#: Each condition's passing result, built once; a check builds the failing ones only.
+_PASSING = {name: ConditionResult(name, True, None) for name, _, _ in AXIOMS + PENTAGONS}
+#: The reports of thin skew data, on which every condition holds by rule (:func:`check_naturality`).
+_THIN_AXIOMS = ConditionReport(tuple(_PASSING[name] for name, _, _ in AXIOMS))
+_THIN_PENTAGONS = ConditionReport(tuple(_PASSING[name] for name, _, _ in PENTAGONS))
+
 
 def _witness(r: _Rows, arity: int, fn) -> tuple[int, ...] | None:
     """The first object index tuple, in ``product`` order, where fn's two paths differ, or None."""
@@ -371,19 +390,27 @@ def _witness(r: _Rows, arity: int, fn) -> tuple[int, ...] | None:
 
 def _evaluate(rows: _Rows, table, kept: dict) -> list[ConditionResult]:
     """The results of ``table`` on the rows, in its order.  ``kept`` maps condition functions to their
-    witnesses on these rows: one found there is not evaluated again, and one evaluated here is added."""
+    witnesses on these rows: one found there is not evaluated again, and one evaluated here is added.
+    A passing condition's result is its shared one from ``_PASSING``."""
     results = []
     for name, arity, fn in table:
         if fn not in kept:
             kept[fn] = _witness(rows, arity, fn)
         found = kept[fn]
-        witness = None if found is None else tuple(rows.objs[k] for k in found)
-        results.append(ConditionResult(name, witness is None, witness))
+        if found is None:
+            results.append(_PASSING[name])
+        else:
+            results.append(ConditionResult(name, False, tuple(rows.objs[k] for k in found)))
     return results
 
 
 def check_axioms(d: SkewData) -> ConditionReport:
-    """The five skew-monoidal axioms, evaluated pointwise over object tuples, each once per structure."""
+    """The five skew-monoidal axioms, evaluated pointwise over object tuples, each once per structure.
+
+    On thin data all five hold by rule and none is evaluated (:func:`check_naturality`).
+    """
+    if _thin(d.category):
+        return _THIN_AXIOMS
     return ConditionReport(tuple(_evaluate(d._rows, AXIOMS, d._rows.kept)))
 
 
@@ -393,7 +420,11 @@ def check_pentagons(d: SkewData) -> ConditionReport:
     A1-A4 read no kappa and keep their witnesses on the structure's rows
     with the axioms', so A1, which is 5.1, is evaluated once for this and
     :func:`check_axioms` in either order; A5-A9 read a copy with kappa.
+    On thin data all nine hold by rule and none is evaluated
+    (:func:`check_naturality`).
     """
+    if _thin(d.category):
+        return _THIN_PENTAGONS
     r = d._rows
     kappa_rows = r._pick(r.t, r.tm, r.unit, r.alpha, r.lam, r.rho)  # a copy, never the kept rows
     kappa_rows.kappa = r.mors.index(d.kappa)
@@ -724,7 +755,7 @@ def sweep_equivalence(
     condition equates two composites with the same ends, so it holds
     (:func:`~catsset.finmon._thin`): each natural pick counts as one skew
     structure and every flag stays true.  The public ``check_*`` functions
-    take no such rule and evaluate every condition.
+    take the same rule (:func:`check_naturality`).
     """
     candidates = 0
     natural = 0
