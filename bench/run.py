@@ -275,6 +275,23 @@ def _structure_library(api):
     return run
 
 
+def _strict_subjects(api) -> list:
+    """The library's structures and the 12-chain with max, built by the tree."""
+    return [*api.library.structure_library().values(), _chain_max(api, 12)]
+
+
+def _validations(api):
+    """``validate_strict_monoidal`` of each built structure of :func:`_strict_subjects`."""
+    structures = _strict_subjects(api)
+    return lambda: {"violations": sum(len(api.finmon.validate_strict_monoidal(m)) for m in structures)}
+
+
+def _constructions(api):
+    """The ``FinMonoidalStructure`` constructor on the tables of each structure of :func:`_strict_subjects`."""
+    tables = [(m.category, m.obj_tensor, m.mor_tensor, m.unit) for m in _strict_subjects(api)]
+    return lambda: {"structures": len([api.finmon.FinMonoidalStructure(*t) for t in tables])}
+
+
 def _classification_library(api):
     """``classify._classification`` of each structure of the library, the one call behind
     ``classify_maps`` (its records) and ``verify_classification`` (its verdict); ``maps``
@@ -548,6 +565,8 @@ CASES = [
     ("cli", "face", {"calls": 200, "words": "enumerate_dyck(6)"}, _face_calls, 200),
     ("dyck", "apply_surjection", {"words": "ez_decompose of enumerate_dyck(8)"}, _surjections, 8),
     ("finmon", "structure_library", {}, _structure_library),
+    ("finmon", "validate_strict_monoidal", {"structures": "structure_library() and the 12-chain with max"}, _validations),
+    ("finmon", "FinMonoidalStructure", {"tables": "structure_library() and the 12-chain with max"}, _constructions),
     ("classify", "_classification", {"structures": "structure_library()"}, _classification_library),
     ("classify", "classify job", {"structures": "structure_library()", "N": 4}, _classify_jobs),
 ]
@@ -564,7 +583,9 @@ FRONTIER_CHAINS = (14, 18, 22, 26, 30)
 
 
 #: The work counts of :func:`work_counted`; each also has a ``*_by_level`` breakdown.
-WORK = ("joins", "tuples", "checked_cells", "filler_indexes", "identity_cells", "skew_tables", "skew_conditions")
+WORK = (
+    "joins", "tuples", "checked_cells", "filler_indexes", "identity_cells", "skew_tables", "skew_conditions", "index_rows"
+)
 
 
 @contextlib.contextmanager
@@ -574,10 +595,12 @@ def work_counted(api):
     it builds and the cells of the identity columns it composes (``sset._identity_columns``,
     both sides of each instance the identity check reads), in all and by level, the object
     and morphism tensor tables the skew search draws (``skew._fill``), by their number of
-    cells, and the skew conditions it evaluates (``skew._witness``), by their arity.  The join is ``sset._join``, which returns columns, on
+    cells, and the skew conditions it evaluates (``skew._witness``), by their arity, and the
+    index rows of tensor data it builds (``_Rows``, in ``finmon`` or, on an older tree, in
+    ``skew``), by the number of objects.  The join is ``sset._join``, which returns columns, on
     a tree that has it and ``sset._boundaries``, which returns tuples, on an older one.  An
-    ``api`` without ``skew`` counts no tables and no conditions.  The timed runs call these
-    functions unwrapped."""
+    ``api`` without ``skew`` counts no tables, no conditions and no rows.  The timed runs call
+    these functions unwrapped."""
     work: dict = {key: 0 for key in WORK} | {f"{key}_by_level": {} for key in WORK}
 
     def tally(key: str, n: int, amount: int) -> None:
@@ -624,6 +647,13 @@ def work_counted(api):
         tally("skew_conditions", arity, 1)
         return real_witness(r, arity, fn)
 
+    rows = getattr(getattr(api, "finmon", None), "_Rows", None) or getattr(skew, "_Rows", None)
+    real_rows = rows.__init__ if rows else None
+
+    def rows_built(self, d):
+        tally("index_rows", len(d.category.objects), 1)
+        real_rows(self, d)
+
     # the modules that call the join by this name: the engine and the nerve
     modules = (api.sset, api.nerve)
     for module in modules:
@@ -632,6 +662,8 @@ def work_counted(api):
     api.sset._identity_columns = columns
     if skew:
         skew._fill, skew._witness = filled, witnessed
+    if rows:
+        rows.__init__ = rows_built
     try:
         yield work
     finally:
@@ -641,6 +673,8 @@ def work_counted(api):
         api.sset._identity_columns = real_columns
         if skew:
             skew._fill, skew._witness = real_fill, real_witness
+        if rows:
+            rows.__init__ = real_rows
 
 
 def measure(cases: list, trees: dict, repeats: int = REPEATS) -> list[dict]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .dyck import FREE_EDGE
 from .errors import StructuralError
-from .finmon import FinMonoidalStructure, MonoidObject, enumerate_monoids
+from .finmon import FinMonoidalStructure, MonoidObject, _paths_agree, _Rows, enumerate_monoids
 from .nerve import _ImplicitNerve, two_simplex_data
 from .sset import SimplicialMap, TruncatedSSet, _enumerate_level_maps, catalan_sset
 
@@ -62,58 +62,31 @@ class ClassificationRecord:
         return (self.monoid.carrier, self.monoid.mu, self.eta_prime)
 
 
-def _condition_associativity(m: FinMonoidalStructure, a: str, mu: str, etap: str) -> bool:
-    c = m.category
-    ida = c.id_of(a)
-    return c.compose(mu, m.tensor_mor(mu, ida)) == c.compose(mu, m.tensor_mor(ida, mu))
-
-
-def _condition_left_unit(m: FinMonoidalStructure, a: str, mu: str, etap: str) -> bool:
-    c = m.category
-    ida, idu = c.id_of(a), c.id_of(m.unit)
-    return c.compose(mu, m.tensor_mor(etap, ida)) == c.compose(
-        ida, m.tensor_mor(idu, ida)
+def _squares(r: _Rows, a: int, mu: int, etap: int) -> tuple:
+    """The square conditions at the candidate (A, mu, eta') as (left, right) paths, first morphism first,
+    that hold when their composites agree: associativity, left unit, right unit and the unit square."""
+    tm, ida, idu = r.tm, r.ids[a], r.ids[r.unit]
+    return (
+        ([tm[mu][ida], mu], [tm[ida][mu], mu]),
+        ([tm[etap][ida], mu], [tm[idu][ida], ida]),
+        ([tm[ida][idu], ida], [tm[ida][etap], mu]),
+        ([tm[etap][idu], ida], [tm[idu][etap], ida]),
     )
 
 
-def _condition_right_unit(m: FinMonoidalStructure, a: str, mu: str, etap: str) -> bool:
-    c = m.category
-    ida, idu = c.id_of(a), c.id_of(m.unit)
-    return c.compose(ida, m.tensor_mor(ida, idu)) == c.compose(
-        mu, m.tensor_mor(ida, etap)
-    )
-
-
-def _condition_unit_square(m: FinMonoidalStructure, a: str, mu: str, etap: str) -> bool:
-    c = m.category
-    ida, idu = c.id_of(a), c.id_of(m.unit)
-    return c.compose(ida, m.tensor_mor(etap, idu)) == c.compose(
-        ida, m.tensor_mor(idu, etap)
-    )
-
-
-_CONDITIONS = (
-    _condition_associativity,
-    _condition_left_unit,
-    _condition_right_unit,
-    _condition_unit_square,
-)
-
-
-def _candidates(m: FinMonoidalStructure):
-    c = m.category
-    uu = m.tensor_obj(m.unit, m.unit)
-    for a in sorted(c.objects):
-        for mu in sorted(c.hom(m.tensor_obj(a, a), a)):
-            for etap in sorted(c.hom(uu, a)):
+def _candidates(r: _Rows):
+    """Each (A, mu, eta') index triple with mu : A (x) A -> A and eta' : I (x) I -> A, in label order."""
+    t, hom = r.t, r.hom
+    for a in range(len(r.objs)):
+        for mu in sorted(hom[t[a][a]][a]):
+            for etap in sorted(hom[t[r.unit][r.unit]][a]):
                 yield a, mu, etap
 
 
 def check_fk_automatic(m: FinMonoidalStructure) -> bool:
     """The fourth square condition holds for every candidate triple, not just monoids."""
-    return all(
-        _condition_unit_square(m, a, mu, etap) for a, mu, etap in _candidates(m)
-    )
+    r = m._rows
+    return all(_paths_agree(r.comp, *_squares(r, *triple)[3]) for triple in _candidates(r))
 
 
 def map_triple(T: TruncatedSSet, f: SimplicialMap) -> tuple[str, str, str]:
@@ -162,19 +135,19 @@ def _classification(m: FinMonoidalStructure) -> tuple[list[ClassificationRecord]
     maps = _enumerate_level_maps(_CATALAN3, _ImplicitNerve(m), 3, bijective=False)
     # each map's generator images (A, mu, eta'): the free edge's object and the triangles' morphisms
     by_triple = {(c[1][_EDGE], c[2][_MUL][3], c[2][_UNIT][3]): tuple(map(tuple, c)) for c in maps}
+    r = m._rows
+    objs, mors, comp = r.objs, r.mors, r.comp
     records = []
-    for a, mu, etap in _candidates(m):
-        if not all(cond(m, a, mu, etap) for cond in _CONDITIONS):
+    for a, mu, etap in _candidates(r):
+        if not all(_paths_agree(comp, left, right) for left, right in _squares(r, a, mu, etap)):
             continue
-        if (a, mu, etap) not in by_triple:
-            raise StructuralError(
-                f"candidate ({a!r}, {mu!r}, {etap!r}) passed the square conditions "
-                "but does not extend to a map"
-            )
+        triple = (objs[a], mors[mu], mors[etap])
+        if triple not in by_triple:
+            raise StructuralError(f"candidate {triple!r} passed the square conditions but does not extend to a map")
         # eta is eta' composed with the unit constraint, an identity here,
         # evaluated from the table rather than assumed
-        eta = m.category.compose(etap, m.category.id_of(m.unit))
-        records.append(ClassificationRecord(by_triple[(a, mu, etap)], MonoidObject(a, mu, eta), etap))
+        eta = mors[comp[etap][r.ids[r.unit]]]
+        records.append(ClassificationRecord(by_triple[triple], MonoidObject(triple[0], triple[1], eta), triple[2]))
     monoids = enumerate_monoids(m)
     record_triples = {r.triple() for r in records}
     monoid_triples = {(mo.carrier, mo.mu, mo.eta) for mo in monoids}

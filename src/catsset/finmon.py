@@ -1,17 +1,19 @@
 """Finite categories by tables, tensor data over them, and monoids.
 
-Everything is label-driven: objects and morphisms are strings, and
-composition/tensor are explicit dicts.  Structural problems (unknown
+Tables are label-driven: objects and morphisms are strings, and
+composition/tensor are explicit dicts; the tensor laws are read off one
+index model of them (:class:`_Rows`).  Structural problems (unknown
 labels, ill-typed entries), broken category laws and, for a strict
 monoidal structure, broken strict laws raise on construction; the
-validators behind those checks list every violation, so faults can be
-listed.
+validators behind those checks list every violation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SchemaError, StructuralError
@@ -64,7 +66,8 @@ def table_rows(doc: Mapping, key: str, shape: str) -> list[list[str]]:
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{key}[{k}] must be an {shape} array")
         for j, value in enumerate(row):
-            check_label(value, f"{key}[{k}][{j}]")
+            if not isinstance(value, str):  # the place is spelled out only for the message
+                check_label(value, f"{key}[{k}][{j}]")
     return rows
 
 
@@ -113,6 +116,7 @@ class FinCategory:
         self._src = {l: s for l, s, _ in self.morphisms}
         self._tgt = {l: t for l, _, t in self.morphisms}
         self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._index = None
 
     def _validate_structure(self) -> None:
         if len(set(self.objects)) != len(self.objects):
@@ -165,6 +169,13 @@ class FinCategory:
 
     def morphism_labels(self) -> tuple[str, ...]:
         return tuple(l for l, _, _ in self.morphisms)
+
+    def _indexed(self) -> tuple["_Rows", dict[str, int], dict[str, int]]:
+        """This category's rows and the index of each object and morphism label, built once, shared by all over it."""
+        if self._index is None:
+            base = _Rows.__new__(_Rows)
+            self._index = (base, *base._over(self))
+        return self._index
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,83 +276,226 @@ def _thin(cat: FinCategory) -> bool:
     id o k, which the exact table leaves undefined (dually for the source),
     so the two sides are parallel, and a thin category has one such morphism.
     Every check of a law that equates parallel composites reads this rule:
-    the interchange of :func:`tensor_violations`, the nerve's level 3, the
-    skew sweeps and the public skew checks, whose typed input makes each
+    the interchange of :func:`tensor_violations`, the strict morphism laws
+    of :func:`validate_strict_monoidal`, the nerve's level 3, the skew
+    sweeps and the public skew checks, whose typed input makes each
     naturality square, axiom and pentagon such an equation
     (:func:`~catsset.skew.check_naturality`).
     """
-    return len({(s, t) for _, s, t in cat.morphisms}) == len(cat.morphisms)
+    return cat._indexed()[0].thin
+
+
+class _Rows:
+    """Tensor data as nested lists of indices into its sorted objects ``objs`` and morphisms ``mors``.
+
+    From the category's rows (:meth:`FinCategory._indexed`): ``comp[g][f]`` (g after f, -1 where they
+    do not compose), ``ids``, ``src``, ``tgt``, ``declared`` and ``declared_objs`` (morphisms and
+    objects in declared order), ``thin`` and, on first read, ``hom[a][b]`` (the morphisms a -> b in
+    declared order).  ``t``, ``tm`` and ``unit`` are the tensors (-1 in an undefined cell) and the
+    unit; skew data's rows also hold ``alpha``, ``lam`` and ``rho`` (None where a table has no entry,
+    -1 where it names no morphism), and the pentagon route's copy alone ``kappa``.  A structure's
+    constructor builds its rows once, rejecting labels outside the category (``_TensorData._rows``);
+    its checks share them and the witnesses kept on them (``kept``, by condition function).
+    """
+
+    __slots__ = ("thin", "objs", "mors", "comp", "ids", "src", "tgt", "declared", "declared_objs",
+                 "t", "tm", "alpha", "lam", "rho", "unit", "kappa", "kept", "__dict__")
+
+    def __init__(self, d: "_TensorData") -> None:
+        base, obj, mor = d.category._indexed()
+        self._share(base)
+        self.unit, self.kept = obj.get(d.unit), {}
+        if self.unit is None:
+            raise StructuralError(f"unit {d.unit!r} is not an object")
+        self.t = self._tensor(obj, d.obj_tensor, "object")
+        self.tm = self._tensor(mor, d.mor_tensor, "morphism")
+        if hasattr(d, "alpha"):
+            at, alpha, objs = {**mor, None: None}.get, d.alpha.get, self.objs
+            self.alpha = [[[at(alpha((a, b, c)), -1) for c in objs] for b in objs] for a in objs]
+            self.lam, self.rho = [at(d.lam.get(a), -1) for a in objs], [at(d.rho.get(a), -1) for a in objs]
+
+    @staticmethod
+    def _tensor(index: dict[str, int], table: Mapping[tuple[str, str], str], kind: str) -> list[list[int]]:
+        """The index rows of a tensor table over the labels ``index`` numbers; StructuralError on any other label."""
+        rows = [[-1] * len(index) for _ in index]
+        try:
+            for (x, y), v in table.items():
+                rows[index[x]][index[y]] = index[v]
+        except KeyError:
+            raise StructuralError(f"{kind} tensor dangles on ({x!r}, {y!r})") from None
+        return rows
+
+    def _over(self, c: FinCategory) -> tuple[dict[str, int], dict[str, int]]:
+        """Set the fields of the category ``c``; the index of each object and each morphism label."""
+        objs = self.objs = sorted(c.objects)
+        mors = self.mors = sorted(c._src)
+        obj, mor = {a: k for k, a in enumerate(objs)}, {f: k for k, f in enumerate(mors)}
+        self.ids = [mor[c.identities[a]] for a in objs]
+        self.declared, self.declared_objs = [mor[f] for f, _, _ in c.morphisms], [obj[a] for a in c.objects]
+        self.src, self.tgt = [obj[c._src[f]] for f in mors], [obj[c._tgt[f]] for f in mors]
+        self.thin = len(set(zip(self.src, self.tgt))) == len(mors)
+        comp = self.comp = [[-1] * len(mors) for _ in mors]
+        for (g, f), gf in c.composition.items():
+            comp[mor[g]][mor[f]] = mor[gf]
+        return obj, mor
+
+    @cached_property
+    def hom(self) -> list[list[list[int]]]:
+        hom = [[[] for _ in self.objs] for _ in self.objs]
+        for f in self.declared:
+            hom[self.src[f]][self.tgt[f]].append(f)
+        return hom
+
+    def _share(self, base: "_Rows") -> None:
+        """Take the category's fields from the rows ``base``, shared, not copied."""
+        self.objs, self.mors, self.comp, self.ids = base.objs, base.mors, base.comp, base.ids
+        self.src, self.tgt, self.declared, self.declared_objs = base.src, base.tgt, base.declared, base.declared_objs
+
+    def _pick(self, t, tm, unit: int, alpha, lam, rho) -> "_Rows":
+        """Rows over this category's fields with the given tables, all shared, not copied."""
+        r = _Rows.__new__(_Rows)
+        r._share(self)
+        r.t, r.tm, r.unit, r.alpha, r.lam, r.rho = t, tm, unit, alpha, lam, rho
+        return r
+
+
+def _composites(r: _Rows) -> list[tuple[int, int, int]]:
+    """Each composable (g, f, g o f) of a lawful category's rows, g and then f in declared order."""
+    into = [[] for _ in r.objs]
+    for f in r.declared:
+        into[r.tgt[f]].append(f)
+    return [(g, f, r.comp[g][f]) for g in r.declared for f in into[r.src[g]]]
+
+
+def _paths_agree(comp: list[list[int]], left: Sequence[int], right: Sequence[int]) -> bool:
+    """Whether two paths of morphism indices, first morphism applied first, have one composite."""
+    steps = iter(left)
+    x = next(steps)
+    for f in steps:
+        x = comp[f][x]
+    steps = iter(right)
+    y = next(steps)
+    for f in steps:
+        y = comp[f][y]
+    return x == y
 
 
 def tensor_violations(m: _TensorData) -> Iterator[LawViolation]:
     """The ways the tensor tables of ``m`` fail to be a bifunctor, lazily, in check order.
 
-    Construction of ``m`` has rejected labels outside its category, so
-    an entry is only ever missing or ill-typed.  Checked in order:
-    totality of the object table, then totality and typing of the
-    morphism table, then tensors of identities, then interchange.  The
-    morphism table is read only once the object table is total, and the
-    rest only once the morphism table is total and typed.  The category
-    is lawful, so every composable pair has its composite, and
-    interchange is skipped where it cannot fail: in a thin category
-    (:func:`_thin`).
+    Read off the index rows its construction filled, having rejected labels outside the category,
+    in declared order: totality of the object table, then totality and typing of the morphism
+    table, read once the object table is total, then, once both are total and typed, tensors of
+    identities and interchange.  The category is lawful, so every composable pair has its
+    composite, and interchange is skipped where it cannot fail: in a thin category (:func:`_thin`).
     """
-    cat, obj_tensor, mor_tensor = m.category, m.obj_tensor, m.mor_tensor
-    objs = cat.objects
-    mors = cat.morphism_labels()
-    clean = True
-    for a in objs:
-        for b in objs:
-            if (a, b) not in obj_tensor:
-                clean = False
-                yield LawViolation("tensor totality", (a, b), f"object tensor undefined on {(a, b)!r}")
-    if not clean:
+    r = m._rows
+    objs, mors, t, tm, src, tgt, ids, declared = r.objs, r.mors, r.t, r.tm, r.src, r.tgt, r.ids, r.declared
+    holes = [(objs[a], objs[b]) for a in r.declared_objs for b in r.declared_objs if t[a][b] < 0]
+    yield from (LawViolation("tensor totality", hole, f"object tensor undefined on {hole!r}") for hole in holes)
+    if holes:
         return
-    ends = {f: (cat.src(f), cat.tgt(f)) for f in mors}
-    for f in mors:
-        sf, tf = ends[f]
-        for g in mors:
-            sg, tg = ends[g]
-            v = mor_tensor.get((f, g))
-            if v is None:
+    clean = True
+    for f in declared:
+        row, sources, targets = tm[f], t[src[f]], t[tgt[f]]
+        for g in declared:
+            v = row[g]
+            if v < 0:
                 law, what = "tensor totality", "undefined"
-            elif ends[v] != (obj_tensor[(sf, sg)], obj_tensor[(tf, tg)]):
+            elif src[v] != sources[src[g]] or tgt[v] != targets[tgt[g]]:
                 law, what = "tensor typing", "ill-typed"
             else:
                 continue
             clean = False
-            yield LawViolation(law, (f, g), f"morphism tensor {what} on {(f, g)!r}")
+            yield LawViolation(law, (mors[f], mors[g]), f"morphism tensor {what} on {(mors[f], mors[g])!r}")
     if not clean:
         return
-    for a in objs:
-        for b in objs:
-            if mor_tensor[(cat.id_of(a), cat.id_of(b))] != cat.id_of(obj_tensor[(a, b)]):
-                detail = f"tensor of identities at {(a, b)!r} is not an identity"
-                yield LawViolation("identity tensor", (a, b), detail)
+    for a in r.declared_objs:
+        for b in r.declared_objs:
+            if tm[ids[a]][ids[b]] != ids[t[a][b]]:
+                detail = f"tensor of identities at {(objs[a], objs[b])!r} is not an identity"
+                yield LawViolation("identity tensor", (objs[a], objs[b]), detail)
     # both sides of an interchange cell are parallel, so in a thin category no cell can fail
     # (nor can an identity tensor above)
-    if _thin(cat):
+    if _thin(m.category):
         return
-    into, comp = _into(cat), cat.composition
-    composites = [(g, f, comp[g, f]) for g in mors for f in into[cat.src(g)]]
+    comp, composites = r.comp, _composites(r)
     for g, f, gf in composites:
         for g2, f2, g2f2 in composites:
-            if mor_tensor[(gf, g2f2)] != comp[mor_tensor[(g, g2)], mor_tensor[(f, f2)]]:
-                detail = f"interchange fails on {(g, f)!r} x {(g2, f2)!r}"
-                yield LawViolation("interchange", (g, f, g2, f2), detail)
+            if tm[gf][g2f2] != comp[tm[g][g2]][tm[f][f2]]:
+                detail = f"interchange fails on {(mors[g], mors[f])!r} x {(mors[g2], mors[f2])!r}"
+                yield LawViolation("interchange", (mors[g], mors[f], mors[g2], mors[f2]), detail)
+
+
+def _constraint_typing(r: _Rows, alpha, lam, rho) -> Iterator[LawViolation]:
+    """Each component of alpha, then of lambda and rho, outside the hom-set of its ends, in declared order:
+    alpha at (a, b, c) in hom((a(x)b)(x)c, a(x)(b(x)c)), lambda at a in hom(I(x)a, a) and rho at a in
+    hom(a, a(x)I), over total tensor rows.  A violation's detail is the message skew data raises on it."""
+    objs, t, src, tgt, u, declared = r.objs, r.t, r.src, r.tgt, r.unit, r.declared_objs
+    for a in declared:
+        for b in declared:
+            ab = t[a][b]
+            for c in declared:
+                f = alpha[a][b][c]
+                if f is not None and f >= 0 and src[f] == t[ab][c] and tgt[f] == t[a][t[b][c]]:
+                    continue
+                at = (objs[a], objs[b], objs[c])
+                detail = f"alpha undefined at {at!r}" if f is None else f"alpha component at {at!r} is ill-typed"
+                yield LawViolation("alpha typing", at, detail)
+    for a in declared:
+        f = lam[a]
+        if f is None or f < 0 or src[f] != t[u][a] or tgt[f] != a:
+            yield LawViolation("lambda typing", (objs[a],), f"lambda component at {objs[a]!r} is missing or ill-typed")
+        f = rho[a]
+        if f is None or f < 0 or src[f] != a or tgt[f] != t[a][u]:
+            yield LawViolation("rho typing", (objs[a],), f"rho component at {objs[a]!r} is missing or ill-typed")
+
+
+def _alpha_unnatural(r: _Rows, tm, alpha) -> Iterator[tuple]:
+    """Each morphism triple, in declared order, where alpha is not natural, with the two composites."""
+    comp, src, tgt = r.comp, r.src, r.tgt
+    for f in r.declared:
+        for g in r.declared:
+            fg = tm[f][g]
+            for h in r.declared:
+                left = comp[alpha[tgt[f]][tgt[g]][tgt[h]]][tm[fg][h]]
+                right = comp[tm[f][tm[g][h]]][alpha[src[f]][src[g]][src[h]]]
+                if left != right:
+                    yield "alpha", (f, g, h), left, right
+
+
+def _unitors_unnatural(r: _Rows, tm, unit: int, lam, rho) -> Iterator[tuple]:
+    """Each morphism, in declared order, where lambda or rho is not natural, with the two composites."""
+    comp, src, tgt, idu = r.comp, r.src, r.tgt, r.ids[unit]
+    for f in r.declared:
+        left, right = comp[lam[tgt[f]]][tm[idu][f]], comp[f][lam[src[f]]]
+        if left != right:
+            yield "lambda", (f,), left, right
+        left, right = comp[tm[f][idu]][rho[src[f]]], comp[rho[tgt[f]]][f]
+        if left != right:
+            yield "rho", (f,), left, right
+
+
+def _naturality_violations(r: _Rows, alpha, lam, rho) -> Iterator[LawViolation]:
+    """Naturality of alpha, then of lambda and rho, as violations; a side with no composite (-1) reads None."""
+    mors, names = r.mors, (*r.mors, None)
+    for law, fs, left, right in chain(_alpha_unnatural(r, r.tm, alpha), _unitors_unnatural(r, r.tm, r.unit, lam, rho)):
+        yield LawViolation(f"{law} naturality", tuple(mors[f] for f in fs), f"{names[left]} != {names[right]}")
 
 
 class _TensorData:
     """A finite category with a tensor and unit, all by tables, whatever laws they keep.
 
     The body that :class:`FinMonoidalStructure` and ``skew.SkewData`` share:
-    construction rejects labels outside the category, and each subclass
-    checks the laws of its own kind, totality of both tensors included, so
-    the accessors read by subscript; both documents read and write the
-    shared keys with this code.
+    construction builds the index rows ``_rows`` (:class:`_Rows`; data built
+    unchecked builds them on first read), rejecting labels outside the
+    category, and each subclass checks the laws of its own kind on them,
+    totality of both tensors included, so the accessors read by subscript;
+    both documents read and write the shared keys with this code.
     """
 
     KIND: str
+    _rows = cached_property(lambda self: _Rows(self))
 
     def __init__(
         self,
@@ -354,16 +508,7 @@ class _TensorData:
         self.obj_tensor = dict(obj_tensor)
         self.mor_tensor = dict(mor_tensor)
         self.unit = unit
-        objset = set(category.objects)
-        morset = set(category.morphism_labels())
-        if unit not in objset:
-            raise StructuralError(f"unit {unit!r} is not an object")
-        for (a, b), v in self.obj_tensor.items():
-            if a not in objset or b not in objset or v not in objset:
-                raise StructuralError(f"object tensor dangles on ({a!r}, {b!r})")
-        for (f, g), v in self.mor_tensor.items():
-            if f not in morset or g not in morset or v not in morset:
-                raise StructuralError(f"morphism tensor dangles on ({f!r}, {g!r})")
+        self._rows = _Rows(self)
 
     def tensor_obj(self, a: str, b: str) -> str:
         return self.obj_tensor[(a, b)]
@@ -405,7 +550,7 @@ class _TensorData:
 
 
 class FinMonoidalStructure(_TensorData):
-    """A finite strict monoidal category by tables; its constraints are identities.
+    """A finite strict monoidal category by tables: skew data whose constraints are identities.
 
     Construction raises StructuralError on labels outside the category and
     on any law :func:`validate_strict_monoidal` lists, naming the first
@@ -434,43 +579,25 @@ def _require_laws(problems: list[LawViolation]) -> None:
 
 
 def validate_strict_monoidal(m: _TensorData) -> list[LawViolation]:
-    """Bifunctoriality and strict associativity/unitality of the tensor data ``m``.
+    """The tensor data ``m`` checked as skew data whose alpha, lambda and rho are identities.
 
-    Its one caller in the package is the :class:`FinMonoidalStructure`
-    constructor, which raises on the first violation listed, so on a built
-    structure this returns [].  Every bifunctor violation is listed; the
-    strict laws are read off the tables only once the tensor is a
-    bifunctor.  The morphism-level laws are skipped where they cannot fail:
-    in a thin category (:func:`_thin`), with no violation found before them.
+    A strict structure is that skew data with natural constraints, each violation named as it names
+    it: :func:`tensor_violations`, then, once the tensor is a bifunctor, the typing of the
+    constraints (``alpha typing``, ...: the object laws) and their naturality (``alpha naturality``,
+    ...: the morphism laws), skipped where it cannot fail: in a thin category (:func:`_thin`), with
+    nothing found before it.  Its one caller in the package, the :class:`FinMonoidalStructure`
+    constructor, raises on the first violation, so a built structure has none.
     """
-    c = m.category
     bad = list(tensor_violations(m))
     if bad:
         return bad
-    # both tensors are total and typed now, so the laws read them by subscript
-    objs, t = c.objects, m.obj_tensor
-    mors, tm = c.morphism_labels(), m.mor_tensor
-    for a in objs:
-        if t[m.unit, a] != a or t[a, m.unit] != a:
-            bad.append(LawViolation("strict unit", (a,), "unit does not act trivially"))
-        for b in objs:
-            for cc in objs:
-                if t[t[a, b], cc] != t[a, t[b, cc]]:
-                    bad.append(
-                        LawViolation("strict associativity", (a, b, cc), "object tensor")
-                    )
-    unit_id = c.id_of(m.unit)
-    # once the object laws hold, both sides of a morphism-law cell are parallel, so in a
-    # thin category no cell can fail
-    if bad or not _thin(c):
-        for f in mors:
-            if tm[unit_id, f] != f or tm[f, unit_id] != f:
-                bad.append(LawViolation("strict unit", (f,), "unit identity does not act trivially"))
-            for g in mors:
-                fg = tm[f, g]
-                for h in mors:
-                    if tm[fg, h] != tm[f, tm[g, h]]:
-                        bad.append(LawViolation("strict associativity", (f, g, h), "morphism tensor"))
+    r, ids = m._rows, m._rows.ids
+    # alpha at (a, b, c) is the identity of (a(x)b)(x)c; lambda and rho at a, of a
+    id_rows = [[ids[v] for v in row] for row in r.t]
+    alpha = [[id_rows[ab] for ab in row] for row in r.t]
+    bad = list(_constraint_typing(r, alpha, ids, ids))
+    if bad or not _thin(m.category):
+        bad += _naturality_violations(r, alpha, ids, ids)
     return bad
 
 
@@ -485,6 +612,8 @@ class Poset:
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "leq", frozenset(tuple(p) for p in self.leq))
         elems = set(self.elements)
+        if len(elems) != len(self.elements):
+            raise StructuralError("duplicate elements")
         for a, b in self.leq:
             if a not in elems or b not in elems:
                 raise StructuralError(f"order pair ({a!r}, {b!r}) dangles")
@@ -579,28 +708,32 @@ class MonoidObject:
 
 def monoid_laws_hold(m: FinMonoidalStructure, a: str, mu: str, eta: str) -> bool:
     """Associativity and both unit laws, evaluated from the tables."""
-    c = m.category
-    ida = c.id_of(a)
-    if c.compose(mu, m.tensor_mor(mu, ida)) != c.compose(mu, m.tensor_mor(ida, mu)):
-        return False
-    if c.compose(mu, m.tensor_mor(eta, ida)) != ida:
-        return False
-    if c.compose(mu, m.tensor_mor(ida, eta)) != ida:
-        return False
-    return True
+    r = m._rows
+    return _monoid_laws(r, r.objs.index(a), r.mors.index(mu), r.mors.index(eta))
+
+
+def _monoid_laws(r: _Rows, a: int, mu: int, eta: int) -> bool:
+    """:func:`monoid_laws_hold` on the index rows: mu.(mu(x)1) = mu.(1(x)mu) and mu.(eta(x)1) = 1 = mu.(1(x)eta)."""
+    comp, tm, ida = r.comp, r.tm, r.ids[a]
+    return (
+        _paths_agree(comp, [tm[mu][ida], mu], [tm[ida][mu], mu])
+        and _paths_agree(comp, [tm[eta][ida], mu], [ida])
+        and _paths_agree(comp, [tm[ida][eta], mu], [ida])
+    )
 
 
 def enumerate_monoids(m: FinMonoidalStructure) -> list[MonoidObject]:
     """All (carrier, mu, eta) triples passing the three monoid laws.
 
     Enumeration order is lexicographic in (carrier, mu, eta) labels, so
-    output listings are reproducible.
+    output listings are reproducible: the rows number labels in their order.
     """
-    out = []
-    c = m.category
-    for a in sorted(c.objects):
-        for mu in sorted(c.hom(m.tensor_obj(a, a), a)):
-            for eta in sorted(c.hom(m.unit, a)):
-                if monoid_laws_hold(m, a, mu, eta):
-                    out.append(MonoidObject(a, mu, eta))
-    return out
+    r = m._rows
+    objs, mors, t, hom = r.objs, r.mors, r.t, r.hom
+    return [
+        MonoidObject(objs[a], mors[mu], mors[eta])
+        for a in range(len(objs))
+        for mu in sorted(hom[t[a][a]][a])
+        for eta in sorted(hom[r.unit][a])
+        if _monoid_laws(r, a, mu, eta)
+    ]

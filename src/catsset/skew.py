@@ -19,8 +19,7 @@ appear only at the edge: in reports and in the skew data returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, StructuralError
@@ -30,8 +29,15 @@ from .finmon import (
     LawViolation,
     Poset,
     _TensorData,
+    _Rows,
+    _alpha_unnatural,
+    _composites,
+    _constraint_typing,
+    _naturality_violations,
+    _paths_agree,
     _require_keys,
     _thin,
+    _unitors_unnatural,
     check_label,
     poset_category,
     table_rows,
@@ -51,8 +57,6 @@ class SkewData(_TensorData):
 
     KIND = "skew_data"
 
-    _rows = cached_property(lambda self: _Rows(self))
-
     def __init__(
         self,
         category: FinCategory,
@@ -64,43 +68,24 @@ class SkewData(_TensorData):
         rho: Mapping[str, str],
         kappa: str | None = None,
     ) -> None:
-        super().__init__(category, obj_tensor, mor_tensor, unit)
-        violation = next(tensor_violations(self), None)
-        if violation is not None:
-            raise StructuralError(violation.detail)
         self.alpha = dict(alpha)
         self.lam = dict(lam)
         self.rho = dict(rho)
-        self.kappa = kappa if kappa is not None else self.category.id_of(self.unit)
+        super().__init__(category, obj_tensor, mor_tensor, unit)
+        r = self._rows
+        violation = next(chain(tensor_violations(self), _constraint_typing(r, r.alpha, r.lam, r.rho)), None)
+        if violation is not None:
+            raise StructuralError(violation.detail)
         c = self.category
-        objs = c.objects
-        t = self.obj_tensor
-        for a in objs:
-            for b in objs:
-                for d in objs:
-                    f = self.alpha.get((a, b, d))
-                    if f is None:
-                        raise StructuralError(f"alpha undefined at ({a!r}, {b!r}, {d!r})")
-                    if f not in c.hom(t[(t[(a, b)], d)], t[(a, t[(b, d)])]):
-                        raise StructuralError(
-                            f"alpha component at ({a!r}, {b!r}, {d!r}) is ill-typed"
-                        )
-        for a in objs:
-            if self.lam.get(a) not in c.hom(t[(self.unit, a)], a):
-                raise StructuralError(f"lambda component at {a!r} is missing or ill-typed")
-            if self.rho.get(a) not in c.hom(a, t[(a, self.unit)]):
-                raise StructuralError(f"rho component at {a!r} is missing or ill-typed")
+        self.kappa = kappa if kappa is not None else c.id_of(self.unit)
         if self.kappa not in c.hom(self.unit, self.unit):
             raise StructuralError("kappa must be an endomorphism of the unit")
         # every key at objects is present by now, so a longer table has a stray key
-        for name, table, keys in (
-            ("alpha", self.alpha, set(product(objs, repeat=3))),
-            ("lambda", self.lam, set(objs)),
-            ("rho", self.rho, set(objs)),
-        ):
-            if len(table) != len(keys):
-                key = min(set(table) - keys, key=repr)
-                raise StructuralError(f"{name} entry at {key!r} is not at objects")
+        objs = c.objects
+        for name, table, arity in (("alpha", self.alpha, 3), ("lambda", self.lam, 1), ("rho", self.rho, 1)):
+            if len(table) != len(objs) ** arity:
+                keys = set(product(objs, repeat=3)) if arity == 3 else set(objs)
+                raise StructuralError(f"{name} entry at {min(set(table) - keys, key=repr)!r} is not at objects")
 
     @classmethod
     def _trusted(cls, category, obj_tensor, mor_tensor, unit, alpha, lam, rho, kappa) -> "SkewData":
@@ -174,59 +159,13 @@ class ConditionReport:
         raise KeyError(name)
 
 
-class _Rows:
-    """Skew data as nested lists of indices into its sorted objects ``objs`` and morphisms ``mors``.
-
-    ``comp[g][f]`` is g after f, or -1 where they do not compose; ``ids``,
-    ``src``, ``tgt`` and ``declared`` (the morphisms in declared order)
-    come from the category, and ``t``, ``tm``, ``alpha``, ``lam``, ``rho``
-    and ``unit`` are the tensors, components and unit.  ``kappa`` is set
-    only on the pentagon route's copy, so the axioms never read it.  The checks
-    of a structure share the rows its first check builds (``_rows``) and the
-    witnesses of the kappa-free conditions kept on them (``kept``, by condition
-    function); each search pick is a :meth:`_pick` of its category's rows.
-    """
-
-    __slots__ = ("objs", "mors", "comp", "ids", "src", "tgt", "declared",
-                 "t", "tm", "alpha", "lam", "rho", "unit", "kappa", "kept")
-
-    def __init__(self, d: SkewData) -> None:
-        obj, mor = self._over(d.category)
-        objs, mors = self.objs, self.mors
-        self.t = [[obj[d.obj_tensor[(a, b)]] for b in objs] for a in objs]
-        self.tm = [[mor[d.mor_tensor[(f, g)]] for g in mors] for f in mors]
-        self.alpha = [[[mor[d.alpha[(a, b, e)]] for e in objs] for b in objs] for a in objs]
-        self.lam, self.rho = [mor[d.lam[a]] for a in objs], [mor[d.rho[a]] for a in objs]
-        self.unit, self.kept = obj[d.unit], {}
-
-    def _over(self, c: FinCategory) -> tuple[dict[str, int], dict[str, int]]:
-        """Set the fields of the category ``c``; the index of each object and each morphism label."""
-        objs = self.objs = sorted(c.objects)
-        mors = self.mors = sorted(c.morphism_labels())
-        obj, mor = {a: k for k, a in enumerate(objs)}, {f: k for k, f in enumerate(mors)}
-        self.comp = [[-1] * len(mors) for _ in mors]
-        for (g, f), gf in c.composition.items():
-            self.comp[mor[g]][mor[f]] = mor[gf]
-        self.ids = [mor[c.identities[a]] for a in objs]
-        self.src, self.tgt = [obj[c.src(f)] for f in mors], [obj[c.tgt(f)] for f in mors]
-        self.declared = [mor[f] for f in c.morphism_labels()]
-        return obj, mor
-
-    def _pick(self, t, tm, unit: int, alpha, lam, rho) -> "_Rows":
-        """Rows over this category's fields with the given tables, all shared, not copied."""
-        r = _Rows.__new__(_Rows)
-        r.objs, r.mors, r.comp, r.ids, r.src, r.tgt = self.objs, self.mors, self.comp, self.ids, self.src, self.tgt
-        r.declared, r.t, r.tm, r.unit, r.alpha, r.lam, r.rho = self.declared, t, tm, unit, alpha, lam, rho
-        return r
-
-
 def check_naturality(d: SkewData) -> list[LawViolation]:
     """Naturality of alpha in three arguments and of lambda/rho in one, alpha's violations first.
 
     The candidate search runs the two parts apart, each once per pick of
     the tables it reads, and stops each at its first violation.
 
-    Thin data is decided by rule, and nothing is built or evaluated: this
+    Thin data is decided by rule, and nothing is read or evaluated: this
     check returns no violation, and :func:`check_axioms` and
     :func:`check_pentagons` their passing reports.  Every ``SkewData`` is
     typed: its constructor checks the tensor through ``tensor_violations``
@@ -240,37 +179,7 @@ def check_naturality(d: SkewData) -> list[LawViolation]:
     if _thin(d.category):
         return []
     r = d._rows
-    hits = (*_alpha_unnatural(r, r.tm, r.alpha), *_unitors_unnatural(r, r.tm, r.unit, r.lam, r.rho))
-    mors = r.mors
-    return [
-        LawViolation(f"{law} naturality", tuple(mors[f] for f in fs), f"{mors[left]} != {mors[right]}")
-        for law, fs, left, right in hits
-    ]
-
-
-def _alpha_unnatural(r: _Rows, tm, alpha) -> Iterator[tuple]:
-    """Each morphism triple, in declared order, where alpha is not natural, with the two composites."""
-    comp, src, tgt = r.comp, r.src, r.tgt
-    for f in r.declared:
-        for g in r.declared:
-            fg = tm[f][g]
-            for h in r.declared:
-                left = comp[alpha[tgt[f]][tgt[g]][tgt[h]]][tm[fg][h]]
-                right = comp[tm[f][tm[g][h]]][alpha[src[f]][src[g]][src[h]]]
-                if left != right:
-                    yield "alpha", (f, g, h), left, right
-
-
-def _unitors_unnatural(r: _Rows, tm, unit: int, lam, rho) -> Iterator[tuple]:
-    """Each morphism, in declared order, where lambda or rho is not natural, with the two composites."""
-    comp, src, tgt, idu = r.comp, r.src, r.tgt, r.ids[unit]
-    for f in r.declared:
-        left, right = comp[lam[tgt[f]]][tm[idu][f]], comp[f][lam[src[f]]]
-        if left != right:
-            yield "lambda", (f,), left, right
-        left, right = comp[tm[f][idu]][rho[src[f]]], comp[rho[tgt[f]]][f]
-        if left != right:
-            yield "rho", (f,), left, right
+    return list(_naturality_violations(r, r.alpha, r.lam, r.rho))
 
 
 # Each condition maps rows and an object index tuple to a (left path,
@@ -377,13 +286,7 @@ def _witness(r: _Rows, arity: int, fn) -> tuple[int, ...] | None:
     comp = r.comp
     for tup in product(range(len(r.objs)), repeat=arity):
         left, right = fn(r, *tup)
-        x = left[0]
-        for f in left[1:]:
-            x = comp[f][x]
-        y = right[0]
-        for f in right[1:]:
-            y = comp[f][y]
-        if x != y:
+        if not _paths_agree(comp, left, right):
             return tup
     return None
 
@@ -444,16 +347,13 @@ def verify_equivalence(d: SkewData) -> bool:
 
 def is_monoidal(d: SkewData) -> bool:
     """True iff every alpha, lambda, rho component is invertible."""
-    c = d.category
-    invertible = set()
-    for f in c.morphism_labels():
-        a, b = c.src(f), c.tgt(f)
-        for g in c.hom(b, a):
-            if c.compose(g, f) == c.id_of(a) and c.compose(f, g) == c.id_of(b):
-                invertible.add(f)
-                break
-    components = list(d.alpha.values()) + list(d.lam.values()) + list(d.rho.values())
-    return all(f in invertible for f in components)
+    r = d._rows
+    comp, ids, src, tgt = r.comp, r.ids, r.src, r.tgt
+    invertible = {
+        f for f in r.declared
+        if any(comp[g][f] == ids[src[f]] and comp[f][g] == ids[tgt[f]] for g in r.hom[tgt[f]][src[f]])
+    }
+    return all(f in invertible for f in chain((f for rows in r.alpha for row in rows for f in row), r.lam, r.rho))
 
 
 # -- candidate sweeps --------------------------------------------------
@@ -555,8 +455,7 @@ def _interchange_checks(r: _Rows) -> list[list[tuple[int, int, int]]]:
     Cell f * m + g holds f(x)g.  The instance (g o f)(x)(g' o f') = (g(x)g') o (f(x)f')
     is the cell triple ((g, g'), (f, f'), (g o f, g' o f')), checked once all three are set.
     """
-    m = len(r.mors)
-    composites = [(g, f, r.comp[g][f]) for g in r.declared for f in r.declared if r.tgt[f] == r.src[g]]
+    m, composites = len(r.mors), _composites(r)
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(m * m)]
     for g, f, gf in composites:
         for g2, f2, g2f2 in composites:
@@ -591,11 +490,9 @@ def _category_picks(cat: FinCategory) -> Iterator[tuple[_Rows, list[int], bool]]
     an empty one are never drawn, so the morphism tensor, alpha, lambda
     and rho are read off the object table, and every pick is natural.
     """
-    r = _Rows.__new__(_Rows)
-    mor = r._over(cat)[1]
+    r = cat._indexed()[0]
     n, m = len(r.objs), len(r.mors)
-    src, tgt, comp, ids = r.src, r.tgt, r.comp, r.ids
-    hom = [[[mor[f] for f in cat.hom(a, b)] for b in r.objs] for a in r.objs]
+    src, tgt, comp, ids, hom = r.src, r.tgt, r.comp, r.ids, r.hom
     typed = [[sorted(fs) for fs in row] for row in hom]  # in label order
     object_of = {f: a for a, f in enumerate(ids)}
     thin = _thin(cat)

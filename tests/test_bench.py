@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import catsset
+import catsset.library
 from catsset.library import boolean_or, zmonoid
 from catsset.nerve import monoidal_nerve
 from catsset.sset import _boundaries
@@ -92,6 +93,26 @@ def test_work_counts_the_skew_conditions_a_check_evaluates():
         d = catsset.skew.skew_from_strict(boolean_or())
         assert catsset.skew.check_axioms(d).all_hold and catsset.skew.check_pentagons(d).all_hold
     assert work["skew_conditions"] == 0
+
+
+def test_work_counts_one_index_rows_build_per_structure():
+    bench = load_bench()
+    api = SimpleNamespace(sset=catsset.sset, nerve=catsset.nerve, skew=catsset.skew, finmon=catsset.finmon)
+    init = catsset.finmon._Rows.__init__
+    with bench.work_counted(api) as work:
+        library = catsset.library.structure_library()
+    assert catsset.finmon._Rows.__init__ is init
+    # each constructor builds the rows it checks its structure on, and nothing else builds any
+    assert work["index_rows"] == len(library) == 5
+    assert work["index_rows_by_level"] == {"1": 1, "2": 2, "3": 2}
+    for m, builds in ((boolean_or(), 0), (zmonoid(), 1)):
+        with bench.work_counted(api) as work:
+            d = catsset.skew.skew_from_strict(m)
+            for check in (catsset.skew.check_naturality, catsset.skew.check_axioms, catsset.skew.check_pentagons):
+                check(d)
+                check(d)
+        # skew data from a strict structure builds its rows on first read, which thin data never reaches
+        assert work["index_rows"] == builds
 
 
 @pytest.mark.parametrize("poset, tables", (("chain_poset", 29), ("antichain_poset", 33)))

@@ -259,7 +259,7 @@ def test_candidate_that_does_not_extend_is_an_error(monkeypatch, library):
     # with every square condition waived, a zmonoid candidate reaches the
     # map search and has no commuting extension; in a poset every
     # candidate still extends
-    monkeypatch.setattr(catsset.classify, "_CONDITIONS", (lambda m, a, mu, etap: True,))
+    monkeypatch.setattr(catsset.classify, "_squares", lambda r, a, mu, etap: ())
     with pytest.raises(StructuralError, match=re.escape("('*', '1', 'z')")):
         classify_maps(library["zmonoid"])
     for name in ("two-or", "chain3-max", "chain3-truncated-add", "antichain2"):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from catsset.finmon import (
     validate_category,
     validate_strict_monoidal,
 )
+from catsset.skew import SkewData, check_naturality, sweep_equivalence
 from catsset.library import (
     antichain2,
     boolean_or,
@@ -183,18 +185,23 @@ def test_poset_categories_are_built_lawful(name):
 
 
 def _strict_law_violations(m):
-    """The strict unit and associativity failures as (law, subject), one tensor method call per lookup."""
+    """The strict laws as (law, subject), one tensor method call per lookup, named as skew data
+    with identity constraints names them: the object laws are the typing of those constraints,
+    the morphism laws their naturality."""
     c, u = m.category, m.unit
-    objs, mors, unit_id = c.objects, c.morphism_labels(), c.id_of(m.unit)
     out = []
-    for t, xs, one in ((m.tensor_obj, objs, u), (m.tensor_mor, mors, unit_id)):
+    laws = ((m.tensor_obj, c.objects, u, "typing"), (m.tensor_mor, c.morphism_labels(), c.id_of(u), "naturality"))
+    for t, xs, one, kind in laws:
         for a in xs:
-            if t(one, a) != a or t(a, one) != a:
-                out.append(("strict unit", (a,)))
             for b in xs:
                 for d in xs:
                     if t(t(a, b), d) != t(a, t(b, d)):
-                        out.append(("strict associativity", (a, b, d)))
+                        out.append((f"alpha {kind}", (a, b, d)))
+        for a in xs:
+            if t(one, a) != a:
+                out.append((f"lambda {kind}", (a,)))
+            if t(a, one) != a:
+                out.append((f"rho {kind}", (a,)))
     return out
 
 
@@ -333,6 +340,29 @@ def test_a_strict_structure_is_built_exactly_when_it_is_lawful(tables):
     _assert_matches_the_oracle(tables, tables)
 
 
+@settings(max_examples=200, deadline=None)
+@given(tensor_tables())
+def test_a_strict_structure_is_skew_data_with_identity_constraints(tables):
+    # the strict laws are the skew route over identity constraints: the structure is built exactly
+    # when that skew data is built and natural, and the validator's first violation is the route's
+    # first, the message skew data construction raises or else its first naturality violation
+    cat, t, mor_tensor, unit = tables
+    ids = cat.identities
+    alpha = {(a, b, c): ids[t[t[a, b], c]] for a, b, c in product(cat.objects, repeat=3)}
+    try:
+        naturality = check_naturality(SkewData(cat, t, mor_tensor, unit, alpha, ids, ids))
+    except StructuralError as exc:
+        raised, naturality = str(exc), None
+    problems = validate_strict_monoidal(_TensorData(*tables))
+    if naturality == []:
+        assert problems == []
+        FinMonoidalStructure(*tables)
+        return
+    assert (problems[0] == naturality[0]) if naturality else (problems[0].detail == raised)
+    with pytest.raises(StructuralError, match=re.escape(f"{problems[0]} ({len(problems)} total)")):
+        FinMonoidalStructure(*tables)
+
+
 def test_dangling_references_raise():
     with pytest.raises(StructuralError):
         FinCategory(["*"], [("f", "*", "missing")], {"*": "f"}, {})
@@ -365,7 +395,7 @@ def test_validate_strict_monoidal_flags_bad_unit():
     m = boolean_or()
     tables = (m.category, m.obj_tensor, m.mor_tensor, "top")
     report = validate_strict_monoidal(_TensorData(*tables))
-    assert any(v.law == "strict unit" for v in report)
+    assert any(v.law == "lambda typing" for v in report)
     with pytest.raises(StructuralError) as exc:
         FinMonoidalStructure(*tables)
     assert str(exc.value) == f"structure violates the laws: {report[0]} ({len(report)} total)"
@@ -374,6 +404,22 @@ def test_validate_strict_monoidal_flags_bad_unit():
 def test_poset_as_category_counts():
     assert len(chain3_max().category.morphisms) == 6
     assert len(antichain2().category.morphisms) == 2
+
+
+def test_a_poset_with_a_duplicated_element_is_refused():
+    # a duplicated element once reached the unchecked poset_category, whose category with a
+    # duplicated object classified (a, a<=a, a<=a) twice and swept 866 candidates, not 4
+    elements, leq = ("a", "a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b")})
+    tensor = {(x, y): max(x, y) for x in "ab" for y in "ab"}
+    for build in (
+        lambda: Poset(elements, leq),
+        lambda: replace(chain_poset(["a", "b"]), elements=elements),
+        lambda: MonoidalPoset(Poset(elements, leq), tensor, "a"),
+        lambda: sweep_equivalence(Poset(elements, leq)),
+    ):
+        with pytest.raises(StructuralError, match="duplicate elements"):
+            build()
+    assert sweep_equivalence(Poset(elements[1:], leq)).candidates == 4
 
 
 def test_poset_validation():

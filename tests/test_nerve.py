@@ -244,7 +244,7 @@ def test_invalid_structure_rejected():
     # no strict structure has a unit that acts non-trivially, and the nerve refuses the tables
     # left unchecked, so such a unit never reaches a nerve
     m = boolean_or()
-    with pytest.raises(StructuralError, match="strict unit"):
+    with pytest.raises(StructuralError, match="lambda typing"):
         FinMonoidalStructure(m.category, m.obj_tensor, m.mor_tensor, "top")
     broken = _TensorData(m.category, m.obj_tensor, m.mor_tensor, "top")
     with pytest.raises(StructuralError, match="_TensorData is not a strict monoidal structure"):

@@ -542,13 +542,16 @@ def test_search_naturality_flag_is_check_naturality(carrier_name):
 @pytest.mark.parametrize("carrier_name", [*FLAG_CARRIERS, "discrete2"])
 def test_search_candidates_pass_the_public_constructor(carrier_name):
     # the search builds its candidates unchecked; the public constructor,
-    # which checks the tensor and every component, must accept each as is
+    # which checks the tensor and every component, must accept each as is,
+    # keeping the index rows it checked them on, which the search's data builds on first read
     cat = {**FLAG_CARRIERS, "discrete2": discrete_two}[carrier_name]()
     candidates = [d for d, _ in _category_candidates(cat)]
     assert candidates
     for d in candidates:
         rebuilt = SkewData(cat, d.obj_tensor, d.mor_tensor, d.unit, d.alpha, d.lam, d.rho, d.kappa)
+        rows = vars(rebuilt).pop("_rows")
         assert vars(rebuilt) == vars(d)
+        assert all(getattr(rows, k) == getattr(d._rows, k) for k in ("t", "tm", "alpha", "lam", "rho", "unit"))
 
 
 #: Count of non-natural candidates and digest of every candidate's
